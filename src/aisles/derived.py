@@ -197,17 +197,14 @@ def _validate_cross_arrows(table, pairs):
                 )
 
 
-_cross_cache = {}
-
-
-def cross_arrow_pairs(table, validate=True):
-    key = id(table)
-    if key not in _cross_cache:
+def cross_arrow_pairs(table):
+    """The validated cross-degree arrow pairs, kept in the table's memo so
+    the validation runs once per table and the result dies with it."""
+    if "cross_arrow_pairs" not in table.memo:
         pairs = _cross_arrow_pairs(table)
-        if validate:
-            _validate_cross_arrows(table, pairs)
-        _cross_cache[key] = pairs
-    return _cross_cache[key]
+        _validate_cross_arrows(table, pairs)
+        table.memo["cross_arrow_pairs"] = pairs
+    return table.memo["cross_arrow_pairs"]
 
 
 def derived_ar_arrows(table, window):

@@ -12,7 +12,7 @@ configured tube depth, degrees inside a window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .derived import Window
 from .errors import ShapeError, TruncationError
@@ -222,9 +222,27 @@ class KroneckerAisle:
     pivot: int
     labels: frozenset
     members: frozenset
+    # The members sorted once by degree, kind (post, reg, pre), tube label
+    # and index, which is TameModel.objects() order for sorted labels.
+    # Witness searches iterate this: frozenset order would not repeat
+    # between processes, because transjective objects have label None,
+    # which Python before 3.12 hashes by address.
+    ordered: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "ordered", tuple(sorted(self.members, key=_canonical_key))
+        )
 
     def __contains__(self, X):
         return X in self.members
+
+
+_KIND_RANK = {POST: 0, REG: 1, PRE: 2}
+
+
+def _canonical_key(X):
+    return (X.degree, _KIND_RANK[X.kind], X.label or "", X.index)
 
 
 def build_aisle_63b(i, L, model):
@@ -244,17 +262,21 @@ def build_aisle_63b(i, L, model):
 
 def _orthogonal(aisle, model):
     """First Hom witness from the aisle into its complement, or None."""
-    objs = model.objects()
-    complement = [y for y in objs if y not in aisle.members]
-    for x in aisle.members:
-        for y in complement:
+    complement = [y for y in model.objects() if y not in aisle.members]
+    return _hom_witness(aisle.ordered, complement)
+
+
+def _hom_witness(sources, targets):
+    """First (x, y) in scan order with Hom(x, y) != 0, or None."""
+    for x in sources:
+        for y in targets:
             if hom_rule(x, y) != 0:
                 return (x, y)
     return None
 
 
 def _shift_closed(aisle, model):
-    for x in aisle.members:
+    for x in aisle.ordered:
         if x.degree < model.window.hi and x.shifted(1) not in aisle.members:
             return x
     return None
@@ -265,7 +287,7 @@ def _ext_projective_witness(aisle, model):
 
     The aisle is split, so a translate outside the members lies in the
     right orthogonal and the member would be Ext-projective."""
-    for x in aisle.members:
+    for x in aisle.ordered:
         if not model.window.is_interior(x):
             continue
         try:
@@ -297,16 +319,15 @@ def scan_split_aisles(model):
     tube_choices = list(range(lo + 1, hi + 1))
     for j1 in range(lo + 2, hi + 1):  # lowest transjective layer included
         for combo in _product(tube_choices, len(model.tube_labels)):
-            members = set()
             tube_min = dict(zip(model.tube_labels, combo))
+            members, complement = [], []
             for X in model.objects():
                 if X.kind == REG:
-                    if X.degree >= tube_min[X.label]:
-                        members.add(X)
-                elif layer(X) >= j1:
-                    members.add(X)
-            aisle = KroneckerAisle(j1 - 1, frozenset(), frozenset(members))
-            if _orthogonal(aisle, model) is None:
+                    inside = X.degree >= tube_min[X.label]
+                else:
+                    inside = layer(X) >= j1
+                (members if inside else complement).append(X)
+            if _hom_witness(members, complement) is None:
                 found.append((j1, combo))
     return found
 

@@ -263,9 +263,30 @@ def d4_quiver():
     return Quiver(vs, arrows, name="D4")
 
 
+def d5_quiver():
+    """D_5 with orientation 1 -> 2 -> 3 -> 4 and 3 -> 5."""
+    return quiver_from_edges("D5", [(1, 2), (2, 3), (3, 4), (3, 5)])
+
+
+def e6_quiver():
+    """E_6 with orientation 1 -> 2 -> 3 -> 4 -> 5 and 3 -> 6."""
+    return quiver_from_edges("E6", [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)])
+
+
+def quiver_from_edges(name, edges):
+    """The quiver with one arrow s -> t per (s, t) in ``edges``."""
+    vs = tuple(sorted({str(v) for edge in edges for v in edge}))
+    arrows = tuple(
+        Arrow(f"a{k}", str(s), str(t)) for k, (s, t) in enumerate(edges, 1)
+    )
+    return Quiver(vs, arrows, name=name)
+
+
 BUILTIN_QUIVERS = {
     "a2": lambda: linear_quiver(2),
     "a3": lambda: linear_quiver(3),
     "a4": lambda: linear_quiver(4),
     "d4": d4_quiver,
+    "d5": d5_quiver,
+    "e6": e6_quiver,
 }

@@ -378,6 +378,12 @@ class IndecTable:
     ext: tuple
     ar_arrows: tuple  # (source id, target id)
     hom_bases: tuple = field(repr=False, compare=False, default=())
+    # Results derived from this table alone, computed on first use (the
+    # derived model's validated cross-degree arrows).  A copy made with
+    # dataclasses.replace starts empty, so a patched table is re-validated.
+    memo: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __len__(self):
         return len(self.entries)

@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from aisles import torsion
 from aisles.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -207,3 +208,12 @@ def test_verify_output_deterministic(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def test_enumerate_over_class_cap_is_usage_error(capsys, monkeypatch):
+    # A3 has 14 torsion classes; a cap of 13 must stop the search.
+    monkeypatch.setattr(torsion, "MAX_TORSION_CLASSES", 13)
+    code, out, err = run(capsys, "enumerate", "--builtin", "a3")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "MAX_TORSION_CLASSES = 13" in err

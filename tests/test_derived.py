@@ -1,11 +1,15 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
+from aisles import derived
 from aisles.derived import (
     DerivedObject,
     DerivedSubcategory,
     Window,
     all_objects,
+    cross_arrow_pairs,
     derived_ar_arrows,
     export_dot,
     hom_derived,
@@ -15,7 +19,7 @@ from aisles.derived import (
     tau_orbits,
 )
 from aisles.errors import ShapeError
-from aisles.quiver import Quiver
+from aisles.quiver import Quiver, quiver_from_edges
 from aisles.repcore import enumerate_indecomposables
 
 
@@ -140,3 +144,39 @@ def test_export_dot_counts(a2_table):
         DerivedSubcategory(w, frozenset({DerivedObject(0, 0)})),
     )
     assert colored.count("fillcolor") == 1
+
+
+def test_cross_arrow_pairs_belong_to_their_table(monkeypatch):
+    """Copies of two tables of different orientations, made and dropped in
+    turn: each copy gets its own pairs, validated once.  A copy made right
+    after another is dropped tends to reuse its address, which is where a
+    cache keyed by id() would hand it the other orientation's pairs."""
+    validations = 0
+    validate = derived._validate_cross_arrows
+
+    def counting(table, pairs):
+        nonlocal validations  # keeps no reference to the table
+        validations += 1
+        validate(table, pairs)
+
+    monkeypatch.setattr(derived, "_validate_cross_arrows", counting)
+    orientations = ([(1, 2), (2, 3)], [(2, 1), (2, 3)])
+    originals = []
+    for edges in orientations:
+        table = enumerate_indecomposables(quiver_from_edges("A3", edges))
+        want = {
+            (
+                table.injective_by_vertex(str(s)).id,
+                table.projective_by_vertex(str(t)).id,
+            )
+            for s, t in edges
+        }
+        originals.append((table, want))
+    assert originals[0][1] != originals[1][1]
+    for k in range(20):
+        original, want = originals[k % 2]
+        table = dataclasses.replace(original)
+        assert cross_arrow_pairs(table) == want
+        assert cross_arrow_pairs(table) == want
+        assert validations == k + 1
+        del table

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import aisles
 from aisles.derived import Window
 from aisles.errors import ShapeError, TruncationError
 from aisles.kronecker import (
@@ -177,3 +182,39 @@ def test_kronecker_quiver_shape():
     q = kronecker_quiver()
     assert len(q.arrows) == 2
     assert all(a.source == "1" and a.target == "2" for a in q.arrows)
+
+
+def test_aisle_members_in_canonical_order(tame_model):
+    aisle = build_aisle_63b(0, frozenset({"t1"}), tame_model)
+    assert aisle.ordered == tuple(
+        x for x in tame_model.objects() if x in aisle
+    )
+
+
+COUNT_HOM_RULE_CALLS = """
+from aisles import kronecker as kr
+calls = 0
+rule = kr.hom_rule
+def counting(x, y):
+    global calls
+    calls += 1
+    return rule(x, y)
+kr.hom_rule = counting
+kr.verify_63b(kr.default_model())
+print(calls)
+"""
+
+
+def test_hom_rule_calls_repeat_between_processes():
+    """Transjective objects hash their None label by address before Python
+    3.12, so any scan in frozenset order would differ per process."""
+    src = os.path.dirname(os.path.dirname(aisles.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    counts = {
+        subprocess.run(
+            [sys.executable, "-c", COUNT_HOM_RULE_CALLS],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        for _ in range(2)
+    }
+    assert len(counts) == 1

@@ -1,12 +1,19 @@
+import dataclasses
+import functools
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aisles.errors import PreconditionError
-from aisles.quiver import linear_quiver
+from aisles.quiver import BUILTIN_QUIVERS, linear_quiver, quiver_from_edges
 from aisles.repcore import enumerate_indecomposables
 from aisles.torsion import (
     Subcategory,
     TorsionPair,
+    _bits,
+    _left_orth_mask,
+    _orth_masks,
     canonical_sequence_oracle,
     enumerate_torsion_pairs,
     is_torsion_pair,
@@ -157,3 +164,88 @@ def test_torsion_classes_closed_under_meet(a3_table):
 def test_is_torsion_pair_fixed_point(a2_table):
     for tp in enumerate_torsion_pairs(a2_table):
         assert is_torsion_pair(tp, a2_table)
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the closure search
+# ---------------------------------------------------------------------------
+
+
+def _brute_force_pairs(table):
+    """Reference enumeration: scan all 2^n subsets and keep those that are
+    fixed points of the double-orthogonal operator."""
+    full, nohom_from, nohom_into = _orth_masks(table)
+    pairs = []
+    for tmask in range(1 << len(table.entries)):
+        fmask = full
+        for i in _bits(tmask):
+            fmask &= nohom_from[i]
+        if tmask != _left_orth_mask(fmask, nohom_into):
+            continue
+        split = (tmask | fmask) == full
+        torsion = Subcategory(frozenset(_bits(tmask)))
+        free = Subcategory(frozenset(_bits(fmask)))
+        pairs.append(TorsionPair(torsion, free, split))
+    return pairs
+
+
+@functools.cache
+def _builtin_table(name):
+    return enumerate_indecomposables(BUILTIN_QUIVERS[name]())
+
+
+def _catalan(n):
+    return comb(2 * n, n) // (n + 1)
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "d5"])
+def test_closure_search_matches_subset_scan(name):
+    table = _builtin_table(name)
+    assert enumerate_torsion_pairs(table) == _brute_force_pairs(table)
+
+
+def test_closure_search_matches_subset_scan_on_patched_table(a2_table):
+    # With no nonzero Hom out of P1 at all, not even its identity, the
+    # smallest fixed point is no longer 0; both enumerations must agree.
+    p1 = a2_table.by_dimvec((0, 1)).id
+    hom = [list(row) for row in a2_table.hom]
+    hom[p1] = [0] * len(hom)
+    patched = dataclasses.replace(a2_table, hom=tuple(tuple(r) for r in hom))
+    pairs = enumerate_torsion_pairs(patched)
+    assert pairs == _brute_force_pairs(patched)
+    assert p1 in pairs[0].torsion
+
+
+# (tree edges, torsion-class count): A2..A5 and D4
+SHAPES = [
+    ([(k, k + 1) for k in range(1, n)], _catalan(n + 1)) for n in range(2, 6)
+] + [([(1, 4), (2, 4), (3, 4)], 50)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(SHAPES), st.lists(st.booleans(), min_size=4, max_size=4)
+)
+def test_class_count_independent_of_orientation(shape, flips):
+    edges, count = shape
+    # edge k reversed when flips[k] is set; extra flips are ignored
+    oriented = [
+        (t, s) if flip else (s, t) for (s, t), flip in zip(edges, flips)
+    ]
+    table = enumerate_indecomposables(quiver_from_edges("Q", oriented))
+    assert len(enumerate_torsion_pairs(table)) == count
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_type_a_class_count_is_catalan(n):
+    table = enumerate_indecomposables(linear_quiver(n))
+    assert len(enumerate_torsion_pairs(table)) == _catalan(n + 1)
+
+
+@pytest.mark.parametrize(
+    "name, count",
+    # D_n: (3n - 2)/n * C(2n - 2, n - 1); E6 from Ingalls-Thomas
+    [("d4", 50), ("d5", 182), ("e6", 833)],
+)
+def test_coxeter_catalan_counts(name, count):
+    assert len(enumerate_torsion_pairs(_builtin_table(name))) == count
