@@ -4,7 +4,9 @@ Subcommands: enumerate, lift, trace, classify, verify, transport,
 export-ar.  All machine-readable output is JSON with sorted keys and
 fixed orderings, so identical configurations produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure, 2 usage or load
-error.
+error.  Inputs over a size budget (``MAX_WINDOW_OBJECTS``,
+``MAX_SCAN_CANDIDATES``, ``MAX_TORSION_CLASSES``) exit 2 before the
+work starts.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ from . import kronecker as kr
 from . import torsion as torsion_mod
 from . import transport as transport_mod
 from . import tstruct
-from .derived import DerivedObject, Window, export_dot, DerivedSubcategory
+from .derived import (
+    DerivedObject,
+    DerivedSubcategory,
+    Window,
+    check_window_objects,
+    export_dot,
+)
 from .errors import AislesError, ConsistencyError, PreconditionError
 from .quiver import BUILTIN_QUIVERS, load_quiver_file
 from .repcore import enumerate_indecomposables, euler_form
@@ -49,14 +57,18 @@ def load_table(args):
         quiver = load_quiver_file(args.quiver)
     else:
         raise AislesError("no quiver given: use --quiver or --builtin")
+    if args.command != "enumerate":  # the only subcommand without a window
+        check_window_objects(
+            parse_window(args.window), quiver.positive_root_count()
+        )
     return enumerate_indecomposables(quiver)
 
 
 def load_model(args):
+    window = parse_window(args.window)
+    kr.check_budgets(args.tubes, args.tube_depth, args.range, window)
     labels = tuple(f"t{i}" for i in range(args.tubes))
-    return kr.TameModel(
-        labels, args.tube_depth, args.range, parse_window(args.window)
-    )
+    return kr.TameModel(labels, args.tube_depth, args.range, window)
 
 
 def emit(payload):
@@ -79,124 +91,78 @@ def apply_table_patch(table, path):
 # ---------------------------------------------------------------------------
 
 
+def _failed(name, witness):
+    return {"name": name, "pass": False, "witness": witness}
+
+
 def check_table_consistency(table):
-    """Euler-form and AR-formula identities over the whole table."""
-    checks = []
+    """Euler-form and AR-formula identities over the whole table; the
+    first failure is reported with its witness pair."""
     n = len(table.entries)
     for i in range(n):
         for j in range(n):
-            want = euler_form(
+            euler = euler_form(
                 table.quiver, table.entries[i].dimvec, table.entries[j].dimvec
             )
-            if table.hom[i][j] - table.ext[i][j] != want:
-                checks.append(
-                    {
-                        "name": "euler_identity",
-                        "pass": False,
-                        "witness": f"({i},{j})",
-                    }
-                )
-                return checks
             t = table.entries[i].tau
             ar = 0 if t is None else table.hom[j][t]
-            if table.ext[i][j] != ar:
-                checks.append(
-                    {
-                        "name": "ar_formula",
-                        "pass": False,
-                        "witness": f"({i},{j})",
-                    }
-                )
-                return checks
-    checks.append({"name": "euler_identity", "pass": True})
-    checks.append({"name": "ar_formula", "pass": True})
-    return checks
+            for name, ok in (
+                ("euler_identity", table.hom[i][j] - table.ext[i][j] == euler),
+                ("ar_formula", table.ext[i][j] == ar),
+            ):
+                if not ok:
+                    return [_failed(name, f"({i},{j})")]
+    return [
+        {"name": "euler_identity", "pass": True},
+        {"name": "ar_formula", "pass": True},
+    ]
+
+
+def _split_pairs(table):
+    return [tp for tp in torsion_mod.enumerate_torsion_pairs(table) if tp.split]
 
 
 def suite_roundtrip(table, window):
-    checks = []
     pairs = torsion_mod.enumerate_torsion_pairs(table)
-    ok = True
-    witness = None
+    checks = [{"name": "lift_trace_roundtrip", "pass": True}]
     for tp in pairs:
         ts = tstruct.lift(tp, table, window)
         back = tstruct.trace(ts, table)
-        if back != tp:
-            ok = False
+        if back != tp or (
+            tstruct.lift(back, table, window).aisle.members != ts.aisle.members
+        ):
             witness = torsion_mod.pair_to_json(tp, table)
+            checks = [_failed("lift_trace_roundtrip", witness)]
             break
-        again = tstruct.lift(back, table, window)
-        if again.aisle.members != ts.aisle.members:
-            ok = False
-            witness = torsion_mod.pair_to_json(tp, table)
-            break
-    entry = {"name": "lift_trace_roundtrip", "pass": ok}
-    if witness is not None:
-        entry["witness"] = witness
-    checks.append(entry)
-
-    ok = True
     for tp in pairs:
         for y in range(len(table.entries)):
             try:
                 torsion_mod.canonical_sequence_oracle(y, tp, table)
             except (ConsistencyError, PreconditionError) as exc:
-                ok = False
-                entry = {
-                    "name": "canonical_sequence_oracle",
-                    "pass": False,
-                    "witness": str(exc),
-                }
-                checks.append(entry)
-                return checks
-    checks.append({"name": "canonical_sequence_oracle", "pass": True})
-    return checks
+                return checks + [_failed("canonical_sequence_oracle", str(exc))]
+    return checks + [{"name": "canonical_sequence_oracle", "pass": True}]
 
 
 def suite_semipath(table, window):
-    checks = []
-    pairs = [
-        tp
-        for tp in torsion_mod.enumerate_torsion_pairs(table)
-        if tp.split
-    ]
-    for tp in pairs:
+    for tp in _split_pairs(table):
         ts = tstruct.lift(tp, table, window)
         ok, witness = tstruct.verify_lemma42(ts, table)
         if not ok:
-            checks.append(
-                {
-                    "name": "no_aisle_to_orthogonal_semipath",
-                    "pass": False,
-                    "witness": [x.label(table) for x in witness],
-                }
-            )
-            return checks
+            labels = [x.label(table) for x in witness]
+            return [_failed("no_aisle_to_orthogonal_semipath", labels)]
         if not tstruct.verify_lemma41(ts, table):
-            checks.append(
-                {
-                    "name": "triangulated_iff_zero_heart",
-                    "pass": False,
-                    "witness": torsion_mod.pair_to_json(tp, table),
-                }
-            )
-            return checks
-    checks.append({"name": "no_aisle_to_orthogonal_semipath", "pass": True})
-    checks.append({"name": "triangulated_iff_zero_heart", "pass": True})
+            pair = torsion_mod.pair_to_json(tp, table)
+            return [_failed("triangulated_iff_zero_heart", pair)]
     ringel = tstruct.ringel_criterion(table, window)
-    checks.append(
-        {"name": "ringel_witnesses_nonempty", "pass": bool(ringel)}
-    )
-    return checks
+    return [
+        {"name": "no_aisle_to_orthogonal_semipath", "pass": True},
+        {"name": "triangulated_iff_zero_heart", "pass": True},
+        {"name": "ringel_witnesses_nonempty", "pass": bool(ringel)},
+    ]
 
 
 def suite_classify(table, window):
-    split_pairs = [
-        tp
-        for tp in torsion_mod.enumerate_torsion_pairs(table)
-        if tp.split
-    ]
-    report = tstruct.classify_split(table, window, split_pairs)
+    report = tstruct.classify_split(table, window, _split_pairs(table))
     return [
         {
             "name": "split_classification",
@@ -207,30 +173,15 @@ def suite_classify(table, window):
 
 
 def suite_cor64(table, window):
-    split_pairs = [
-        tp
-        for tp in torsion_mod.enumerate_torsion_pairs(table)
-        if tp.split
-    ]
-    checks = []
-    for pivot, tp, ts in tstruct.enumerate_split_tstructures(
-        table, window, split_pairs
+    for _pivot, _tp, ts in tstruct.enumerate_split_tstructures(
+        table, window, _split_pairs(table)
     ):
-        E = tstruct.ext_projectives(ts, table)
-        if not E:
+        if not tstruct.ext_projectives(ts, table):
             continue
         ok, diagnostics = tstruct.verify_cor64(ts, table)
         if not ok:
-            checks.append(
-                {
-                    "name": "tilting_complex_checks",
-                    "pass": False,
-                    "witness": diagnostics,
-                }
-            )
-            return checks
-    checks.append({"name": "tilting_complex_checks", "pass": True})
-    return checks
+            return [_failed("tilting_complex_checks", diagnostics)]
+    return [{"name": "tilting_complex_checks", "pass": True}]
 
 
 DYNKIN_SUITES = {
@@ -362,11 +313,7 @@ def cmd_trace(args):
 def cmd_classify(args):
     table = load_table(args)
     window = parse_window(args.window)
-    split_pairs = [
-        tp
-        for tp in torsion_mod.enumerate_torsion_pairs(table)
-        if tp.split
-    ]
+    split_pairs = _split_pairs(table)
     report = tstruct.classify_split(table, window, split_pairs)
     ok = all(case["pass"] for case in report)
     emit({"quiver": table.quiver.name, "cases": report, "pass": ok})

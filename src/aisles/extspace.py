@@ -52,10 +52,6 @@ def direct_sum(quiver, reps):
     return Representation(quiver, dims, maps), offsets
 
 
-def identity_morphism(rep):
-    return {v: Mat.identity(rep.dim(v)) for v in rep.quiver.vertices}
-
-
 def scale_morphism(f, c, quiver):
     return {v: f[v].scale(c) for v in quiver.vertices}
 

@@ -7,15 +7,19 @@ opaque labels.  Hom dimensions come from a closed rule table (Euler form
 plus directedness), the AR translate from the orbit rules, and adjacent
 degree morphism spaces from the AR formula.  Everything is truncated:
 transjective index up to a configured range, quasi-length up to a
-configured tube depth, degrees inside a window.
+configured tube depth, degrees inside a window, and the size of a model
+is bounded before anything is built.  ``KroneckerContext`` exposes the
+module category to the shared Hom-mask core of ``aisles.derived``, which
+the aisle checks and the split-aisle scan run on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
-from .derived import Window
-from .errors import ShapeError, TruncationError
+from .derived import Window, check_window_objects, hom_masks
+from .errors import ShapeError, TruncationError, UnsupportedError
 from .linalg import Mat
 from .quiver import Arrow, Quiver
 from .repcore import Representation
@@ -23,6 +27,10 @@ from .repcore import Representation
 POST = "post"
 PRE = "pre"
 REG = "reg"
+
+# scan_split_aisles tries (hi - lo - 1) * (hi - lo)**tubes threshold
+# choices: 500 on the default model, 2,500 on the 4-tube benchmark model.
+MAX_SCAN_CANDIDATES = 1_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -77,12 +85,20 @@ class TameModel:
     tube_depth: int
     range: int
     window: Window
+    # Results derived from this model alone (its Hom masks), computed on
+    # first use.
+    memo: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.tube_labels) < 3:
             raise ShapeError("need at least three tube labels")
         if self.tube_depth < 1 or self.range < 1:
             raise ShapeError("positive truncation parameters required")
+        check_budgets(
+            len(self.tube_labels), self.tube_depth, self.range, self.window
+        )
 
     def module_objects(self):
         """The represented degree-0 objects, canonically ordered."""
@@ -103,8 +119,64 @@ class TameModel:
         ]
 
 
+def check_budgets(tubes, tube_depth, range_, window):
+    """Refuse a model whose window objects or split-aisle scan exceed
+    ``MAX_WINDOW_OBJECTS`` or ``MAX_SCAN_CANDIDATES``, from the
+    parameters alone."""
+    check_window_objects(window, 2 * (range_ + 1) + tubes * tube_depth)
+    width = window.hi - window.lo  # at least 2, so tubes bound the power
+    if (
+        tubes > MAX_SCAN_CANDIDATES.bit_length()
+        or (width - 1) * width**tubes > MAX_SCAN_CANDIDATES
+    ):
+        raise UnsupportedError(
+            f"{tubes} tubes over {width + 1} degrees exceed "
+            f"MAX_SCAN_CANDIDATES = {MAX_SCAN_CANDIDATES} split-aisle "
+            "scan candidates; use fewer tubes or a narrower window"
+        )
+
+
 def default_model():
     return TameModel(("t0", "t1", "t2"), 3, 6, Window(-2, 3))
+
+
+@dataclass(frozen=True)
+class KroneckerContext:
+    """Module-category view of the truncated Kronecker model."""
+
+    model: TameModel
+
+    @property
+    def memo(self):
+        return self.model.memo
+
+    def objects(self):
+        return self.model.module_objects()
+
+    def at(self, x, degree):
+        return x.at(degree)
+
+    def hom(self, x, y):
+        return _hom0(x, y)
+
+    def ext(self, x, y):
+        return ext_module(x, y)
+
+    def rank(self):
+        return 2
+
+    def is_projective(self, x):
+        return x.kind == POST
+
+    def name(self, x):
+        return x.name()
+
+    def near_boundary(self, x):
+        return x.kind != REG and x.index >= self.model.range - 1
+
+
+def _masks(model):
+    return hom_masks(KroneckerContext(model), model.window)
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +219,6 @@ def _tau0(X):
     return reg(X.label, X.index)
 
 
-def _tau0_inverse(X):
-    if X.kind == PRE:
-        if X.index >= 2:
-            return pre(X.index - 2)
-        return None
-    if X.kind == POST:
-        return post(X.index + 2)
-    return reg(X.label, X.index)
-
-
 def ext_module(X, Y):
     """Module-level Ext^1 via the AR formula."""
     tX = _tau0(X)
@@ -166,7 +228,9 @@ def ext_module(X, Y):
 
 
 def hom_rule(X, Y):
-    """Morphism-space dimension between symbolic derived objects."""
+    """Morphism-space dimension between symbolic derived objects.  The
+    reference rule: the checks ask the Hom masks, and the tests check the
+    masks against this."""
     gap = Y.degree - X.degree
     if gap == 0:
         return _hom0(X, Y)
@@ -222,27 +286,9 @@ class KroneckerAisle:
     pivot: int
     labels: frozenset
     members: frozenset
-    # The members sorted once by degree, kind (post, reg, pre), tube label
-    # and index, which is TameModel.objects() order for sorted labels.
-    # Witness searches iterate this: frozenset order would not repeat
-    # between processes, because transjective objects have label None,
-    # which Python before 3.12 hashes by address.
-    ordered: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "ordered", tuple(sorted(self.members, key=_canonical_key))
-        )
 
     def __contains__(self, X):
         return X in self.members
-
-
-_KIND_RANK = {POST: 0, REG: 1, PRE: 2}
-
-
-def _canonical_key(X):
-    return (X.degree, _KIND_RANK[X.kind], X.label or "", X.index)
 
 
 def build_aisle_63b(i, L, model):
@@ -260,26 +306,28 @@ def build_aisle_63b(i, L, model):
     return KroneckerAisle(i, L, frozenset(members))
 
 
+# The checks walk members in window order (TameModel.objects() order), so
+# their witnesses repeat between processes; frozenset order would not,
+# because transjective objects have label None, which Python before 3.12
+# hashes by address.
+
+
 def _orthogonal(aisle, model):
     """First Hom witness from the aisle into its complement, or None."""
-    complement = [y for y in model.objects() if y not in aisle.members]
-    return _hom_witness(aisle.ordered, complement)
-
-
-def _hom_witness(sources, targets):
-    """First (x, y) in scan order with Hom(x, y) != 0, or None."""
-    for x in sources:
-        for y in targets:
-            if hom_rule(x, y) != 0:
-                return (x, y)
-    return None
+    masks = _masks(model)
+    inside = masks.mask(aisle.members)
+    hit = masks.witness(inside, masks.full & ~inside)
+    return None if hit is None else tuple(masks.objects[k] for k in hit)
 
 
 def _shift_closed(aisle, model):
-    for x in aisle.ordered:
-        if x.degree < model.window.hi and x.shifted(1) not in aisle.members:
-            return x
-    return None
+    """First member whose shift leaves the aisle, or None."""
+    masks = _masks(model)
+    inside = masks.mask(aisle.members)
+    missing = masks.shift(inside, 1) & ~inside
+    if not missing:
+        return None
+    return masks.objects[(missing & -missing).bit_length() - 1 - masks.n]
 
 
 def _ext_projective_witness(aisle, model):
@@ -287,7 +335,8 @@ def _ext_projective_witness(aisle, model):
 
     The aisle is split, so a translate outside the members lies in the
     right orthogonal and the member would be Ext-projective."""
-    for x in aisle.ordered:
+    masks = _masks(model)
+    for x in masks.members(masks.mask(aisle.members)):
         if not model.window.is_interior(x):
             continue
         try:
@@ -314,31 +363,23 @@ def scan_split_aisles(model):
     that contain the top window degree and miss the bottom one; returns
     the surviving split aisles as (transjective threshold, per-tube
     thresholds) tuples."""
+    masks = _masks(model)
     lo, hi = model.window.lo, model.window.hi
-    found = []
-    tube_choices = list(range(lo + 1, hi + 1))
-    for j1 in range(lo + 2, hi + 1):  # lowest transjective layer included
-        for combo in _product(tube_choices, len(model.tube_labels)):
-            tube_min = dict(zip(model.tube_labels, combo))
-            members, complement = [], []
-            for X in model.objects():
-                if X.kind == REG:
-                    inside = X.degree >= tube_min[X.label]
-                else:
-                    inside = layer(X) >= j1
-                (members if inside else complement).append(X)
-            if _hom_witness(members, complement) is None:
-                found.append((j1, combo))
-    return found
-
-
-def _product(choices, n):
-    if n == 0:
-        yield ()
-        return
-    for head in choices:
-        for tail in _product(choices, n - 1):
-            yield (head,) + tail
+    modules = list(enumerate(model.module_objects()))
+    posts = [i for i, x in modules if x.kind == POST]
+    pres = [i for i, x in modules if x.kind == PRE]
+    # the lowest transjective layer j1 included: postprojectives from
+    # degree j1, preinjectives (layer = degree + 1) from degree j1 - 1
+    families = [[
+        (j1, masks.above(posts, j1) | masks.above(pres, j1 - 1))
+        for j1 in range(lo + 2, hi + 1)
+    ]]
+    for lam in model.tube_labels:
+        tube = [i for i, x in modules if x.label == lam]
+        families.append(
+            [(t, masks.above(tube, t)) for t in range(lo + 1, hi + 1)]
+        )
+    return [(c[0], c[1:]) for c in masks.orthogonal_unions(families)]
 
 
 def verify_63b(model):
@@ -376,15 +417,13 @@ def verify_63b(model):
             report["pass"] = report["pass"] and case["pass"]
 
     # converse: the scan may find nothing outside the classified family
+    # at pivot layer j1 - 1, each tube starts there or one layer up
     scan = scan_split_aisles(model)
-    classified = set()
-    for j1 in range(model.window.lo + 2, model.window.hi + 1):
-        i = j1 - 1
-        for L in _subsets(labels):
-            L = set(L)
-            combo = tuple(i if lam in L else i + 1 for lam in labels)
-            if all(model.window.lo + 1 <= t <= model.window.hi for t in combo):
-                classified.add((j1, combo))
+    classified = {
+        (j1, combo)
+        for j1 in range(model.window.lo + 2, model.window.hi + 1)
+        for combo in product((j1 - 1, j1), repeat=len(labels))
+    }
     report["converse_scan"] = {
         "found": len(scan),
         "classified": len(classified),
@@ -422,48 +461,26 @@ def kronecker_quiver():
     )
 
 
+def _mat(nrows, ncols, entry):
+    rows = [[entry(r, c) for c in range(ncols)] for r in range(nrows)]
+    return Mat(rows, nrows, ncols)
+
+
 def explicit_representation(X, lam_values):
     """Honest matrix representation of a degree-0 symbolic object, used
     to oracle-check the rule table.  ``lam_values`` maps tube labels to
     distinct scalars."""
-    Q = kronecker_quiver()
+    m = X.index
     if X.kind == POST:
-        m = X.index
         # (m, m+1): a = identity on top, b = identity on bottom
-        a = Mat(
-            [[1 if r == c else 0 for c in range(m)] for r in range(m + 1)],
-            m + 1,
-            m,
-        )
-        b = Mat(
-            [[1 if r == c + 1 else 0 for c in range(m)] for r in range(m + 1)],
-            m + 1,
-            m,
-        )
-        return Representation(Q, {"1": m, "2": m + 1}, {"a": a, "b": b})
-    if X.kind == PRE:
-        m = X.index
-        a = Mat(
-            [[1 if r == c else 0 for c in range(m + 1)] for r in range(m)],
-            m,
-            m + 1,
-        )
-        b = Mat(
-            [[1 if r + 1 == c else 0 for c in range(m + 1)] for r in range(m)],
-            m,
-            m + 1,
-        )
-        return Representation(Q, {"1": m + 1, "2": m}, {"a": a, "b": b})
-    ell = X.index
-    lam = lam_values[X.label]
-    a = Mat([[1 if r == c else 0 for c in range(ell)] for r in range(ell)])
-    b = Mat(
-        [
-            [
-                lam if r == c else (1 if c == r + 1 else 0)
-                for c in range(ell)
-            ]
-            for r in range(ell)
-        ]
-    )
-    return Representation(Q, {"1": ell, "2": ell}, {"a": a, "b": b})
+        a = _mat(m + 1, m, lambda r, c: int(r == c))
+        b = _mat(m + 1, m, lambda r, c: int(r == c + 1))
+    elif X.kind == PRE:
+        a = _mat(m, m + 1, lambda r, c: int(r == c))
+        b = _mat(m, m + 1, lambda r, c: int(r + 1 == c))
+    else:
+        lam = lam_values[X.label]
+        a = _mat(m, m, lambda r, c: int(r == c))
+        b = _mat(m, m, lambda r, c: lam if r == c else int(c == r + 1))
+    d1, d2 = X.dimvec()
+    return Representation(kronecker_quiver(), {"1": d1, "2": d2}, {"a": a, "b": b})

@@ -55,24 +55,11 @@ class Representation:
         return self.total_dim() == 0
 
 
-def zero_representation(quiver):
-    return Representation(
-        quiver,
-        {v: 0 for v in quiver.vertices},
-        {a.name: Mat.zeros(0, 0) for a in quiver.arrows},
-    )
-
-
 def simple_representation(quiver, v):
     dims = {w: 1 if w == v else 0 for w in quiver.vertices}
     maps = {
         a.name: Mat.zeros(dims[a.target], dims[a.source]) for a in quiver.arrows
     }
-    return Representation(quiver, dims, maps)
-
-
-def representation_from_dimvec(quiver, dimvec, maps):
-    dims = dict(zip(quiver.vertices, dimvec))
     return Representation(quiver, dims, maps)
 
 
@@ -172,25 +159,17 @@ def euler_form(quiver, d, e):
 
 def coxeter_matrix(quiver):
     """Phi = -E^{-1} E^T acting on column vectors; dim tau M = Phi dim M."""
-    E = quiver_inverse_cache.get(quiver)
-    if E is None:
-        E = euler_matrix(quiver)
-        n = E.nrows
-        cols = []
-        for j in range(n):
-            b = Mat.column([Fraction(1 if i == j else 0) for i in range(n)])
-            cols.append(E.solve(b))
-        Einv = Mat.hstack(cols)
-        E = (Einv * E.transpose()).scale(-1), Einv
-        quiver_inverse_cache[quiver] = E
-    return E[0]
+    E = euler_matrix(quiver)
+    n = E.nrows
+    cols = []
+    for j in range(n):
+        b = Mat.column([Fraction(1 if i == j else 0) for i in range(n)])
+        cols.append(E.solve(b))
+    return (Mat.hstack(cols) * E.transpose()).scale(-1)
 
 
-quiver_inverse_cache = {}
-
-
-def coxeter_transform(quiver, d, inverse=False):
-    phi = coxeter_matrix(quiver)
+def coxeter_transform(phi, d, inverse=False):
+    """Phi d, or Phi^{-1} d, for ``phi = coxeter_matrix(quiver)``."""
     if inverse:
         # Phi^{-1} = -E^T{}^{-1} E; solve Phi x = d instead of inverting again
         x = phi.solve(Mat.column(d))
@@ -377,7 +356,7 @@ class IndecTable:
     hom: tuple  # hom[i][j] = dim Hom(i, j)
     ext: tuple
     ar_arrows: tuple  # (source id, target id)
-    hom_bases: tuple = field(repr=False, compare=False, default=())
+    hom_bases: tuple = field(repr=False, compare=False)  # bases[i][j]: Hom(i, j)
     # Results derived from this table alone, computed on first use (the
     # derived model's validated cross-degree arrows).  A copy made with
     # dataclasses.replace starts empty, so a patched table is re-validated.
@@ -418,17 +397,7 @@ class IndecTable:
         return [s for s, t in self.ar_arrows if t == j]
 
 
-def ext_dim(i, j, table):
-    """dim Ext^1 read off the table; kept as the spec-level accessor."""
-    return table.ext[i][j]
-
-
-def tau(i, table):
-    """AR translate at module level: None for projectives."""
-    return table.entries[i].tau
-
-
-def enumerate_indecomposables(quiver, with_hom_bases=True):
+def enumerate_indecomposables(quiver):
     """Construct the full IndecTable of a Dynkin quiver.
 
     Raises UnsupportedError for non-Dynkin input and ConsistencyError if
@@ -470,13 +439,14 @@ def enumerate_indecomposables(quiver, with_hom_bases=True):
     by_dimvec = {d: i for i, d in enumerate(roots)}
     tau_link = [None] * n
     tau_inv = [None] * n
+    phi = coxeter_matrix(quiver)
     for i, d in enumerate(roots):
-        td = coxeter_transform(quiver, d)
+        td = coxeter_transform(phi, d)
         if all(x >= 0 for x in td):
             if td not in by_dimvec:
                 raise ConsistencyError(f"Coxeter transform of {d} is not a root")
             tau_link[i] = by_dimvec[td]
-        ti = coxeter_transform(quiver, d, inverse=True)
+        ti = coxeter_transform(phi, d, inverse=True)
         if all(x >= 0 for x in ti):
             if ti not in by_dimvec:
                 raise ConsistencyError(
@@ -536,7 +506,7 @@ def enumerate_indecomposables(quiver, with_hom_bases=True):
         hom=tuple(tuple(r) for r in hom),
         ext=tuple(tuple(r) for r in ext),
         ar_arrows=tuple(sorted(arrows)),
-        hom_bases=tuple(tuple(r) for r in bases) if with_hom_bases else (),
+        hom_bases=tuple(tuple(r) for r in bases),
     )
     _validate_ar_arrows(table)
     return table
@@ -584,8 +554,6 @@ def irreducible_dim(i, j, table):
     if i == j:
         return 0
     Q = table.quiver
-    if not table.hom_bases:
-        raise ConsistencyError("table was built without hom bases")
     target = table.hom_bases[i][j]
     if not target:
         return 0

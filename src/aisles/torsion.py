@@ -154,15 +154,16 @@ def is_torsion_pair(tp, table):
 # ---------------------------------------------------------------------------
 
 
-def trace_subrepresentation(Y, generators, table):
+def trace_subrepresentation(y, generators, table):
     """Per-vertex column spans of the images of all morphisms from the
-    given indecomposables into Y; the result is automatically a
-    subrepresentation (sum of images)."""
+    given indecomposables into entry ``y``, read off the table's Hom
+    bases; the result is automatically a subrepresentation (sum of
+    images)."""
     Q = table.quiver
+    Y = table.entries[y].rep
     columns = {v: [] for v in Q.vertices}
     for i in generators:
-        _dim, basis = hom_space(table.entries[i].rep, Y)
-        for f in basis:
+        for f in table.hom_bases[i][y]:
             for v in Q.vertices:
                 m = f[v]
                 for c in range(m.ncols):
@@ -245,7 +246,7 @@ def canonical_sequence_oracle(y, tp, table):
     if not is_torsion_pair(tp, table):
         raise PreconditionError("input does not satisfy the torsion-pair axioms")
     Y = table.entries[y].rep
-    span = trace_subrepresentation(Y, tp.torsion.members, table)
+    span = trace_subrepresentation(y, tp.torsion.members, table)
     sub, quot, _proj = sub_and_quotient(Y, span, table)
     for f in tp.free:
         dim, _ = hom_space(sub, table.entries[f].rep)

@@ -8,8 +8,10 @@ zeta maps transport torsion pairs between the base category and the
 heart; the three-way classification verifier checks they are mutually
 inverse bijections on the admissible classes.
 
-Both Dynkin tables and the symbolic Kronecker model plug in through a
-small context object exposing module objects with Hom and Ext.
+Both Dynkin tables and the symbolic Kronecker model plug in through the
+module-category context that lives beside each model
+(``derived.TableContext``, ``kronecker.KroneckerContext``); morphisms
+between heart objects come from that model's Hom masks.
 """
 
 from __future__ import annotations
@@ -17,64 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kronecker as kr
+from .derived import TableContext, Window, hom_masks  # noqa: F401 (re-export)
 from .errors import PreconditionError, TiltingUnsupportedError
-from .kronecker import TameModel, build_aisle_63b, ext_module, hom_rule
+from .kronecker import KroneckerContext, build_aisle_63b
 
-
-@dataclass(frozen=True)
-class TableContext:
-    """Module-category view of a Dynkin IndecTable."""
-
-    table: object
-
-    def objects(self):
-        return list(range(len(self.table.entries)))
-
-    def hom(self, x, y):
-        return self.table.hom[x][y]
-
-    def ext(self, x, y):
-        return self.table.ext[x][y]
-
-    def rank(self):
-        return len(self.table.quiver.vertices)
-
-    def is_projective(self, x):
-        return self.table.entries[x].is_projective
-
-    def name(self, x):
-        return str(list(self.table.entries[x].dimvec))
-
-    def near_boundary(self, x):
-        return False
-
-
-@dataclass(frozen=True)
-class KroneckerContext:
-    """Module-category view of the truncated Kronecker model."""
-
-    model: TameModel
-
-    def objects(self):
-        return self.model.module_objects()
-
-    def hom(self, x, y):
-        return kr._hom0(x, y)
-
-    def ext(self, x, y):
-        return ext_module(x, y)
-
-    def rank(self):
-        return 2
-
-    def is_projective(self, x):
-        return x.kind == kr.POST
-
-    def name(self, x):
-        return x.name()
-
-    def near_boundary(self, x):
-        return x.kind != kr.REG and x.index >= self.model.range - 1
+# Heart objects sit in degrees 0 and 1, whatever window the caller uses.
+HEART_WINDOW = Window(-1, 1)
 
 
 @dataclass(frozen=True)
@@ -100,17 +50,6 @@ class HeartModel:
         return {(x, 0) for x in self.degree0} | {
             (y, 1) for y in self.degree1
         }
-
-
-def heart_hom(a, b, context):
-    """Morphism dimension between heart objects (object, degree)."""
-    (x, dx), (y, dy) = a, b
-    gap = dy - dx
-    if gap == 0:
-        return context.hom(x, y)
-    if gap == 1:
-        return context.ext(x, y)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -292,26 +231,34 @@ def transport_chi(torsion, free, hm):
 
 def _validate_heart_pair(heart_torsion, heart_free, hm):
     context = hm.context
-    for a in heart_torsion:
-        for b in heart_free:
-            if heart_hom(a, b, context) != 0:
-                raise PreconditionError(
-                    f"transported pair not orthogonal at "
-                    f"{context.name(a[0])}@{a[1]} -> "
-                    f"{context.name(b[0])}@{b[1]}"
-                )
+    masks = hom_masks(context, HEART_WINDOW)
+
+    def mask(pairs):
+        return masks.mask(context.at(x, d) for (x, d) in pairs)
+
+    def name(k):
+        block, i = divmod(k, masks.n)
+        return f"{context.name(masks.modules[i])}@{HEART_WINDOW.lo + block}"
+
+    hit = masks.witness(mask(heart_torsion), mask(heart_free))
+    if hit is not None:
+        raise PreconditionError(
+            f"transported pair not orthogonal at {name(hit[0])} -> {name(hit[1])}"
+        )
     if heart_torsion | heart_free != hm.heart_objects():
         raise PreconditionError("transported pair does not cover the heart")
-    for p in hm.I_A:
-        if p not in heart_torsion:
-            raise PreconditionError(
-                "preinjective heart component outside the torsion side"
-            )
-    for p in hm.P_A:
-        if p not in heart_free:
-            raise PreconditionError(
-                "postprojective heart component outside the free side"
-            )
+    _check_heart_components(heart_torsion, heart_free, hm)
+
+
+def _check_heart_components(heart_torsion, heart_free, hm):
+    if not hm.I_A <= heart_torsion:
+        raise PreconditionError(
+            "preinjective heart component outside the torsion side"
+        )
+    if not hm.P_A <= heart_free:
+        raise PreconditionError(
+            "postprojective heart component outside the free side"
+        )
 
 
 def transport_zeta(heart_torsion, heart_free, hm):
@@ -320,16 +267,7 @@ def transport_zeta(heart_torsion, heart_free, hm):
     context = hm.context
     if heart_torsion | heart_free != hm.heart_objects():
         raise PreconditionError("heart pair is not split")
-    for p in hm.I_A:
-        if p not in heart_torsion:
-            raise PreconditionError(
-                "preinjective heart component outside the torsion side"
-            )
-    for p in hm.P_A:
-        if p not in heart_free:
-            raise PreconditionError(
-                "postprojective heart component outside the free side"
-            )
+    _check_heart_components(heart_torsion, heart_free, hm)
     torsion = {x for (x, d) in heart_torsion if d == 0}
     free = {
         y

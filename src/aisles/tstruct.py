@@ -5,6 +5,8 @@ t-structures whose aisle contains every module in degree 1 and whose
 right orthogonal contains every module in degree -1.  On top of that sit
 the Ext-projective calculus, sections and successor cones, semipath
 reachability, and the verifiers for the split-t-structure classification.
+Every Hom-vanishing, reachability and split-aisle scan runs on the
+table's ``HomMasks`` for the window (``aisles.derived``).
 
 All verifiers quantify over interior window degrees only; conclusions
 about boundary-adjacent objects are never asserted.
@@ -17,10 +19,11 @@ from dataclasses import dataclass
 from .derived import (
     DerivedObject,
     DerivedSubcategory,
-    Window,
+    TableContext,
     all_objects,
+    breadth_first,
     derived_ar_arrows,
-    hom_derived,
+    hom_masks,
     shift,
     tau_derived,
     tau_inverse_derived,
@@ -28,7 +31,13 @@ from .derived import (
 )
 from .errors import ConsistencyError, PreconditionError
 from .linalg import span_rank
-from .torsion import Subcategory, TorsionPair, canonical_sequence_oracle, is_torsion_pair
+from .torsion import (
+    Subcategory,
+    TorsionPair,
+    _bits,
+    canonical_sequence_oracle,
+    is_torsion_pair,
+)
 
 
 @dataclass(frozen=True)
@@ -46,35 +55,33 @@ class TStructure:
         return self.aisle.window
 
 
-@dataclass(frozen=True)
-class Section:
-    members: frozenset
-
-
 # ---------------------------------------------------------------------------
 # Lift and trace
 # ---------------------------------------------------------------------------
 
 
-def lift(tp, table, window):
+def _masks(table, window):
+    return hom_masks(TableContext(table), window)
+
+
+def lift(tp, table, window, pivot=0):
     """The t-structure induced by a torsion pair: torsion modules in
-    degree 0 plus everything in positive degrees."""
+    degree ``pivot`` plus everything in higher degrees.  Pivot 0 is the
+    lift proper; other pivots are its shifts."""
     n = len(table.entries)
-    aisle_members = {DerivedObject(i, 0) for i in tp.torsion}
-    coaisle_members = {DerivedObject(j, 0) for j in tp.free}
+    aisle = {DerivedObject(i, pivot) for i in tp.torsion}
+    coaisle = {DerivedObject(j, pivot) for j in tp.free}
     for d in window.degrees():
-        if d >= 1:
-            aisle_members |= {DerivedObject(i, d) for i in range(n)}
-        if d <= -1:
-            coaisle_members |= {DerivedObject(i, d) for i in range(n)}
-    heart = {DerivedObject(i, 0) for i in tp.torsion} | {
-        DerivedObject(j, 1) for j in tp.free
+        if d > pivot:
+            aisle |= {DerivedObject(i, d) for i in range(n)}
+        if d < pivot:
+            coaisle |= {DerivedObject(i, d) for i in range(n)}
+    heart = {DerivedObject(i, pivot) for i in tp.torsion} | {
+        DerivedObject(j, pivot + 1) for j in tp.free
     }
     return TStructure(
-        aisle=DerivedSubcategory(window, frozenset(aisle_members), upper_tail=True),
-        coaisle=DerivedSubcategory(
-            window, frozenset(coaisle_members), lower_tail=True
-        ),
+        aisle=DerivedSubcategory(window, frozenset(aisle), upper_tail=True),
+        coaisle=DerivedSubcategory(window, frozenset(coaisle), lower_tail=True),
         split=tp.split,
         heart=frozenset(heart),
     )
@@ -111,18 +118,6 @@ def trace(ts, table):
     return tp
 
 
-def right_orth_members(aisle, table):
-    """Window objects with no morphisms from any aisle member.
-
-    Objects in the upper tail cannot map into the window (degree gaps
-    would be negative), so the window members of the aisle suffice."""
-    return {
-        y
-        for y in all_objects(table, aisle.window)
-        if all(hom_derived(x, y, table) == 0 for x in aisle.members)
-    }
-
-
 def is_aisle_window(S, table):
     """Aisle predicate with diagnostics; returns (bool, message).
 
@@ -138,7 +133,10 @@ def is_aisle_window(S, table):
                 return False, f"not closed under shift at {x.label(table)}"
         elif not S.upper_tail:
             return False, f"no upper tail above {x.label(table)}"
-    orth = right_orth_members(S, table)
+    # the right orthogonal in the window: objects of the upper tail map
+    # into no window object, so the window members of S suffice
+    masks = _masks(table, window)
+    orth = set(masks.members(masks.full & ~masks.targets(masks.mask(S.members))))
     hypotheses = all(
         DerivedObject(i, 1) in S.members for i in range(n)
     ) and all(DerivedObject(i, -1) in orth for i in range(n))
@@ -179,16 +177,17 @@ def ext_projectives(ts, table):
     right orthogonal) and cross-checked against the defining
     Hom-vanishing; disagreement aborts."""
     window = ts.window
+    masks = _masks(table, window)
+    aisle = masks.mask(ts.aisle.members)
+    reached = masks.targets(aisle)
+    shifted = masks.shift(aisle, 1)
     out = set()
-    members = ts.aisle.members
-    for x in members:
+    for k in _bits(aisle):
+        x = masks.objects[k]
         if not window.is_interior(x):
             continue
-        tx = tau_derived(x, table)
-        by_tau = all(hom_derived(u, tx, table) == 0 for u in members)
-        by_def = all(
-            hom_derived(x, shift(y, 1), table) == 0 for y in members
-        )
+        by_tau = not (reached >> masks.index[tau_derived(x, table)]) & 1
+        by_def = not masks.out[k] & shifted
         if by_tau != by_def:
             raise ConsistencyError(
                 f"Ext-projectivity criteria disagree at {x.label(table)}"
@@ -227,58 +226,39 @@ def section_check(S, table, window):
 
 def successors(S, table, window):
     """Reflexive-transitive closure under the derived AR arrows."""
-    arrows = derived_ar_arrows(table, window)
-    out = {x: [] for x in all_objects(table, window)}
-    for (x, y) in arrows:
-        out[x].append(y)
-    closure = set()
-    stack = [x for x in S if window.contains(x)]
-    while stack:
-        x = stack.pop()
-        if x in closure:
-            continue
-        closure.add(x)
-        stack.extend(out.get(x, []))
+    masks = _masks(table, window)
+    succ = [[] for _ in masks.objects]
+    for (x, y) in derived_ar_arrows(table, window):
+        succ[masks.index[x]].append(masks.index[y])
+    sources = [masks.index[x] for x in S if window.contains(x)]
+    closure = {masks.objects[k] for k in breadth_first(succ, sources, {})}
     n = len(table.entries)
     top_full = all(DerivedObject(i, window.hi) in closure for i in range(n))
     return DerivedSubcategory(window, frozenset(closure), upper_tail=top_full)
 
 
-def _semipath_edges(table, window):
-    """Edges of the semipath graph: nonzero morphisms between distinct
-    objects plus shift jumps.  All edges preserve or raise the degree, so
-    window truncation loses no path between window objects."""
-    objs = all_objects(table, window)
-    edges = {x: [] for x in objs}
-    for x in objs:
-        if x.degree < window.hi:
-            edges[x].append(shift(x, 1))
-        for y in objs:
-            if y != x and hom_derived(x, y, table) != 0:
-                edges[x].append(y)
-    return edges
+def _first_semipath(masks, source, targets):
+    """A shortest semipath from window index ``source`` to the first
+    object of the ``targets`` mask that breadth-first search reaches, as
+    a vertex list, or None.  Semipaths are walks along nonzero
+    morphisms between distinct objects and shift jumps."""
+    parent = {}
+    for k in breadth_first(masks.semipath_successors, [source], parent):
+        if (targets >> k) & 1:
+            path = []
+            while k is not None:
+                path.append(masks.objects[k])
+                k = parent[k]
+            return path[::-1]
+    return None
 
 
 def semipath(X, Y, table, window):
     """A semipath from X to Y as a vertex list, or None."""
     if not (window.contains(X) and window.contains(Y)):
         raise PreconditionError("semipath endpoints must lie in the window")
-    edges = _semipath_edges(table, window)
-    parent = {X: None}
-    queue = [X]
-    while queue:
-        cur = queue.pop(0)
-        if cur == Y:
-            path = []
-            while cur is not None:
-                path.append(cur)
-                cur = parent[cur]
-            return list(reversed(path))
-        for nxt in edges[cur]:
-            if nxt not in parent:
-                parent[nxt] = cur
-                queue.append(nxt)
-    return None
+    masks = _masks(table, window)
+    return _first_semipath(masks, masks.index[X], 1 << masks.index[Y])
 
 
 def semipath_exists(X, Y, table, window):
@@ -288,11 +268,12 @@ def semipath_exists(X, Y, table, window):
 def ringel_criterion(table, window):
     """Interior objects X with no semipath from X[1] back to X (the
     witnesses of derived-hereditariness)."""
+    masks = _masks(table, window)
+    reach = masks.semipath_reach
     return {
         x
-        for x in all_objects(table, window)
-        if window.is_interior(x)
-        and not semipath_exists(shift(x, 1), x, table, window)
+        for k, x in enumerate(masks.objects)
+        if window.is_interior(x) and not (reach[k + masks.n] >> k) & 1
     }
 
 
@@ -307,24 +288,14 @@ def verify_lemma42(ts, table):
     if not ts.split:
         raise PreconditionError("semipath separation asserted for split input")
     window = ts.window
-    sources = [x for x in ts.aisle.members if window.is_interior(x)]
-    targets = {y for y in ts.coaisle.members if window.is_interior(y)}
-    edges = _semipath_edges(table, window)
-    for x in sources:
-        parent = {x: None}
-        queue = [x]
-        while queue:
-            cur = queue.pop(0)
-            if cur in targets:
-                path = []
-                while cur is not None:
-                    path.append(cur)
-                    cur = parent[cur]
-                return False, list(reversed(path))
-            for nxt in edges[cur]:
-                if nxt not in parent:
-                    parent[nxt] = cur
-                    queue.append(nxt)
+    masks = _masks(table, window)
+    interior = [x for x in ts.coaisle.members if window.is_interior(x)]
+    targets = masks.mask(interior)
+    for k in _bits(masks.mask(ts.aisle.members)):
+        if not window.is_interior(masks.objects[k]):
+            continue
+        if (masks.semipath_reach[k] | 1 << k) & targets:
+            return False, _first_semipath(masks, k, targets)
     return True, None
 
 
@@ -343,32 +314,6 @@ def verify_lemma41(ts, table):
     return down_closed == heart_empty
 
 
-def heart_indecomposables(ts):
-    return set(ts.heart)
-
-
-def shifted_lift(tp, table, window, pivot):
-    """The lift of a torsion pair shifted so its degree-0 boundary sits
-    at ``pivot``: torsion at the pivot degree, everything above."""
-    n = len(table.entries)
-    aisle = {DerivedObject(i, pivot) for i in tp.torsion}
-    coaisle = {DerivedObject(j, pivot) for j in tp.free}
-    for d in window.degrees():
-        if d > pivot:
-            aisle |= {DerivedObject(i, d) for i in range(n)}
-        if d < pivot:
-            coaisle |= {DerivedObject(i, d) for i in range(n)}
-    heart = {DerivedObject(i, pivot) for i in tp.torsion} | {
-        DerivedObject(j, pivot + 1) for j in tp.free
-    }
-    return TStructure(
-        aisle=DerivedSubcategory(window, frozenset(aisle), upper_tail=True),
-        coaisle=DerivedSubcategory(window, frozenset(coaisle), lower_tail=True),
-        split=tp.split,
-        heart=frozenset(heart),
-    )
-
-
 def enumerate_split_tstructures(table, window, split_pairs):
     """Window-representable split t-structures whose aisle is saturated
     at the top degree and empty at the bottom degree.
@@ -382,44 +327,8 @@ def enumerate_split_tstructures(table, window, split_pairs):
         for tp in split_pairs:
             if len(tp.torsion) == 0 and pivot < window.hi - 2:
                 continue  # duplicate of the full class one pivot up
-            out.append((pivot, tp, shifted_lift(tp, table, window, pivot)))
+            out.append((pivot, tp, lift(tp, table, window, pivot)))
     return out
-
-
-def exhaustive_split_aisle_scan(table, window):
-    """Brute force over all shift-closed window subsets that contain the
-    top degree and miss the bottom degree: per-indecomposable entry
-    thresholds.  Returns the threshold tuples whose subset is Hom-
-    orthogonal to its complement (a split aisle)."""
-    n = len(table.entries)
-    lo, hi = window.lo, window.hi
-    choices = range(lo + 1, hi + 1)
-    found = []
-
-    def candidates(prefix):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for t in choices:
-            yield from candidates(prefix + [t])
-
-    objs = all_objects(table, window)
-    for thresholds in candidates([]):
-        ok = True
-        for x in objs:
-            if x.degree < thresholds[x.indec]:
-                continue  # x outside the aisle is handled from the y side
-            for y in objs:
-                if y.degree >= thresholds[y.indec]:
-                    continue
-                if hom_derived(x, y, table) != 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(thresholds)
-    return found
 
 
 def classify_split(table, window, split_pairs):
@@ -466,7 +375,14 @@ def classify_split(table, window, split_pairs):
             }
         )
     if len(table.entries) <= 3:
-        scan = exhaustive_split_aisle_scan(table, window)
+        # every shift-closed window subset that contains the top degree
+        # and misses the bottom one, by per-indecomposable entry degree;
+        # the Hom-orthogonal ones are the split aisles
+        masks = _masks(table, window)
+        degrees = range(window.lo + 1, window.hi + 1)
+        scan = masks.orthogonal_unions(
+            [[(t, masks.above([i], t)) for t in degrees] for i in range(masks.n)]
+        )
         # expected family: pivoted lifts at every pivot whose thresholds
         # stay inside the scan range, plus the top tail aisle
         expected = {(window.hi,) * len(table.entries)}
@@ -494,8 +410,8 @@ def verify_cor64(ts, table, candidates=None):
     inside the heart, shift-self-orthogonal, signed dimension vectors of
     full rank.  Returns (bool, diagnostics list).
 
-    ``candidates`` overrides the computed Ext-projective set; corrupted
-    sets must make at least one check fail."""
+    ``candidates`` overrides the computed Ext-projective set with other
+    window objects; corrupted sets must make at least one check fail."""
     if not ts.split:
         raise PreconditionError("tilting-complex check needs a split input")
     E = sorted(ext_projectives(ts, table) if candidates is None else candidates)
@@ -508,17 +424,18 @@ def verify_cor64(ts, table, candidates=None):
         if e not in ts.heart:
             ok = False
             diagnostics.append(f"{e.label(table)} outside the heart")
+    masks = _masks(table, window)
     for e in E:
         for f in E:
-            for s in range(window.lo - f.degree, window.hi - f.degree + 1):
-                if s == 0:
-                    continue
-                if hom_derived(e, shift(f, s), table) != 0:
-                    ok = False
-                    diagnostics.append(
-                        f"nonzero morphism {e.label(table)} -> "
-                        f"{f.label(table)} shifted by {s}"
-                    )
+            # every other shift of f inside the window
+            shifts = masks.above([f.indec], window.lo) & ~(1 << masks.index[f])
+            for k in _bits(masks.out[masks.index[e]] & shifts):
+                ok = False
+                diagnostics.append(
+                    f"nonzero morphism {e.label(table)} -> "
+                    f"{f.label(table)} shifted by "
+                    f"{masks.objects[k].degree - f.degree}"
+                )
     signed = [
         [((-1) ** e.degree) * c for c in table.entries[e.indec].dimvec]
         for e in E

@@ -3,8 +3,9 @@ import pathlib
 
 import pytest
 
-from aisles import torsion
+from aisles import cli, derived, kronecker, torsion
 from aisles.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from aisles.errors import UnsupportedError
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -217,3 +218,46 @@ def test_enumerate_over_class_cap_is_usage_error(capsys, monkeypatch):
     assert code == EXIT_USAGE
     assert out == ""
     assert "MAX_TORSION_CLASSES = 13" in err
+
+
+def test_window_over_object_budget_is_usage_error(capsys, monkeypatch):
+    # A3 has 6 indecomposables, so the default window holds 36 objects;
+    # the check must come before the table is built.
+    monkeypatch.setattr(derived, "MAX_WINDOW_OBJECTS", 35)
+
+    def no_table(quiver):
+        raise AssertionError("table built before the budget check")
+
+    monkeypatch.setattr(cli, "enumerate_indecomposables", no_table)
+    for command in ("verify", "lift", "classify", "export-ar"):
+        argv = [command, "--builtin", "a3"]
+        if command == "lift":
+            argv += ["--torsion", "[]"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "MAX_WINDOW_OBJECTS = 35" in err
+
+
+def test_window_at_object_budget_runs(capsys, monkeypatch):
+    monkeypatch.setattr(derived, "MAX_WINDOW_OBJECTS", 36)
+    code, _, _ = run(capsys, "verify", "--builtin", "a3", "--suite", "semipath")
+    assert code == EXIT_OK
+
+
+def test_kronecker_over_budgets_is_usage_error(capsys, monkeypatch):
+    # the default model: 4 pivot layers x 5**3 tube thresholds = 500 scan
+    # candidates, and 23 module objects in 6 degrees = 138 window objects
+    monkeypatch.setattr(kronecker, "MAX_SCAN_CANDIDATES", 500)
+    assert run(capsys, "verify", "--builtin", "kronecker")[0] == EXIT_OK
+    monkeypatch.setattr(kronecker, "MAX_SCAN_CANDIDATES", 499)
+    code, out, err = run(capsys, "verify", "--builtin", "kronecker")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "MAX_SCAN_CANDIDATES = 499" in err
+    monkeypatch.setattr(kronecker, "MAX_SCAN_CANDIDATES", 500)
+    monkeypatch.setattr(derived, "MAX_WINDOW_OBJECTS", 137)
+    code, out, err = run(capsys, "transport", "--builtin", "kronecker")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "MAX_WINDOW_OBJECTS = 137" in err
+    with pytest.raises(UnsupportedError):
+        kronecker.default_model()

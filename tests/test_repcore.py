@@ -8,6 +8,7 @@ from aisles.linalg import Mat
 from aisles.quiver import Arrow, Quiver, d4_quiver, linear_quiver
 from aisles.repcore import (
     Representation,
+    coxeter_matrix,
     coxeter_transform,
     enumerate_indecomposables,
     euler_form,
@@ -88,10 +89,10 @@ def test_ar_formula(d4_table):
 
 
 def test_coxeter_on_a2():
-    q = linear_quiver(2)
-    assert coxeter_transform(q, (1, 0)) == (0, 1)  # tau S_1 = S_2
-    assert any(x < 0 for x in coxeter_transform(q, (0, 1)))  # projective
-    assert coxeter_transform(q, (0, 1), inverse=True) == (1, 0)
+    phi = coxeter_matrix(linear_quiver(2))
+    assert coxeter_transform(phi, (1, 0)) == (0, 1)  # tau S_1 = S_2
+    assert any(x < 0 for x in coxeter_transform(phi, (0, 1)))  # projective
+    assert coxeter_transform(phi, (0, 1), inverse=True) == (1, 0)
 
 
 def test_reflection_at_sink():

@@ -1,13 +1,15 @@
 import pytest
 
+from aisles.derived import DerivedObject, hom_masks
 from aisles.errors import PreconditionError, TiltingUnsupportedError
 from aisles.kronecker import post, pre, reg
 from aisles.transport import (
+    HEART_WINDOW,
     KroneckerContext,
     TableContext,
     TiltingSet,
+    _validate_heart_pair,
     admissible_base_pairs,
-    heart_hom,
     heart_realization,
     induced_torsion_pair,
     is_tilting_set,
@@ -65,9 +67,27 @@ def test_heart_realization_a2(a2_table, window):
     hm = heart_realization(TiltingSet(frozenset({p1, s1})), ctx, window)
     assert hm.heart_objects() == {(p1, 0), (s1, 0), (s2, 1)}
     # morphisms inside the heart follow the degree-gap rules
-    assert heart_hom((p1, 0), (s1, 0), ctx) == 1
-    assert heart_hom((s1, 0), (s2, 1), ctx) == 1
-    assert heart_hom((s2, 1), (p1, 0), ctx) == 0
+    masks = hom_masks(ctx, HEART_WINDOW)
+
+    def hom_nonzero(a, b):
+        k, l = (masks.index[DerivedObject(*x)] for x in (a, b))
+        return bool(masks.out[k] >> l & 1)
+
+    assert hom_nonzero((p1, 0), (s1, 0))
+    assert hom_nonzero((s1, 0), (s2, 1))
+    assert not hom_nonzero((s2, 1), (p1, 0))
+
+
+def test_heart_pair_orthogonality_witness(a2_table, window):
+    ctx = TableContext(a2_table)
+    p1 = a2_table.by_dimvec((1, 1)).id
+    s1 = a2_table.by_dimvec((1, 0)).id
+    s2 = a2_table.by_dimvec((0, 1)).id
+    hm = heart_realization(TiltingSet(frozenset({p1, s1})), ctx, window)
+    # Hom(P_1, S_1) != 0, so P_1 cannot be torsion with S_1 free
+    with pytest.raises(PreconditionError) as exc:
+        _validate_heart_pair({(p1, 0)}, {(s1, 0), (s2, 1)}, hm)
+    assert "not orthogonal at [1, 1]@0 -> [1, 0]@0" in str(exc.value)
 
 
 def test_heart_realization_rejects_nonprojective_free(a3_table, window):
