@@ -176,9 +176,10 @@ def suite_cor64(table, window):
     for _pivot, _tp, ts in tstruct.enumerate_split_tstructures(
         table, window, _split_pairs(table)
     ):
-        if not tstruct.ext_projectives(ts, table):
+        E = tstruct.ext_projectives(ts, table)
+        if not E:
             continue
-        ok, diagnostics = tstruct.verify_cor64(ts, table)
+        ok, diagnostics = tstruct.verify_cor64(ts, table, candidates=E)
         if not ok:
             return [_failed("tilting_complex_checks", diagnostics)]
     return [{"name": "tilting_complex_checks", "pass": True}]

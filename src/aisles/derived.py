@@ -10,10 +10,12 @@ a wrong gluing rule aborts the build instead of propagating.
 
 ``HomMasks`` is the core that both derived models (Dynkin tables here,
 the Kronecker model in ``aisles.kronecker``) answer Hom-vanishing,
-reachability and split-aisle questions with: one bitmask per window
-object of the objects it has a nonzero morphism to.  It reads a
-module-category context (``TableContext`` for tables) and is built once
-per model and window.
+reachability, shift-closure, Ext-projectivity and split-aisle questions
+with: one bitmask per window object of the objects it has a nonzero
+morphism to, plus the window index of its translate.  Aisles and their
+orthogonals are window masks (ints).  It reads a module-category
+context (``TableContext`` for tables: Hom, Ext, the translate and object
+labels) and is built once per model and window.
 """
 
 from __future__ import annotations
@@ -95,21 +97,6 @@ class DerivedSubcategory:
 
     def at_degree(self, d):
         return {x for x in self.members if x.degree == d}
-
-    def saturated_above(self, table):
-        """Every object at the top window degree is a member."""
-        top = {DerivedObject(i, self.window.hi) for i in range(len(table.entries))}
-        return top <= self.members
-
-    def saturated_below(self, table):
-        bot = {DerivedObject(i, self.window.lo) for i in range(len(table.entries))}
-        return bot <= self.members
-
-    def validate(self, table):
-        if self.upper_tail and not self.saturated_above(table):
-            raise ShapeError("upper tail set but top degree not saturated")
-        if self.lower_tail and not self.saturated_below(table):
-            raise ShapeError("lower tail set but bottom degree not saturated")
 
 
 def check_window_objects(window, per_degree):
@@ -275,7 +262,8 @@ def _check_meshes(table, window, arrows):
 @dataclass(frozen=True)
 class TableContext:
     """Module-category view of a Dynkin IndecTable: module objects are
-    table ids, placed in a degree as stalk ``DerivedObject``s."""
+    table ids, placed in a degree as stalk ``DerivedObject``s.  ``tau``
+    and ``label`` take such window objects."""
 
     table: object
 
@@ -295,6 +283,12 @@ class TableContext:
     def ext(self, x, y):
         return self.table.ext[x][y]
 
+    def tau(self, obj):
+        return tau_derived(obj, self.table)
+
+    def label(self, obj):
+        return obj.label(self.table)
+
     def rank(self):
         return len(self.table.quiver.vertices)
 
@@ -312,24 +306,32 @@ class HomMasks:
     """Nonzero-morphism bitmasks of the objects of one window.
 
     ``context`` is a module-category view with ``objects()``,
-    ``hom(x, y)``, ``ext(x, y)``, ``at(x, degree)`` and a ``memo`` dict.
-    Window object k is module object k % n in degree lo + k // n, the
-    order of ``all_objects`` and ``TameModel.objects()``.  Bit l of
-    ``out[k]`` is set when object k has a nonzero morphism to object l:
-    module Hom in degree gap 0, module Ext in gap 1, nothing otherwise.
-    This is the only place where a verifier applies that gap rule.
+    ``hom(x, y)``, ``ext(x, y)``, ``at(x, degree)`` and a ``memo`` dict,
+    and on window objects ``tau(obj)`` (None when the translate is not
+    represented) and ``label(obj)``.  Window object k is module object
+    k % n in degree lo + k // n, the order of ``all_objects`` and
+    ``TameModel.objects()``.  Bit l of ``out[k]`` is set when object k
+    has a nonzero morphism to object l: module Hom in degree gap 0,
+    module Ext in gap 1, nothing otherwise.  This is the only place where
+    a verifier applies that gap rule.  ``tau[k]`` is the window index of
+    the translate of object k, or None when it lies outside the window
+    or is not represented.
     """
 
     def __init__(self, context, window):
         modules = context.objects()
         n = len(modules)
         check_window_objects(window, n)
+        self.context = context
         self.window = window
         self.n = n
         self.modules = modules
         self.objects = [context.at(x, d) for d in window.degrees() for x in modules]
         self.index = {x: k for k, x in enumerate(self.objects)}
         self.full = (1 << len(self.objects)) - 1
+        # the objects strictly inside the window's degrees
+        self.interior = ((1 << len(self.objects) - 2 * n) - 1) << n
+        self.tau = [self.index.get(context.tau(x)) for x in self.objects]
         hom_row = [_row(context.hom, x, modules) for x in modules]
         ext_row = [_row(context.ext, x, modules) for x in modules]
         self.out = []
@@ -375,8 +377,41 @@ class HomMasks:
         for k in _bits(sources):
             hit = self.out[k] & targets
             if hit:
-                return k, (hit & -hit).bit_length() - 1
+                return k, _lowest(hit)
         return None
+
+    def shift_escape(self, mask):
+        """The first member of ``mask`` below the top degree whose shift
+        is not in ``mask``, as a window index; None when the mask is
+        closed under shift inside the window."""
+        missing = self.shift(mask, 1) & ~mask
+        return _lowest(missing) - self.n if missing else None
+
+    def ext_projectives(self, aisle):
+        """The interior members of ``aisle`` with no extensions into it,
+        as a mask.
+
+        Computed by the translate criterion (the translate lands in the
+        right orthogonal) and cross-checked against the defining
+        Hom-vanishing into the shifted aisle; disagreement aborts.  A
+        member whose translate is not represented is skipped."""
+        reached = self.targets(aisle)
+        shifted = self.shift(aisle, 1)
+        out = 0
+        for k in _bits(aisle & self.interior):
+            t = self.tau[k]
+            if t is None:
+                continue
+            by_tau = not (reached >> t) & 1
+            by_def = not self.out[k] & shifted
+            if by_tau != by_def:
+                raise ConsistencyError(
+                    "Ext-projectivity criteria disagree at "
+                    f"{self.context.label(self.objects[k])}"
+                )
+            if by_tau:
+                out |= 1 << k
+        return out
 
     def orthogonal_unions(self, families):
         """Split-aisle scan.  ``families`` lists, per group of objects,
@@ -417,6 +452,10 @@ class HomMasks:
                 if ri & bit:
                     reach[i] = ri | rj
         return reach
+
+
+def _lowest(mask):
+    return (mask & -mask).bit_length() - 1
 
 
 def _row(rule, x, modules):

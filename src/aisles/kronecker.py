@@ -9,8 +9,11 @@ degree morphism spaces from the AR formula.  Everything is truncated:
 transjective index up to a configured range, quasi-length up to a
 configured tube depth, degrees inside a window, and the size of a model
 is bounded before anything is built.  ``KroneckerContext`` exposes the
-module category to the shared Hom-mask core of ``aisles.derived``, which
-the aisle checks and the split-aisle scan run on.
+module category (Hom, Ext, the translate and object labels) to the
+shared Hom-mask core of ``aisles.derived``.  Aisles are window masks of
+that core: ``build_aisle_63b`` unions the same threshold masks the
+split-aisle scan searches, and the orthogonality, shift-closure and
+Ext-projective checks are mask operations.
 """
 
 from __future__ import annotations
@@ -85,8 +88,8 @@ class TameModel:
     tube_depth: int
     range: int
     window: Window
-    # Results derived from this model alone (its Hom masks), computed on
-    # first use.
+    # Results derived from this model alone (its Hom masks and split-aisle
+    # blocks), computed on first use.
     memo: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -142,7 +145,9 @@ def default_model():
 
 @dataclass(frozen=True)
 class KroneckerContext:
-    """Module-category view of the truncated Kronecker model."""
+    """Module-category view of the truncated Kronecker model.  ``tau``
+    and ``label`` take window objects; a translate past the transjective
+    range is not represented (None)."""
 
     model: TameModel
 
@@ -161,6 +166,15 @@ class KroneckerContext:
 
     def ext(self, x, y):
         return ext_module(x, y)
+
+    def tau(self, obj):
+        try:
+            return tau_rule(obj, self.model)
+        except TruncationError:
+            return None  # past the transjective range: not represented
+
+    def label(self, obj):
+        return obj.name()
 
     def rank(self):
         return 2
@@ -272,7 +286,9 @@ def tau_inverse_rule(X, model):
 
 def layer(X):
     """Transjective-layer index: preinjectives of degree d glue with the
-    postprojectives and regulars of degree d + 1 into one component."""
+    postprojectives and regulars of degree d + 1 into one component.
+    The reference rule: ``build_aisle_63b`` reads threshold masks, and
+    the tests check them against this."""
     return X.degree + 1 if X.kind == PRE else X.degree
 
 
@@ -281,81 +297,65 @@ def layer(X):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KroneckerAisle:
-    pivot: int
-    labels: frozenset
-    members: frozenset
-
-    def __contains__(self, X):
-        return X in self.members
+def _threshold_families(model):
+    """The blocks split aisles are unions of, as {threshold: mask} dicts:
+    first the transjective objects of every layer from j1 up, then each
+    tube (in label order) from degree t up.  Built once per model."""
+    if "threshold_families" not in model.memo:
+        masks = _masks(model)
+        lo, hi = model.window.lo, model.window.hi
+        modules = list(enumerate(model.module_objects()))
+        posts = [i for i, x in modules if x.kind == POST]
+        pres = [i for i, x in modules if x.kind == PRE]
+        # postprojectives from degree j1, preinjectives (layer = degree
+        # + 1) from degree j1 - 1
+        families = [{
+            j1: masks.above(posts, j1) | masks.above(pres, j1 - 1)
+            for j1 in range(lo + 2, hi + 1)
+        }]
+        for lam in model.tube_labels:
+            tube = [i for i, x in modules if x.label == lam]
+            families.append(
+                {t: masks.above(tube, t) for t in range(lo + 1, hi + 1)}
+            )
+        model.memo["threshold_families"] = families
+    return model.memo["threshold_families"]
 
 
 def build_aisle_63b(i, L, model):
-    """The split aisle with pivot layer ``i`` and tube subset ``L``:
-    every object in a layer above i, plus the chosen tubes at layer i."""
+    """The split aisle with pivot layer ``i`` and tube subset ``L``, as a
+    window mask: every object in a layer above i, plus the chosen tubes
+    at layer i."""
     if not (model.window.lo < i < model.window.hi):
         raise ShapeError("pivot layer must be interior to the window")
-    L = frozenset(L)
-    members = set()
-    for X in model.objects():
-        if layer(X) > i:
-            members.add(X)
-        elif X.kind == REG and X.degree == i and X.label in L:
-            members.add(X)
-    return KroneckerAisle(i, L, frozenset(members))
-
-
-# The checks walk members in window order (TameModel.objects() order), so
-# their witnesses repeat between processes; frozenset order would not,
-# because transjective objects have label None, which Python before 3.12
-# hashes by address.
+    transjective, *tubes = _threshold_families(model)
+    aisle = transjective[i + 1]
+    for lam, tube in zip(model.tube_labels, tubes):
+        aisle |= tube[i if lam in L else i + 1]
+    return aisle
 
 
 def _orthogonal(aisle, model):
-    """First Hom witness from the aisle into its complement, or None."""
+    """First Hom witness from the aisle mask into its complement, or
+    None."""
     masks = _masks(model)
-    inside = masks.mask(aisle.members)
-    hit = masks.witness(inside, masks.full & ~inside)
+    hit = masks.witness(aisle, masks.full & ~aisle)
     return None if hit is None else tuple(masks.objects[k] for k in hit)
 
 
 def _shift_closed(aisle, model):
-    """First member whose shift leaves the aisle, or None."""
+    """First member of the aisle mask whose shift leaves it, or None."""
     masks = _masks(model)
-    inside = masks.mask(aisle.members)
-    missing = masks.shift(inside, 1) & ~inside
-    if not missing:
-        return None
-    return masks.objects[(missing & -missing).bit_length() - 1 - masks.n]
-
-
-def _ext_projective_witness(aisle, model):
-    """An interior member whose translate leaves the aisle, if any.
-
-    The aisle is split, so a translate outside the members lies in the
-    right orthogonal and the member would be Ext-projective."""
-    masks = _masks(model)
-    for x in masks.members(masks.mask(aisle.members)):
-        if not model.window.is_interior(x):
-            continue
-        try:
-            tx = tau_rule(x, model)
-        except TruncationError:
-            continue  # boundary-conservative: outside the represented range
-        if model.window.contains(tx) and tx not in aisle.members:
-            return x
-    return None
+    k = masks.shift_escape(aisle)
+    return None if k is None else masks.objects[k]
 
 
 def trace_at_zero(aisle, model):
-    """Degree-0 slice of the aisle and its complement: a torsion pair on
-    the truncated module category."""
-    torsion = {x.at(0) for x in aisle.members if x.degree == 0}
-    free = {
-        x for x in model.module_objects() if x not in torsion
-    }
-    return torsion, free
+    """Degree-0 slice of the aisle mask and its complement: a torsion
+    pair on the truncated module category."""
+    masks = _masks(model)
+    torsion = {x for x in masks.modules if (aisle >> masks.index[x]) & 1}
+    return torsion, set(masks.modules) - torsion
 
 
 def scan_split_aisles(model):
@@ -363,23 +363,9 @@ def scan_split_aisles(model):
     that contain the top window degree and miss the bottom one; returns
     the surviving split aisles as (transjective threshold, per-tube
     thresholds) tuples."""
-    masks = _masks(model)
-    lo, hi = model.window.lo, model.window.hi
-    modules = list(enumerate(model.module_objects()))
-    posts = [i for i, x in modules if x.kind == POST]
-    pres = [i for i, x in modules if x.kind == PRE]
-    # the lowest transjective layer j1 included: postprojectives from
-    # degree j1, preinjectives (layer = degree + 1) from degree j1 - 1
-    families = [[
-        (j1, masks.above(posts, j1) | masks.above(pres, j1 - 1))
-        for j1 in range(lo + 2, hi + 1)
-    ]]
-    for lam in model.tube_labels:
-        tube = [i for i, x in modules if x.label == lam]
-        families.append(
-            [(t, masks.above(tube, t)) for t in range(lo + 1, hi + 1)]
-        )
-    return [(c[0], c[1:]) for c in masks.orthogonal_unions(families)]
+    families = [f.items() for f in _threshold_families(model)]
+    found = _masks(model).orthogonal_unions(families)
+    return [(c[0], c[1:]) for c in found]
 
 
 def verify_63b(model):
@@ -387,16 +373,15 @@ def verify_63b(model):
     truncated model; returns a report with per-check pass flags."""
     report = {"model": describe(model), "cases": [], "pass": True}
     labels = model.tube_labels
+    masks = _masks(model)
     for i in model.window.interior():
         for L in _subsets(labels):
-            aisle = build_aisle_63b(i, frozenset(L), model)
+            aisle = build_aisle_63b(i, L, model)
             checks = {}
             witness = _orthogonal(aisle, model)
             checks["orthogonal"] = witness is None
-            bad_shift = _shift_closed(aisle, model)
-            checks["shift_closed"] = bad_shift is None
-            ep = _ext_projective_witness(aisle, model)
-            checks["no_ext_projectives"] = ep is None
+            checks["shift_closed"] = _shift_closed(aisle, model) is None
+            checks["no_ext_projectives"] = not masks.ext_projectives(aisle)
             case = {
                 "pivot": i,
                 "tubes": sorted(L),

@@ -236,15 +236,10 @@ def _validate_heart_pair(heart_torsion, heart_free, hm):
     def mask(pairs):
         return masks.mask(context.at(x, d) for (x, d) in pairs)
 
-    def name(k):
-        block, i = divmod(k, masks.n)
-        return f"{context.name(masks.modules[i])}@{HEART_WINDOW.lo + block}"
-
     hit = masks.witness(mask(heart_torsion), mask(heart_free))
     if hit is not None:
-        raise PreconditionError(
-            f"transported pair not orthogonal at {name(hit[0])} -> {name(hit[1])}"
-        )
+        x, y = (context.label(masks.objects[k]) for k in hit)
+        raise PreconditionError(f"transported pair not orthogonal at {x} -> {y}")
     if heart_torsion | heart_free != hm.heart_objects():
         raise PreconditionError("transported pair does not cover the heart")
     _check_heart_components(heart_torsion, heart_free, hm)
@@ -308,6 +303,7 @@ def verify_theorem53(model, T, window):
     to each other throughout."""
     ctx = KroneckerContext(model)
     hm = heart_realization(T, ctx, window)
+    masks = hom_masks(ctx, model.window)
     report = {"model": kr.describe(model), "cases": [], "pass": True}
     base = admissible_base_pairs(model)
     for (L, torsion, free) in base:
@@ -317,14 +313,12 @@ def verify_theorem53(model, T, window):
             ctx.hom(x, y) == 0 for x in torsion for y in free
         )
         # class (c): the lifted aisle is the classified split aisle
-        aisle = build_aisle_63b(0, L, model)
-        lifted = {x.at(0) for x in torsion} | {
-            x.at(d)
-            for x in ctx.objects()
-            for d in window.degrees()
-            if d >= 1
-        }
-        checks["lift_matches_classification"] = lifted == set(aisle.members)
+        lifted = masks.mask(x.at(0) for x in torsion) | masks.above(
+            range(masks.n), 1
+        )
+        checks["lift_matches_classification"] = (
+            lifted == build_aisle_63b(0, L, model)
+        )
         # class (a): transport through chi and back through zeta
         ht, hf = transport_chi(torsion, free, hm)
         back_t, back_f = transport_zeta(ht, hf, hm)

@@ -20,7 +20,6 @@ from .derived import (
     DerivedObject,
     DerivedSubcategory,
     TableContext,
-    all_objects,
     breadth_first,
     derived_ar_arrows,
     hom_masks,
@@ -127,16 +126,19 @@ def is_aisle_window(S, table):
     coverage property otherwise."""
     window = S.window
     n = len(table.entries)
-    for x in S.members:
-        if x.degree < window.hi:
-            if shift(x, 1) not in S.members:
-                return False, f"not closed under shift at {x.label(table)}"
-        elif not S.upper_tail:
-            return False, f"no upper tail above {x.label(table)}"
+    masks = _masks(table, window)
+    inside = masks.mask(S.members)
+    k = masks.shift_escape(inside)
+    if k is not None:
+        x = masks.objects[k]
+        return False, f"not closed under shift at {x.label(table)}"
+    top = inside & ~(masks.full >> masks.n)
+    if top and not S.upper_tail:
+        return False, f"no upper tail above {masks.members(top)[0].label(table)}"
     # the right orthogonal in the window: objects of the upper tail map
     # into no window object, so the window members of S suffice
-    masks = _masks(table, window)
-    orth = set(masks.members(masks.full & ~masks.targets(masks.mask(S.members))))
+    reached = masks.targets(inside)
+    orth = set(masks.members(masks.full & ~reached))
     hypotheses = all(
         DerivedObject(i, 1) in S.members for i in range(n)
     ) and all(DerivedObject(i, -1) in orth for i in range(n))
@@ -154,14 +156,12 @@ def is_aisle_window(S, table):
         for y in range(n):
             canonical_sequence_oracle(y, tp, table)
         return True, "ok"
-    for x in all_objects(table, window):
-        if not window.is_interior(x):
-            continue
-        if x not in S.members and x not in orth:
-            return False, (
-                f"object {x.label(table)} has no approximation: neither in "
-                "the aisle nor in its right orthogonal"
-            )
+    uncovered = masks.members(masks.interior & reached & ~inside)
+    if uncovered:
+        return False, (
+            f"object {uncovered[0].label(table)} has no approximation: "
+            "neither in the aisle nor in its right orthogonal"
+        )
     return True, "ok (split coverage)"
 
 
@@ -171,30 +171,10 @@ def is_aisle_window(S, table):
 
 
 def ext_projectives(ts, table):
-    """Interior aisle members with no extensions inside the aisle.
-
-    Computed by the translate criterion (tau of the object lands in the
-    right orthogonal) and cross-checked against the defining
-    Hom-vanishing; disagreement aborts."""
-    window = ts.window
-    masks = _masks(table, window)
-    aisle = masks.mask(ts.aisle.members)
-    reached = masks.targets(aisle)
-    shifted = masks.shift(aisle, 1)
-    out = set()
-    for k in _bits(aisle):
-        x = masks.objects[k]
-        if not window.is_interior(x):
-            continue
-        by_tau = not (reached >> masks.index[tau_derived(x, table)]) & 1
-        by_def = not masks.out[k] & shifted
-        if by_tau != by_def:
-            raise ConsistencyError(
-                f"Ext-projectivity criteria disagree at {x.label(table)}"
-            )
-        if by_tau:
-            out.add(x)
-    return out
+    """Interior aisle members with no extensions inside the aisle, by
+    ``HomMasks.ext_projectives``."""
+    masks = _masks(table, ts.window)
+    return set(masks.members(masks.ext_projectives(masks.mask(ts.aisle.members))))
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +267,9 @@ def verify_lemma42(ts, table):
     right orthogonal; returns (bool, witness path or None)."""
     if not ts.split:
         raise PreconditionError("semipath separation asserted for split input")
-    window = ts.window
-    masks = _masks(table, window)
-    interior = [x for x in ts.coaisle.members if window.is_interior(x)]
-    targets = masks.mask(interior)
-    for k in _bits(masks.mask(ts.aisle.members)):
-        if not window.is_interior(masks.objects[k]):
-            continue
+    masks = _masks(table, ts.window)
+    targets = masks.mask(ts.coaisle.members) & masks.interior
+    for k in _bits(masks.mask(ts.aisle.members) & masks.interior):
         if (masks.semipath_reach[k] | 1 << k) & targets:
             return False, _first_semipath(masks, k, targets)
     return True, None
@@ -340,6 +316,7 @@ def classify_split(table, window, split_pairs):
     over all shift-closed subsets confirms the enumeration misses no
     split aisle."""
     n_vertices = len(table.quiver.vertices)
+    masks = _masks(table, window)
     report = []
     enumerated = enumerate_split_tstructures(table, window, split_pairs)
     for pivot, tp, ts in enumerated:
@@ -350,15 +327,10 @@ def classify_split(table, window, split_pairs):
         if E:
             checks["count_matches_vertices"] = len(E) == n_vertices
             checks["section"] = section_check(E, table, window)
-            cone = successors(E, table, window)
-            interior = {
-                x
-                for x in all_objects(table, window)
-                if window.is_interior(x)
-            }
-            checks["successors_reproduce_aisle"] = {
-                x for x in cone.members if x in interior
-            } == {x for x in ts.aisle.members if x in interior}
+            cone = successors(E, table, window).members
+            checks["successors_reproduce_aisle"] = not (
+                masks.mask(cone) ^ masks.mask(ts.aisle.members)
+            ) & masks.interior
         else:
             checks["zero_heart"] = not heart_nonzero
         report.append(
@@ -378,7 +350,6 @@ def classify_split(table, window, split_pairs):
         # every shift-closed window subset that contains the top degree
         # and misses the bottom one, by per-indecomposable entry degree;
         # the Hom-orthogonal ones are the split aisles
-        masks = _masks(table, window)
         degrees = range(window.lo + 1, window.hi + 1)
         scan = masks.orthogonal_unions(
             [[(t, masks.above([i], t)) for t in degrees] for i in range(masks.n)]
@@ -410,8 +381,9 @@ def verify_cor64(ts, table, candidates=None):
     inside the heart, shift-self-orthogonal, signed dimension vectors of
     full rank.  Returns (bool, diagnostics list).
 
-    ``candidates`` overrides the computed Ext-projective set with other
-    window objects; corrupted sets must make at least one check fail."""
+    ``candidates`` is the Ext-projective set when the caller has it
+    already, or other window objects: corrupted sets must make at least
+    one check fail."""
     if not ts.split:
         raise PreconditionError("tilting-complex check needs a split input")
     E = sorted(ext_projectives(ts, table) if candidates is None else candidates)

@@ -1,7 +1,7 @@
 import pytest
 
 from aisles.derived import Window
-from aisles.kronecker import default_model
+from aisles.kronecker import TameModel, default_model
 from aisles.quiver import d4_quiver, linear_quiver
 from aisles.repcore import enumerate_indecomposables
 
@@ -29,3 +29,10 @@ def window():
 @pytest.fixture(scope="session")
 def tame_model():
     return default_model()
+
+
+@pytest.fixture(scope="session")
+def tame_models(tame_model):
+    """The default Kronecker model and a 4-tube one of depth 4 and
+    transjective range 10."""
+    return (tame_model, TameModel(("t0", "t1", "t2", "t3"), 4, 10, Window(-2, 3)))

@@ -261,3 +261,24 @@ def test_kronecker_over_budgets_is_usage_error(capsys, monkeypatch):
     assert "MAX_WINDOW_OBJECTS = 137" in err
     with pytest.raises(UnsupportedError):
         kronecker.default_model()
+
+
+def test_cor64_suite_computes_ext_projectives_once(a3_table, window, monkeypatch):
+    """One Ext-projective computation per split t-structure: the suite
+    hands its set to verify_cor64 instead of having it recomputed."""
+    calls = 0
+    compute = cli.tstruct.ext_projectives
+
+    def counting(ts, table):
+        nonlocal calls
+        calls += 1
+        return compute(ts, table)
+
+    monkeypatch.setattr(cli.tstruct, "ext_projectives", counting)
+    structures = cli.tstruct.enumerate_split_tstructures(
+        a3_table, window, cli._split_pairs(a3_table)
+    )
+    assert cli.suite_cor64(a3_table, window) == [
+        {"name": "tilting_complex_checks", "pass": True}
+    ]
+    assert calls == len(structures)

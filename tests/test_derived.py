@@ -128,7 +128,6 @@ def test_subcategory_membership_and_tails(a2_table, window):
     assert DerivedObject(0, 5) in s
     assert DerivedObject(0, -5) not in s
     assert DerivedObject(0, 0) not in s
-    s.validate(a2_table)
     with pytest.raises(ShapeError):
         DerivedSubcategory(window, frozenset({DerivedObject(0, 9)}))
 

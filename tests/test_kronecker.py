@@ -9,9 +9,11 @@ import aisles
 from aisles.derived import Window
 from aisles.errors import ShapeError, TruncationError
 from aisles.kronecker import (
-    KroneckerAisle,
+    REG,
     TameModel,
+    _masks,
     _orthogonal,
+    _subsets,
     build_aisle_63b,
     default_model,
     euler_form_kronecker,
@@ -126,23 +128,55 @@ def test_layer_glues_preinjectives():
 
 def test_build_aisle_membership(tame_model):
     aisle = build_aisle_63b(0, frozenset({"t0"}), tame_model)
-    assert post(2, 1) in aisle
-    assert pre(2, 0) in aisle  # layer(pre@0) = 1 > 0
-    assert reg("t0", 2, 0) in aisle
-    assert reg("t1", 2, 0) not in aisle
-    assert post(2, 0) not in aisle
-    assert reg("t0", 2, -1) not in aisle
+    index = _masks(tame_model).index
+
+    def inside(x):
+        return bool(aisle >> index[x] & 1)
+
+    assert inside(post(2, 1))
+    assert inside(pre(2, 0))  # layer(pre@0) = 1 > 0
+    assert inside(reg("t0", 2, 0))
+    assert not inside(reg("t1", 2, 0))
+    assert not inside(post(2, 0))
+    assert not inside(reg("t0", 2, -1))
     with pytest.raises(ShapeError):
         build_aisle_63b(tame_model.window.hi, frozenset(), tame_model)
+
+
+def _layer_rule_aisle(i, L, model):
+    """The aisle by the layer rule, walking every window object: the
+    reference for the threshold masks."""
+    return {
+        x
+        for x in model.objects()
+        if layer(x) > i or (x.kind == REG and x.degree == i and x.label in L)
+    }
+
+
+def test_build_aisle_matches_layer_rule(tame_models):
+    for model in tame_models:
+        masks = _masks(model)
+        for i in model.window.interior():
+            for L in _subsets(model.tube_labels):
+                want = masks.mask(_layer_rule_aisle(i, L, model))
+                assert build_aisle_63b(i, L, model) == want, (i, L)
+
+
+def test_classified_aisles_have_no_ext_projectives(tame_models):
+    """The shared Ext-projective routine finds none on any classified
+    split aisle (both criteria are cross-checked inside it)."""
+    for model in tame_models:
+        masks = _masks(model)
+        for i in model.window.interior():
+            for L in _subsets(model.tube_labels):
+                assert masks.ext_projectives(build_aisle_63b(i, L, model)) == 0
 
 
 def test_orthogonal_witness_on_broken_aisle(tame_model):
     """Adding Reg(t0,1)@0 without the longer tube modules above it breaks
     Hom-orthogonality and produces a witness."""
     base = build_aisle_63b(0, frozenset(), tame_model)
-    broken = KroneckerAisle(
-        0, frozenset(), base.members | {reg("t0", 1, 0)}
-    )
+    broken = base | _masks(tame_model).mask([reg("t0", 1, 0)])
     witness = _orthogonal(broken, tame_model)
     assert witness is not None
     x, y = witness
@@ -188,7 +222,7 @@ REPEAT_WITNESS_AND_SCAN = """
 from aisles import kronecker as kr
 model = kr.default_model()
 base = kr.build_aisle_63b(0, frozenset(), model)
-broken = kr.KroneckerAisle(0, frozenset(), base.members | {kr.reg("t0", 1, 0)})
+broken = base | kr._masks(model).mask([kr.reg("t0", 1, 0)])
 x, y = kr._orthogonal(broken, model)
 print(x.name(), y.name(), kr.scan_split_aisles(model))
 """

@@ -90,6 +90,15 @@ def test_heart_pair_orthogonality_witness(a2_table, window):
     assert "not orthogonal at [1, 1]@0 -> [1, 0]@0" in str(exc.value)
 
 
+def test_heart_pair_orthogonality_witness_kronecker(tame_model, window):
+    ctx = KroneckerContext(tame_model)
+    hm = heart_realization(TiltingSet(frozenset({post(1), post(2)})), ctx, window)
+    # Hom(Post(1), Reg(t0,1)) != 0 in degree 0
+    with pytest.raises(PreconditionError) as exc:
+        _validate_heart_pair({(post(1), 0)}, {(reg("t0", 1), 0)}, hm)
+    assert "not orthogonal at Post(1)@0 -> Reg(t0,1)@0" in str(exc.value)
+
+
 def test_heart_realization_rejects_nonprojective_free(a3_table, window):
     ctx = TableContext(a3_table)
     # valid tilting set whose torsion-free class contains the middle

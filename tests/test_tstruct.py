@@ -106,6 +106,25 @@ def test_is_aisle_window_rejects_bad_degree_zero(a2_table, window):
     assert not ok
 
 
+def test_is_aisle_window_split_coverage_and_tail(a2_table, window):
+    t = a2_table
+    n = len(t.entries)
+    p1 = t.by_dimvec((1, 1)).id
+    top = frozenset(DerivedObject(i, window.hi) for i in range(n))
+    ok, msg = is_aisle_window(DerivedSubcategory(window, top), t)
+    assert not ok and msg.startswith("no upper tail above")
+    # Hom(P_1, S_1) != 0 in degree 2, so S_1[2] is neither in the aisle
+    # nor in its right orthogonal
+    members = top | {DerivedObject(p1, 2)}
+    ok, msg = is_aisle_window(
+        DerivedSubcategory(window, members, upper_tail=True), t
+    )
+    assert not ok
+    assert msg.startswith("object [1, 0]@2 has no approximation")
+    ok, msg = is_aisle_window(DerivedSubcategory(window, top, upper_tail=True), t)
+    assert ok and msg == "ok (split coverage)"
+
+
 def test_ext_projectives_example(a2_table, window):
     t = a2_table
     tp = _pair(t, [(1, 0)])  # split pair with torsion {S_1}
