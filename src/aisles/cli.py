@@ -210,7 +210,7 @@ def run_dynkin_verify(table, window, suite):
     return checks
 
 
-def run_kronecker_verify(model, suite, window):
+def run_kronecker_verify(model, suite):
     checks = []
     if suite in ("all", "63b"):
         report = kr.verify_63b(model)
@@ -220,7 +220,7 @@ def run_kronecker_verify(model, suite, window):
         )
     if suite in ("all", "53"):
         T = transport_mod.TiltingSet(frozenset({kr.post(1), kr.post(2)}))
-        report = transport_mod.verify_theorem53(model, T, window)
+        report = transport_mod.verify_theorem53(model, T)
         checks.append(
             {"name": "three_way_bijection", "pass": report["pass"],
              "cases": len(report["cases"])}
@@ -257,8 +257,11 @@ def cmd_enumerate(args):
 
 
 def _parse_torsion(table, text):
-    dimvecs = json.loads(text)
-    ids = frozenset(table.by_dimvec(tuple(d)).id for d in dimvecs)
+    try:
+        dimvecs = json.loads(text)
+        ids = frozenset(table.by_dimvec(tuple(d)).id for d in dimvecs)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise AislesError(f"bad torsion class {text!r}: {exc.args[0]}") from None
     tp_free = torsion_mod.right_orth(torsion_mod.Subcategory(ids), table)
     tp = torsion_mod.TorsionPair(
         torsion_mod.Subcategory(ids),
@@ -325,7 +328,7 @@ def cmd_verify(args):
     window = parse_window(args.window)
     if args.builtin == "kronecker":
         model = load_model(args)
-        checks = run_kronecker_verify(model, args.suite, window)
+        checks = run_kronecker_verify(model, args.suite)
     else:
         table = load_table(args)
         if args.table_patch:
@@ -337,27 +340,25 @@ def cmd_verify(args):
 
 
 def cmd_transport(args):
-    window = parse_window(args.window)
     model = load_model(args)
     summands = _parse_tilting(args.tilting)
     T = transport_mod.TiltingSet(frozenset(summands))
-    report = transport_mod.verify_theorem53(model, T, window)
+    report = transport_mod.verify_theorem53(model, T)
     emit(report)
     return EXIT_OK if report["pass"] else EXIT_FAIL
 
 
 def _parse_tilting(text):
+    kinds = {"post": kr.post, "pre": kr.pre}
     out = []
     for token in text.split(","):
         token = token.strip()
         kind, _, rest = token.partition("(")
         value = rest.rstrip(")")
-        if kind.lower() == "post":
-            out.append(kr.post(int(value)))
-        elif kind.lower() == "pre":
-            out.append(kr.pre(int(value)))
-        else:
-            raise AislesError(f"cannot parse tilting summand {token!r}")
+        try:
+            out.append(kinds[kind.lower()](int(value)))
+        except (KeyError, ValueError):
+            raise AislesError(f"cannot parse tilting summand {token!r}") from None
     return out
 
 

@@ -5,8 +5,9 @@ degree.  Hom spaces live only in degree gaps 0 (module Hom) and 1 (module
 Ext), the AR translate becomes a total bijection, and the derived AR
 quiver is the module AR quiver in each degree glued by cross-degree
 arrows from injectives to projectives one degree up.  The cross-degree
-arrows are validated against rad/rad^2 of explicit extension classes, so
-a wrong gluing rule aborts the build instead of propagating.
+arrows are validated against rad/rad^2 of explicit extension classes
+(``aisles.extspace``: Ext^1 as the cokernel of the Hom system), so a
+wrong gluing rule aborts the build instead of propagating.
 
 ``HomMasks`` is the core that both derived models (Dynkin tables here,
 the Kronecker model in ``aisles.kronecker``) answer Hom-vanishing,

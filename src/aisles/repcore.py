@@ -68,11 +68,16 @@ def simple_representation(quiver, v):
 # ---------------------------------------------------------------------------
 
 
-def hom_space(M, N):
-    """Dimension and basis of Hom(M, N).
+def hom_system(M, N):
+    """The matrix of the map
 
-    A morphism is a family of matrices f_v with N_a f_{s(a)} = f_{t(a)} M_a
-    for every arrow a; the basis elements are dicts vertex -> Mat.
+        delta: (+)_v Hom_k(M_v, N_v) -> (+)_{a: u->w} Hom_k(M_u, N_w),
+        delta(f)_a = N_a f_u - f_w M_a.
+
+    Hom(M, N) is its kernel and, the path algebra being hereditary,
+    Ext^1(M, N) its cokernel.  Columns are the coordinates (v, i, j) of
+    ``morphism_flatten``; rows are (a, r, c), the flatten order of an
+    arrow family {a: Mat(N_w x M_u)}.
     """
     if M.quiver != N.quiver:
         raise ShapeError("hom_space requires representations over one quiver")
@@ -82,8 +87,6 @@ def hom_space(M, N):
     for v in Q.vertices:
         offsets[v] = total
         total += N.dim(v) * M.dim(v)
-    if total == 0:
-        return 0, []
 
     def var(v, i, j):
         return offsets[v] + i * M.dim(v) + j
@@ -100,21 +103,18 @@ def hom_space(M, N):
                 for k in range(M.dim(w)):
                     row[var(w, r, k)] -= Ma[k, c]
                 rows.append(row)
-    system = Mat(rows, len(rows), total) if rows else Mat.zeros(0, total)
-    kernel = system.nullspace()
-    basis = []
-    for vec in kernel:
-        f = {}
-        for v in Q.vertices:
-            entries = [
-                [
-                    vec[offsets[v] + i * M.dim(v) + j, 0]
-                    for j in range(M.dim(v))
-                ]
-                for i in range(N.dim(v))
-            ]
-            f[v] = Mat(entries, N.dim(v), M.dim(v))
-        basis.append(f)
+    return Mat(rows, len(rows), total)
+
+
+def hom_space(M, N):
+    """Dimension and basis of Hom(M, N).
+
+    A morphism is a family of matrices f_v with N_a f_{s(a)} = f_{t(a)} M_a
+    for every arrow a; the basis elements are dicts vertex -> Mat.
+    """
+    kernel = hom_system(M, N).nullspace()
+    shapes = [(v, N.dim(v), M.dim(v)) for v in M.quiver.vertices]
+    basis = [unflatten(vec.flatten(), shapes) for vec in kernel]
     return len(basis), basis
 
 
@@ -127,6 +127,21 @@ def morphism_flatten(f, quiver):
     out = []
     for v in quiver.vertices:
         out.extend(f[v].flatten())
+    return out
+
+
+def unflatten(values, shapes):
+    """The family {key: Mat} whose flatten is ``values``; ``shapes`` lists
+    (key, nrows, ncols) in flatten order."""
+    out = {}
+    k = 0
+    for key, nrows, ncols in shapes:
+        out[key] = Mat(
+            [values[k + r * ncols : k + (r + 1) * ncols] for r in range(nrows)],
+            nrows,
+            ncols,
+        )
+        k += nrows * ncols
     return out
 
 

@@ -115,12 +115,22 @@ def induced_torsion_pair(T, context):
 # ---------------------------------------------------------------------------
 
 
-def heart_realization(T, context, window):
+def heart_realization(T, context):
     """The heart of the lifted t-structure of (T(T), F(T)).
 
-    Requires every torsion-free module to be projective (the standing
-    hypothesis of the transport maps); otherwise the tilting set is
-    rejected."""
+    ``T`` must be a tilting set of represented objects.  Requires every
+    torsion-free module to be projective (the standing hypothesis of the
+    transport maps); otherwise the tilting set is rejected."""
+    objects = set(context.objects())
+    outside = sorted(t for t in T.summands if t not in objects)
+    if outside:
+        raise PreconditionError(
+            f"tilting summand {context.name(outside[0])} is not an object "
+            "of the model"
+        )
+    ok, diagnostics = is_tilting_set(T.summands, context)
+    if not ok:
+        raise PreconditionError(f"not a tilting set: {diagnostics[0]}")
     gen, cogen, _warnings = induced_torsion_pair(T, context)
     not_proj = [y for y in cogen if not context.is_projective(y)]
     if not_proj:
@@ -296,13 +306,13 @@ def admissible_base_pairs(model):
     return pairs
 
 
-def verify_theorem53(model, T, window):
+def verify_theorem53(model, T):
     """Exhaustive check of the three-way bijection for one tilting set:
     base split pairs with the boundary conditions, their lifted split
     aisles, and their transported heart pairs, with zeta and chi inverse
     to each other throughout."""
     ctx = KroneckerContext(model)
-    hm = heart_realization(T, ctx, window)
+    hm = heart_realization(T, ctx)
     masks = hom_masks(ctx, model.window)
     report = {"model": kr.describe(model), "cases": [], "pass": True}
     base = admissible_base_pairs(model)

@@ -175,7 +175,7 @@ def test_three_way_bijection():
     def check():
         model = default_model()
         report = verify_theorem53(
-            model, TiltingSet(frozenset({post(1), post(2)})), model.window
+            model, TiltingSet(frozenset({post(1), post(2)}))
         )
         assert report["pass"]
         assert report["cardinalities"] == {
@@ -185,9 +185,7 @@ def test_three_way_bijection():
         }
         ctx = KroneckerContext(model)
         with pytest.raises(TiltingUnsupportedError) as exc:
-            heart_realization(
-                TiltingSet(frozenset({pre(1), pre(2)})), ctx, model.window
-            )
+            heart_realization(TiltingSet(frozenset({pre(1), pre(2)})), ctx)
         assert "projective" in str(exc.value)
 
     _gate("three-way-bijection", check)

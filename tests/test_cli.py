@@ -93,6 +93,17 @@ def test_lift_rejects_non_torsion_class(capsys):
     assert "not a torsion class" in err
 
 
+@pytest.mark.parametrize(
+    "text, token",
+    [("[[1,2,3]]", "(1, 2, 3)"), ("nope", "'nope'")],
+    ids=["unknown-dimvec", "not-json"],
+)
+def test_lift_malformed_torsion_is_usage_error(capsys, text, token):
+    code, out, err = run(capsys, "lift", "--builtin", "a2", "--torsion", text)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: bad torsion class") and token in err
+
+
 def test_classify_a2(capsys):
     code, out, _ = run(capsys, "classify", "--builtin", "a2")
     assert code == EXIT_OK
@@ -175,6 +186,24 @@ def test_transport_kronecker(capsys):
     payload = json.loads(out)
     assert payload["pass"] is True
     assert payload["cardinalities"]["heart_pairs"] == 8
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--tilting", "Post(x)"], "cannot parse tilting summand 'Post(x)'"),
+        (["--tilting", "Post(1),Post(3)"], "not a tilting set: ext("),
+        (
+            ["--range", "6", "--tilting", "Post(7),Post(8)"],
+            "tilting summand Post(7)@0 is not an object of the model",
+        ),
+    ],
+    ids=["unparsable", "not-rigid", "outside-model"],
+)
+def test_transport_bad_tilting_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, "transport", "--builtin", "kronecker", *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_export_ar(capsys):

@@ -59,12 +59,12 @@ def test_induced_pair_a2_apr_tilt(a2_table):
     assert warnings == []
 
 
-def test_heart_realization_a2(a2_table, window):
+def test_heart_realization_a2(a2_table):
     ctx = TableContext(a2_table)
     p1 = a2_table.by_dimvec((1, 1)).id
     s1 = a2_table.by_dimvec((1, 0)).id
     s2 = a2_table.by_dimvec((0, 1)).id
-    hm = heart_realization(TiltingSet(frozenset({p1, s1})), ctx, window)
+    hm = heart_realization(TiltingSet(frozenset({p1, s1})), ctx)
     assert hm.heart_objects() == {(p1, 0), (s1, 0), (s2, 1)}
     # morphisms inside the heart follow the degree-gap rules
     masks = hom_masks(ctx, HEART_WINDOW)
@@ -78,28 +78,28 @@ def test_heart_realization_a2(a2_table, window):
     assert not hom_nonzero((s2, 1), (p1, 0))
 
 
-def test_heart_pair_orthogonality_witness(a2_table, window):
+def test_heart_pair_orthogonality_witness(a2_table):
     ctx = TableContext(a2_table)
     p1 = a2_table.by_dimvec((1, 1)).id
     s1 = a2_table.by_dimvec((1, 0)).id
     s2 = a2_table.by_dimvec((0, 1)).id
-    hm = heart_realization(TiltingSet(frozenset({p1, s1})), ctx, window)
+    hm = heart_realization(TiltingSet(frozenset({p1, s1})), ctx)
     # Hom(P_1, S_1) != 0, so P_1 cannot be torsion with S_1 free
     with pytest.raises(PreconditionError) as exc:
         _validate_heart_pair({(p1, 0)}, {(s1, 0), (s2, 1)}, hm)
     assert "not orthogonal at [1, 1]@0 -> [1, 0]@0" in str(exc.value)
 
 
-def test_heart_pair_orthogonality_witness_kronecker(tame_model, window):
+def test_heart_pair_orthogonality_witness_kronecker(tame_model):
     ctx = KroneckerContext(tame_model)
-    hm = heart_realization(TiltingSet(frozenset({post(1), post(2)})), ctx, window)
+    hm = heart_realization(TiltingSet(frozenset({post(1), post(2)})), ctx)
     # Hom(Post(1), Reg(t0,1)) != 0 in degree 0
     with pytest.raises(PreconditionError) as exc:
         _validate_heart_pair({(post(1), 0)}, {(reg("t0", 1), 0)}, hm)
     assert "not orthogonal at Post(1)@0 -> Reg(t0,1)@0" in str(exc.value)
 
 
-def test_heart_realization_rejects_nonprojective_free(a3_table, window):
+def test_heart_realization_rejects_nonprojective_free(a3_table):
     ctx = TableContext(a3_table)
     # valid tilting set whose torsion-free class contains the middle
     # simple, which is not projective
@@ -107,7 +107,7 @@ def test_heart_realization_rejects_nonprojective_free(a3_table, window):
     ok, diag = is_tilting_set(summands, ctx)
     assert ok, diag
     with pytest.raises(TiltingUnsupportedError):
-        heart_realization(TiltingSet(summands), ctx, window)
+        heart_realization(TiltingSet(summands), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +138,9 @@ def test_kronecker_induced_pair(tame_model):
     )
 
 
-def test_kronecker_heart_components(tame_model, window):
+def test_kronecker_heart_components(tame_model):
     ctx = KroneckerContext(tame_model)
-    hm = heart_realization(TiltingSet(frozenset({post(1), post(2)})), ctx, window)
+    hm = heart_realization(TiltingSet(frozenset({post(1), post(2)})), ctx)
     assert (post(1), 0) in hm.P_A
     assert (post(0), 1) in hm.I_A
     assert (pre(0), 0) in hm.I_A
@@ -157,18 +157,18 @@ def test_admissible_base_pairs_count(tame_model):
         assert not (torsion & free)
 
 
-def test_chi_zeta_roundtrip(tame_model, window):
+def test_chi_zeta_roundtrip(tame_model):
     ctx = KroneckerContext(tame_model)
-    hm = heart_realization(TiltingSet(frozenset({post(1), post(2)})), ctx, window)
+    hm = heart_realization(TiltingSet(frozenset({post(1), post(2)})), ctx)
     for (_L, torsion, free) in admissible_base_pairs(tame_model):
         ht, hf = transport_chi(torsion, free, hm)
         bt, bf = transport_zeta(ht, hf, hm)
         assert bt == torsion and bf == free
 
 
-def test_chi_rejects_corrupted_heart_pair(tame_model, window):
+def test_chi_rejects_corrupted_heart_pair(tame_model):
     ctx = KroneckerContext(tame_model)
-    hm = heart_realization(TiltingSet(frozenset({post(1), post(2)})), ctx, window)
+    hm = heart_realization(TiltingSet(frozenset({post(1), post(2)})), ctx)
     (_L, torsion, free) = admissible_base_pairs(tame_model)[0]
     ht, hf = transport_chi(torsion, free, hm)
     # drop a degree-1 object from the torsion side: no longer covers the heart
@@ -177,9 +177,9 @@ def test_chi_rejects_corrupted_heart_pair(tame_model, window):
         transport_zeta(dropped, hf, hm)
 
 
-def test_chi_rejects_non_admissible_base_pair(tame_model, window):
+def test_chi_rejects_non_admissible_base_pair(tame_model):
     ctx = KroneckerContext(tame_model)
-    hm = heart_realization(TiltingSet(frozenset({post(1), post(2)})), ctx, window)
+    hm = heart_realization(TiltingSet(frozenset({post(1), post(2)})), ctx)
     objs = set(ctx.objects())
     # preinjective slice on the wrong side
     torsion = frozenset(x for x in objs if x.kind == "post")
@@ -188,9 +188,9 @@ def test_chi_rejects_non_admissible_base_pair(tame_model, window):
         transport_chi(torsion, free, hm)
 
 
-def test_verify_theorem53(tame_model, window):
+def test_verify_theorem53(tame_model):
     report = verify_theorem53(
-        tame_model, TiltingSet(frozenset({post(1), post(2)})), window
+        tame_model, TiltingSet(frozenset({post(1), post(2)}))
     )
     assert report["pass"]
     assert len(report["cases"]) == 8
