@@ -134,13 +134,20 @@ def suite_roundtrip(table, window):
             witness = torsion_mod.pair_to_json(tp, table)
             checks = [_failed("lift_trace_roundtrip", witness)]
             break
+    oracle = _oracle_check(pairs, table)
+    # no later suite reads the oracle's memo: free it before they run
+    torsion_mod.forget_oracle_memo(table)
+    return checks + [oracle]
+
+
+def _oracle_check(pairs, table):
     for tp in pairs:
         for y in range(len(table.entries)):
             try:
                 torsion_mod.canonical_sequence_oracle(y, tp, table)
             except (ConsistencyError, PreconditionError) as exc:
-                return checks + [_failed("canonical_sequence_oracle", str(exc))]
-    return checks + [{"name": "canonical_sequence_oracle", "pass": True}]
+                return _failed("canonical_sequence_oracle", str(exc))
+    return {"name": "canonical_sequence_oracle", "pass": True}
 
 
 def suite_semipath(table, window):

@@ -156,7 +156,15 @@ def tau_inverse_derived(X, table):
 
 
 def tau_orbits(table, window):
-    """Partition of the windowed objects into tau-orbit lines."""
+    """Partition of the windowed objects into tau-orbit lines, built once
+    per table and window."""
+    key = ("tau_orbits", window)
+    if key not in table.memo:
+        table.memo[key] = _tau_orbits(table, window)
+    return table.memo[key]
+
+
+def _tau_orbits(table, window):
     seen = set()
     orbits = []
     for x in sorted(all_objects(table, window)):
@@ -333,6 +341,7 @@ class HomMasks:
         # the objects strictly inside the window's degrees
         self.interior = ((1 << len(self.objects) - 2 * n) - 1) << n
         self.tau = [self.index.get(context.tau(x)) for x in self.objects]
+        self._ext_projectives = {}  # aisle mask -> Ext-projective mask
         hom_row = [_row(context.hom, x, modules) for x in modules]
         ext_row = [_row(context.ext, x, modules) for x in modules]
         self.out = []
@@ -395,7 +404,13 @@ class HomMasks:
         Computed by the translate criterion (the translate lands in the
         right orthogonal) and cross-checked against the defining
         Hom-vanishing into the shifted aisle; disagreement aborts.  A
-        member whose translate is not represented is skipped."""
+        member whose translate is not represented is skipped.  Each
+        distinct aisle is computed once and its result kept."""
+        if aisle not in self._ext_projectives:
+            self._ext_projectives[aisle] = self._compute_ext_projectives(aisle)
+        return self._ext_projectives[aisle]
+
+    def _compute_ext_projectives(self, aisle):
         reached = self.targets(aisle)
         shifted = self.shift(aisle, 1)
         out = 0

@@ -372,9 +372,12 @@ class IndecTable:
     ext: tuple
     ar_arrows: tuple  # (source id, target id)
     hom_bases: tuple = field(repr=False, compare=False)  # bases[i][j]: Hom(i, j)
-    # Results derived from this table alone, computed on first use (the
-    # derived model's validated cross-degree arrows).  A copy made with
-    # dataclasses.replace starts empty, so a patched table is re-validated.
+    # Results derived from this table alone, computed on first use and
+    # keyed by value: the orthogonal masks of the torsion search, the
+    # canonical-sequence oracle's traces and certificates, the validated
+    # cross-degree arrows, and per window the derived AR arrows, the
+    # tau-orbits and the Hom masks.  A copy made with dataclasses.replace
+    # starts empty, so a patched table is re-validated.
     memo: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

@@ -7,10 +7,16 @@ T, to the smallest torsion class containing T and x, the double
 orthogonal of T + x.  Every torsion class is reached, because it is the
 closure of its members added one at a time, and the search stops with
 ``UnsupportedError`` once it has seen more than ``MAX_TORSION_CLASSES``
-classes.  The canonical-sequence oracle certifies each pair
-independently by actually computing the trace subrepresentation of every
-module and checking the two Hom-vanishing conditions on explicit
-representations.
+classes.  The orthogonal operators and the fixed-point test read the
+same masks, built once per table.
+
+The canonical-sequence oracle certifies each pair independently of the
+search: it computes the trace subrepresentation of a module from the
+table's Hom bases and checks the two Hom-vanishing conditions by solving
+Hom spaces on the explicit subobject and quotient.  Many pairs share a
+trace in a given module, so each distinct trace is built once per table
+and each of its certificates is solved once, the first time a pair needs
+it; later pairs with that trace read the stored dimension.
 """
 
 from __future__ import annotations
@@ -55,38 +61,38 @@ class TorsionPair:
 
 def right_orth(S, table):
     """All j with Hom(i, j) = 0 for every i in S."""
-    n = len(table.entries)
-    members = {
-        j
-        for j in range(n)
-        if all(table.hom[i][j] == 0 for i in S.members)
-    }
-    return Subcategory(frozenset(members))
+    full, nohom_from, _nohom_into = _orth_masks(table)
+    return _orthogonal(full, nohom_from, S)
 
 
 def left_orth(S, table):
     """All i with Hom(i, j) = 0 for every j in S."""
-    n = len(table.entries)
-    members = {
-        i
-        for i in range(n)
-        if all(table.hom[i][j] == 0 for j in S.members)
-    }
-    return Subcategory(frozenset(members))
+    full, _nohom_from, nohom_into = _orth_masks(table)
+    return _orthogonal(full, nohom_into, S)
+
+
+def _orthogonal(full, nohom, S):
+    out = full
+    for i in S.members:
+        out &= nohom[i]
+    return Subcategory(frozenset(_bits(out)))
 
 
 def _orth_masks(table):
-    """nohom_from[i] = bitmask of j with hom(i, j) = 0, and the transpose."""
-    n = len(table.entries)
-    full = (1 << n) - 1
-    nohom_from = [0] * n
-    nohom_into = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if table.hom[i][j] == 0:
-                nohom_from[i] |= 1 << j
-                nohom_into[j] |= 1 << i
-    return full, nohom_from, nohom_into
+    """(full, nohom_from, nohom_into): nohom_from[i] is the bitmask of j
+    with hom(i, j) = 0, nohom_into its transpose.  Built once per table
+    and kept in its memo."""
+    if "orth_masks" not in table.memo:
+        n = len(table.entries)
+        nohom_from = [0] * n
+        nohom_into = [0] * n
+        for i in range(n):
+            for j in range(n):
+                if table.hom[i][j] == 0:
+                    nohom_from[i] |= 1 << j
+                    nohom_into[j] |= 1 << i
+        table.memo["orth_masks"] = ((1 << n) - 1, nohom_from, nohom_into)
+    return table.memo["orth_masks"]
 
 
 def enumerate_torsion_pairs(table):
@@ -181,7 +187,7 @@ def trace_subrepresentation(y, generators, table):
 
 def sub_and_quotient(Y, span, table):
     """Representations on a subspace family closed under the arrow maps,
-    and on its quotient."""
+    and on its quotient, as (sub, quot)."""
     Q = table.quiver
     sub_dims = {v: span[v].ncols for v in Q.vertices}
     proj = {}
@@ -220,7 +226,7 @@ def sub_and_quotient(Y, span, table):
     quot = Representation(
         Q, {v: proj[v].nrows for v in Q.vertices}, quot_maps
     )
-    return sub, quot, proj
+    return sub, quot
 
 
 def _right_inverse(m):
@@ -241,28 +247,65 @@ def canonical_sequence_oracle(y, tp, table):
     certified by Hom-vanishing on explicit representations.
 
     A certification failure means the input was not a torsion pair; the
-    failing Hom space is reported as a falsification witness.
+    failing Hom space is reported as a falsification witness.  The
+    torsion-pair axioms are checked on every call.  The trace, its
+    subobject and quotient, and each certifying Hom dimension are
+    computed once per table and distinct trace (``_canonical_case``);
+    the free and then the torsion modules are still checked in order, so
+    the first failing witness is the same as without the memo.
     """
     if not is_torsion_pair(tp, table):
         raise PreconditionError("input does not satisfy the torsion-pair axioms")
-    Y = table.entries[y].rep
-    span = trace_subrepresentation(y, tp.torsion.members, table)
-    sub, quot, _proj = sub_and_quotient(Y, span, table)
+    sub, quot, sub_into, into_quot = _canonical_case(y, tp.torsion, table)
     for f in tp.free:
-        dim, _ = hom_space(sub, table.entries[f].rep)
-        if dim != 0:
+        if f not in sub_into:
+            sub_into[f], _ = hom_space(sub, table.entries[f].rep)
+        if sub_into[f] != 0:
             raise ConsistencyError(
                 f"falsified: Hom(trace({table.entries[y].dimvec}), "
-                f"{table.entries[f].dimvec}) has dimension {dim}"
+                f"{table.entries[f].dimvec}) has dimension {sub_into[f]}"
             )
     for t in tp.torsion:
-        dim, _ = hom_space(table.entries[t].rep, quot)
-        if dim != 0:
+        if t not in into_quot:
+            into_quot[t], _ = hom_space(table.entries[t].rep, quot)
+        if into_quot[t] != 0:
             raise ConsistencyError(
                 f"falsified: Hom({table.entries[t].dimvec}, "
-                f"{table.entries[y].dimvec}/trace) has dimension {dim}"
+                f"{table.entries[y].dimvec}/trace) has dimension {into_quot[t]}"
             )
     return sub, quot
+
+
+def _canonical_case(y, torsion, table):
+    """(sub, quot, dim Hom(sub, f) by f, dim Hom(t, quot) by t) for the
+    trace of ``torsion`` in entry ``y``; the two dicts fill as the
+    oracle asks.
+
+    The trace is spanned by the Hom bases into y, so it depends only on
+    the members that have one.  Level one of the memo maps (y, bitmask
+    of those members) to the case of their trace.  Level two, consulted
+    when level one misses, maps (y, the trace's per-vertex rref bases),
+    which are equal exactly when the subspaces are, to the case, so
+    classes with equal traces share certificates.  The mask reads
+    ``hom_bases``, as the trace does, and not ``hom``, which a patched
+    table may contradict."""
+    traces = table.memo.setdefault("oracle_traces", {})
+    key = (y, sum(1 << i for i in torsion.members if table.hom_bases[i][y]))
+    if key not in traces:
+        span = trace_subrepresentation(y, _bits(key[1]), table)
+        trace = (y, tuple(span[v] for v in table.quiver.vertices))
+        cases = table.memo.setdefault("oracle_cases", {})
+        if trace not in cases:
+            sub, quot = sub_and_quotient(table.entries[y].rep, span, table)
+            cases[trace] = (sub, quot, {}, {})
+        traces[key] = cases[trace]
+    return traces[key]
+
+
+def forget_oracle_memo(table):
+    """Drop the oracle's memo entries from ``table``."""
+    for key in ("oracle_traces", "oracle_cases"):
+        table.memo.pop(key, None)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 from aisles import cli, derived, kronecker, torsion
 from aisles.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from aisles.errors import UnsupportedError
+from aisles.quiver import BUILTIN_QUIVERS
+from aisles.repcore import enumerate_indecomposables
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -311,3 +313,49 @@ def test_cor64_suite_computes_ext_projectives_once(a3_table, window, monkeypatch
         {"name": "tilting_complex_checks", "pass": True}
     ]
     assert calls == len(structures)
+
+
+@pytest.mark.parametrize(
+    "patch", [None, [[4, 0, 1]], [[0, 0, 0]]], ids=["fixture", "torsion", "free"]
+)
+def test_oracle_warm_memo_keeps_the_first_witness(a3_table, tmp_path, patch):
+    """The oracle over every pair and module, twice on one patched table:
+    the second sweep reads the memo the first one filled and must stop
+    at the same first witness.  The fixture patch leaves the oracle
+    passing; the other two make it fail on the torsion or the free side."""
+    path = FIXTURES / "falsified_hom.json"
+    if patch is not None:
+        path = tmp_path / "patch.json"
+        path.write_text(json.dumps({"hom": patch}))
+    table = cli.apply_table_patch(a3_table, str(path))
+    pairs = torsion.enumerate_torsion_pairs(table)
+    first = cli._oracle_check(pairs, table)
+    assert "oracle_cases" in table.memo
+    assert cli._oracle_check(pairs, table) == first
+    assert first["pass"] is (patch is None)
+    if patch is not None:
+        side = "/trace)" if patch == [[4, 0, 1]] else "Hom(trace("
+        assert side in first["witness"]
+
+
+def test_roundtrip_suite_solves_each_certificate_once(window, monkeypatch):
+    """Each distinct oracle certificate is one Hom solve: the builtin D5
+    has 182 pairs x 20 modules, and solving every certificate of every
+    call would be tens of thousands of solves."""
+    table = enumerate_indecomposables(BUILTIN_QUIVERS["d5"]())
+    calls = 0
+    solve = torsion.hom_space
+
+    def counting(M, N):
+        nonlocal calls
+        calls += 1
+        return solve(M, N)
+
+    monkeypatch.setattr(torsion, "hom_space", counting)
+    assert cli.suite_roundtrip(table, window) == [
+        {"name": "lift_trace_roundtrip", "pass": True},
+        {"name": "canonical_sequence_oracle", "pass": True},
+    ]
+    assert 0 < calls <= 4000
+    # the suite leaves no oracle memo behind for the later suites
+    assert not {"oracle_traces", "oracle_cases"} & set(table.memo)

@@ -5,9 +5,9 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aisles.errors import PreconditionError
+from aisles.errors import ConsistencyError, PreconditionError
 from aisles.quiver import BUILTIN_QUIVERS, linear_quiver, quiver_from_edges
-from aisles.repcore import enumerate_indecomposables
+from aisles.repcore import enumerate_indecomposables, hom_space
 from aisles.torsion import (
     Subcategory,
     TorsionPair,
@@ -19,6 +19,8 @@ from aisles.torsion import (
     is_torsion_pair,
     left_orth,
     right_orth,
+    sub_and_quotient,
+    trace_subrepresentation,
 )
 
 
@@ -87,7 +89,7 @@ test_closure_idempotence.table = enumerate_indecomposables(linear_quiver(3))
 
 
 def test_every_pair_passes_oracle(a2_table, a3_table, d4_table):
-    for table in (a2_table, a3_table, d4_table):
+    for table in (a2_table, a3_table, d4_table, _builtin_table("d5")):
         for tp in enumerate_torsion_pairs(table):
             for y in range(len(table.entries)):
                 sub, quot = canonical_sequence_oracle(y, tp, table)
@@ -131,6 +133,74 @@ def test_oracle_rejects_non_pair(a2_table):
     )
     with pytest.raises(PreconditionError):
         canonical_sequence_oracle(0, bogus, t)
+
+
+def _unmemoised_oracle(y, tp, table):
+    """The canonical-sequence oracle without its memo: the trace, its
+    subobject and quotient and every certificate computed afresh on each
+    call."""
+    if not is_torsion_pair(tp, table):
+        raise PreconditionError("input does not satisfy the torsion-pair axioms")
+    span = trace_subrepresentation(y, tp.torsion.members, table)
+    sub, quot = sub_and_quotient(table.entries[y].rep, span, table)
+    for f in tp.free:
+        dim, _ = hom_space(sub, table.entries[f].rep)
+        if dim != 0:
+            raise ConsistencyError(
+                f"falsified: Hom(trace({table.entries[y].dimvec}), "
+                f"{table.entries[f].dimvec}) has dimension {dim}"
+            )
+    for t in tp.torsion:
+        dim, _ = hom_space(table.entries[t].rep, quot)
+        if dim != 0:
+            raise ConsistencyError(
+                f"falsified: Hom({table.entries[t].dimvec}, "
+                f"{table.entries[y].dimvec}/trace) has dimension {dim}"
+            )
+    return sub, quot
+
+
+def _oracle_outcomes(oracle, table):
+    """For every pair and module in turn, the subobject and quotient
+    dimension vectors, or the type and message of what was raised."""
+    out = []
+    for tp in enumerate_torsion_pairs(table):
+        for y in range(len(table.entries)):
+            try:
+                sub, quot = oracle(y, tp, table)
+            except (ConsistencyError, PreconditionError) as exc:
+                out.append((type(exc).__name__, str(exc)))
+            else:
+                out.append((sub.dimension_vector(), quot.dimension_vector()))
+    return out
+
+
+@pytest.mark.parametrize("name", ["a3", "d4", "d5"])
+def test_memoised_oracle_matches_unmemoised(name):
+    # a copy starts with an empty memo, so the first sweep fills it
+    table = dataclasses.replace(_builtin_table(name))
+    expected = _oracle_outcomes(_unmemoised_oracle, table)
+    assert _oracle_outcomes(canonical_sequence_oracle, table) == expected
+    assert _oracle_outcomes(canonical_sequence_oracle, table) == expected
+
+
+def test_oracle_memo_follows_hom_bases_on_patched_hom(a3_table):
+    """A patch rewrites ``hom`` and keeps ``hom_bases``; the oracle reads
+    the bases, so its memo must be keyed by them.  Every single-cell
+    flip of the a3 table, between zero and nonzero, in turn."""
+    n = len(a3_table.entries)
+    falsified = 0
+    for i in range(n):
+        for j in range(n):
+            hom = [list(row) for row in a3_table.hom]
+            hom[i][j] = 0 if hom[i][j] else 1
+            patched = dataclasses.replace(
+                a3_table, hom=tuple(tuple(r) for r in hom)
+            )
+            expected = _oracle_outcomes(_unmemoised_oracle, patched)
+            assert _oracle_outcomes(canonical_sequence_oracle, patched) == expected
+            falsified += any(o[0] == "ConsistencyError" for o in expected)
+    assert falsified > 0
 
 
 def test_duality_with_opposite_quiver(a3_table):
