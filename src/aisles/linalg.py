@@ -5,23 +5,82 @@ reduces to kernels, ranks and linear solves of small dense systems, so a
 shape-aware matrix of `fractions.Fraction` entries is all that is needed.
 Shapes are carried explicitly because zero-dimensional spaces are the rule,
 not the exception (every simple representation has them).
+
+`Fraction`s appear only at the boundary: a `Mat` takes and returns them,
+but elimination runs on Python ints.  `Mat.rref` scales each row by the
+lcm of its denominators, combines rows fraction-free (cross-multiplying
+by the pivots over their gcd, then dividing the new row by the gcd of its
+entries) and forms `Fraction`s once, when each pivot row is divided by
+its pivot.  The reduced row echelon form is unique, so this returns
+exactly what `Fraction` Gauss-Jordan returns, and so do `rank`,
+`nullspace`, `left_nullspace` and `solve`, which read it.
+`echelon_add` is the same elimination step for callers that already hold
+integer vectors and want a rank that grows one vector at a time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def scaled_to_ints(values):
+    """A list of `Fraction`s times the lcm of their denominators, as ints."""
+    den = lcm(*[x.denominator for x in values])
+    if den == 1:
+        return [x.numerator for x in values]
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
+def _cancel(row, prow, c):
+    """The integer combination of ``row`` and ``prow`` that is zero in
+    column c, divided by the gcd of its entries; ``prow[c]`` is nonzero."""
+    p, f = prow[c], row[c]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    out = [a * x - b * y for x, y in zip(row, prow)]
+    g = gcd(*out)
+    if g > 1:
+        out = [x // g for x in out]
+    return out
+
+
+def echelon_add(echelon, vec):
+    """Add the integer vector ``vec`` to the span kept in ``echelon``.
+
+    ``echelon`` is a list of (pivot column, int row) pairs, each row zero
+    in the pivot columns of the rows before it; its length is the rank of
+    the vectors added so far.  Returns True when ``vec`` raised the rank.
+    """
+    for c, row in echelon:
+        if vec[c]:
+            vec = _cancel(vec, row, c)
+    c = next((k for k, x in enumerate(vec) if x), None)
+    if c is None:
+        return False
+    echelon.append((c, vec))
+    return True
 
 
 class Mat:
     """A dense nrows x ncols matrix over the rationals.
 
-    Immutable by convention: no method mutates ``self``.
+    Entries are `Fraction`s: the constructor converts any other number,
+    and every method returns `Fraction` entries.  Elimination inside
+    `rref` runs on ints (see the module docstring).  Immutable by
+    convention: no method mutates ``self``.
     """
 
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, rows, nrows=None, ncols=None):
-        rows = [[Fraction(x) for x in row] for row in rows]
+        rows = [
+            [x if type(x) is Fraction else Fraction(x) for x in row]
+            for row in rows
+        ]
         if nrows is None:
             nrows = len(rows)
         if ncols is None:
@@ -34,7 +93,7 @@ class Mat:
 
     @staticmethod
     def zeros(nrows, ncols):
-        return Mat([[Fraction(0)] * ncols for _ in range(nrows)], nrows, ncols)
+        return Mat([[_ZERO] * ncols for _ in range(nrows)], nrows, ncols)
 
     @staticmethod
     def identity(n):
@@ -142,25 +201,27 @@ class Mat:
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
-        rows = [list(r) for r in self.rows]
+        rows = [scaled_to_ints(r) for r in self.rows]
         pivots = []
-        r = 0
         for c in range(self.ncols):
+            r = len(pivots)
             if r == self.nrows:
                 break
-            pivot = next((i for i in range(r, self.nrows) if rows[i][c] != 0), None)
+            pivot = next((i for i in range(r, self.nrows) if rows[i][c]), None)
             if pivot is None:
                 continue
             rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = 1 / rows[r][c]
-            rows[r] = [x * inv for x in rows[r]]
+            prow = rows[r]
             for i in range(self.nrows):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                if i != r and rows[i][c]:
+                    rows[i] = _cancel(rows[i], prow, c)
             pivots.append(c)
-            r += 1
-        return Mat(rows, self.nrows, self.ncols), pivots
+        red = [
+            [Fraction(x, row[c]) if x else _ZERO for x in row]
+            for row, c in zip(rows, pivots)
+        ]
+        red += [[_ZERO] * self.ncols for _ in range(self.nrows - len(pivots))]
+        return Mat(red, self.nrows, self.ncols), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -171,8 +232,8 @@ class Mat:
         free = [c for c in range(self.ncols) if c not in pivots]
         basis = []
         for fc in free:
-            v = [Fraction(0)] * self.ncols
-            v[fc] = Fraction(1)
+            v = [_ZERO] * self.ncols
+            v[fc] = _ONE
             for r, pc in enumerate(pivots):
                 v[pc] = -red.rows[r][fc]
             basis.append(Mat.column(v))
@@ -190,7 +251,7 @@ class Mat:
         red, pivots = aug.rref()
         if self.ncols in pivots:
             return None
-        x = [Fraction(0)] * self.ncols
+        x = [_ZERO] * self.ncols
         for r, pc in enumerate(pivots):
             x[pc] = red.rows[r][self.ncols]
         return Mat.column(x)
@@ -203,8 +264,3 @@ def span_rank(vectors):
         return 0
     return Mat(vectors).rank()
 
-
-def in_span(vector, vectors):
-    """True when ``vector`` lies in the span of ``vectors``."""
-    base = span_rank(vectors)
-    return span_rank(list(vectors) + [list(vector)]) == base

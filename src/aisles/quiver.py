@@ -273,6 +273,20 @@ def e6_quiver():
     return quiver_from_edges("E6", [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)])
 
 
+def e7_quiver():
+    """E_7 with orientation 1 -> 2 -> ... -> 6 and 3 -> 7."""
+    return quiver_from_edges(
+        "E7", [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)]
+    )
+
+
+def e8_quiver():
+    """E_8 with orientation 1 -> 2 -> ... -> 7 and 3 -> 8."""
+    return quiver_from_edges(
+        "E8", [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)]
+    )
+
+
 def quiver_from_edges(name, edges):
     """The quiver with one arrow s -> t per (s, t) in ``edges``."""
     vs = tuple(sorted({str(v) for edge in edges for v in edge}))
@@ -289,4 +303,6 @@ BUILTIN_QUIVERS = {
     "d4": d4_quiver,
     "d5": d5_quiver,
     "e6": e6_quiver,
+    "e7": e7_quiver,
+    "e8": e8_quiver,
 }

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import ConsistencyError, ShapeError, UnsupportedError
-from .linalg import Mat, span_rank
+from .linalg import Mat, echelon_add, scaled_to_ints
 from .quiver import Quiver
 
 
@@ -75,9 +76,10 @@ def hom_system(M, N):
         delta(f)_a = N_a f_u - f_w M_a.
 
     Hom(M, N) is its kernel and, the path algebra being hereditary,
-    Ext^1(M, N) its cokernel.  Columns are the coordinates (v, i, j) of
-    ``morphism_flatten``; rows are (a, r, c), the flatten order of an
-    arrow family {a: Mat(N_w x M_u)}.
+    Ext^1(M, N) its cokernel.  Columns are the coordinates (v, i, j),
+    vertex by vertex and row-major within f_v, the order ``unflatten``
+    reads; rows are (a, r, c), the same order for an arrow family
+    {a: Mat(N_w x M_u)}.
     """
     if M.quiver != N.quiver:
         raise ShapeError("hom_space requires representations over one quiver")
@@ -88,20 +90,22 @@ def hom_system(M, N):
         offsets[v] = total
         total += N.dim(v) * M.dim(v)
 
-    def var(v, i, j):
-        return offsets[v] + i * M.dim(v) + j
-
+    zero = Fraction(0)
     rows = []
     for a in Q.arrows:
         u, w = a.source, a.target
-        Na, Ma = N.maps[a.name], M.maps[a.name]
+        Na, Ma = N.maps[a.name].rows, M.maps[a.name].rows
+        mu, mw = M.dim(u), M.dim(w)
         for r in range(N.dim(w)):
-            for c in range(M.dim(u)):
-                row = [Fraction(0)] * total
-                for k in range(N.dim(u)):
-                    row[var(u, k, c)] += Na[r, k]
-                for k in range(M.dim(w)):
-                    row[var(w, r, k)] -= Ma[k, c]
+            for c in range(mu):
+                row = [zero] * total
+                for k, x in enumerate(Na[r]):  # the (u, k, c) coordinates
+                    if x:
+                        row[offsets[u] + k * mu + c] += x
+                for k in range(mw):  # the (w, r, k) coordinates
+                    x = Ma[k][c]
+                    if x:
+                        row[offsets[w] + r * mw + k] -= x
                 rows.append(row)
     return Mat(rows, len(rows), total)
 
@@ -118,16 +122,11 @@ def hom_space(M, N):
     return len(basis), basis
 
 
+# Not used in this package since `irreducible_dim` composes on ints: the
+# tests compose with it, and `perfbench` counts its calls.
 def compose_morphisms(g, f, quiver):
     """Vertex-wise composite g o f of two morphism families."""
     return {v: g[v] * f[v] for v in quiver.vertices}
-
-
-def morphism_flatten(f, quiver):
-    out = []
-    for v in quiver.vertices:
-        out.extend(f[v].flatten())
-    return out
 
 
 def unflatten(values, shapes):
@@ -269,14 +268,14 @@ def _simple_reflection(quiver, v, d):
     """s_v on dimension vectors: negate at v, add neighbouring coordinates."""
     idx = {w: i for i, w in enumerate(quiver.vertices)}
     i = idx[v]
-    neigh = Fraction(0)
+    neigh = 0
     for a in quiver.arrows:
         if a.source == v:
             neigh += d[idx[a.target]]
         elif a.target == v:
             neigh += d[idx[a.source]]
     out = list(d)
-    out[i] = int(neigh) - d[i]
+    out[i] = neigh - d[i]
     return tuple(out)
 
 
@@ -376,7 +375,8 @@ class IndecTable:
     # keyed by value: the orthogonal masks of the torsion search, the
     # canonical-sequence oracle's traces and certificates, the validated
     # cross-degree arrows, and per window the derived AR arrows, the
-    # tau-orbits and the Hom masks.  A copy made with dataclasses.replace
+    # tau-orbits and the Hom masks; while the knitting is validated, also
+    # the integer-scaled Hom bases of `irreducible_dim`.  A copy made with dataclasses.replace
     # starts empty, so a patched table is re-validated.
     memo: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -566,25 +566,84 @@ def irreducible_dim(i, j, table):
     """dim rad(i,j)/rad^2(i,j) from explicit Hom bases.
 
     For non-isomorphic indecomposables rad = Hom and rad^2 is spanned by
-    composites through any third indecomposable (radical endomorphisms
-    vanish: End is trivial over a Dynkin quiver).
+    composites g f of basis morphisms f: i -> m, g: m -> j through any
+    third indecomposable m (radical endomorphisms vanish: End is trivial
+    over a Dynkin quiver).  The composites come from the Hom bases alone
+    and never from the knitted AR arrows, so this stays an independent
+    check of the knitting.
+
+    Each basis morphism is scaled to integer entries first; a nonzero
+    scale does not change the span of the composites, so their rank is
+    counted on ints (`linalg.echelon_add`).  The composites lie in
+    Hom(i, j), so once they span a space of its dimension the rank cannot
+    grow and the scan stops there.
     """
     if i == j:
         return 0
-    Q = table.quiver
     target = table.hom_bases[i][j]
     if not target:
         return 0
-    composites = []
+    echelon = []
+    for gf in _int_composites(i, j, table):
+        if echelon_add(echelon, gf) and len(echelon) == len(target):
+            break
+    return table.hom[i][j] - len(echelon)
+
+
+def _int_composites(i, j, table):
+    """The composites g f through each m other than i and j, flattened
+    like the morphisms of `_int_basis`."""
+    dims = [e.dimvec for e in table.entries]
     for m in range(len(table.entries)):
         if m in (i, j):
             continue
-        for f in table.hom_bases[i][m]:
-            for g in table.hom_bases[m][j]:
-                composites.append(
-                    morphism_flatten(compose_morphisms(g, f, Q), Q)
-                )
-    return table.hom[i][j] - span_rank(composites)
+        F = _int_basis(table, i, m)
+        G = _int_basis(table, m, j) if F else ()
+        if not G:
+            continue
+        g_rows = [_blocks(g, dims[j], dims[m]) for g in G]
+        for f in F:
+            f_cols = _blocks(f, dims[m], dims[i], columns=True)
+            for rows in g_rows:
+                yield [
+                    sum(map(mul, row, col))
+                    for v_rows, v_cols in zip(rows, f_cols)
+                    for row in v_rows
+                    for col in v_cols
+                ]
+
+
+def _int_basis(table, i, j):
+    """The Hom(i, j) basis, each morphism scaled to integer entries and
+    flattened vertex by vertex, row-major; kept in ``table.memo`` until
+    `_validate_ar_arrows` finishes."""
+    if not table.hom_bases[i][j]:
+        return ()
+    cache = table.memo.setdefault("int_hom_bases", {})
+    if (i, j) not in cache:
+        cache[i, j] = tuple(
+            _int_flat(f, table.quiver) for f in table.hom_bases[i][j]
+        )
+    return cache[i, j]
+
+
+def _int_flat(f, quiver):
+    flat = [x for v in quiver.vertices for row in f[v].rows for x in row]
+    return tuple(scaled_to_ints(flat))
+
+
+def _blocks(flat, nrows, ncols, columns=False):
+    """Per vertex, the rows (or the columns) of the matrices of a flattened
+    morphism whose matrix at vertex k is nrows[k] x ncols[k]."""
+    out = []
+    k = 0
+    for r, c in zip(nrows, ncols):
+        if columns:
+            out.append([flat[k + y : k + r * c : c] for y in range(c)])
+        else:
+            out.append([flat[k + x * c : k + x * c + c] for x in range(r)])
+        k += r * c
+    return out
 
 
 def _validate_ar_arrows(table):
@@ -601,3 +660,4 @@ def _validate_ar_arrows(table):
                 raise ConsistencyError(
                     f"knitting disagrees with rad/rad^2 at ({i}, {j})"
                 )
+    table.memo.pop("int_hom_bases", None)

@@ -26,6 +26,18 @@ def test_enumerate_a2(capsys):
     assert len(payload["pairs"]) == 5
 
 
+def test_enumerate_e7(capsys):
+    code, out, _ = run(capsys, "enumerate", "--builtin", "e7")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["quiver"] == "E7"
+    assert payload["count"] == 4160
+    modules = {
+        tuple(d) for tp in payload["pairs"] for d in tp["torsion"] + tp["free"]
+    }
+    assert len(modules) == 63
+
+
 def test_enumerate_split_only(capsys):
     code, out, _ = run(capsys, "enumerate", "--builtin", "a2", "--split-only")
     assert code == EXIT_OK

@@ -7,7 +7,14 @@ from hypothesis import given, settings, strategies as st
 settings.register_profile("no-deadline", deadline=None)
 settings.load_profile("no-deadline")
 
-from aisles.linalg import Mat, in_span, span_rank
+from aisles.linalg import Mat, span_rank
+
+
+def in_span(vector, vectors):
+    """True when ``vector`` lies in the span of ``vectors``."""
+    base = span_rank(vectors)
+    return span_rank(list(vectors) + [list(vector)]) == base
+
 
 small_entries = st.integers(min_value=-5, max_value=5)
 
@@ -84,3 +91,123 @@ def test_span_helpers():
     assert in_span([2, 2], [[1, 1]])
     assert not in_span([1, 0], [[1, 1]])
     assert span_rank([]) == 0
+
+
+# -- differential tests against Fraction Gauss-Jordan ---------------------------
+#
+# `Mat.rref` eliminates on ints.  The reference below is the plain
+# `Fraction` Gauss-Jordan it replaced; the reduced row echelon form is
+# unique, so every result must agree entry for entry.
+
+
+def reference_rref(m):
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    r = 0
+    for c in range(m.ncols):
+        if r == m.nrows:
+            break
+        pivot = next((i for i in range(r, m.nrows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m.nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def reference_nullspace(m):
+    rows, pivots = reference_rref(m)
+    basis = []
+    for fc in (c for c in range(m.ncols) if c not in pivots):
+        v = [Fraction(0)] * m.ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(v)
+    return basis
+
+
+def reference_solve(m, b):
+    aug = Mat.hstack([m, Mat.column(b)])
+    rows, pivots = reference_rref(aug)
+    if m.ncols in pivots:
+        return None
+    x = [Fraction(0)] * m.ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = rows[r][m.ncols]
+    return x
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def rational_matrices(draw, max_dim=5):
+    nrows = draw(st.integers(0, max_dim))
+    ncols = draw(st.integers(0, max_dim))
+    all_zero = draw(st.integers(0, 3)) == 0  # about one matrix in four
+    entries = st.just(Fraction(0)) if all_zero else rationals
+    rows = draw(
+        st.lists(
+            st.lists(entries, min_size=ncols, max_size=ncols),
+            min_size=nrows,
+            max_size=nrows,
+        )
+    )
+    return Mat(rows, nrows, ncols)
+
+
+def all_fractions(m):
+    return all(type(x) is Fraction for row in m.rows for x in row)
+
+
+@settings(max_examples=300)
+@given(rational_matrices())
+def test_rref_matches_fraction_gauss_jordan(m):
+    red, pivots = m.rref()
+    want_rows, want_pivots = reference_rref(m)
+    assert pivots == want_pivots
+    assert (red.nrows, red.ncols) == (m.nrows, m.ncols)
+    assert red.rows == want_rows
+    assert all_fractions(red)
+    assert m.rank() == len(want_pivots)
+
+
+@settings(max_examples=300)
+@given(rational_matrices())
+def test_kernels_match_fraction_gauss_jordan(m):
+    kernel = m.nullspace()
+    assert [v.flatten() for v in kernel] == reference_nullspace(m)
+    assert all(all_fractions(v) for v in kernel)
+    left = m.left_nullspace()
+    assert [r.flatten() for r in left] == reference_nullspace(m.transpose())
+    assert all((r.nrows, r.ncols) == (1, m.nrows) for r in left)
+
+
+@settings(max_examples=300)
+@given(rational_matrices(), st.data())
+def test_solve_matches_fraction_gauss_jordan(m, data):
+    b = data.draw(st.lists(rationals, min_size=m.nrows, max_size=m.nrows))
+    got = m.solve(Mat.column(b))
+    want = reference_solve(m, b)
+    if want is None:
+        assert got is None
+    else:
+        assert got.flatten() == want
+        assert all_fractions(got)
+
+
+def test_rref_degenerate_shapes():
+    for m in (Mat([], 0, 4), Mat([[], [], []], 3, 0), Mat.zeros(3, 4)):
+        red, pivots = m.rref()
+        assert pivots == []
+        assert red == Mat.zeros(m.nrows, m.ncols)
+        assert len(m.nullspace()) == m.ncols
+        assert len(m.left_nullspace()) == m.nrows

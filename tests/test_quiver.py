@@ -2,8 +2,10 @@ import pathlib
 
 import pytest
 
+from aisles.derived import DEFAULT_WINDOW, check_window_objects
 from aisles.errors import QuiverLoadError, UnsupportedError
 from aisles.quiver import (
+    BUILTIN_QUIVERS,
     Arrow,
     Quiver,
     d4_quiver,
@@ -11,6 +13,7 @@ from aisles.quiver import (
     load_quiver,
     load_quiver_file,
 )
+from aisles.repcore import positive_roots
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -58,6 +61,16 @@ def test_dynkin_classification():
     assert linear_quiver(2).positive_root_count() == 3
     assert linear_quiver(3).positive_root_count() == 6
     assert d4_quiver().positive_root_count() == 12
+
+
+def test_e_builtins():
+    assert BUILTIN_QUIVERS["e7"]().dynkin_type() == ("E", 7)
+    e8 = BUILTIN_QUIVERS["e8"]()
+    assert e8.dynkin_type() == ("E", 8)
+    assert len(positive_roots(e8)) == e8.positive_root_count() == 120
+    # the default window -2..3 holds 6 * 120 = 720 objects, under the budget
+    assert len(DEFAULT_WINDOW.degrees()) * 120 == 720
+    check_window_objects(DEFAULT_WINDOW, 120)
 
 
 def test_multi_edge_not_dynkin():

@@ -1,13 +1,17 @@
+import dataclasses
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from aisles.errors import ConsistencyError, UnsupportedError
-from aisles.linalg import Mat
-from aisles.quiver import Arrow, Quiver, d4_quiver, linear_quiver
+from aisles.linalg import Mat, span_rank
+from aisles.quiver import BUILTIN_QUIVERS, Arrow, Quiver, d4_quiver, linear_quiver
 from aisles.repcore import (
     Representation,
+    _validate_ar_arrows,
+    compose_morphisms,
     coxeter_matrix,
     coxeter_transform,
     enumerate_indecomposables,
@@ -116,11 +120,68 @@ def test_reflect_rejects_interior_vertex():
         reflect(m, "2")
 
 
-def test_irreducible_matches_ar_arrows(a3_table):
-    t = a3_table
+@functools.cache
+def builtin_table(name):
+    return enumerate_indecomposables(BUILTIN_QUIVERS[name]())
+
+
+@pytest.mark.parametrize("name", ["a3", "d4", "d5"])
+def test_irreducible_matches_ar_arrows(name):
+    t = builtin_table(name)
     for i in range(len(t.entries)):
         for j in range(len(t.entries)):
             assert (irreducible_dim(i, j, t) == 1) == ((i, j) in t.ar_arrows)
+
+
+def reference_irreducible_dim(i, j, table):
+    """rad/rad^2 with `Fraction` composites through every third module,
+    without scaling or early stop."""
+    if i == j or not table.hom_bases[i][j]:
+        return 0
+    Q = table.quiver
+    composites = []
+    for m in range(len(table.entries)):
+        if m in (i, j):
+            continue
+        for f in table.hom_bases[i][m]:
+            for g in table.hom_bases[m][j]:
+                gf = compose_morphisms(g, f, Q)
+                composites.append([x for v in Q.vertices for x in gf[v].flatten()])
+    return table.hom[i][j] - span_rank(composites)
+
+
+@pytest.mark.parametrize("name", ["a3", "d4", "d5", "e6"])
+def test_irreducible_dim_matches_fraction_composites(name):
+    t = builtin_table(name)
+    n = len(t.entries)
+    got = [[irreducible_dim(i, j, t) for j in range(n)] for i in range(n)]
+    want = [[reference_irreducible_dim(i, j, t) for j in range(n)] for i in range(n)]
+    assert got == want
+
+
+@pytest.mark.parametrize("name", ["d4", "d5"])
+def test_validation_catches_wrong_knitting(name):
+    """The early stop in `irreducible_dim` must not hide a knitting error:
+    dropping any AR arrow, or adding any non-arrow pair with nonzero Hom,
+    fails the rad/rad^2 check."""
+    t = builtin_table(name)
+    arrows = set(t.ar_arrows)
+    n = len(t.entries)
+    extra = [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j and t.hom[i][j] and (i, j) not in arrows
+    ]
+    assert extra
+    wrong = [arrows - {a} for a in sorted(arrows)]
+    wrong += [arrows | {p} for p in extra]
+    for knitted in wrong:
+        patched = dataclasses.replace(t, ar_arrows=tuple(sorted(knitted)))
+        with pytest.raises(
+            ConsistencyError, match=r"knitting disagrees with rad/rad\^2"
+        ):
+            _validate_ar_arrows(patched)
 
 
 def test_non_dynkin_rejected():
