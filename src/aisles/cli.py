@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from itertools import islice
 
 from . import kronecker as kr
 from . import torsion as torsion_mod
@@ -23,9 +24,11 @@ from . import tstruct
 from .derived import (
     DerivedObject,
     DerivedSubcategory,
+    TableContext,
     Window,
     check_window_objects,
     export_dot,
+    hom_masks,
 )
 from .errors import AislesError, ConsistencyError, PreconditionError
 from .quiver import BUILTIN_QUIVERS, load_quiver_file
@@ -72,7 +75,13 @@ def load_model(args):
 
 
 def emit(payload):
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as JSON in batches of 4096 encoder pieces (about
+    20 kB): no whole-document string is built (E8's torsion list is 260
+    MB), and one write per piece would be slower than building it."""
+    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    while batch := "".join(islice(pieces, 4096)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def apply_table_patch(table, path):
@@ -128,9 +137,7 @@ def suite_roundtrip(table, window):
     for tp in pairs:
         ts = tstruct.lift(tp, table, window)
         back = tstruct.trace(ts, table)
-        if back != tp or (
-            tstruct.lift(back, table, window).aisle.members != ts.aisle.members
-        ):
+        if back != tp or tstruct.lift(back, table, window).aisle != ts.aisle:
             witness = torsion_mod.pair_to_json(tp, table)
             checks = [_failed("lift_trace_roundtrip", witness)]
             break
@@ -284,13 +291,14 @@ def _parse_torsion(table, text):
 
 def ts_to_json(ts, table):
     by_degree = {}
-    for x in sorted(ts.aisle.members):
+    for x in hom_masks(TableContext(table), ts.window).members(ts.aisle):
         by_degree.setdefault(str(x.degree), []).append(
             str(list(table.entries[x.indec].dimvec))
         )
     return {
         "aisle": by_degree,
-        "upper_tail": ts.aisle.upper_tail,
+        # every aisle contains all objects above the window
+        "upper_tail": True,
         "heart": [x.label(table) for x in sorted(ts.heart)],
         "split": ts.split,
     }

@@ -76,13 +76,14 @@ DEFAULT_WINDOW = Window(-2, 3)
 
 @dataclass(frozen=True)
 class DerivedSubcategory:
-    """A set of windowed derived objects, possibly saturated beyond the
-    window by the two tail flags."""
+    """A user-built set of windowed derived objects (an aisle candidate,
+    a coloring, a successor cone), saturated above the window when
+    ``upper_tail`` is set.  t-structures do not use it: they hold window
+    masks (``aisles.tstruct.TStructure``)."""
 
     window: Window
     members: frozenset
     upper_tail: bool = False
-    lower_tail: bool = False
 
     def __post_init__(self):
         for x in self.members:
@@ -92,12 +93,7 @@ class DerivedSubcategory:
     def __contains__(self, obj):
         if obj.degree > self.window.hi:
             return self.upper_tail
-        if obj.degree < self.window.lo:
-            return self.lower_tail
         return obj in self.members
-
-    def at_degree(self, d):
-        return {x for x in self.members if x.degree == d}
 
 
 def check_window_objects(window, per_degree):
@@ -359,14 +355,22 @@ class HomMasks:
     def members(self, mask):
         return [self.objects[k] for k in _bits(mask)]
 
+    def layer(self, modules, degree):
+        """The module objects numbered in ``modules`` in one degree; 0
+        when the degree lies outside the window."""
+        out = 0
+        if self.window.lo <= degree <= self.window.hi:
+            base = (degree - self.window.lo) * self.n
+            for i in modules:
+                out |= 1 << (base + i)
+        return out
+
     def above(self, modules, degree):
         """The module objects numbered in ``modules``, in every window
         degree from ``degree`` up."""
         out = 0
-        for base in range(max(degree - self.window.lo, 0) * self.n,
-                          len(self.objects), self.n):
-            for i in modules:
-                out |= 1 << (base + i)
+        for d in range(max(degree, self.window.lo), self.window.hi + 1):
+            out |= self.layer(modules, d)
         return out
 
     def shift(self, mask, s):

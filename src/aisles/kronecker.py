@@ -354,7 +354,7 @@ def trace_at_zero(aisle, model):
     """Degree-0 slice of the aisle mask and its complement: a torsion
     pair on the truncated module category."""
     masks = _masks(model)
-    torsion = {x for x in masks.modules if (aisle >> masks.index[x]) & 1}
+    torsion = set(masks.members(aisle & masks.layer(range(masks.n), 0)))
     return torsion, set(masks.modules) - torsion
 
 

@@ -96,12 +96,6 @@ class Mat:
         return Mat([[_ZERO] * ncols for _ in range(nrows)], nrows, ncols)
 
     @staticmethod
-    def identity(n):
-        return Mat(
-            [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        )
-
-    @staticmethod
     def column(entries):
         return Mat([[x] for x in entries], len(entries), 1)
 
@@ -125,21 +119,6 @@ class Mat:
 
     def is_zero(self):
         return all(x == 0 for row in self.rows for x in row)
-
-    def __add__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in addition")
-        return Mat(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.nrows,
-            self.ncols,
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def scale(self, c):
         c = Fraction(c)

@@ -7,14 +7,17 @@ line::
     vertex 2
     arrow a: 1 -> 2
 
-Blank lines and ``#`` comments are ignored.  Loops, directed cycles and
-disconnected underlying graphs are rejected with line-numbered diagnostics.
+Blank lines and ``#`` comments are ignored.  Unrecognized lines,
+duplicate vertices or arrows, unknown arrow ends and loops are rejected
+naming the offending line; directed cycles and disconnected underlying
+graphs, which no single line causes, are rejected naming none.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import QuiverLoadError, UnsupportedError
 
@@ -43,25 +46,31 @@ class Quiver:
     _checked: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._checked:
-            return
+        if not self._checked:
+            self.validate()
+
+    def validate(self, vertex_lines=None, arrow_lines=None):
+        """Raise QuiverLoadError on the faults the module docstring lists,
+        naming the declaring line from ``vertex_lines``/``arrow_lines``
+        (one number per vertex/arrow) when one declaration is at fault."""
         seen = set()
-        for v in self.vertices:
+        for v, line in zip(self.vertices, vertex_lines or repeat(None)):
             if v in seen:
-                raise QuiverLoadError(f"duplicate vertex {v!r}")
+                raise QuiverLoadError(f"duplicate vertex {v!r}", line=line)
             seen.add(v)
         anames = set()
-        for a in self.arrows:
+        for a, line in zip(self.arrows, arrow_lines or repeat(None)):
             if a.name in anames:
-                raise QuiverLoadError(f"duplicate arrow {a.name!r}")
+                raise QuiverLoadError(f"duplicate arrow {a.name!r}", line=line)
             anames.add(a.name)
             for end in (a.source, a.target):
                 if end not in seen:
                     raise QuiverLoadError(
-                        f"arrow {a.name!r} uses unknown vertex {end!r}"
+                        f"arrow {a.name!r} uses unknown vertex {end!r}",
+                        line=line,
                     )
             if a.source == a.target:
-                raise QuiverLoadError(f"arrow {a.name!r} is a loop")
+                raise QuiverLoadError(f"arrow {a.name!r} is a loop", line=line)
         if self._has_directed_cycle():
             raise QuiverLoadError("quiver has a directed cycle")
         if self.vertices and not self._is_connected():
@@ -219,8 +228,8 @@ class Quiver:
 def load_quiver(text, name=""):
     """Parse the quiver text format.  Raises QuiverLoadError with line
     numbers on malformed input."""
-    vertices = []
-    arrows = []
+    vertices, vertex_lines = [], []
+    arrows, arrow_lines = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -228,18 +237,17 @@ def load_quiver(text, name=""):
         m = _VERTEX_RE.match(line)
         if m:
             vertices.append(m.group(1))
+            vertex_lines.append(lineno)
             continue
         m = _ARROW_RE.match(line)
         if m:
             arrows.append(Arrow(m.group(1), m.group(2), m.group(3)))
+            arrow_lines.append(lineno)
             continue
         raise QuiverLoadError(f"unrecognized declaration {line!r}", line=lineno)
-    try:
-        return Quiver(tuple(vertices), tuple(arrows), name)
-    except QuiverLoadError:
-        raise
-    except Exception as exc:  # pragma: no cover - defensive
-        raise QuiverLoadError(str(exc))
+    quiver = Quiver(tuple(vertices), tuple(arrows), name, _checked=True)
+    quiver.validate(vertex_lines, arrow_lines)
+    return quiver
 
 
 def load_quiver_file(path):

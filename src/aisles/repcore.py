@@ -408,12 +408,6 @@ class IndecTable:
     def injective_by_vertex(self, v):
         return next(e for e in self.entries if e.inj_vertex == v)
 
-    def ar_arrows_from(self, i):
-        return [t for s, t in self.ar_arrows if s == i]
-
-    def ar_arrows_into(self, j):
-        return [s for s, t in self.ar_arrows if t == j]
-
 
 def enumerate_indecomposables(quiver):
     """Construct the full IndecTable of a Dynkin quiver.

@@ -55,9 +55,6 @@ class TorsionPair:
     free: Subcategory
     split: bool
 
-    def torsion_bitmask(self):
-        return sum(1 << i for i in self.torsion.members)
-
 
 def right_orth(S, table):
     """All j with Hom(i, j) = 0 for every i in S."""

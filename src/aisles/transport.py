@@ -323,9 +323,9 @@ def verify_theorem53(model, T):
             ctx.hom(x, y) == 0 for x in torsion for y in free
         )
         # class (c): the lifted aisle is the classified split aisle
-        lifted = masks.mask(x.at(0) for x in torsion) | masks.above(
-            range(masks.n), 1
-        )
+        lifted = masks.layer(
+            [k for k, x in enumerate(masks.modules) if x in torsion], 0
+        ) | masks.above(range(masks.n), 1)
         checks["lift_matches_classification"] = (
             lifted == build_aisle_63b(0, L, model)
         )

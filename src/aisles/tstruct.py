@@ -5,8 +5,9 @@ t-structures whose aisle contains every module in degree 1 and whose
 right orthogonal contains every module in degree -1.  On top of that sit
 the Ext-projective calculus, sections and successor cones, semipath
 reachability, and the verifiers for the split-t-structure classification.
-Every Hom-vanishing, reachability and split-aisle scan runs on the
-table's ``HomMasks`` for the window (``aisles.derived``).
+A t-structure is a pair of window masks of the table's ``HomMasks``
+(``aisles.derived``), as a Kronecker aisle is, and every Hom-vanishing,
+reachability and split-aisle scan runs on those masks.
 
 All verifiers quantify over interior window degrees only; conclusions
 about boundary-adjacent objects are never asserted.
@@ -20,10 +21,10 @@ from .derived import (
     DerivedObject,
     DerivedSubcategory,
     TableContext,
+    Window,
     breadth_first,
     derived_ar_arrows,
     hom_masks,
-    shift,
     tau_derived,
     tau_inverse_derived,
     tau_orbits,
@@ -41,17 +42,18 @@ from .torsion import (
 
 @dataclass(frozen=True)
 class TStructure:
-    """Aisle plus its right orthogonal (stored unshifted as ``coaisle``),
-    the split flag and the heart object set."""
+    """Aisle plus its right orthogonal (stored unshifted as ``coaisle``)
+    as masks of the table's ``HomMasks`` for ``window``, the split flag
+    and the heart object set.  The aisle holds every object above the
+    window and the coaisle every object below it, so no flag stores the
+    tails.  ``heart`` holds ``DerivedObject``s: one can lie above the
+    window."""
 
-    aisle: DerivedSubcategory
-    coaisle: DerivedSubcategory
+    window: Window
+    aisle: int
+    coaisle: int
     split: bool
     heart: frozenset
-
-    @property
-    def window(self):
-        return self.aisle.window
 
 
 # ---------------------------------------------------------------------------
@@ -67,20 +69,16 @@ def lift(tp, table, window, pivot=0):
     """The t-structure induced by a torsion pair: torsion modules in
     degree ``pivot`` plus everything in higher degrees.  Pivot 0 is the
     lift proper; other pivots are its shifts."""
-    n = len(table.entries)
-    aisle = {DerivedObject(i, pivot) for i in tp.torsion}
-    coaisle = {DerivedObject(j, pivot) for j in tp.free}
-    for d in window.degrees():
-        if d > pivot:
-            aisle |= {DerivedObject(i, d) for i in range(n)}
-        if d < pivot:
-            coaisle |= {DerivedObject(i, d) for i in range(n)}
+    masks = _masks(table, window)
+    every = range(masks.n)
+    below = masks.full & ~masks.above(every, pivot)
     heart = {DerivedObject(i, pivot) for i in tp.torsion} | {
         DerivedObject(j, pivot + 1) for j in tp.free
     }
     return TStructure(
-        aisle=DerivedSubcategory(window, frozenset(aisle), upper_tail=True),
-        coaisle=DerivedSubcategory(window, frozenset(coaisle), lower_tail=True),
+        window=window,
+        aisle=masks.layer(tp.torsion, pivot) | masks.above(every, pivot + 1),
+        coaisle=masks.layer(tp.free, pivot) | below,
         split=tp.split,
         heart=frozenset(heart),
     )
@@ -91,23 +89,28 @@ def trace(ts, table):
 
     Requires every module in degree 1 inside the aisle and every module
     in degree -1 inside the right orthogonal; a missing shifted module is
-    a precondition violation, not a silent answer."""
-    n = len(table.entries)
+    a precondition violation, not a silent answer.  A degree outside the
+    window lies in the aisle's or the coaisle's tail."""
+    masks = _masks(table, ts.window)
+    n = masks.n
     for i in range(n):
-        x = DerivedObject(i, 1)
-        if x not in ts.aisle:
+        if masks.layer([i], 1) & ~ts.aisle:
             raise PreconditionError(
-                f"aisle does not contain the shifted module {x.label(table)}"
+                "aisle does not contain the shifted module "
+                f"{DerivedObject(i, 1).label(table)}"
             )
-        y = DerivedObject(i, -1)
-        if y not in ts.coaisle:
+        if masks.layer([i], -1) & ~ts.coaisle:
             raise PreconditionError(
-                f"right orthogonal does not contain {y.label(table)}"
+                "right orthogonal does not contain "
+                f"{DerivedObject(i, -1).label(table)}"
             )
+    zero = masks.layer(range(n), 0)
     torsion = Subcategory(
-        frozenset(x.indec for x in ts.aisle.at_degree(0))
+        frozenset(x.indec for x in masks.members(ts.aisle & zero))
     )
-    free = Subcategory(frozenset(y.indec for y in ts.coaisle.at_degree(0)))
+    free = Subcategory(
+        frozenset(y.indec for y in masks.members(ts.coaisle & zero))
+    )
     split = len(torsion) + len(free) == n
     tp = TorsionPair(torsion, free, split)
     if not is_torsion_pair(tp, table):
@@ -138,14 +141,14 @@ def is_aisle_window(S, table):
     # the right orthogonal in the window: objects of the upper tail map
     # into no window object, so the window members of S suffice
     reached = masks.targets(inside)
-    orth = set(masks.members(masks.full & ~reached))
-    hypotheses = all(
-        DerivedObject(i, 1) in S.members for i in range(n)
-    ) and all(DerivedObject(i, -1) in orth for i in range(n))
-    if hypotheses:
-        torsion = Subcategory(frozenset(x.indec for x in S.at_degree(0)))
+    one, zero, minus = (masks.layer(range(n), d) for d in (1, 0, -1))
+    # degrees 1 and -1 must lie in the window: S has no lower tail
+    if one and minus and not one & ~inside and not minus & reached:
+        torsion = Subcategory(
+            frozenset(x.indec for x in masks.members(inside & zero))
+        )
         free = Subcategory(
-            frozenset(y.indec for y in orth if y.degree == 0)
+            frozenset(y.indec for y in masks.members(zero & ~reached))
         )
         tp = TorsionPair(torsion, free, split=len(torsion) + len(free) == n)
         if not is_torsion_pair(tp, table):
@@ -174,7 +177,7 @@ def ext_projectives(ts, table):
     """Interior aisle members with no extensions inside the aisle, by
     ``HomMasks.ext_projectives``."""
     masks = _masks(table, ts.window)
-    return set(masks.members(masks.ext_projectives(masks.mask(ts.aisle.members))))
+    return set(masks.members(masks.ext_projectives(ts.aisle)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +271,8 @@ def verify_lemma42(ts, table):
     if not ts.split:
         raise PreconditionError("semipath separation asserted for split input")
     masks = _masks(table, ts.window)
-    targets = masks.mask(ts.coaisle.members) & masks.interior
-    for k in _bits(masks.mask(ts.aisle.members) & masks.interior):
+    targets = ts.coaisle & masks.interior
+    for k in _bits(ts.aisle & masks.interior):
         if (masks.semipath_reach[k] | 1 << k) & targets:
             return False, _first_semipath(masks, k, targets)
     return True, None
@@ -280,13 +283,9 @@ def verify_lemma41(ts, table):
     interior iff the heart is empty."""
     if not ts.split:
         raise PreconditionError("biconditional asserted for split input")
-    window = ts.window
-    down_closed = all(
-        shift(x, -1) in ts.aisle
-        for x in ts.aisle.members
-        if window.is_interior(x)
-    )
-    heart_empty = not any(window.contains(h) for h in ts.heart)
+    masks = _masks(table, ts.window)
+    down_closed = not masks.shift(ts.aisle & masks.interior, -1) & ~ts.aisle
+    heart_empty = not any(ts.window.contains(h) for h in ts.heart)
     return down_closed == heart_empty
 
 
@@ -329,7 +328,7 @@ def classify_split(table, window, split_pairs):
             checks["section"] = section_check(E, table, window)
             cone = successors(E, table, window).members
             checks["successors_reproduce_aisle"] = not (
-                masks.mask(cone) ^ masks.mask(ts.aisle.members)
+                masks.mask(cone) ^ ts.aisle
             ) & masks.interior
         else:
             checks["zero_heart"] = not heart_nonzero

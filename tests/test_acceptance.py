@@ -93,8 +93,8 @@ def test_lift_trace_inverse_bijections(a2_table, a3_table, d4_table):
                 back = trace(ts, table)
                 assert back == tp
                 again = lift(back, table, WINDOW)
-                assert again.aisle.members == ts.aisle.members
-                assert again.coaisle.members == ts.coaisle.members
+                assert again.aisle == ts.aisle
+                assert again.coaisle == ts.coaisle
 
     _gate("lift-trace-roundtrip", check)
 

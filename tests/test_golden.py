@@ -2,9 +2,10 @@
 
 The fixtures under ``fixtures/golden`` were written before the code they
 pin was last restructured: the first seven by the subset-scan torsion
-enumeration, the others by the per-model Hom scans that the shared
-Hom-mask core replaced.  Any change to enumeration order, witness
-choice, pair content or JSON layout shows here.
+enumeration, the next five by the per-model Hom scans that the shared
+Hom-mask core replaced, and the ``lift``/``trace`` ones by the lift that
+stored aisles as sets of stalk objects.  Any change to enumeration
+order, witness choice, pair content or JSON layout shows here.
 """
 
 import pathlib
@@ -49,6 +50,25 @@ CASES = [
         EXIT_OK,
     ),
     ("export_ar_a3.dot", ["export-ar", "--builtin", "a3"], EXIT_OK),
+    (
+        "lift_a3.json",
+        ["lift", "--builtin", "a3", "--torsion", "[[1,0,0]]"],
+        EXIT_OK,
+    ),
+    # the heart object [0, 1]@1 lies one degree above the window
+    (
+        "lift_a2_window.json",
+        ["lift", "--builtin", "a2", "--window=-2..0", "--torsion", "[[1,0]]"],
+        EXIT_OK,
+    ),
+    (
+        "trace_d4.json",
+        [
+            "trace", "--builtin", "d4",
+            "--torsion", "[[0,0,0,1],[0,0,1,0],[0,0,1,1]]",
+        ],
+        EXIT_OK,
+    ),
 ]
 
 

@@ -1,6 +1,8 @@
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aisles.derived import DEFAULT_WINDOW, check_window_objects
 from aisles.errors import QuiverLoadError, UnsupportedError
@@ -53,6 +55,54 @@ def test_rejections(text, fragment):
     with pytest.raises(QuiverLoadError) as exc:
         load_quiver(text)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("vertex 1\n# c\nvertex 1\n", 3),
+        ("vertex 1\nvertex 2\narrow a: 1 -> 2\n\narrow a: 2 -> 1\n", 5),
+        ("vertex 1\narrow a: 1 -> 1\n", 2),
+        # arrows may name vertices declared below them
+        ("arrow a: 1 -> 2\nvertex 1\nvertex 2\narrow b: 1 -> 4\n", 4),
+    ],
+)
+def test_declaration_errors_name_their_line(text, line):
+    with pytest.raises(QuiverLoadError) as exc:
+        load_quiver(text)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}: ")
+
+
+_NAMES = st.sampled_from(["1", "2", "3", "x"])
+_LINES = st.one_of(
+    _NAMES.map(lambda v: f"vertex {v}"),
+    st.tuples(st.sampled_from("ab"), _NAMES, _NAMES).map(
+        lambda t: "arrow {}: {} -> {}".format(*t)
+    ),
+    st.text(max_size=8).map(lambda c: f"# {c}"),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINES, max_size=8))
+def test_loader_raises_only_quiver_load_errors(lines):
+    """Arbitrary vertex, arrow, comment and garbage lines either load or
+    raise QuiverLoadError; an error tied to one declaration names a line
+    that declares something."""
+    text = "\n".join(lines)
+    try:
+        q = load_quiver(text)
+    except QuiverLoadError as exc:
+        message = str(exc)
+        if "directed cycle" in message or "not connected" in message:
+            assert exc.line is None
+        else:
+            declared = text.splitlines()[exc.line - 1]
+            assert declared.split("#", 1)[0].strip()
+        return
+    assert len(set(q.vertices)) == len(q.vertices)
 
 
 def test_dynkin_classification():

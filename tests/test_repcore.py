@@ -195,8 +195,8 @@ def test_mesh_property(d4_table):
     for e in t.entries:
         if e.tau is None:
             continue
-        ins = set(t.ar_arrows_into(e.id))
-        outs = set(t.ar_arrows_from(e.tau))
+        ins = {s for s, y in t.ar_arrows if y == e.id}
+        outs = {y for s, y in t.ar_arrows if s == e.tau}
         assert ins == outs
 
 

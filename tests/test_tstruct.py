@@ -1,7 +1,18 @@
+from dataclasses import replace
+
 import pytest
 
-from aisles.derived import DerivedObject, DerivedSubcategory, all_objects
+from aisles.derived import (
+    DerivedObject,
+    DerivedSubcategory,
+    TableContext,
+    Window,
+    all_objects,
+    hom_masks,
+)
 from aisles.errors import PreconditionError
+from aisles.quiver import BUILTIN_QUIVERS
+from aisles.repcore import enumerate_indecomposables
 from aisles.torsion import enumerate_torsion_pairs
 from aisles.tstruct import (
     classify_split,
@@ -23,6 +34,10 @@ from aisles.tstruct import (
 
 def _ids(table, *dimvecs):
     return frozenset(table.by_dimvec(d).id for d in dimvecs)
+
+
+def _masks(table, window):
+    return hom_masks(TableContext(table), window)
 
 
 def _pair(table, torsion_dimvecs):
@@ -48,38 +63,97 @@ def test_lift_structure(a2_table, window):
     t = a2_table
     tp = _pair(t, [(1, 0)])
     ts = lift(tp, t, window)
+    index = _masks(t, window).index
     s1 = t.by_dimvec((1, 0)).id
     s2 = t.by_dimvec((0, 1)).id
     p1 = t.by_dimvec((1, 1)).id
-    assert DerivedObject(s1, 0) in ts.aisle
-    assert DerivedObject(s2, 0) not in ts.aisle
-    assert DerivedObject(p1, 2) in ts.aisle
-    assert DerivedObject(p1, 9) in ts.aisle  # upper tail
-    assert DerivedObject(s2, 0) in ts.coaisle
-    assert DerivedObject(p1, -7) in ts.coaisle  # lower tail
+    assert ts.aisle >> index[DerivedObject(s1, 0)] & 1
+    assert not ts.aisle >> index[DerivedObject(s2, 0)] & 1
+    assert ts.aisle >> index[DerivedObject(p1, 2)] & 1
+    assert ts.coaisle >> index[DerivedObject(s2, 0)] & 1
+    # degree 1 above Window(-2, 0) and degree -1 below Window(0, 2) are
+    # read from the aisle's upper and the coaisle's lower tail
+    for tail in (Window(-2, 0), Window(0, 2)):
+        assert trace(lift(tp, t, tail), t) == tp
     assert ts.heart == {DerivedObject(s1, 0), DerivedObject(s2, 1), DerivedObject(p1, 1)}
+
+
+def _lift_by_objects(tp, table, window, pivot):
+    """Aisle, coaisle and heart of the pivoted lift written out as sets
+    of stalk objects: the reference for the masks ``lift`` builds."""
+    n = len(table.entries)
+    aisle = {DerivedObject(i, pivot) for i in tp.torsion}
+    coaisle = {DerivedObject(j, pivot) for j in tp.free}
+    for d in window.degrees():
+        if d > pivot:
+            aisle |= {DerivedObject(i, d) for i in range(n)}
+        if d < pivot:
+            coaisle |= {DerivedObject(i, d) for i in range(n)}
+    heart = {DerivedObject(i, pivot) for i in tp.torsion} | {
+        DerivedObject(j, pivot + 1) for j in tp.free
+    }
+    return aisle, coaisle, heart
+
+
+def _by_degree(objects):
+    out = {}
+    for x in objects:
+        out.setdefault(x.degree, set()).add(x.indec)
+    return out
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "d4", "d5"])
+def test_lift_matches_stalk_object_reference(name):
+    table = enumerate_indecomposables(BUILTIN_QUIVERS[name]())
+    pairs = enumerate_torsion_pairs(table)
+    for window in (Window(-2, 3), Window(-2, 0), Window(0, 2)):
+        masks = _masks(table, window)
+        # pivot 0 and every pivot enumerate_split_tstructures lifts at
+        for pivot in sorted({0, *range(window.lo + 1, window.hi - 1)}):
+            for tp in pairs:
+                ts = lift(tp, table, window, pivot)
+                aisle, coaisle, heart = _lift_by_objects(
+                    tp, table, window, pivot
+                )
+                for got, want in ((ts.aisle, aisle), (ts.coaisle, coaisle)):
+                    assert _by_degree(masks.members(got)) == _by_degree(want)
+                assert ts.heart == heart
+                assert ts.split == tp.split
+                assert ts.window == window
 
 
 def test_trace_precondition(a2_table, window):
     tp = _pair(a2_table, [(1, 0)])
     ts = lift(tp, a2_table, window)
+    masks = _masks(a2_table, window)
     # remove a degree-1 shifted module from the aisle
-    broken = DerivedSubcategory(
-        window,
-        frozenset(x for x in ts.aisle.members if x.degree != 1),
-        upper_tail=False,
-    )
-    from dataclasses import replace
-
+    broken = ts.aisle & ~masks.mask(x for x in masks.objects if x.degree == 1)
     with pytest.raises(PreconditionError) as exc:
         trace(replace(ts, aisle=broken), a2_table)
     assert "@1" in str(exc.value) or "shift" in str(exc.value)
+    # the first missing object in module order, the aisle's before the
+    # orthogonal's for each module
+    label = DerivedObject(0, 1).label(a2_table)
+    assert str(exc.value) == (
+        f"aisle does not contain the shifted module {label}"
+    )
+    both = replace(
+        ts,
+        aisle=ts.aisle & ~masks.mask([DerivedObject(1, 1)]),
+        coaisle=ts.coaisle & ~masks.mask([DerivedObject(0, -1)]),
+    )
+    with pytest.raises(PreconditionError) as exc:
+        trace(both, a2_table)
+    label = DerivedObject(0, -1).label(a2_table)
+    assert str(exc.value) == f"right orthogonal does not contain {label}"
 
 
 def test_is_aisle_window_accepts_lifts(a2_table, window):
     for tp in enumerate_torsion_pairs(a2_table):
         ts = lift(tp, a2_table, window)
-        ok, msg = is_aisle_window(ts.aisle, a2_table)
+        members = frozenset(_masks(a2_table, window).members(ts.aisle))
+        S = DerivedSubcategory(window, members, upper_tail=True)
+        ok, msg = is_aisle_window(S, a2_table)
         assert ok, msg
 
 
@@ -210,21 +284,15 @@ def test_verify_lemma42_detects_corruption(a2_table, window):
     t = a2_table
     tp = _pair(t, [(1, 0)])
     ts = lift(tp, t, window)
+    masks = _masks(t, window)
     s2 = t.by_dimvec((0, 1)).id
-    from dataclasses import replace
-
     corrupted = replace(
-        ts,
-        aisle=DerivedSubcategory(
-            window,
-            ts.aisle.members | {DerivedObject(s2, 0)},
-            upper_tail=True,
-        ),
+        ts, aisle=ts.aisle | masks.mask([DerivedObject(s2, 0)])
     )
     ok, witness = verify_lemma42(corrupted, t)
     assert not ok
     assert witness[0] == DerivedObject(s2, 0)
-    assert witness[-1] in ts.coaisle.members
+    assert ts.coaisle >> masks.index[witness[-1]] & 1
 
 
 def test_verify_lemma42_requires_split(a2_table, window):
