@@ -76,10 +76,10 @@ DEFAULT_WINDOW = Window(-2, 3)
 
 @dataclass(frozen=True)
 class DerivedSubcategory:
-    """A user-built set of windowed derived objects (an aisle candidate,
-    a coloring, a successor cone), saturated above the window when
-    ``upper_tail`` is set.  t-structures do not use it: they hold window
-    masks (``aisles.tstruct.TStructure``)."""
+    """A user-built set of windowed derived objects (an aisle candidate
+    or a coloring), saturated above the window when ``upper_tail`` is
+    set.  t-structures and successor cones do not use it: they are window
+    masks (``aisles.tstruct.TStructure``, ``aisles.tstruct.successors``)."""
 
     window: Window
     members: frozenset

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConsistencyError
-from .linalg import span_rank
+from .linalg import echelon_add, eliminate, scaled_to_ints, sparse_row
 from .repcore import hom_system, unflatten
 
 # Not used here: `perfbench` wraps every binding of `repcore.hom_space`, and
@@ -40,23 +40,30 @@ class ExtMachine:
         self._coker = {}
 
     def _cokernel(self, i, j):
-        """For Ext^1(i, j): the reduced rows spanning im delta, their pivot
-        coordinates, the other coordinates and the basis at those."""
+        """For Ext^1(i, j): the reduced integer rows spanning im delta,
+        their pivot coordinates, the other coordinates and the basis at
+        those.  The rows are the columns of the integer `hom_system`,
+        which spans the same image as delta."""
         if (i, j) not in self._coker:
             X = self.table.entries[i].rep
             Y = self.table.entries[j].rep
-            delta = hom_system(X, Y)
-            red, pivots = delta.transpose().rref()
-            free = sorted(set(range(delta.nrows)) - set(pivots))
+            rows, ncols = hom_system(X, Y)
+            columns = [{} for _ in range(ncols)]
+            for r, row in enumerate(rows):
+                for c, x in row.items():
+                    columns[c][r] = x
+            image, pivots = eliminate(columns)
+            taken = set(pivots)
+            free = [k for k in range(len(rows)) if k not in taken]
             shapes = [
                 (a.name, Y.dim(a.target), X.dim(a.source))
                 for a in self.quiver.arrows
             ]
             basis = [
-                unflatten([Fraction(k == c) for k in range(delta.nrows)], shapes)
+                unflatten([Fraction(k == c) for k in range(len(rows))], shapes)
                 for c in free
             ]
-            self._coker[i, j] = (red.rows[: len(pivots)], pivots, free, basis)
+            self._coker[i, j] = (image, pivots, free, basis)
         return self._coker[i, j]
 
     def ext_dim(self, i, j):
@@ -78,19 +85,15 @@ class ExtMachine:
         return {a.name: psi[a.name] * f[a.source] for a in self.quiver.arrows}
 
     def class_span_dim(self, i, j, representatives):
-        """Dimension of the span of ext classes inside Ext^1(i, j)."""
-        image, pivots, free, _ = self._cokernel(i, j)
-        coords = []
+        """Dimension of the span of ext classes inside Ext^1(i, j): how
+        many of the representatives raise the rank of im delta."""
+        image, pivots, _, _ = self._cokernel(i, j)
+        echelon = list(zip(pivots, image))
+        base = len(echelon)
         for rep in representatives:
             vec = [x for a in self.quiver.arrows for x in rep[a.name].flatten()]
-            # the reduced rows are 1 at their own pivot and 0 at the others,
-            # so this leaves the representative of the class off the pivots
-            for row, p in zip(image, pivots):
-                c = vec[p]
-                if c:
-                    vec = [x - c * y for x, y in zip(vec, row)]
-            coords.append([vec[k] for k in free])
-        return span_rank(coords)
+            echelon_add(echelon, sparse_row(scaled_to_ints(vec)))
+        return len(echelon) - base
 
     def irreducible_ext_dim(self, i, j):
         """dim of Ext^1(i, j) modulo composites through a third object:

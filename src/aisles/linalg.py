@@ -1,21 +1,27 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, eliminated on integers.
 
-Everything downstream (Hom spaces, reflection functors, radical series)
-reduces to kernels, ranks and linear solves of small dense systems, so a
-shape-aware matrix of `fractions.Fraction` entries is all that is needed.
-Shapes are carried explicitly because zero-dimensional spaces are the rule,
-not the exception (every simple representation has them).
+Everything downstream (Hom spaces, Ext cokernels, reflection functors,
+radical series) reduces to kernels, ranks and linear solves of small
+systems, so a shape-aware matrix of `fractions.Fraction` entries is all
+the interface needs.  Shapes are carried explicitly because
+zero-dimensional spaces are the rule, not the exception (every simple
+representation has them).
 
-`Fraction`s appear only at the boundary: a `Mat` takes and returns them,
-but elimination runs on Python ints.  `Mat.rref` scales each row by the
-lcm of its denominators, combines rows fraction-free (cross-multiplying
-by the pivots over their gcd, then dividing the new row by the gcd of its
-entries) and forms `Fraction`s once, when each pivot row is divided by
-its pivot.  The reduced row echelon form is unique, so this returns
-exactly what `Fraction` Gauss-Jordan returns, and so do `rank`,
-`nullspace`, `left_nullspace` and `solve`, which read it.
-`echelon_add` is the same elimination step for callers that already hold
-integer vectors and want a rank that grows one vector at a time.
+Elimination itself never touches a `Fraction`.  Its one row format is the
+sparse integer row, a dict column -> nonzero int, and its one step is
+`_cancel`: cross-multiply two rows by their entries in a column over
+their gcd, then divide the result by the gcd of its entries.
+`eliminate` runs fraction-free Gauss-Jordan on such rows; `echelon_add`
+grows a rank one row at a time; `kernel` reads a right-kernel basis off
+the reduced rows.  Scaling a row by a nonzero integer changes neither
+its span nor the reduced row echelon form (which is unique), so a caller
+may clear denominators first (`scaled_to_ints`, or once per
+representation in `repcore`) and gets exactly what `Fraction`
+Gauss-Jordan returns.  `Fraction`s are formed only for output entries:
+an entry x of a reduced row with pivot p is x/p.
+
+`Mat` takes and returns `Fraction`s; `Mat.rref`, `rank`, `nullspace`,
+`left_nullspace` and `solve` all go through `eliminate`.
 """
 
 from __future__ import annotations
@@ -35,33 +41,95 @@ def scaled_to_ints(values):
     return [x.numerator * (den // x.denominator) for x in values]
 
 
+def sparse_row(values):
+    """The sparse integer row of a dense list of ints."""
+    return {k: x for k, x in enumerate(values) if x}
+
+
 def _cancel(row, prow, c):
     """The integer combination of ``row`` and ``prow`` that is zero in
-    column c, divided by the gcd of its entries; ``prow[c]`` is nonzero."""
+    column c, divided by the gcd of its entries; both are sparse rows
+    with an entry in column c."""
     p, f = prow[c], row[c]
     g = gcd(p, f)
     a, b = p // g, f // g
-    out = [a * x - b * y for x, y in zip(row, prow)]
-    g = gcd(*out)
+    out = {k: a * x for k, x in row.items()} if a != 1 else dict(row)
+    for k, y in prow.items():
+        x = out.get(k, 0) - b * y
+        if x:
+            out[k] = x
+        else:
+            del out[k]
+    g = gcd(*out.values())
     if g > 1:
-        out = [x // g for x in out]
+        out = {k: x // g for k, x in out.items()}
     return out
 
 
-def echelon_add(echelon, vec):
-    """Add the integer vector ``vec`` to the span kept in ``echelon``.
+def eliminate(rows):
+    """Fraction-free Gauss-Jordan elimination of sparse integer rows.
 
-    ``echelon`` is a list of (pivot column, int row) pairs, each row zero
-    in the pivot columns of the rows before it; its length is the rank of
-    the vectors added so far.  Returns True when ``vec`` raised the rank.
+    Returns (reduced, pivots): ``pivots`` ascends, ``reduced[k]`` has an
+    entry at ``pivots[k]`` and none at the other pivots, and
+    ``reduced[k]`` divided by that entry is row k of the reduced row
+    echelon form of ``rows``.  The input rows are not modified.
     """
-    for c, row in echelon:
-        if vec[c]:
-            vec = _cancel(vec, row, c)
-    c = next((k for k, x in enumerate(vec) if x), None)
-    if c is None:
+    # rows still to reduce, by their least column: a row there is zero
+    # at every pivot so far, so the next pivot is the least such column
+    # and only the rows filed under it have an entry there
+    by_lead = {}
+    for row in rows:
+        if row:
+            by_lead.setdefault(min(row), []).append(row)
+    reduced = []
+    pivots = []
+    while by_lead:
+        c = min(by_lead)
+        group = by_lead.pop(c)
+        prow = min(group, key=len)
+        for row in group:
+            if row is not prow:
+                row = _cancel(row, prow, c)
+                if row:
+                    by_lead.setdefault(min(row), []).append(row)
+        reduced = [_cancel(row, prow, c) if c in row else row for row in reduced]
+        reduced.append(prow)
+        pivots.append(c)
+    return reduced, pivots
+
+
+def kernel(reduced, pivots, ncols):
+    """Basis of the right kernel of a matrix with ``ncols`` columns whose
+    `eliminate` result is (reduced, pivots), as `Fraction` lists: one per
+    free column fc, 1 at fc, 0 at the other free columns and
+    -reduced[k][fc] / reduced[k][pivots[k]] at each pivot."""
+    taken = set(pivots)
+    free = {fc: n for n, fc in enumerate(c for c in range(ncols) if c not in taken)}
+    basis = [[_ZERO] * ncols for _ in free]
+    for fc, n in free.items():
+        basis[n][fc] = _ONE
+    for row, pc in zip(reduced, pivots):
+        p = row[pc]
+        for k, x in row.items():
+            if k != pc:
+                basis[free[k]][pc] = Fraction(-x, p)
+    return basis
+
+
+def echelon_add(echelon, row):
+    """Add the sparse integer row ``row`` to the span kept in ``echelon``.
+
+    ``echelon`` is a list of (pivot column, sparse row) pairs, each row
+    zero in the pivot columns of the rows before it, as the reduced rows
+    of `eliminate` are; its length is the rank of the rows added so far.
+    Returns True when ``row`` raised the rank.
+    """
+    for c, prow in echelon:
+        if c in row:
+            row = _cancel(row, prow, c)
+    if not row:
         return False
-    echelon.append((c, vec))
+    echelon.append((min(row), row))
     return True
 
 
@@ -69,8 +137,8 @@ class Mat:
     """A dense nrows x ncols matrix over the rationals.
 
     Entries are `Fraction`s: the constructor converts any other number,
-    and every method returns `Fraction` entries.  Elimination inside
-    `rref` runs on ints (see the module docstring).  Immutable by
+    and every method returns `Fraction` entries.  Its eliminations run
+    on sparse integer rows (see the module docstring).  Immutable by
     convention: no method mutates ``self``.
     """
 
@@ -178,27 +246,19 @@ class Mat:
         """Row-major entry list."""
         return [x for row in self.rows for x in row]
 
+    def _eliminate(self):
+        return eliminate([sparse_row(scaled_to_ints(r)) for r in self.rows])
+
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
-        rows = [scaled_to_ints(r) for r in self.rows]
-        pivots = []
-        for c in range(self.ncols):
-            r = len(pivots)
-            if r == self.nrows:
-                break
-            pivot = next((i for i in range(r, self.nrows) if rows[i][c]), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            prow = rows[r]
-            for i in range(self.nrows):
-                if i != r and rows[i][c]:
-                    rows[i] = _cancel(rows[i], prow, c)
-            pivots.append(c)
-        red = [
-            [Fraction(x, row[c]) if x else _ZERO for x in row]
-            for row, c in zip(rows, pivots)
-        ]
+        reduced, pivots = self._eliminate()
+        red = []
+        for row, c in zip(reduced, pivots):
+            out = [_ZERO] * self.ncols
+            p = row[c]
+            for k, x in row.items():
+                out[k] = Fraction(x, p)
+            red.append(out)
         red += [[_ZERO] * self.ncols for _ in range(self.nrows - len(pivots))]
         return Mat(red, self.nrows, self.ncols), pivots
 
@@ -207,16 +267,8 @@ class Mat:
 
     def nullspace(self):
         """Basis of the right kernel, as a list of column vectors (Mat n x 1)."""
-        red, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [_ZERO] * self.ncols
-            v[fc] = _ONE
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.rows[r][fc]
-            basis.append(Mat.column(v))
-        return basis
+        reduced, pivots = self._eliminate()
+        return [Mat.column(v) for v in kernel(reduced, pivots, self.ncols)]
 
     def left_nullspace(self):
         """Basis of the left kernel, as a list of row vectors (Mat 1 x m)."""

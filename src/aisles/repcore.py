@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from operator import mul
 
 from .errors import ConsistencyError, ShapeError, UnsupportedError
-from .linalg import Mat, echelon_add, scaled_to_ints
+from .linalg import Mat, echelon_add, eliminate, kernel, scaled_to_ints, sparse_row
 from .quiver import Quiver
 
 
@@ -23,7 +25,9 @@ from .quiver import Quiver
 class Representation:
     """Vector spaces at vertices and matrices along arrows.
 
-    ``maps[a]`` has shape dims(target a) x dims(source a).
+    ``maps[a]`` has shape dims(target a) x dims(source a).  `int_maps`
+    holds the same maps scaled by one integer, the form the Hom system
+    is built from.
     """
 
     quiver: Quiver
@@ -55,6 +59,26 @@ class Representation:
     def is_zero(self):
         return self.total_dim() == 0
 
+    @cached_property
+    def int_maps(self):
+        """(D, {arrow name: (rows, columns)}), where D is the lcm of the
+        denominators of every arrow map and rows[r] (columns[c]) lists
+        the (index, entry) pairs of the nonzero entries in row r (column
+        c) of D times the map: integers.  Read from ``maps`` alone, on
+        first use, and kept on the instance."""
+        den = lcm(
+            *[x.denominator for m in self.maps.values() for r in m.rows for x in r]
+        )
+        out = {}
+        for name, m in self.maps.items():
+            rows = [[(k, int(x * den)) for k, x in enumerate(r) if x] for r in m.rows]
+            columns = [[] for _ in range(m.ncols)]
+            for i, row in enumerate(rows):
+                for k, x in row:
+                    columns[k].append((i, x))
+            out[name] = (rows, columns)
+        return den, out
+
 
 def simple_representation(quiver, v):
     dims = {w: 1 if w == v else 0 for w in quiver.vertices}
@@ -70,56 +94,71 @@ def simple_representation(quiver, v):
 
 
 def hom_system(M, N):
-    """The matrix of the map
+    """The map
 
         delta: (+)_v Hom_k(M_v, N_v) -> (+)_{a: u->w} Hom_k(M_u, N_w),
-        delta(f)_a = N_a f_u - f_w M_a.
+        delta(f)_a = N_a f_u - f_w M_a,
+
+    scaled to integers, as (rows, number of columns).
 
     Hom(M, N) is its kernel and, the path algebra being hereditary,
     Ext^1(M, N) its cokernel.  Columns are the coordinates (v, i, j),
     vertex by vertex and row-major within f_v, the order ``unflatten``
     reads; rows are (a, r, c), the same order for an arrow family
-    {a: Mat(N_w x M_u)}.
+    {a: Mat(N_w x M_u)}.  Each row is a sparse integer row (see
+    `linalg`): with D_M, D_N the scales of `Representation.int_maps`,
+    row (a, r, c) is D_M (D_N N_a) on the u-coordinates minus
+    D_N (D_M M_a) on the w-coordinates, that is, D_M D_N delta.  A
+    nonzero scale changes neither the kernel, nor the image, nor the
+    reduced row echelon form.
     """
     if M.quiver != N.quiver:
-        raise ShapeError("hom_space requires representations over one quiver")
+        raise ShapeError(
+            "the Hom system delta needs representations over one quiver"
+        )
     Q = M.quiver
+    mdim, ndim = M.dims.get, N.dims.get
     offsets = {}
     total = 0
     for v in Q.vertices:
         offsets[v] = total
-        total += N.dim(v) * M.dim(v)
+        total += ndim(v, 0) * mdim(v, 0)
 
-    zero = Fraction(0)
+    dm, m_maps = M.int_maps
+    dn, n_maps = N.int_maps
     rows = []
     for a in Q.arrows:
         u, w = a.source, a.target
-        Na, Ma = N.maps[a.name].rows, M.maps[a.name].rows
-        mu, mw = M.dim(u), M.dim(w)
-        for r in range(N.dim(w)):
+        n_rows = n_maps[a.name][0]
+        m_columns = m_maps[a.name][1]
+        ou, ow = offsets[u], offsets[w]
+        mu, mw = mdim(u, 0), mdim(w, 0)
+        # the quiver has no loops, so u != w and the two parts of a row
+        # use disjoint coordinates
+        for r in range(ndim(w, 0)):
+            nr = n_rows[r]
+            base = ow + r * mw
             for c in range(mu):
-                row = [zero] * total
-                for k, x in enumerate(Na[r]):  # the (u, k, c) coordinates
-                    if x:
-                        row[offsets[u] + k * mu + c] += x
-                for k in range(mw):  # the (w, r, k) coordinates
-                    x = Ma[k][c]
-                    if x:
-                        row[offsets[w] + r * mw + k] -= x
+                row = {ou + k * mu + c: dm * x for k, x in nr}  # (u, k, c)
+                for k, x in m_columns[c]:  # the (w, r, k) coordinates
+                    row[base + k] = -dn * x
                 rows.append(row)
-    return Mat(rows, len(rows), total)
+    return rows, total
 
 
 def hom_space(M, N):
     """Dimension and basis of Hom(M, N).
 
     A morphism is a family of matrices f_v with N_a f_{s(a)} = f_{t(a)} M_a
-    for every arrow a; the basis elements are dicts vertex -> Mat.
+    for every arrow a; the basis elements are dicts vertex -> Mat.  The
+    basis is the kernel basis read off the reduced rows of the integer
+    `hom_system` (`linalg.kernel`), the same as the nullspace of the
+    `Fraction` system.
     """
-    kernel = hom_system(M, N).nullspace()
+    rows, ncols = hom_system(M, N)
+    basis = kernel(*eliminate(rows), ncols)
     shapes = [(v, N.dim(v), M.dim(v)) for v in M.quiver.vertices]
-    basis = [unflatten(vec.flatten(), shapes) for vec in kernel]
-    return len(basis), basis
+    return len(basis), [unflatten(vec, shapes) for vec in basis]
 
 
 # Not used in this package since `irreducible_dim` composes on ints: the
@@ -376,8 +415,8 @@ class IndecTable:
     # canonical-sequence oracle's traces and certificates, the validated
     # cross-degree arrows, and per window the derived AR arrows, the
     # tau-orbits and the Hom masks; while the knitting is validated, also
-    # the integer-scaled Hom bases of `irreducible_dim`.  A copy made with dataclasses.replace
-    # starts empty, so a patched table is re-validated.
+    # the integer-scaled Hom bases of `irreducible_dim`.  A copy made with
+    # dataclasses.replace starts empty, so a patched table is re-validated.
     memo: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -586,7 +625,7 @@ def irreducible_dim(i, j, table):
 
 def _int_composites(i, j, table):
     """The composites g f through each m other than i and j, flattened
-    like the morphisms of `_int_basis`."""
+    like the morphisms of `_int_basis`, as sparse integer rows."""
     dims = [e.dimvec for e in table.entries]
     for m in range(len(table.entries)):
         if m in (i, j):
@@ -599,12 +638,12 @@ def _int_composites(i, j, table):
         for f in F:
             f_cols = _blocks(f, dims[m], dims[i], columns=True)
             for rows in g_rows:
-                yield [
+                yield sparse_row(
                     sum(map(mul, row, col))
                     for v_rows, v_cols in zip(rows, f_cols)
                     for row in v_rows
                     for col in v_cols
-                ]
+                )
 
 
 def _int_basis(table, i, j):

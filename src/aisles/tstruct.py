@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from .derived import (
     DerivedObject,
-    DerivedSubcategory,
     TableContext,
     Window,
     breadth_first,
@@ -208,16 +207,15 @@ def section_check(S, table, window):
 
 
 def successors(S, table, window):
-    """Reflexive-transitive closure under the derived AR arrows."""
+    """Reflexive-transitive closure of the objects ``S`` under the
+    derived AR arrows, as a mask of the table's ``HomMasks`` for
+    ``window``."""
     masks = _masks(table, window)
     succ = [[] for _ in masks.objects]
     for (x, y) in derived_ar_arrows(table, window):
         succ[masks.index[x]].append(masks.index[y])
     sources = [masks.index[x] for x in S if window.contains(x)]
-    closure = {masks.objects[k] for k in breadth_first(succ, sources, {})}
-    n = len(table.entries)
-    top_full = all(DerivedObject(i, window.hi) in closure for i in range(n))
-    return DerivedSubcategory(window, frozenset(closure), upper_tail=top_full)
+    return sum(1 << k for k in breadth_first(succ, sources, {}))
 
 
 def _first_semipath(masks, source, targets):
@@ -326,10 +324,10 @@ def classify_split(table, window, split_pairs):
         if E:
             checks["count_matches_vertices"] = len(E) == n_vertices
             checks["section"] = section_check(E, table, window)
-            cone = successors(E, table, window).members
+            cone = successors(E, table, window)
             checks["successors_reproduce_aisle"] = not (
-                masks.mask(cone) ^ ts.aisle
-            ) & masks.interior
+                (cone ^ ts.aisle) & masks.interior
+            )
         else:
             checks["zero_heart"] = not heart_nonzero
         report.append(

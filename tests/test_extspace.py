@@ -25,16 +25,14 @@ def test_ext_basis_spans(a3_table):
 
 
 def _image_families(table, i, j):
-    """im delta of Ext^1(i, j), one arrow family per column of delta."""
+    """im delta of Ext^1(i, j), one arrow family per column of delta (of
+    the integer Hom system, a nonzero multiple of delta: same image)."""
     X, Y = table.entries[i].rep, table.entries[j].rep
-    delta = hom_system(X, Y)
+    rows, ncols = hom_system(X, Y)
     shapes = [
         (a.name, Y.dim(a.target), X.dim(a.source)) for a in table.quiver.arrows
     ]
-    return [
-        unflatten([delta[r, c] for r in range(delta.nrows)], shapes)
-        for c in range(delta.ncols)
-    ]
+    return [unflatten([row.get(c, 0) for row in rows], shapes) for c in range(ncols)]
 
 
 @pytest.mark.parametrize("fixture", ["a3_table", "d4_table"])

@@ -1,0 +1,135 @@
+"""Differential tests of the integer Hom kernel.
+
+`repcore.hom_system` builds Ringel's map delta on sparse integer rows,
+scaled by the denominators of both representations, and `hom_space` and
+the Ext cokernel eliminate those rows fraction-free.  Here delta is
+written out again from its definition with `Fraction` entries, and its
+kernel and image are computed by the plain `Fraction` Gauss-Jordan of
+``test_linalg``; the reduced row echelon form is unique, so the results
+must agree entry for entry.
+"""
+
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from aisles.extspace import ExtMachine
+from aisles.linalg import Mat
+from aisles.quiver import BUILTIN_QUIVERS, d4_quiver, linear_quiver
+from aisles.repcore import Representation, enumerate_indecomposables, hom_space
+from test_linalg import reference_nullspace, reference_rref
+
+QUIVERS = [linear_quiver(2), linear_quiver(3), d4_quiver()]
+
+rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+
+
+def fraction_delta(M, N):
+    """delta(f)_a = N_a f_u - f_w M_a as a `Fraction` matrix: columns
+    (v, i, j) vertex by vertex and row-major in f_v, rows (a, r, c)."""
+    Q = M.quiver
+    coords = [
+        (v, i, j)
+        for v in Q.vertices
+        for i in range(N.dim(v))
+        for j in range(M.dim(v))
+    ]
+    index = {x: k for k, x in enumerate(coords)}
+    rows = []
+    for a in Q.arrows:
+        u, w = a.source, a.target
+        Na, Ma = N.maps[a.name], M.maps[a.name]
+        for r in range(N.dim(w)):
+            for c in range(M.dim(u)):
+                row = [Fraction(0)] * len(coords)
+                for k in range(N.dim(u)):  # (N_a f_u)[r, c]
+                    row[index[u, k, c]] += Na[r, k]
+                for k in range(M.dim(w)):  # (f_w M_a)[r, c]
+                    row[index[w, r, k]] -= Ma[k, c]
+                rows.append(row)
+    return Mat(rows, len(rows), len(coords))
+
+
+def flat(f, quiver):
+    return [x for v in quiver.vertices for x in f[v].flatten()]
+
+
+@st.composite
+def representations(draw, quiver):
+    """Dimensions 0-2 at each vertex and `Fraction` maps with
+    denominators 1-6, so the two sides of a pair mostly scale by
+    different integers."""
+    dims = {v: draw(st.integers(0, 2)) for v in quiver.vertices}
+    maps = {}
+    for a in quiver.arrows:
+        nrows, ncols = dims[a.target], dims[a.source]
+        entries = st.lists(rationals, min_size=ncols, max_size=ncols)
+        rows = draw(st.lists(entries, min_size=nrows, max_size=nrows))
+        maps[a.name] = Mat(rows, nrows, ncols)
+    return Representation(quiver, dims, maps)
+
+
+@st.composite
+def pairs(draw):
+    quiver = draw(st.sampled_from(QUIVERS))
+    return draw(representations(quiver)), draw(representations(quiver))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs())
+def test_hom_space_matches_fraction_nullspace(pair):
+    M, N = pair
+    dim, basis = hom_space(M, N)
+    want = reference_nullspace(fraction_delta(M, N))
+    assert dim == len(want)
+    assert [flat(f, M.quiver) for f in basis] == want
+    for f in basis:
+        for v in M.quiver.vertices:
+            assert (f[v].nrows, f[v].ncols) == (N.dim(v), M.dim(v))
+            assert all(type(x) is Fraction for x in f[v].flatten())
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs())
+def test_ext_cokernel_matches_fraction_gauss_jordan(pair):
+    M, N = pair
+    entries = [SimpleNamespace(rep=M), SimpleNamespace(rep=N)]
+    machine = ExtMachine(SimpleNamespace(quiver=M.quiver, entries=entries))
+    image, pivots, free, basis = machine._cokernel(0, 1)
+    delta = fraction_delta(M, N)
+    want_rows, want_pivots = reference_rref(delta.transpose())
+    assert pivots == want_pivots
+    assert [
+        [Fraction(row.get(k, 0), row[p]) for k in range(delta.nrows)]
+        for row, p in zip(image, pivots)
+    ] == want_rows[: len(want_pivots)]
+    assert free == [k for k in range(delta.nrows) if k not in want_pivots]
+    assert len(basis) == len(free)
+
+
+def test_hom_space_scales_each_side_by_its_own_denominators():
+    # the row of delta for (a, r, c) mixes D_M N_a and D_N M_a; with
+    # D_M = 2 and D_N = 3 a kernel that dropped either factor would differ
+    Q = linear_quiver(2)
+    (a,) = Q.arrows
+    u, w = a.source, a.target
+    M = Representation(Q, {u: 1, w: 1}, {a.name: Mat([[Fraction(1, 2)]])})
+    N = Representation(Q, {u: 1, w: 1}, {a.name: Mat([[Fraction(2, 3)]])})
+    assert M.int_maps[0] == 2 and N.int_maps[0] == 3
+    dim, basis = hom_space(M, N)
+    assert [flat(f, Q) for f in basis] == reference_nullspace(fraction_delta(M, N))
+    # f_w = (N_a / M_a) f_u = 4/3 f_u
+    assert dim == 1 and basis[0][w][0, 0] == Fraction(4, 3) * basis[0][u][0, 0]
+
+
+@pytest.mark.parametrize("name", ["d4", "d5", "e6"])
+def test_table_hom_bases_match_fraction_nullspace(name):
+    table = enumerate_indecomposables(BUILTIN_QUIVERS[name]())
+    for X in table.entries:
+        for Y in table.entries:
+            want = reference_nullspace(fraction_delta(X.rep, Y.rep))
+            got = [flat(f, table.quiver) for f in table.hom_bases[X.id][Y.id]]
+            assert got == want
+            assert all(type(x) is Fraction for vec in got for x in vec)
