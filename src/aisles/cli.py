@@ -85,12 +85,38 @@ def emit(payload):
 
 
 def apply_table_patch(table, path):
-    """Overwrite hom-table entries from a JSON fixture; used to show the
-    verifiers actually detect wrong data."""
+    """Overwrite hom-table entries from a JSON fixture ``{"hom": [[i, j,
+    value], ...]}``; used to show the verifiers actually detect wrong
+    data.  Any other content is an AislesError."""
     with open(path, "r", encoding="utf-8") as fh:
-        patch = json.load(fh)
+        try:
+            patch = json.load(fh)
+        except ValueError as exc:
+            raise AislesError(f"bad table patch: {exc}") from None
+    if not (
+        isinstance(patch, dict)
+        and patch.keys() == {"hom"}
+        and isinstance(patch["hom"], list)
+    ):
+        raise AislesError(
+            'bad table patch: want {"hom": [[i, j, value], ...]}'
+        )
+    n = len(table.entries)
     hom = [list(row) for row in table.hom]
-    for (i, j, value) in patch.get("hom", []):
+    for entry in patch["hom"]:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 3
+            and all(type(x) is int for x in entry)
+            and 0 <= entry[0] < n
+            and 0 <= entry[1] < n
+            and entry[2] >= 0
+        ):
+            raise AislesError(
+                f"bad table patch entry {json.dumps(entry)}: want "
+                f"[i, j, value] with 0 <= i, j < {n} and value >= 0"
+            )
+        i, j, value = entry
         hom[i][j] = value
     return dataclasses.replace(table, hom=tuple(tuple(r) for r in hom))
 

@@ -188,12 +188,6 @@ class Mat:
     def is_zero(self):
         return all(x == 0 for row in self.rows for x in row)
 
-    def scale(self, c):
-        c = Fraction(c)
-        return Mat(
-            [[c * x for x in row] for row in self.rows], self.nrows, self.ncols
-        )
-
     def __mul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError(

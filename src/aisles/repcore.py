@@ -1,17 +1,23 @@
 """Quiver representations over the rationals and the indecomposable table.
 
-Indecomposables of a Dynkin quiver are constructed by reflection functors
-along an admissible sink ordering, one per positive root; identity of
-isomorphism classes is by dimension vector.  The table then records all
-Hom/Ext dimensions, the AR translate and the AR quiver, with every derived
-quantity cross-validated against an independent computation (Euler form,
-AR formula, rad/rad^2 linear algebra).  Validation failures abort.
+The indecomposables of a Dynkin quiver are the tau^- orbits of its
+projectives: from each P_v, built by hand, the Coxeter functor C^- (the
+reflection functors at the sources of an admissible ordering) is applied
+until it gives zero.  The walk is capped at the number of positive roots,
+must bring the quiver back to itself after each C^-, and must meet that
+many distinct dimension vectors; identity of isomorphism classes is by
+dimension vector.  The table then records all Hom/Ext dimensions, the AR
+translate and the AR quiver, with every derived quantity cross-validated
+against an independent computation: End = k, Ext from the Euler form, the
+AR formula ext(X, Y) = hom(Y, tau X) against the walk's tau, the top of
+each projective against the vertex its orbit started from, and the
+knitted AR arrows against rad/rad^2 linear algebra.  Validation failures
+abort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import mul
@@ -78,14 +84,6 @@ class Representation:
                     columns[k].append((i, x))
             out[name] = (rows, columns)
         return den, out
-
-
-def simple_representation(quiver, v):
-    dims = {w: 1 if w == v else 0 for w in quiver.vertices}
-    maps = {
-        a.name: Mat.zeros(dims[a.target], dims[a.source]) for a in quiver.arrows
-    }
-    return Representation(quiver, dims, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -184,18 +182,8 @@ def unflatten(values, shapes):
 
 
 # ---------------------------------------------------------------------------
-# Euler form and Coxeter transformation
+# Euler form
 # ---------------------------------------------------------------------------
-
-
-def euler_matrix(quiver):
-    """E with <d, e> = d^T E e = sum_v d_v e_v - sum_a d_{s(a)} e_{t(a)}."""
-    n = len(quiver.vertices)
-    idx = {v: i for i, v in enumerate(quiver.vertices)}
-    E = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for a in quiver.arrows:
-        E[idx[a.source]][idx[a.target]] -= 1
-    return Mat(E, n, n)
 
 
 def euler_form(quiver, d, e):
@@ -208,27 +196,6 @@ def euler_form(quiver, d, e):
     for a in quiver.arrows:
         val -= d[idx[a.source]] * e[idx[a.target]]
     return val
-
-
-def coxeter_matrix(quiver):
-    """Phi = -E^{-1} E^T acting on column vectors; dim tau M = Phi dim M."""
-    E = euler_matrix(quiver)
-    n = E.nrows
-    cols = []
-    for j in range(n):
-        b = Mat.column([Fraction(1 if i == j else 0) for i in range(n)])
-        cols.append(E.solve(b))
-    return (Mat.hstack(cols) * E.transpose()).scale(-1)
-
-
-def coxeter_transform(phi, d, inverse=False):
-    """Phi d, or Phi^{-1} d, for ``phi = coxeter_matrix(quiver)``."""
-    if inverse:
-        # Phi^{-1} = -E^T{}^{-1} E; solve Phi x = d instead of inverting again
-        x = phi.solve(Mat.column(d))
-        return tuple(int(v) for v in x.flatten())
-    out = phi * Mat.column(list(d))
-    return tuple(int(v) for v in out.flatten())
 
 
 # ---------------------------------------------------------------------------
@@ -298,87 +265,56 @@ def _reflect_source(R, v):
     return Representation(newQ, dims, maps)
 
 
-# ---------------------------------------------------------------------------
-# Positive roots and construction of all indecomposables
-# ---------------------------------------------------------------------------
+def projective(quiver, v):
+    """P_v: k at every vertex a path from ``v`` reaches, and the identity
+    along the arrows between them.  A Dynkin graph is a tree, so no
+    vertex is reached by two paths."""
+    reached = {v}
+    stack = [v]
+    while stack:
+        for a in quiver.arrows_from(stack.pop()):
+            reached.add(a.target)
+            stack.append(a.target)
+    dims = {w: int(w in reached) for w in quiver.vertices}
+    maps = {
+        a.name: Mat.zeros(dims[a.target], dims[a.source])
+        if a.source not in reached
+        else Mat([[1]])
+        for a in quiver.arrows
+    }
+    return Representation(quiver, dims, maps)
 
 
-def _simple_reflection(quiver, v, d):
-    """s_v on dimension vectors: negate at v, add neighbouring coordinates."""
-    idx = {w: i for i, w in enumerate(quiver.vertices)}
-    i = idx[v]
-    neigh = 0
-    for a in quiver.arrows:
-        if a.source == v:
-            neigh += d[idx[a.target]]
-        elif a.target == v:
-            neigh += d[idx[a.source]]
-    out = list(d)
-    out[i] = neigh - d[i]
-    return tuple(out)
+def tau_minus_orbits(quiver, cap):
+    """{v: [P_v, tau^- P_v, tau^- tau^- P_v, ...]} up to the last nonzero
+    term, for every vertex v in quiver order.
 
-
-def positive_roots(quiver):
-    """All positive roots, by reflection closure from the simple roots."""
-    n = len(quiver.vertices)
-    simples = [
-        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-    ]
-    roots = set(simples)
-    frontier = list(simples)
-    while frontier:
-        nxt = []
-        for d in frontier:
-            for v in quiver.vertices:
-                r = _simple_reflection(quiver, v, d)
-                if all(x >= 0 for x in r) and r not in roots and any(r):
-                    roots.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return sorted(roots, key=lambda d: (sum(d), d))
-
-
-def build_indecomposable(quiver, d):
-    """The indecomposable representation with dimension vector ``d``.
-
-    Applies the simple reflections of the admissible sink sequence to ``d``
-    until it would become negative; the surviving vector is a simple root,
-    and the representation is obtained by pulling the corresponding simple
-    back through the inverse reflection functors.
+    tau^- is the Coxeter functor C^-: `reflect` at the vertices of
+    ``quiver.sink_ordering()`` in reverse order, each a source when its
+    turn comes.  C^- must bring the quiver back to itself, and the walk
+    raises ConsistencyError once it has met more than ``cap``
+    representations, so no input can make it loop.
     """
-    order = quiver.sink_ordering()
-    trail = []  # (vertex, quiver before reflecting at it)
-    cur_q = quiver
-    cur_d = tuple(d)
-    guard = 0
-    while True:
-        idx = {v: i for i, v in enumerate(quiver.vertices)}
-        nonzero = [v for v in quiver.vertices if cur_d[idx[v]] > 0]
-        if len(nonzero) == 1 and cur_d[idx[nonzero[0]]] == 1:
-            break  # reached a simple root
-        v = order[len(trail) % len(order)]
-        nd = _simple_reflection(quiver, v, cur_d)
-        if any(x < 0 for x in nd):
-            raise ConsistencyError(
-                f"reflection descent left the positive cone at {cur_d}"
-            )
-        trail.append((v, cur_q))
-        cur_q = cur_q.reversed_at(v)
-        cur_d = nd
-        guard += 1
-        if guard > 64 * len(order):
-            raise ConsistencyError("reflection descent did not terminate")
-    idx = {v: i for i, v in enumerate(quiver.vertices)}
-    w = next(v for v in quiver.vertices if cur_d[idx[v]] == 1)
-    rep = simple_representation(cur_q, w)
-    for v, _prev_q in reversed(trail):
-        rep = reflect(rep, v)  # v is a source here: negative reflection
-    if rep.quiver != quiver or rep.dimension_vector() != tuple(d):
-        raise ConsistencyError(
-            f"reflection construction produced {rep.dimension_vector()} "
-            f"instead of {tuple(d)}"
-        )
-    return rep
+    order = quiver.sink_ordering()[::-1]
+    orbits = {}
+    met = 0
+    for v in quiver.vertices:
+        orbit = orbits[v] = []
+        rep = projective(quiver, v)
+        while not rep.is_zero():
+            met += 1
+            if met > cap:
+                raise ConsistencyError(
+                    f"the tau^- orbits of the projectives exceed {cap} modules"
+                )
+            orbit.append(rep)
+            for w in order:
+                rep = reflect(rep, w)
+            if rep.quiver != quiver:
+                raise ConsistencyError(
+                    f"C^- took {orbit[-1].dimension_vector()} off the quiver"
+                )
+    return orbits
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +349,11 @@ class IndecTable:
     # Results derived from this table alone, computed on first use and
     # keyed by value: the orthogonal masks of the torsion search, the
     # canonical-sequence oracle's traces and certificates, the validated
-    # cross-degree arrows, and per window the derived AR arrows, the
-    # tau-orbits and the Hom masks; while the knitting is validated, also
-    # the integer-scaled Hom bases of `irreducible_dim`.  A copy made with
-    # dataclasses.replace starts empty, so a patched table is re-validated.
+    # cross-degree arrows, and per window the derived AR arrows with their
+    # successor lists, the tau-orbits and the Hom masks; while the knitting
+    # is validated, also the integer-scaled Hom bases of `irreducible_dim`.
+    # A copy made with dataclasses.replace starts empty, so a patched table
+    # is re-validated.
     memo: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -449,20 +386,39 @@ class IndecTable:
 
 
 def enumerate_indecomposables(quiver):
-    """Construct the full IndecTable of a Dynkin quiver.
+    """Construct the full IndecTable of a Dynkin quiver from the tau^-
+    orbits of its projectives.
 
     Raises UnsupportedError for non-Dynkin input and ConsistencyError if
-    any of the cross-checks (entry count, Euler/AR identities, knitting
-    vs rad/rad^2) fails.
+    any of the cross-checks (entry count, Euler/AR identities, the
+    projective starting each orbit, knitting vs rad/rad^2) fails.
     """
     expected = quiver.positive_root_count()  # raises UnsupportedError
-    roots = positive_roots(quiver)
+    orbits = tau_minus_orbits(quiver, expected)
+    roots = sorted(
+        {rep.dimension_vector() for orbit in orbits.values() for rep in orbit},
+        key=lambda d: (sum(d), d),
+    )
+    # with at most `expected` modules walked, this count makes the
+    # dimension vectors distinct; with hom[i][i] = 1 below they are the
+    # positive roots (Gabriel)
     if len(roots) != expected:
         raise ConsistencyError(
-            f"found {len(roots)} positive roots, expected {expected}"
+            f"the tau^- orbits hold {len(roots)} dimension vectors, "
+            f"expected {expected}"
         )
-    reps = [build_indecomposable(quiver, d) for d in roots]
-    n = len(reps)
+    by_dimvec = {d: i for i, d in enumerate(roots)}
+    n = expected
+    reps = [None] * n
+    tau_link = [None] * n
+    tau_inv = [None] * n
+    for orbit in orbits.values():
+        ids = [by_dimvec[rep.dimension_vector()] for rep in orbit]
+        for i, rep in zip(ids, orbit):
+            reps[i] = rep
+        for i, j in zip(ids, ids[1:]):
+            tau_inv[i] = j
+            tau_link[j] = i
 
     hom = [[0] * n for _ in range(n)]
     bases = [[None] * n for _ in range(n)]
@@ -486,24 +442,6 @@ def enumerate_indecomposables(quiver):
                     f"negative Ext dimension between {roots[i]} and {roots[j]}"
                 )
             ext[i][j] = val
-
-    by_dimvec = {d: i for i, d in enumerate(roots)}
-    tau_link = [None] * n
-    tau_inv = [None] * n
-    phi = coxeter_matrix(quiver)
-    for i, d in enumerate(roots):
-        td = coxeter_transform(phi, d)
-        if all(x >= 0 for x in td):
-            if td not in by_dimvec:
-                raise ConsistencyError(f"Coxeter transform of {d} is not a root")
-            tau_link[i] = by_dimvec[td]
-        ti = coxeter_transform(phi, d, inverse=True)
-        if all(x >= 0 for x in ti):
-            if ti not in by_dimvec:
-                raise ConsistencyError(
-                    f"inverse Coxeter transform of {d} is not a root"
-                )
-            tau_inv[i] = by_dimvec[ti]
 
     # AR formula validation: ext(i, j) = hom(j, tau i) for non-projective i,
     # ext(i, j) = 0 for projective i.
@@ -534,6 +472,11 @@ def enumerate_indecomposables(quiver):
             if len(vs) != 1:
                 raise ConsistencyError("injective has no unique socle")
             inj_vertex[i] = vs[0]
+    for v, orbit in orbits.items():
+        if proj_vertex[by_dimvec[orbit[0].dimension_vector()]] != v:
+            raise ConsistencyError(
+                f"the walk from P_{v} starts at a module with another top"
+            )
 
     entries = tuple(
         IndecEntry(

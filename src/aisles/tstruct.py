@@ -211,11 +211,22 @@ def successors(S, table, window):
     derived AR arrows, as a mask of the table's ``HomMasks`` for
     ``window``."""
     masks = _masks(table, window)
-    succ = [[] for _ in masks.objects]
-    for (x, y) in derived_ar_arrows(table, window):
-        succ[masks.index[x]].append(masks.index[y])
     sources = [masks.index[x] for x in S if window.contains(x)]
+    succ = _arrow_successors(table, window)
     return sum(1 << k for k in breadth_first(succ, sources, {}))
+
+
+def _arrow_successors(table, window):
+    """Per window index, the window indices its derived AR arrows point
+    to; built once per table and window and kept in ``table.memo``."""
+    key = ("arrow_successors", window)
+    if key not in table.memo:
+        masks = _masks(table, window)
+        succ = [[] for _ in masks.objects]
+        for (x, y) in derived_ar_arrows(table, window):
+            succ[masks.index[x]].append(masks.index[y])
+        table.memo[key] = succ
+    return table.memo[key]
 
 
 def _first_semipath(masks, source, targets):
@@ -240,10 +251,6 @@ def semipath(X, Y, table, window):
         raise PreconditionError("semipath endpoints must lie in the window")
     masks = _masks(table, window)
     return _first_semipath(masks, masks.index[X], 1 << masks.index[Y])
-
-
-def semipath_exists(X, Y, table, window):
-    return semipath(X, Y, table, window) is not None
 
 
 def ringel_criterion(table, window):

@@ -153,6 +153,35 @@ def test_verify_falsified_table_fails(capsys):
     assert any(not c["pass"] for c in payload["checks"])
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"hom": [[99, 0, 1]]}', "entry [99, 0, 1]"),
+        ("{hom", "bad table patch: Expecting property name"),
+        ('{"hom": [[0, 0, "x"]]}', 'entry [0, 0, "x"]'),
+        ('{"hom": [[-1, 0, 1]]}', "entry [-1, 0, 1]"),
+        ('[[0, 0, "x"]]', 'want {"hom": [[i, j, value], ...]}'),
+    ],
+    ids=[
+        "index-out-of-range",
+        "not-json",
+        "value-not-int",
+        "negative-index",
+        "not-an-object",
+    ],
+)
+def test_verify_malformed_table_patch_is_usage_error(
+    capsys, tmp_path, text, message
+):
+    path = tmp_path / "patch.json"
+    path.write_text(text)
+    code, out, err = run(
+        capsys, "verify", "--builtin", "a2", "--table-patch", str(path)
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: bad table patch") and message in err
+
+
 def test_verify_kronecker_suite(capsys):
     code, out, _ = run(
         capsys,

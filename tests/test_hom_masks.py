@@ -4,10 +4,12 @@ import dataclasses
 
 import pytest
 
-from aisles import derived
+from aisles import derived, tstruct
 from aisles.derived import (
     DEFAULT_WINDOW,
+    DerivedObject,
     TableContext,
+    Window,
     derived_ar_arrows,
     hom_derived,
     hom_masks,
@@ -17,7 +19,7 @@ from aisles.errors import ConsistencyError
 from aisles.kronecker import KroneckerContext, TameModel, default_model, hom_rule
 from aisles.quiver import BUILTIN_QUIVERS
 from aisles.repcore import enumerate_indecomposables
-from aisles.tstruct import ringel_criterion, semipath_exists
+from aisles.tstruct import ringel_criterion, semipath, successors
 
 
 def _assert_masks_match(masks, rule):
@@ -55,7 +57,7 @@ def test_ringel_criterion_matches_semipath_definition(a3_table, d4_table, window
             x
             for x in derived.all_objects(table, window)
             if window.is_interior(x)
-            and not semipath_exists(shift(x, 1), x, table, window)
+            and semipath(shift(x, 1), x, table, window) is None
         }
         assert ringel_criterion(table, window) == want
 
@@ -86,6 +88,27 @@ def test_masks_and_arrows_built_once_per_table_and_window(a3_table, monkeypatch)
     hom_masks(TableContext(patched), DEFAULT_WINDOW)
     derived_ar_arrows(patched, DEFAULT_WINDOW)
     assert (builds, meshes) == (2, 2)
+
+
+def test_successor_lists_built_once_per_table_and_window(a3_table, monkeypatch):
+    walks = 0
+    arrows = tstruct.derived_ar_arrows
+
+    def counting_arrows(table, window):
+        nonlocal walks
+        walks += 1
+        return arrows(table, window)
+
+    monkeypatch.setattr(tstruct, "derived_ar_arrows", counting_arrows)
+    table = dataclasses.replace(a3_table)
+    S = [DerivedObject(0, 0)]
+    cones = {successors(S, table, DEFAULT_WINDOW) for _ in range(3)}
+    assert walks == 1 and len(cones) == 1
+    # another window, and a patched copy, build their own lists
+    successors(S, table, Window(-1, 1))
+    assert walks == 2
+    assert successors(S, dataclasses.replace(table), DEFAULT_WINDOW) in cones
+    assert walks == 3
 
 
 def test_derived_mesh_check_raises_on_a_missing_arrow(a3_table):

@@ -15,9 +15,30 @@ from aisles.quiver import (
     load_quiver,
     load_quiver_file,
 )
-from aisles.repcore import positive_roots
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def positive_roots(quiver):
+    """The positive roots of a Dynkin quiver as a set, by reflection
+    closure from the simple roots: s_v negates coordinate v and adds the
+    coordinates of v's neighbours."""
+    idx = {v: i for i, v in enumerate(quiver.vertices)}
+    n = len(idx)
+    neighbours = [[] for _ in range(n)]
+    for a in quiver.arrows:
+        neighbours[idx[a.source]].append(idx[a.target])
+        neighbours[idx[a.target]].append(idx[a.source])
+    roots = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    frontier = list(roots)
+    while frontier:
+        d = frontier.pop()
+        for i in range(n):
+            r = d[:i] + (sum(d[k] for k in neighbours[i]) - d[i],) + d[i + 1 :]
+            if min(r) >= 0 and r not in roots:
+                roots.add(r)
+                frontier.append(r)
+    return roots
 
 
 def test_load_basic():

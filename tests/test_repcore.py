@@ -1,27 +1,33 @@
 import dataclasses
 import functools
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from aisles import repcore
 from aisles.errors import ConsistencyError, UnsupportedError
 from aisles.linalg import Mat, span_rank
-from aisles.quiver import BUILTIN_QUIVERS, Arrow, Quiver, d4_quiver, linear_quiver
+from aisles.quiver import (
+    BUILTIN_QUIVERS,
+    Arrow,
+    Quiver,
+    linear_quiver,
+    quiver_from_edges,
+)
 from aisles.repcore import (
     Representation,
     _validate_ar_arrows,
     compose_morphisms,
-    coxeter_matrix,
-    coxeter_transform,
     enumerate_indecomposables,
     euler_form,
     hom_space,
     irreducible_dim,
-    positive_roots,
     reflect,
-    simple_representation,
 )
+from test_linalg import reference_solve
+from test_quiver import positive_roots
 
 dimvec2 = st.tuples(
     st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6)
@@ -60,10 +66,11 @@ def test_table_sizes(a3_table, d4_table):
     assert len(d4_table.entries) == 12
 
 
-def test_positive_roots_a3():
-    roots = positive_roots(linear_quiver(3))
+def test_positive_roots_a3(a3_table):
+    roots = [e.dimvec for e in a3_table.entries]
     assert (1, 1, 1) in roots and (0, 1, 1) in roots
     assert len(roots) == 6
+    assert set(roots) == positive_roots(linear_quiver(3))
 
 
 @given(dimvec2, dimvec2, dimvec2)
@@ -92,16 +99,42 @@ def test_ar_formula(d4_table):
             assert t.ext[i][j] == want
 
 
-def test_coxeter_on_a2():
-    phi = coxeter_matrix(linear_quiver(2))
-    assert coxeter_transform(phi, (1, 0)) == (0, 1)  # tau S_1 = S_2
-    assert any(x < 0 for x in coxeter_transform(phi, (0, 1)))  # projective
-    assert coxeter_transform(phi, (0, 1), inverse=True) == (1, 0)
+def simple(quiver, v):
+    """The simple representation at ``v``."""
+    dims = {w: int(w == v) for w in quiver.vertices}
+    maps = {
+        a.name: Mat.zeros(dims[a.target], dims[a.source]) for a in quiver.arrows
+    }
+    return Representation(quiver, dims, maps)
+
+
+def coxeter_transform(quiver, d, inverse=False):
+    """Phi d, or Phi^{-1} d, on dimension vectors, with Phi = -E^{-1} E^T
+    and E the Euler matrix (<d, e> = d^T E e): E x = -E^T d, or
+    E^T x = -E d, solved by the `Fraction` Gauss-Jordan of test_linalg."""
+    idx = {v: i for i, v in enumerate(quiver.vertices)}
+    E = [[int(i == j) for j in idx.values()] for i in idx.values()]
+    for a in quiver.arrows:
+        E[idx[a.source]][idx[a.target]] -= 1
+    Et = [list(col) for col in zip(*E)]
+    A, B = (Et, E) if inverse else (E, Et)
+    x = reference_solve(Mat(A), [-sum(map(operator.mul, row, d)) for row in B])
+    assert all(v.denominator == 1 for v in x)
+    return tuple(int(v) for v in x)
+
+
+def test_coxeter_on_a2(a2_table):
+    q = linear_quiver(2)
+    assert coxeter_transform(q, (1, 0)) == (0, 1)  # tau S_1 = S_2
+    assert any(x < 0 for x in coxeter_transform(q, (0, 1)))  # projective
+    assert coxeter_transform(q, (0, 1), inverse=True) == (1, 0)
+    s1, s2 = a2_table.by_dimvec((1, 0)), a2_table.by_dimvec((0, 1))
+    assert s1.tau == s2.id and s2.tau is None and s2.tau_inverse == s1.id
 
 
 def test_reflection_at_sink():
     q = linear_quiver(2)
-    s1 = simple_representation(q, "1")
+    s1 = simple(q, "1")
     r = reflect(s1, "2")  # vertex 2 is a sink: positive reflection
     assert r.dimension_vector() == (1, 1)
     assert r.quiver.arrows[0].source == "2"
@@ -109,13 +142,13 @@ def test_reflection_at_sink():
     back = reflect(r, "2")
     assert back.dimension_vector() == (1, 0)
     # the simple at the sink itself is annihilated
-    s2 = simple_representation(q, "2")
+    s2 = simple(q, "2")
     assert reflect(s2, "2").dimension_vector() == (0, 0)
 
 
 def test_reflect_rejects_interior_vertex():
     q = linear_quiver(3)
-    m = simple_representation(q, "1")
+    m = simple(q, "1")
     with pytest.raises(UnsupportedError):
         reflect(m, "2")
 
@@ -208,7 +241,105 @@ def test_representation_shape_validation():
 
 def test_simple_rep_end_is_field(a2_table):
     for v in ("1", "2"):
-        s = simple_representation(linear_quiver(2), v)
+        s = simple(linear_quiver(2), v)
         dim, basis = hom_space(s, s)
         assert dim == 1
         assert basis[0][v] == Mat([[Fraction(1)]])
+
+
+# The ADE graphs of the orientation fuzz: edges (s, t), each flipped or not.
+SHAPES = {
+    **{f"A{n}": [(k, k + 1) for k in range(1, n)] for n in range(2, 7)},
+    **{
+        f"D{n}": [(k, k + 1) for k in range(1, n - 1)] + [(n - 2, n)]
+        for n in range(4, 7)
+    },
+    "E6": [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)],
+}
+
+
+@st.composite
+def orientations(draw):
+    name = draw(st.sampled_from(sorted(SHAPES)))
+    edges = [(t, s) if draw(st.booleans()) else (s, t) for s, t in SHAPES[name]]
+    return quiver_from_edges(name, edges)
+
+
+@settings(max_examples=30, deadline=None)
+@given(orientations())
+def test_orbit_walk_matches_roots_and_coxeter_transform(q):
+    """On any orientation: one entry per positive root (the reflection
+    closure), End = k, the AR formula, and every tau / tau^- link equal
+    to the Coxeter transform Phi = -E^{-1} E^T of the Euler matrix, with
+    Phi dim X not positive exactly at the projectives (Phi^{-1} at the
+    injectives)."""
+    t = enumerate_indecomposables(q)
+    n = len(t.entries)
+    assert n == q.positive_root_count()
+    assert {e.dimvec for e in t.entries} == positive_roots(q)
+    for i, e in enumerate(t.entries):
+        assert t.hom[i][i] == 1
+        for j in range(n):
+            assert t.ext[i][j] == (0 if e.tau is None else t.hom[j][e.tau])
+        for link, inverse in ((e.tau, False), (e.tau_inverse, True)):
+            phi = coxeter_transform(q, e.dimvec, inverse)
+            if link is None:
+                assert min(phi) < 0
+            else:
+                assert t.entries[link].dimvec == phi
+
+
+def test_walk_that_never_reaches_zero_stops_at_the_cap(monkeypatch):
+    """A reflection that keeps every space never ends an orbit: the walk
+    must raise at the positive-root cap, not loop."""
+    calls = 0
+
+    def stuck(R, v):
+        nonlocal calls
+        calls += 1
+        assert calls < 1000, "the walk did not stop at its cap"
+        maps = {
+            a.name: R.maps[a.name].transpose()
+            if v in (a.source, a.target)
+            else R.maps[a.name]
+            for a in R.quiver.arrows
+        }
+        return Representation(R.quiver.reversed_at(v), R.dims, maps)
+
+    monkeypatch.setattr(repcore, "reflect", stuck)
+    with pytest.raises(ConsistencyError, match="exceed 12 modules"):
+        enumerate_indecomposables(BUILTIN_QUIVERS["d4"]())
+
+
+def test_wrong_projective_is_caught(monkeypatch):
+    """The simple at the non-sink 1 of 1 -> 2 -> 3 in place of P_1: its
+    orbit misses P_1 = (1, 1, 1)."""
+    real = repcore.projective
+    monkeypatch.setattr(
+        repcore,
+        "projective",
+        lambda quiver, v: simple(quiver, v) if v == "1" else real(quiver, v),
+    )
+    with pytest.raises(ConsistencyError, match="5 dimension vectors"):
+        enumerate_indecomposables(linear_quiver(3))
+
+
+def test_swapped_projectives_are_caught(monkeypatch):
+    """P_1 and P_2 exchanged: the same orbits, so only the check that the
+    projective with top v starts v's walk can see it."""
+    real = repcore.projective
+    swap = {"1": "2", "2": "1"}
+    monkeypatch.setattr(
+        repcore, "projective", lambda quiver, v: real(quiver, swap.get(v, v))
+    )
+    with pytest.raises(ConsistencyError, match="walk from P_1"):
+        enumerate_indecomposables(linear_quiver(3))
+
+
+def test_coxeter_functor_must_return_to_the_quiver(monkeypatch):
+    """C^- that skips the last vertex of the sink ordering leaves arrows
+    reversed."""
+    real = Quiver.sink_ordering
+    monkeypatch.setattr(Quiver, "sink_ordering", lambda self: real(self)[1:])
+    with pytest.raises(ConsistencyError, match="off the quiver"):
+        enumerate_indecomposables(linear_quiver(3))

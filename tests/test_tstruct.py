@@ -23,7 +23,6 @@ from aisles.tstruct import (
     ringel_criterion,
     section_check,
     semipath,
-    semipath_exists,
     successors,
     trace,
     verify_cor64,
@@ -258,8 +257,8 @@ def test_semipath_shift_and_hom_edges(a2_table, window):
     assert path[0] == DerivedObject(s2, 0) and path[-1] == DerivedObject(s1, 0)
     # degree never drops along a semipath
     assert all(b.degree >= a.degree for a, b in zip(path, path[1:]))
-    assert not semipath_exists(
-        DerivedObject(s1, 1), DerivedObject(p1, 0), t, window
+    assert (
+        semipath(DerivedObject(s1, 1), DerivedObject(p1, 0), t, window) is None
     )
     with pytest.raises(PreconditionError):
         semipath(DerivedObject(s1, 99), DerivedObject(s1, 0), t, window)
