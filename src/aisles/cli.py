@@ -153,12 +153,20 @@ def check_table_consistency(table):
     ]
 
 
+def _pairs(table):
+    """All torsion pairs of ``table``, enumerated once per table and kept
+    in its memo for the suites that follow."""
+    if "torsion_pairs" not in table.memo:
+        table.memo["torsion_pairs"] = torsion_mod.enumerate_torsion_pairs(table)
+    return table.memo["torsion_pairs"]
+
+
 def _split_pairs(table):
-    return [tp for tp in torsion_mod.enumerate_torsion_pairs(table) if tp.split]
+    return [tp for tp in _pairs(table) if tp.split]
 
 
 def suite_roundtrip(table, window):
-    pairs = torsion_mod.enumerate_torsion_pairs(table)
+    pairs = _pairs(table)
     checks = [{"name": "lift_trace_roundtrip", "pass": True}]
     for tp in pairs:
         ts = tstruct.lift(tp, table, window)
@@ -411,6 +419,11 @@ def cmd_export_ar(args):
         try:
             with open(args.color_file, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise AislesError(
+                    'bad coloring file: want an object {"members": '
+                    "[[dimvec, degree], ...]}"
+                )
             members = frozenset(
                 DerivedObject(table.by_dimvec(tuple(d)).id, int(deg))
                 for (d, deg) in data.get("members", [])

@@ -1,11 +1,10 @@
 """Exact linear algebra over the rationals, eliminated on integers.
 
 Everything downstream (Hom spaces, Ext cokernels, reflection functors,
-radical series) reduces to kernels, ranks and linear solves of small
-systems, so a shape-aware matrix of `fractions.Fraction` entries is all
-the interface needs.  Shapes are carried explicitly because
-zero-dimensional spaces are the rule, not the exception (every simple
-representation has them).
+radical series) reduces to kernels and ranks of small systems, so a
+shape-aware matrix of `fractions.Fraction` entries is all the interface
+needs.  Shapes are carried explicitly because zero-dimensional spaces
+are the rule, not the exception (every simple representation has them).
 
 Elimination itself never touches a `Fraction`.  Its one row format is the
 sparse integer row, a dict column -> nonzero int, and its one step is
@@ -20,8 +19,11 @@ representation in `repcore`) and gets exactly what `Fraction`
 Gauss-Jordan returns.  `Fraction`s are formed only for output entries:
 an entry x of a reduced row with pivot p is x/p.
 
-`Mat` takes and returns `Fraction`s; `Mat.rref`, `rank`, `nullspace`,
-`left_nullspace` and `solve` all go through `eliminate`.
+Every elimination runs on sparse integer rows.  `Mat` is a container of
+`Fraction` entries; its one elimination, `Mat.rref`, goes through
+`eliminate` and returns the reduced rows as `Fraction`s.  Kernels are
+read with `kernel(*eliminate(rows), ncols)` and ranks with `echelon_add`
+(`span_rank`).
 """
 
 from __future__ import annotations
@@ -137,9 +139,9 @@ class Mat:
     """A dense nrows x ncols matrix over the rationals.
 
     Entries are `Fraction`s: the constructor converts any other number,
-    and every method returns `Fraction` entries.  Its eliminations run
-    on sparse integer rows (see the module docstring).  Immutable by
-    convention: no method mutates ``self``.
+    and every method returns `Fraction` entries.  Its one elimination,
+    `rref`, runs on sparse integer rows (see the module docstring).
+    Immutable by convention: no method mutates ``self``.
     """
 
     __slots__ = ("nrows", "ncols", "rows")
@@ -162,10 +164,6 @@ class Mat:
     @staticmethod
     def zeros(nrows, ncols):
         return Mat([[_ZERO] * ncols for _ in range(nrows)], nrows, ncols)
-
-    @staticmethod
-    def column(entries):
-        return Mat([[x] for x in entries], len(entries), 1)
 
     def __eq__(self, other):
         return (
@@ -240,12 +238,11 @@ class Mat:
         """Row-major entry list."""
         return [x for row in self.rows for x in row]
 
-    def _eliminate(self):
-        return eliminate([sparse_row(scaled_to_ints(r)) for r in self.rows])
-
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
-        reduced, pivots = self._eliminate()
+        reduced, pivots = eliminate(
+            [sparse_row(scaled_to_ints(r)) for r in self.rows]
+        )
         red = []
         for row, c in zip(reduced, pivots):
             out = [_ZERO] * self.ncols
@@ -256,36 +253,11 @@ class Mat:
         red += [[_ZERO] * self.ncols for _ in range(self.nrows - len(pivots))]
         return Mat(red, self.nrows, self.ncols), pivots
 
-    def rank(self):
-        return len(self.rref()[1])
-
-    def nullspace(self):
-        """Basis of the right kernel, as a list of column vectors (Mat n x 1)."""
-        reduced, pivots = self._eliminate()
-        return [Mat.column(v) for v in kernel(reduced, pivots, self.ncols)]
-
-    def left_nullspace(self):
-        """Basis of the left kernel, as a list of row vectors (Mat 1 x m)."""
-        return [v.transpose() for v in self.transpose().nullspace()]
-
-    def solve(self, b):
-        """One solution x of ``self * x = b`` (b a column), or None."""
-        if b.ncols != 1 or b.nrows != self.nrows:
-            raise ValueError("solve expects a matching column vector")
-        aug = Mat.hstack([self, b])
-        red, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None
-        x = [_ZERO] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.rows[r][self.ncols]
-        return Mat.column(x)
-
 
 def span_rank(vectors):
-    """Rank of the span of a list of equal-length coordinate vectors."""
-    vectors = [list(v) for v in vectors]
-    if not vectors:
-        return 0
-    return Mat(vectors).rank()
-
+    """Rank of the span of a list of equal-length coordinate vectors of
+    ints or `Fraction`s."""
+    echelon = []
+    for v in vectors:
+        echelon_add(echelon, sparse_row(scaled_to_ints(v)))
+    return len(echelon)

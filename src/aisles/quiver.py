@@ -252,7 +252,13 @@ def load_quiver(text, name=""):
 
 def load_quiver_file(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return load_quiver(fh.read(), name=str(path))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise QuiverLoadError(
+                f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+            ) from None
+    return load_quiver(text, name=str(path))
 
 
 def linear_quiver(n):

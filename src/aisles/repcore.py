@@ -206,63 +206,32 @@ def euler_form(quiver, d, e):
 def reflect(R, v):
     """BGP reflection of ``R`` at a sink (positive) or source (negative)
     vertex ``v``; the result lives over the quiver with arrows at v
-    reversed."""
-    Q = R.quiver
-    if Q.is_sink(v):
-        return _reflect_sink(R, v)
-    if Q.is_source(v):
-        return _reflect_source(R, v)
-    raise UnsupportedError(f"vertex {v!r} is neither a sink nor a source")
+    reversed.
 
-
-def _reflect_sink(R, v):
+    At a sink, R_v becomes the kernel of the map (R_a) from the sum of
+    the R_{s(a)} over the arrows a into v.  At a source, it becomes the
+    cokernel of the map (R_a) into the sum of the R_{t(a)}, read as its
+    left kernel: the kernel of the transposed maps.  Each arrow at v gets
+    its block of the kernel basis."""
     Q = R.quiver
-    incoming = Q.arrows_into(v)
-    blocks = [R.maps[a.name] for a in incoming]
-    total_cols = sum(R.dim(a.source) for a in incoming)
-    if incoming:
-        h = Mat.hstack(blocks) if total_cols else Mat.zeros(R.dim(v), 0)
-    else:
-        h = Mat.zeros(R.dim(v), 0)
-    kernel = h.nullspace()
-    kdim = len(kernel)
-    K = Mat.hstack(kernel) if kernel else Mat.zeros(total_cols, kdim)
-    newQ = Q.reversed_at(v)
-    dims = dict(R.dims)
-    dims[v] = kdim
+    sink = Q.is_sink(v)
+    if not (sink or Q.is_source(v)):
+        raise UnsupportedError(f"vertex {v!r} is neither a sink nor a source")
+    arrows = Q.arrows_into(v) if sink else Q.arrows_from(v)
+    blocks = [R.maps[a.name] if sink else R.maps[a.name].transpose() for a in arrows]
+    rows = [
+        sparse_row(scaled_to_ints([x for m in blocks for x in m.rows[r]]))
+        for r in range(R.dim(v))
+    ]
+    sizes = [m.ncols for m in blocks]
+    basis = kernel(*eliminate(rows), sum(sizes))
     maps = {a.name: R.maps[a.name] for a in Q.arrows if v not in (a.source, a.target)}
     offset = 0
-    for a in incoming:
-        d = R.dim(a.source)
-        rows = [K.rows[offset + i] for i in range(d)]
-        maps[a.name] = Mat(rows, d, kdim)
+    for a, d in zip(arrows, sizes):
+        block = Mat([b[offset : offset + d] for b in basis], len(basis), d)
+        maps[a.name] = block.transpose() if sink else block
         offset += d
-    return Representation(newQ, dims, maps)
-
-
-def _reflect_source(R, v):
-    Q = R.quiver
-    outgoing = Q.arrows_from(v)
-    blocks = [R.maps[a.name] for a in outgoing]
-    total_rows = sum(R.dim(a.target) for a in outgoing)
-    if outgoing and total_rows:
-        h = Mat.vstack(blocks)
-    else:
-        h = Mat.zeros(total_rows, R.dim(v))
-    cokernel_rows = h.left_nullspace()
-    cdim = len(cokernel_rows)
-    P = Mat.vstack(cokernel_rows) if cokernel_rows else Mat.zeros(cdim, total_rows)
-    newQ = Q.reversed_at(v)
-    dims = dict(R.dims)
-    dims[v] = cdim
-    maps = {a.name: R.maps[a.name] for a in Q.arrows if v not in (a.source, a.target)}
-    offset = 0
-    for a in outgoing:
-        d = R.dim(a.target)
-        cols = [[P.rows[i][offset + j] for j in range(d)] for i in range(cdim)]
-        maps[a.name] = Mat(cols, cdim, d)
-        offset += d
-    return Representation(newQ, dims, maps)
+    return Representation(Q.reversed_at(v), {**R.dims, v: len(basis)}, maps)
 
 
 def projective(quiver, v):
@@ -348,10 +317,12 @@ class IndecTable:
     hom_bases: tuple = field(repr=False, compare=False)  # bases[i][j]: Hom(i, j)
     # Results derived from this table alone, computed on first use and
     # keyed by value: the orthogonal masks of the torsion search, the
-    # canonical-sequence oracle's traces and certificates, the validated
-    # cross-degree arrows, and per window the derived AR arrows with their
-    # successor lists, the tau-orbits and the Hom masks; while the knitting
-    # is validated, also the integer-scaled Hom bases of `irreducible_dim`.
+    # torsion pairs the CLI suites share, the canonical-sequence oracle's
+    # traces and certificates, the validated cross-degree arrows, and per
+    # window the derived AR arrows with their successor and predecessor
+    # lists, the tau-orbits with their numbering and the Hom masks; while
+    # the knitting is validated, also the integer-scaled Hom bases of
+    # `irreducible_dim`.
     # A copy made with dataclasses.replace starts empty, so a patched table
     # is re-validated.
     memo: dict = field(

@@ -12,8 +12,9 @@ same masks, built once per table.
 
 The canonical-sequence oracle certifies each pair independently of the
 search: it computes the trace subrepresentation of a module from the
-table's Hom bases and checks the two Hom-vanishing conditions by solving
-Hom spaces on the explicit subobject and quotient.  Many pairs share a
+table's Hom bases as the reduced rows of its span at each vertex, reads
+the subobject and the quotient off those rows, and checks the two
+Hom-vanishing conditions by solving Hom spaces on them.  Many pairs share a
 trace in a given module, so each distinct trace is built once per table
 and each of its certificates is solved once, the first time a pair needs
 it; later pairs with that trace read the stored dimension.
@@ -22,7 +23,6 @@ it; later pairs with that trace read the stored dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ConsistencyError, PreconditionError, UnsupportedError
 from .linalg import Mat
@@ -158,85 +158,79 @@ def is_torsion_pair(tp, table):
 
 
 def trace_subrepresentation(y, generators, table):
-    """Per-vertex column spans of the images of all morphisms from the
-    given indecomposables into entry ``y``, read off the table's Hom
-    bases; the result is automatically a subrepresentation (sum of
-    images)."""
+    """Per vertex v, the reduced rows (`Mat.rref`) of the span of the
+    images of all morphisms from the given indecomposables into entry
+    ``y``, read off the table's Hom bases, as a Mat with dim Y_v columns;
+    the result is automatically a subrepresentation (sum of images)."""
     Q = table.quiver
     Y = table.entries[y].rep
     columns = {v: [] for v in Q.vertices}
     for i in generators:
         for f in table.hom_bases[i][y]:
             for v in Q.vertices:
-                m = f[v]
-                for c in range(m.ncols):
-                    columns[v].append([m[r, c] for r in range(m.nrows)])
+                columns[v].extend(zip(*f[v].rows))
     span = {}
     for v in Q.vertices:
+        rows = []
         if columns[v]:
             red, pivots = Mat(columns[v]).rref()
-            rows = [red.rows[k] for k in range(len(pivots))]
-            span[v] = Mat(rows).transpose() if rows else Mat.zeros(Y.dim(v), 0)
-        else:
-            span[v] = Mat.zeros(Y.dim(v), 0)
+            rows = red.rows[: len(pivots)]
+        span[v] = Mat(rows, len(rows), Y.dim(v))
     return span
 
 
 def sub_and_quotient(Y, span, table):
     """Representations on a subspace family closed under the arrow maps,
-    and on its quotient, as (sub, quot)."""
+    and on its quotient, as (sub, quot).
+
+    ``span[v]`` holds the reduced rows of the subspace at v, as
+    `trace_subrepresentation` returns them.  A vector of the subspace
+    has its coordinates at the rows' pivots.  Any vector of Y_v, once
+    its pivot part is subtracted, has its quotient coordinates at the
+    other columns: the unit vectors there are the quotient's basis."""
     Q = table.quiver
-    sub_dims = {v: span[v].ncols for v in Q.vertices}
-    proj = {}
-    for v in Q.vertices:
-        rows = span[v].left_nullspace()
-        proj[v] = (
-            Mat.vstack(rows)
-            if rows
-            else Mat.zeros(0, Y.dim(v))
-        )
+    pivots = {
+        v: [next(c for c, x in enumerate(row) if x) for row in span[v].rows]
+        for v in Q.vertices
+    }
+    others = {
+        v: [c for c in range(Y.dim(v)) if c not in pivots[v]]
+        for v in Q.vertices
+    }
+    proj = {v: _projection(span[v], pivots[v], others[v]) for v in Q.vertices}
     sub_maps = {}
     quot_maps = {}
     for a in Q.arrows:
         u, w = a.source, a.target
-        img = Y.maps[a.name] * span[u]
-        # solve span[w] * m = img column by column
-        cols = []
-        for c in range(img.ncols):
-            col = Mat.column([img[r, c] for r in range(img.nrows)])
-            sol = span[w].solve(col)
-            if sol is None:
-                raise ConsistencyError("trace is not closed under arrow maps")
-            cols.append(sol)
-        sub_maps[a.name] = (
-            Mat.hstack(cols) if cols else Mat.zeros(sub_dims[w], 0)
+        m = Y.maps[a.name]
+        image = m * span[u].transpose()
+        if not (proj[w] * image).is_zero():
+            raise ConsistencyError("trace is not closed under arrow maps")
+        sub_maps[a.name] = Mat(
+            [image.rows[p] for p in pivots[w]], len(pivots[w]), image.ncols
         )
-        # quotient map q with q * proj[u] = proj[w] * Y_a
-        target = proj[w] * Y.maps[a.name]
-        pu = proj[u]
-        if pu.nrows == 0:
-            quot_maps[a.name] = Mat.zeros(proj[w].nrows, 0)
-            continue
-        # proj[u] has full row rank; solve on a right inverse
-        quot_maps[a.name] = target * _right_inverse(pu)
-    sub = Representation(Q, sub_dims, sub_maps)
-    quot = Representation(
-        Q, {v: proj[v].nrows for v in Q.vertices}, quot_maps
-    )
+        quot_maps[a.name] = Mat(
+            [[row[c] for c in others[u]] for row in (proj[w] * m).rows],
+            len(others[w]),
+            len(others[u]),
+        )
+    sub = Representation(Q, {v: len(pivots[v]) for v in Q.vertices}, sub_maps)
+    quot = Representation(Q, {v: len(others[v]) for v in Q.vertices}, quot_maps)
     return sub, quot
 
 
-def _right_inverse(m):
-    cols = []
-    for r in range(m.nrows):
-        e = Mat.column(
-            [Fraction(1 if k == r else 0) for k in range(m.nrows)]
-        )
-        sol = m.solve(e)
-        if sol is None:
-            raise ConsistencyError("projection is not surjective")
-        cols.append(sol)
-    return Mat.hstack(cols)
+def _projection(span, pivots, others):
+    """The map from Y_v onto the quotient coordinates, as a Mat: x goes
+    to the entries at ``others`` of x minus its pivot part, the sum of
+    x[p] times the reduced row with pivot p."""
+    rows = []
+    for c in others:
+        row = [0] * span.ncols
+        row[c] = 1
+        for b, p in zip(span.rows, pivots):
+            row[p] = -b[c]
+        rows.append(row)
+    return Mat(rows, len(rows), span.ncols)
 
 
 def canonical_sequence_oracle(y, tp, table):

@@ -186,24 +186,42 @@ def ext_projectives(ts, table):
 
 def section_check(S, table, window):
     """One object per interior tau-orbit, compatible with the AR arrows
-    up to translation (the presection condition)."""
-    interior = {x for x in S if window.is_interior(x)}
-    if interior != set(S):
-        return False
-    for orbit in tau_orbits(table, window):
-        hits = [x for x in orbit if window.is_interior(x) and x in S]
-        if len(hits) != 1:
-            return False
-    arrows = derived_ar_arrows(table, window)
+    up to translation (the presection condition).  Only the arrows at
+    members of S are looked at."""
     sset = set(S)
-    for (x, y) in arrows:
-        if x in sset and window.is_interior(y):
-            if y not in sset and tau_derived(y, table) not in sset:
-                return False
-        if y in sset and window.is_interior(x):
-            if x not in sset and tau_inverse_derived(x, table) not in sset:
-                return False
+    if not all(window.is_interior(x) for x in sset):
+        return False
+    orbit_of = _orbit_numbers(table, window)
+    hit = {orbit_of[x] for x in sset}
+    if len(hit) != len(sset) or len(hit) != len(tau_orbits(table, window)):
+        return False
+    masks = _masks(table, window)
+    succ, pred = _arrow_successors(table, window)
+    for x in sset:
+        k = masks.index[x]
+        for j in succ[k]:
+            y = masks.objects[j]
+            if window.is_interior(y) and y not in sset:
+                if tau_derived(y, table) not in sset:
+                    return False
+        for j in pred[k]:
+            w = masks.objects[j]
+            if window.is_interior(w) and w not in sset:
+                if tau_inverse_derived(w, table) not in sset:
+                    return False
     return True
+
+
+def _orbit_numbers(table, window):
+    """The number of each window object's tau-orbit in
+    ``tau_orbits(table, window)``; built once per table and window and
+    kept in ``table.memo``."""
+    key = ("orbit_numbers", window)
+    if key not in table.memo:
+        table.memo[key] = {
+            x: k for k, orbit in enumerate(tau_orbits(table, window)) for x in orbit
+        }
+    return table.memo[key]
 
 
 def successors(S, table, window):
@@ -212,20 +230,23 @@ def successors(S, table, window):
     ``window``."""
     masks = _masks(table, window)
     sources = [masks.index[x] for x in S if window.contains(x)]
-    succ = _arrow_successors(table, window)
+    succ, _pred = _arrow_successors(table, window)
     return sum(1 << k for k in breadth_first(succ, sources, {}))
 
 
 def _arrow_successors(table, window):
     """Per window index, the window indices its derived AR arrows point
-    to; built once per table and window and kept in ``table.memo``."""
+    to and those whose arrows point to it, as (successors, predecessors);
+    built once per table and window and kept in ``table.memo``."""
     key = ("arrow_successors", window)
     if key not in table.memo:
         masks = _masks(table, window)
         succ = [[] for _ in masks.objects]
+        pred = [[] for _ in masks.objects]
         for (x, y) in derived_ar_arrows(table, window):
             succ[masks.index[x]].append(masks.index[y])
-        table.memo[key] = succ
+            pred[masks.index[y]].append(masks.index[x])
+        table.memo[key] = succ, pred
     return table.memo[key]
 
 
@@ -413,7 +434,7 @@ def verify_cor64(ts, table, candidates=None):
                     f"{masks.objects[k].degree - f.degree}"
                 )
     signed = [
-        [((-1) ** e.degree) * c for c in table.entries[e.indec].dimvec]
+        [-c if e.degree % 2 else c for c in table.entries[e.indec].dimvec]
         for e in E
     ]
     if span_rank(signed) != len(table.quiver.vertices):

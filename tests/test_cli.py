@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 
@@ -400,3 +401,46 @@ def test_roundtrip_suite_solves_each_certificate_once(window, monkeypatch):
     assert 0 < calls <= 4000
     # the suite leaves no oracle memo behind for the later suites
     assert not {"oracle_traces", "oracle_cases"} & set(table.memo)
+
+
+def test_quiver_file_not_utf8_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "binary.quiver"
+    path.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    code, out, err = run(capsys, "enumerate", "--quiver", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "is not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"members"', "3", "null"])
+def test_export_ar_color_file_not_an_object_is_usage_error(
+    capsys, tmp_path, text
+):
+    path = tmp_path / "color.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(
+        capsys, "export-ar", "--builtin", "a2", "--color-file", str(path)
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: bad coloring file")
+
+
+def test_verify_all_enumerates_torsion_pairs_once(capsys, monkeypatch, a3_table):
+    """The five suites share one enumeration per table; a patched copy
+    starts with an empty memo and enumerates its own pairs."""
+    calls = 0
+    enumerate_pairs = torsion.enumerate_torsion_pairs
+
+    def counting(table):
+        nonlocal calls
+        calls += 1
+        return enumerate_pairs(table)
+
+    monkeypatch.setattr(torsion, "enumerate_torsion_pairs", counting)
+    code, _, _ = run(capsys, "verify", "--builtin", "a3", "--suite", "all")
+    assert code == EXIT_OK and calls == 1
+    table = dataclasses.replace(a3_table)
+    pairs = cli._pairs(table)
+    assert cli._pairs(table) is pairs and calls == 2
+    patched = cli.apply_table_patch(table, str(FIXTURES / "falsified_hom.json"))
+    assert cli._pairs(patched) == enumerate_pairs(patched) != pairs
+    assert calls == 3

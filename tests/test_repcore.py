@@ -26,7 +26,7 @@ from aisles.repcore import (
     irreducible_dim,
     reflect,
 )
-from test_linalg import reference_solve
+from test_linalg import reference_nullspace, reference_solve
 from test_quiver import positive_roots
 
 dimvec2 = st.tuples(
@@ -144,6 +144,51 @@ def test_reflection_at_sink():
     # the simple at the sink itself is annihilated
     s2 = simple(q, "2")
     assert reflect(s2, "2").dimension_vector() == (0, 0)
+
+
+def reference_reflect(R, v):
+    """BGP reflection at a sink or source with `Fraction` Gauss-Jordan:
+    the kernel of the stacked arrow maps into v, or the left kernel of
+    those out of v."""
+    Q = R.quiver
+    maps = {a.name: R.maps[a.name] for a in Q.arrows if v not in (a.source, a.target)}
+    offset = 0
+    if Q.is_sink(v):
+        arrows = Q.arrows_into(v)
+        basis = reference_nullspace(Mat.hstack([R.maps[a.name] for a in arrows]))
+        K = Mat(basis, len(basis), sum(R.dim(a.source) for a in arrows)).transpose()
+        for a in arrows:
+            d = R.dim(a.source)
+            maps[a.name] = Mat(K.rows[offset : offset + d], d, len(basis))
+            offset += d
+    else:
+        arrows = Q.arrows_from(v)
+        h = Mat.vstack([R.maps[a.name] for a in arrows])
+        basis = reference_nullspace(h.transpose())
+        for a in arrows:
+            d = R.dim(a.target)
+            maps[a.name] = Mat([b[offset : offset + d] for b in basis], len(basis), d)
+            offset += d
+    return Q.reversed_at(v), {**R.dims, v: len(basis)}, maps
+
+
+@pytest.mark.parametrize("name", ["d4", "d5"])
+def test_reflect_matches_fraction_reference(name):
+    """Every entry reflected at every sink and source, and each result
+    again at every sink and source of its quiver (the D4 centre becomes
+    a source of three arrows)."""
+    todo = [e.rep for e in builtin_table(name).entries]
+    for depth in range(2):
+        reflected = []
+        for R in todo:
+            Q = R.quiver
+            for v in Q.vertices:
+                if Q.is_sink(v) or Q.is_source(v):
+                    got = reflect(R, v)
+                    assert (got.quiver, got.dims, got.maps) == reference_reflect(R, v)
+                    reflected.append(got)
+        todo = reflected
+    assert any(max(R.dims.values()) > 1 for R in todo)
 
 
 def test_reflect_rejects_interior_vertex():

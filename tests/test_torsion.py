@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aisles.errors import ConsistencyError, PreconditionError
+from aisles.linalg import Mat, span_rank
 from aisles.quiver import BUILTIN_QUIVERS, linear_quiver, quiver_from_edges
 from aisles.repcore import enumerate_indecomposables, hom_space
 from aisles.torsion import (
@@ -22,6 +23,7 @@ from aisles.torsion import (
     sub_and_quotient,
     trace_subrepresentation,
 )
+from test_linalg import reference_rref
 
 
 def _ids(table, *dimvecs):
@@ -319,3 +321,57 @@ def test_type_a_class_count_is_catalan(n):
 )
 def test_coxeter_catalan_counts(name, count):
     assert len(enumerate_torsion_pairs(_builtin_table(name))) == count
+
+
+
+def reference_projection(rows):
+    """P with P * [rows^T | unit vectors off the rows' pivots] = [0 | I]:
+    the last rows of the inverse of that square matrix, by `Fraction`
+    Gauss-Jordan."""
+    n = rows.ncols
+    others = [c for c in range(n) if c not in reference_rref(rows)[1]]
+    square = [
+        list(col) + [int(i == c) for c in others]
+        for i, col in enumerate(rows.transpose().rows)
+    ]
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(square)]
+    red, pivots = reference_rref(Mat(aug, n, 2 * n))
+    assert pivots == list(range(n))
+    return Mat([r[n:] for r in red[rows.nrows :]], len(others), n)
+
+
+@pytest.mark.parametrize("name", ["a3", "d4"])
+def test_trace_sequence_is_short_exact(name):
+    """For every module and torsion class, the inclusion sub -> Y (the
+    trace's reduced rows as columns) and the projection Y -> quot are
+    morphisms, their composite is 0 and the dimensions add up."""
+    table = _builtin_table(name)
+    Q = table.quiver
+    for tp in enumerate_torsion_pairs(table):
+        for y in range(len(table.entries)):
+            Y = table.entries[y].rep
+            span = trace_subrepresentation(y, tp.torsion.members, table)
+            sub, quot = sub_and_quotient(Y, span, table)
+            incl = {v: span[v].transpose() for v in Q.vertices}
+            proj = {v: reference_projection(span[v]) for v in Q.vertices}
+            for v in Q.vertices:
+                assert span_rank(span[v].rows) == sub.dim(v) == span[v].nrows
+                assert sub.dim(v) + quot.dim(v) == Y.dim(v)
+                assert (proj[v] * incl[v]).is_zero()
+            for a in Q.arrows:
+                u, w = a.source, a.target
+                Ya = Y.maps[a.name]
+                assert Ya * incl[u] == incl[w] * sub.maps[a.name]
+                assert quot.maps[a.name] * proj[u] == proj[w] * Ya
+
+
+def test_sub_and_quotient_rejects_a_span_not_closed_under_arrows(a2_table):
+    """On the projective P_1 of 1 -> 2, the top (vertex 1) alone is not
+    closed under the arrow; the socle (vertex 2) is."""
+    Y = a2_table.entries[a2_table.by_dimvec((1, 1)).id].rep
+    top = {"1": Mat([[1]]), "2": Mat([], 0, 1)}
+    with pytest.raises(ConsistencyError, match="not closed under arrow maps"):
+        sub_and_quotient(Y, top, a2_table)
+    socle = {"1": Mat([], 0, 1), "2": Mat([[1]])}
+    sub, quot = sub_and_quotient(Y, socle, a2_table)
+    assert sub.dimension_vector() == (0, 1) and quot.dimension_vector() == (1, 0)

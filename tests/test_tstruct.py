@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -8,7 +9,11 @@ from aisles.derived import (
     TableContext,
     Window,
     all_objects,
+    derived_ar_arrows,
     hom_masks,
+    tau_derived,
+    tau_inverse_derived,
+    tau_orbits,
 )
 from aisles.errors import PreconditionError
 from aisles.quiver import BUILTIN_QUIVERS
@@ -234,6 +239,65 @@ def test_section_check(a2_table, window):
     assert not section_check(bad, t, window)
     # boundary object disqualifies
     assert not section_check({DerivedObject(s1, window.hi)}, t, window)
+
+
+def full_scan_section_check(S, table, window):
+    """The presection condition over every tau-orbit and every derived
+    AR arrow of the window."""
+    interior = {x for x in S if window.is_interior(x)}
+    if interior != set(S):
+        return False
+    for orbit in tau_orbits(table, window):
+        hits = [x for x in orbit if window.is_interior(x) and x in S]
+        if len(hits) != 1:
+            return False
+    sset = set(S)
+    for (x, y) in derived_ar_arrows(table, window):
+        if x in sset and window.is_interior(y):
+            if y not in sset and tau_derived(y, table) not in sset:
+                return False
+        if y in sset and window.is_interior(x):
+            if x not in sset and tau_inverse_derived(x, table) not in sset:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["a3", "d4", "d5"])
+def test_section_check_matches_full_scan(name, window):
+    """Every Ext-projective set that classify checks, and each of them
+    with one member moved along its tau-orbit, shifted, dropped, or
+    joined by another object; the empty set; and 200 random choices of
+    one interior object per tau-orbit."""
+    table = enumerate_indecomposables(BUILTIN_QUIVERS[name]())
+    split = [tp for tp in enumerate_torsion_pairs(table) if tp.split]
+    rng = random.Random(0)
+    orbits = [
+        sorted(x for x in orbit if window.is_interior(x))
+        for orbit in tau_orbits(table, window)
+    ]
+    candidates = [set()]
+    candidates += [{rng.choice(orbit) for orbit in orbits} for _ in range(200)]
+    for _pivot, _tp, ts in enumerate_split_tstructures(table, window, split):
+        E = ext_projectives(ts, table)
+        if not E:
+            continue
+        candidates.append(E)
+        for x in E:
+            rest = E - {x}
+            for other in (
+                tau_derived(x, table),
+                tau_inverse_derived(x, table),
+                DerivedObject(x.indec, x.degree + 1),
+            ):
+                candidates.append(rest | {other})
+                candidates.append(E | {other})
+            candidates.append(rest)
+    outcomes = set()
+    for S in candidates:
+        want = full_scan_section_check(S, table, window)
+        assert section_check(S, table, window) == want, sorted(S)
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_successors_cone(a2_table, window):
