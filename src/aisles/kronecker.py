@@ -23,9 +23,6 @@ from itertools import product
 
 from .derived import Window, check_window_objects, hom_masks
 from .errors import ShapeError, TruncationError, UnsupportedError
-from .linalg import Mat
-from .quiver import Arrow, Quiver
-from .repcore import Representation
 
 POST = "post"
 PRE = "pre"
@@ -196,10 +193,6 @@ def _masks(model):
 # ---------------------------------------------------------------------------
 # Hom and tau rules
 # ---------------------------------------------------------------------------
-
-
-def euler_form_kronecker(d, e):
-    return d[0] * e[0] + d[1] * e[1] - 2 * d[0] * e[1]
 
 
 def _hom0(X, Y):
@@ -431,41 +424,3 @@ def describe(model):
         "range": model.range,
         "window": [model.window.lo, model.window.hi],
     }
-
-
-# ---------------------------------------------------------------------------
-# Explicit-matrix oracle support
-# ---------------------------------------------------------------------------
-
-
-def kronecker_quiver():
-    return Quiver(
-        ("1", "2"),
-        (Arrow("a", "1", "2"), Arrow("b", "1", "2")),
-        name="kronecker",
-    )
-
-
-def _mat(nrows, ncols, entry):
-    rows = [[entry(r, c) for c in range(ncols)] for r in range(nrows)]
-    return Mat(rows, nrows, ncols)
-
-
-def explicit_representation(X, lam_values):
-    """Honest matrix representation of a degree-0 symbolic object, used
-    to oracle-check the rule table.  ``lam_values`` maps tube labels to
-    distinct scalars."""
-    m = X.index
-    if X.kind == POST:
-        # (m, m+1): a = identity on top, b = identity on bottom
-        a = _mat(m + 1, m, lambda r, c: int(r == c))
-        b = _mat(m + 1, m, lambda r, c: int(r == c + 1))
-    elif X.kind == PRE:
-        a = _mat(m, m + 1, lambda r, c: int(r == c))
-        b = _mat(m, m + 1, lambda r, c: int(r + 1 == c))
-    else:
-        lam = lam_values[X.label]
-        a = _mat(m, m, lambda r, c: int(r == c))
-        b = _mat(m, m, lambda r, c: lam if r == c else int(c == r + 1))
-    d1, d2 = X.dimvec()
-    return Representation(kronecker_quiver(), {"1": d1, "2": d2}, {"a": a, "b": b})

@@ -134,14 +134,6 @@ class Quiver:
         )
         return Quiver(self.vertices, new, self.name, _checked=True)
 
-    def opposite(self):
-        return Quiver(
-            self.vertices,
-            tuple(Arrow(a.name, a.target, a.source) for a in self.arrows),
-            f"{self.name}^op" if self.name else "",
-            _checked=True,
-        )
-
     def sink_ordering(self):
         """An admissible ordering v1, v2, ... with v1 a sink of the quiver,
         v2 a sink after reflecting at v1, and so on (reversed topological

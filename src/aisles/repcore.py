@@ -318,7 +318,10 @@ class IndecTable:
     # Results derived from this table alone, computed on first use and
     # keyed by value: the orthogonal masks of the torsion search, the
     # torsion pairs the CLI suites share, the canonical-sequence oracle's
-    # traces and certificates, the validated cross-degree arrows, and per
+    # entries (the pairs whose axioms hold, per module the reduced image
+    # of each Hom(i, y) and which images lie inside which, the traces
+    # keyed by members and by reduced rows, and the certificates keyed by
+    # subobject or quotient), the validated cross-degree arrows, and per
     # window the derived AR arrows with their successor and predecessor
     # lists, the tau-orbits with their numbering and the Hom masks; while
     # the knitting is validated, also the integer-scaled Hom bases of

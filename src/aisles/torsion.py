@@ -14,10 +14,15 @@ The canonical-sequence oracle certifies each pair independently of the
 search: it computes the trace subrepresentation of a module from the
 table's Hom bases as the reduced rows of its span at each vertex, reads
 the subobject and the quotient off those rows, and checks the two
-Hom-vanishing conditions by solving Hom spaces on them.  Many pairs share a
-trace in a given module, so each distinct trace is built once per table
-and each of its certificates is solved once, the first time a pair needs
-it; later pairs with that trace read the stored dimension.
+Hom-vanishing conditions by solving Hom spaces on them.  The trace of a
+class in a module y is the sum of the images of Hom(i, y) over its
+members i.  Each image is reduced once per table, and which images lie
+inside which is recorded once per module, so a trace is keyed by the
+members whose image lies in no other member's: many classes share that
+key, and a trace is built about once.  Subobjects and quotients with
+equal matrices share their certificates, each solved the first time a
+pair needs it; the torsion-pair axioms are checked once per distinct
+pair.
 """
 
 from __future__ import annotations
@@ -160,23 +165,91 @@ def is_torsion_pair(tp, table):
 def trace_subrepresentation(y, generators, table):
     """Per vertex v, the reduced rows (`Mat.rref`) of the span of the
     images of all morphisms from the given indecomposables into entry
-    ``y``, read off the table's Hom bases, as a Mat with dim Y_v columns;
-    the result is automatically a subrepresentation (sum of images)."""
+    ``y``, as a Mat with dim Y_v columns; the result is automatically a
+    subrepresentation (sum of images).  The rows stacked per vertex are
+    the reduced rows of each generator's image (`_images_into`)."""
     Q = table.quiver
     Y = table.entries[y].rep
-    columns = {v: [] for v in Q.vertices}
-    for i in generators:
-        for f in table.hom_bases[i][y]:
-            for v in Q.vertices:
-                columns[v].extend(zip(*f[v].rows))
+    images = _images_into(y, table)[1]
+    stacked = [images[i][0] for i in generators if i in images]
     span = {}
-    for v in Q.vertices:
-        rows = []
-        if columns[v]:
-            red, pivots = Mat(columns[v]).rref()
+    for k, v in enumerate(Q.vertices):
+        rows = [row for image in stacked for row in image[k]]
+        if rows:
+            red, pivots = Mat(rows, len(rows), Y.dim(v)).rref()
             rows = red.rows[: len(pivots)]
         span[v] = Mat(rows, len(rows), Y.dim(v))
     return span
+
+
+def _images_into(y, table):
+    """(into, images, dominators) for entry ``y``, built on first use and
+    kept in the oracle memo.
+
+    ``into`` is the bitmask of the i with a nonzero Hom(i, y) basis.
+    ``images[i]`` is the image of Hom(i, y) (`_image`).  ``dominators[j]``
+    is the bitmask of the i whose image holds the image of j: strictly,
+    or equally with i < j.  A subspace inside another has its pivot
+    columns among the other's, so that test rejects most pairs before
+    any row is reduced, and containment with equal pivot columns means
+    equal images."""
+    memo = table.memo.setdefault("oracle_images", {})
+    if y not in memo:
+        gens = [i for i in range(len(table.entries)) if table.hom_bases[i][y]]
+        images = {i: _image(i, y, table) for i in gens}
+        dominators = {}
+        for j in gens:
+            rows_j, _, signature_j = images[j]
+            mask = 0
+            for i in gens:
+                rows_i, pivots_i, signature_i = images[i]
+                if i == j or signature_j & ~signature_i:
+                    continue
+                if signature_i == signature_j and i > j:
+                    continue
+                if all(map(_inside, rows_j, rows_i, pivots_i)):
+                    mask |= 1 << i
+            dominators[j] = mask
+        memo[y] = (sum(1 << i for i in gens), images, dominators)
+    return memo[y]
+
+
+def _image(i, y, table):
+    """(rows, pivots, signature) of the image of Hom(i, y): per vertex
+    the reduced rows of the span of the basis's columns, one `Mat.rref`
+    each, and their pivot columns; ``signature`` has the pivot columns
+    of all vertices as one bitmask, vertex blocks side by side."""
+    Y = table.entries[y].rep
+    rows_by_vertex = []
+    pivots_by_vertex = []
+    signature = 0
+    offset = 0
+    for v in table.quiver.vertices:
+        columns = [c for f in table.hom_bases[i][y] for c in zip(*f[v].rows)]
+        rows, pivots = [], []
+        if columns:
+            red, pivots = Mat(columns, len(columns), Y.dim(v)).rref()
+            rows = red.rows[: len(pivots)]
+            for p in pivots:
+                signature |= 1 << (offset + p)
+        rows_by_vertex.append(rows)
+        pivots_by_vertex.append(pivots)
+        offset += Y.dim(v)
+    return tuple(rows_by_vertex), tuple(pivots_by_vertex), signature
+
+
+def _inside(rows, reduced, pivots):
+    """Whether every row of ``rows`` lies in the span of ``reduced``, the
+    rows of a reduced row echelon form with those pivot columns: then a
+    row r equals the sum of r[p] times the reduced row with pivot p."""
+    for r in rows:
+        rest = r
+        for b, p in zip(reduced, pivots):
+            if rest[p]:
+                rest = [x - rest[p] * z for x, z in zip(rest, b)]
+        if any(rest):
+            return False
+    return True
 
 
 def sub_and_quotient(Y, span, table):
@@ -239,15 +312,25 @@ def canonical_sequence_oracle(y, tp, table):
 
     A certification failure means the input was not a torsion pair; the
     failing Hom space is reported as a falsification witness.  The
-    torsion-pair axioms are checked on every call.  The trace, its
-    subobject and quotient, and each certifying Hom dimension are
-    computed once per table and distinct trace (``_canonical_case``);
-    the free and then the torsion modules are still checked in order, so
-    the first failing witness is the same as without the memo.
+    torsion-pair axioms are checked on the first call for each distinct
+    (torsion, free); only a pair that passes is kept in the memo, with
+    its torsion bitmask, so one that fails raises on every call.  The
+    trace, its subobject and quotient, and each certifying Hom dimension
+    are computed once per table and distinct trace (``_canonical_case``);
+    the free and then the torsion modules are still checked on every
+    call, in order, so the first failing witness is the same as without
+    the memo.
     """
-    if not is_torsion_pair(tp, table):
-        raise PreconditionError("input does not satisfy the torsion-pair axioms")
-    sub, quot, sub_into, into_quot = _canonical_case(y, tp.torsion, table)
+    pairs = table.memo.setdefault("oracle_pairs", {})
+    key = (tp.torsion.members, tp.free.members)
+    tmask = pairs.get(key)
+    if tmask is None:
+        if not is_torsion_pair(tp, table):
+            raise PreconditionError(
+                "input does not satisfy the torsion-pair axioms"
+            )
+        tmask = pairs[key] = sum(1 << i for i in tp.torsion.members)
+    _trace, sub, quot, sub_into, into_quot = _canonical_case(y, tmask, table)
     for f in tp.free:
         if f not in sub_into:
             sub_into[f], _ = hom_space(sub, table.entries[f].rep)
@@ -267,36 +350,68 @@ def canonical_sequence_oracle(y, tp, table):
     return sub, quot
 
 
-def _canonical_case(y, torsion, table):
-    """(sub, quot, dim Hom(sub, f) by f, dim Hom(t, quot) by t) for the
-    trace of ``torsion`` in entry ``y``; the two dicts fill as the
-    oracle asks.
+def _canonical_case(y, tmask, table):
+    """(trace, sub, quot, dim Hom(sub, f) by f, dim Hom(t, quot) by t)
+    for the trace in entry ``y`` of the torsion class with bitmask
+    ``tmask``; ``trace`` holds the per-vertex reduced rows.  The two
+    dicts fill as the oracle asks, and cases whose subobjects (or
+    quotients) have the same dimensions and matrices share them.
 
-    The trace is spanned by the Hom bases into y, so it depends only on
-    the members that have one.  Level one of the memo maps (y, bitmask
-    of those members) to the case of their trace.  Level two, consulted
-    when level one misses, maps (y, the trace's per-vertex rref bases),
-    which are equal exactly when the subspaces are, to the case, so
-    classes with equal traces share certificates.  The mask reads
-    ``hom_bases``, as the trace does, and not ``hom``, which a patched
-    table may contradict."""
+    The trace is the sum of the images of Hom(i, y) over the members i,
+    so it depends only on the members with a nonzero Hom basis into y,
+    and not on a member whose image lies in another member's.  Level one
+    of the memo maps (y, mask of members) to the case of their trace:
+    first the mask of the members with a Hom basis into y, then, when
+    that misses, the same mask less every member another one dominates
+    (`_images_into`); the trace is built only when both miss.  Level two
+    maps (y, the trace's per-vertex reduced rows), which are equal
+    exactly when the subspaces are, to the case, so classes with equal
+    traces share one.  The masks read ``hom_bases``, as the trace does,
+    and not ``hom``, which a patched table may contradict."""
     traces = table.memo.setdefault("oracle_traces", {})
-    key = (y, sum(1 << i for i in torsion.members if table.hom_bases[i][y]))
-    if key not in traces:
-        span = trace_subrepresentation(y, _bits(key[1]), table)
-        trace = (y, tuple(span[v] for v in table.quiver.vertices))
-        cases = table.memo.setdefault("oracle_cases", {})
-        if trace not in cases:
-            sub, quot = sub_and_quotient(table.entries[y].rep, span, table)
-            cases[trace] = (sub, quot, {}, {})
-        traces[key] = cases[trace]
-    return traces[key]
+    into, _images, dominators = _images_into(y, table)
+    key = (y, tmask & into)
+    case = traces.get(key)
+    if case is None:
+        kept = key[1]
+        for j in _bits(key[1]):
+            if dominators[j] & key[1]:
+                kept ^= 1 << j
+        reduced = (y, kept)
+        case = traces.get(reduced)
+        if case is None:
+            span = trace_subrepresentation(y, _bits(reduced[1]), table)
+            trace = tuple(span[v] for v in table.quiver.vertices)
+            cases = table.memo.setdefault("oracle_cases", {})
+            case = cases.get((y, trace))
+            if case is None:
+                sub, quot = sub_and_quotient(table.entries[y].rep, span, table)
+                solved = table.memo.setdefault("oracle_certificates", {})
+                case = cases[y, trace] = (
+                    trace,
+                    sub,
+                    quot,
+                    solved.setdefault(("sub", _value(sub)), {}),
+                    solved.setdefault(("quot", _value(quot)), {}),
+                )
+            traces[reduced] = case
+        traces[key] = case
+    return case
+
+
+def _value(rep):
+    """A representation's dimensions and arrow matrices, as a dict key."""
+    Q = rep.quiver
+    return (
+        tuple(rep.dim(v) for v in Q.vertices),
+        tuple(rep.maps[a.name] for a in Q.arrows),
+    )
 
 
 def forget_oracle_memo(table):
-    """Drop the oracle's memo entries from ``table``."""
-    for key in ("oracle_traces", "oracle_cases"):
-        table.memo.pop(key, None)
+    """Drop the oracle's memo entries, named ``oracle_*``, from ``table``."""
+    for key in [k for k in table.memo if str(k).startswith("oracle_")]:
+        del table.memo[key]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from aisles.cli import (
 from aisles.derived import Window
 from aisles.kronecker import (
     default_model,
-    explicit_representation,
     hom_rule,
     post,
     pre,
@@ -48,6 +47,7 @@ from aisles.tstruct import (
     verify_lemma41,
     verify_lemma42,
 )
+from reference import explicit_representation
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 WINDOW = Window(-2, 3)

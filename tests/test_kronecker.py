@@ -16,11 +16,8 @@ from aisles.kronecker import (
     _subsets,
     build_aisle_63b,
     default_model,
-    euler_form_kronecker,
-    explicit_representation,
     ext_module,
     hom_rule,
-    kronecker_quiver,
     layer,
     post,
     pre,
@@ -32,6 +29,11 @@ from aisles.kronecker import (
     verify_63b,
 )
 from aisles.repcore import hom_space
+from reference import (
+    euler_form_kronecker,
+    explicit_representation,
+    kronecker_quiver,
+)
 
 LAM = {"t0": 0, "t1": 1, "t2": 5}
 

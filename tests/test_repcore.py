@@ -14,7 +14,6 @@ from aisles.quiver import (
     Arrow,
     Quiver,
     linear_quiver,
-    quiver_from_edges,
 )
 from aisles.repcore import (
     Representation,
@@ -26,6 +25,7 @@ from aisles.repcore import (
     irreducible_dim,
     reflect,
 )
+from reference import orientations
 from test_linalg import reference_nullspace, reference_solve
 from test_quiver import positive_roots
 
@@ -290,24 +290,6 @@ def test_simple_rep_end_is_field(a2_table):
         dim, basis = hom_space(s, s)
         assert dim == 1
         assert basis[0][v] == Mat([[Fraction(1)]])
-
-
-# The ADE graphs of the orientation fuzz: edges (s, t), each flipped or not.
-SHAPES = {
-    **{f"A{n}": [(k, k + 1) for k in range(1, n)] for n in range(2, 7)},
-    **{
-        f"D{n}": [(k, k + 1) for k in range(1, n - 1)] + [(n - 2, n)]
-        for n in range(4, 7)
-    },
-    "E6": [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)],
-}
-
-
-@st.composite
-def orientations(draw):
-    name = draw(st.sampled_from(sorted(SHAPES)))
-    edges = [(t, s) if draw(st.booleans()) else (s, t) for s, t in SHAPES[name]]
-    return quiver_from_edges(name, edges)
 
 
 @settings(max_examples=30, deadline=None)

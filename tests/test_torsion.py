@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aisles import torsion
 from aisles.errors import ConsistencyError, PreconditionError
 from aisles.linalg import Mat, span_rank
 from aisles.quiver import BUILTIN_QUIVERS, linear_quiver, quiver_from_edges
@@ -23,6 +24,7 @@ from aisles.torsion import (
     sub_and_quotient,
     trace_subrepresentation,
 )
+from reference import opposite, orientations
 from test_linalg import reference_rref
 
 
@@ -133,17 +135,37 @@ def test_oracle_rejects_non_pair(a2_table):
     bogus = TorsionPair(
         Subcategory(_ids(t, (1, 1))), Subcategory(_ids(t, (1, 0))), False
     )
-    with pytest.raises(PreconditionError):
-        canonical_sequence_oracle(0, bogus, t)
+    # a pair that fails its axioms is not remembered: it fails every call
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            canonical_sequence_oracle(0, bogus, t)
+
+
+def _reference_trace(y, generators, table):
+    """Per vertex, the reduced rows of the span of the columns of every
+    Hom basis from the generators into ``y``, by `Fraction` Gauss-Jordan:
+    the trace with no image memo and no containment key."""
+    Y = table.entries[y].rep
+    span = {}
+    for v in table.quiver.vertices:
+        columns = [
+            c
+            for i in generators
+            for f in table.hom_bases[i][y]
+            for c in zip(*f[v].rows)
+        ]
+        rows, pivots = reference_rref(Mat(columns, len(columns), Y.dim(v)))
+        span[v] = Mat(rows[: len(pivots)], len(pivots), Y.dim(v))
+    return span
 
 
 def _unmemoised_oracle(y, tp, table):
-    """The canonical-sequence oracle without its memo: the trace, its
-    subobject and quotient and every certificate computed afresh on each
-    call."""
+    """The canonical-sequence oracle without its memo: the axioms, the
+    trace (`_reference_trace`), its subobject and quotient and every
+    certificate computed afresh on each call."""
     if not is_torsion_pair(tp, table):
         raise PreconditionError("input does not satisfy the torsion-pair axioms")
-    span = trace_subrepresentation(y, tp.torsion.members, table)
+    span = _reference_trace(y, tp.torsion.members, table)
     sub, quot = sub_and_quotient(table.entries[y].rep, span, table)
     for f in tp.free:
         dim, _ = hom_space(sub, table.entries[f].rep)
@@ -177,6 +199,22 @@ def _oracle_outcomes(oracle, table):
     return out
 
 
+def _assert_traces_match_reference(table):
+    """The memoised trace of every pair in every module has, vertex by
+    vertex, the reduced rows of `_reference_trace`, which is computed
+    once per module and members with a Hom basis into it."""
+    reference = {}
+    for tp in enumerate_torsion_pairs(table):
+        for y in range(len(table.entries)):
+            members = [i for i in tp.torsion if table.hom_bases[i][y]]
+            key = (y, tuple(members))
+            if key not in reference:
+                span = _reference_trace(y, members, table)
+                reference[key] = tuple(span[v] for v in table.quiver.vertices)
+            tmask = sum(1 << i for i in tp.torsion.members)
+            assert torsion._canonical_case(y, tmask, table)[0] == reference[key]
+
+
 @pytest.mark.parametrize("name", ["a3", "d4", "d5"])
 def test_memoised_oracle_matches_unmemoised(name):
     # a copy starts with an empty memo, so the first sweep fills it
@@ -184,6 +222,58 @@ def test_memoised_oracle_matches_unmemoised(name):
     expected = _oracle_outcomes(_unmemoised_oracle, table)
     assert _oracle_outcomes(canonical_sequence_oracle, table) == expected
     assert _oracle_outcomes(canonical_sequence_oracle, table) == expected
+    _assert_traces_match_reference(table)
+    _assert_certificates_are_their_cases(table)
+
+
+@settings(max_examples=10, deadline=None)
+@given(orientations(shapes=("A4", "A5", "A6", "D4", "D5")))
+def test_memoised_traces_match_reference_on_any_orientation(q):
+    """On random orientations every memoised trace is the reference one,
+    and every pair passes the oracle."""
+    table = enumerate_indecomposables(q)
+    _assert_traces_match_reference(table)
+    assert all(
+        canonical_sequence_oracle(y, tp, table)
+        for tp in enumerate_torsion_pairs(table)
+        for y in range(len(table.entries))
+    )
+
+
+def _contains(big, small):
+    """Whether the span of the rows ``small`` lies in that of ``big``."""
+    return span_rank(big + small) == span_rank(big)
+
+
+@pytest.mark.parametrize("name", ["a3", "d4", "d5", "e6"])
+def test_dominators_match_span_ranks(name):
+    """For each module y, i dominates j exactly when the image of Hom(j,
+    y) lies in that of Hom(i, y), strictly or with i < j, by the ranks
+    of the stacked Hom basis columns at every vertex."""
+    table = dataclasses.replace(_builtin_table(name))
+    n = len(table.entries)
+    ties = 0
+    for y in range(n):
+        into, images, dominators = torsion._images_into(y, table)
+        gens = [i for i in range(n) if table.hom_bases[i][y]]
+        assert into == sum(1 << i for i in gens) and sorted(images) == gens
+        columns = {
+            i: [
+                [list(c) for f in table.hom_bases[i][y] for c in zip(*f[v].rows)]
+                for v in table.quiver.vertices
+            ]
+            for i in gens
+        }
+        for j in gens:
+            expected = 0
+            for i in gens:
+                inside = all(map(_contains, columns[i], columns[j]))
+                equal = inside and all(map(_contains, columns[j], columns[i]))
+                ties += equal and i != j
+                if i != j and inside and (i < j or not equal):
+                    expected |= 1 << i
+            assert dominators[j] == expected, (y, j)
+    assert ties > 0
 
 
 def test_oracle_memo_follows_hom_bases_on_patched_hom(a3_table):
@@ -201,12 +291,30 @@ def test_oracle_memo_follows_hom_bases_on_patched_hom(a3_table):
             )
             expected = _oracle_outcomes(_unmemoised_oracle, patched)
             assert _oracle_outcomes(canonical_sequence_oracle, patched) == expected
+            _assert_certificates_are_their_cases(patched)
             falsified += any(o[0] == "ConsistencyError" for o in expected)
     assert falsified > 0
 
 
+def _assert_certificates_are_their_cases(table):
+    """Cases share a dict of certificates only when their subobjects (or
+    quotients) have equal dimensions and matrices, and every certificate
+    kept is the Hom dimension of each case's own subobject or quotient."""
+    owner = {}
+    for _trace, sub, quot, sub_into, into_quot in table.memo[
+        "oracle_cases"
+    ].values():
+        for rep, solved in ((sub, sub_into), (quot, into_quot)):
+            first = owner.setdefault(id(solved), rep)
+            assert (first.dims, first.maps) == (rep.dims, rep.maps)
+        for f, dim in sub_into.items():
+            assert dim == hom_space(sub, table.entries[f].rep)[0]
+        for t, dim in into_quot.items():
+            assert dim == hom_space(table.entries[t].rep, quot)[0]
+
+
 def test_duality_with_opposite_quiver(a3_table):
-    op_table = enumerate_indecomposables(a3_table.quiver.opposite())
+    op_table = enumerate_indecomposables(opposite(a3_table.quiver))
     fwd = {
         (
             frozenset(a3_table.entries[i].dimvec for i in tp.torsion),
