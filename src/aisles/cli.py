@@ -308,13 +308,18 @@ def cmd_enumerate(args):
         )
         return EXIT_USAGE
     table = load_table(args)
-    pairs = torsion_mod.enumerate_torsion_pairs(table)
+    # the search finishes (or stops at the class cap) before a byte is
+    # written; each pair is built only as it is written
+    masks = torsion_mod.torsion_masks(table)
     if args.split_only:
-        pairs = [tp for tp in pairs if tp.split]
+        masks = [(t, f) for t, f in masks if torsion_mod.is_split_mask(t, f, table)]
     emit_list(
-        {"quiver": table.quiver.name, "count": len(pairs)},
+        {"quiver": table.quiver.name, "count": len(masks)},
         "pairs",
-        (torsion_mod.pair_to_json(tp, table) for tp in pairs),
+        (
+            torsion_mod.pair_to_json(torsion_mod.pair_of_masks(t, f, table), table)
+            for t, f in masks
+        ),
     )
     return EXIT_OK
 

@@ -11,19 +11,26 @@ sparse integer row, a dict column -> nonzero int, and its one step is
 `_cancel`: cross-multiply two rows by their entries in a column over
 their gcd, then divide the result by the gcd of its entries.
 `eliminate` runs fraction-free Gauss-Jordan on such rows; `echelon_add`
-grows a rank one row at a time; `kernel` reads a right-kernel basis off
-the reduced rows.  Scaling a row by a nonzero integer changes neither
-its span nor the reduced row echelon form (which is unique), so a caller
-may clear denominators first (`scaled_to_ints`, or once per
-representation in `repcore`) and gets exactly what `Fraction`
-Gauss-Jordan returns.  `Fraction`s are formed only for output entries:
+grows a rank one row at a time; `kernel_ints` reads a right-kernel basis
+off the reduced rows as coprime integer vectors.  Scaling a row by a
+nonzero integer changes neither its span nor the reduced row echelon
+form (which is unique), so a caller may clear denominators first
+(`scaled_to_ints`, or once per representation in `repcore`) and gets
+exactly what `Fraction` Gauss-Jordan returns.  `Fraction`s are formed
+only for output entries: `kernel` divides each `kernel_ints` vector by
+its last nonzero entry, which sits at its free column (`unit_last`), and
 an entry x of a reduced row with pivot p is x/p.
+
+`rank_mod2` is the one shortcut: the rank over GF(2) of integer rows,
+on bitmasks.  It never exceeds the rank over the rationals, so when it
+equals the number of columns the kernel is zero without an elimination;
+any other answer proves nothing, and the caller eliminates.
 
 Every elimination runs on sparse integer rows.  `Mat` is a container of
 `Fraction` entries; its one elimination, `Mat.rref`, goes through
 `eliminate` and returns the reduced rows as `Fraction`s.  Kernels are
-read with `kernel(*eliminate(rows), ncols)` and ranks with `echelon_add`
-(`span_rank`).
+read with `kernel(*eliminate(rows), ncols)` (or `kernel_ints`) and ranks
+with `echelon_add` (`span_rank`).
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def scaled_to_ints(values):
@@ -100,22 +106,64 @@ def eliminate(rows):
     return reduced, pivots
 
 
-def kernel(reduced, pivots, ncols):
+def kernel_ints(reduced, pivots, ncols):
     """Basis of the right kernel of a matrix with ``ncols`` columns whose
-    `eliminate` result is (reduced, pivots), as `Fraction` lists: one per
-    free column fc, 1 at fc, 0 at the other free columns and
-    -reduced[k][fc] / reduced[k][pivots[k]] at each pivot."""
+    `eliminate` result is (reduced, pivots), as lists of coprime ints: one
+    per free column fc, positive at fc, 0 at the other free columns and
+    at each pivot pc proportional to -reduced[k][fc] / reduced[k][pc].
+    A reduced row has entries only at its pivot and at free columns to
+    its right, so fc holds the vector's last nonzero entry."""
     taken = set(pivots)
-    free = {fc: n for n, fc in enumerate(c for c in range(ncols) if c not in taken)}
-    basis = [[_ZERO] * ncols for _ in free]
-    for fc, n in free.items():
-        basis[n][fc] = _ONE
+    at = {c: [] for c in range(ncols) if c not in taken}
     for row, pc in zip(reduced, pivots):
-        p = row[pc]
-        for k, x in row.items():
+        for k in row:
             if k != pc:
-                basis[free[k]][pc] = Fraction(-x, p)
+                at[k].append((pc, row))
+    basis = []
+    for fc, rows in at.items():
+        den = lcm(*[row[pc] for pc, row in rows])
+        vec = [0] * ncols
+        vec[fc] = den
+        for pc, row in rows:
+            vec[pc] = -row[fc] * (den // row[pc])
+        g = gcd(*vec)
+        basis.append([x // g for x in vec] if g > 1 else vec)
     return basis
+
+
+def unit_last(vec):
+    """The integer vector ``vec`` divided by its last nonzero entry, as
+    `Fraction`s: a `kernel_ints` vector becomes the `kernel` vector, 1 at
+    its free column."""
+    d = next(x for x in reversed(vec) if x)
+    return [Fraction(x, d) if x else _ZERO for x in vec]
+
+
+def kernel(reduced, pivots, ncols):
+    """The `kernel_ints` basis as `Fraction` lists, each vector 1 at its
+    free column: -reduced[k][fc] / reduced[k][pc] at each pivot pc."""
+    return [unit_last(vec) for vec in kernel_ints(reduced, pivots, ncols)]
+
+
+def rank_mod2(rows):
+    """Rank over GF(2) of sparse integer rows, each held as an int bitmask
+    of its odd entries.  A minor that is odd is nonzero, so this is a
+    lower bound on the rank over the rationals: when it equals the number
+    of columns, the right kernel is zero, and only then is it a proof."""
+    by_top = {}
+    for row in rows:
+        m = 0
+        for k, x in row.items():
+            if x & 1:
+                m |= 1 << k
+        while m:
+            top = m.bit_length() - 1
+            b = by_top.get(top)
+            if b is None:
+                by_top[top] = m
+                break
+            m ^= b
+    return len(by_top)
 
 
 def echelon_add(echelon, row):

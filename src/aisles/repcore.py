@@ -23,7 +23,17 @@ from math import lcm
 from operator import mul
 
 from .errors import ConsistencyError, ShapeError, UnsupportedError
-from .linalg import Mat, echelon_add, eliminate, kernel, scaled_to_ints, sparse_row
+from .linalg import (
+    Mat,
+    echelon_add,
+    eliminate,
+    kernel,
+    kernel_ints,
+    rank_mod2,
+    scaled_to_ints,
+    sparse_row,
+    unit_last,
+)
 from .quiver import Quiver
 
 
@@ -144,19 +154,36 @@ def hom_system(M, N):
     return rows, total
 
 
+def hom_kernel(M, N):
+    """Hom(M, N) as coprime integer vectors in the coordinates of
+    `hom_system`, the kernel basis read off its reduced rows
+    (`linalg.kernel_ints`).  A system whose rank mod 2 is its number of
+    columns has a zero kernel (`linalg.rank_mod2`), and is not
+    eliminated; any other one is, so only exact elimination ever finds a
+    nonzero morphism."""
+    rows, ncols = hom_system(M, N)
+    if rank_mod2(rows) == ncols:
+        return []
+    return kernel_ints(*eliminate(rows), ncols)
+
+
 def hom_space(M, N):
     """Dimension and basis of Hom(M, N).
 
     A morphism is a family of matrices f_v with N_a f_{s(a)} = f_{t(a)} M_a
     for every arrow a; the basis elements are dicts vertex -> Mat.  The
-    basis is the kernel basis read off the reduced rows of the integer
-    `hom_system` (`linalg.kernel`), the same as the nullspace of the
-    `Fraction` system.
+    basis is the `hom_kernel` basis, each vector divided by its last
+    nonzero entry: the nullspace of the `Fraction` system.
     """
-    rows, ncols = hom_system(M, N)
-    basis = kernel(*eliminate(rows), ncols)
+    basis = _families(hom_kernel(M, N), M, N)
+    return len(basis), basis
+
+
+def _families(vectors, M, N):
+    """The morphisms M -> N with the given `hom_kernel` vectors, each
+    divided by its last nonzero entry, as dicts vertex -> Mat."""
     shapes = [(v, N.dim(v), M.dim(v)) for v in M.quiver.vertices]
-    return len(basis), [unflatten(vec, shapes) for vec in basis]
+    return [unflatten(unit_last(vec), shapes) for vec in vectors]
 
 
 # Not used in this package since `irreducible_dim` composes on ints: the
@@ -307,14 +334,19 @@ class IndecEntry:
 @dataclass(frozen=True)
 class IndecTable:
     """Complete list of indecomposables of a Dynkin quiver with Hom/Ext
-    tables, tau links and the AR quiver.  Immutable after construction."""
+    tables, tau links and the AR quiver.  Immutable after construction.
+
+    ``hom_vectors[i][j]`` holds the Hom(i, j) basis as `hom_kernel`
+    returns it: coprime integer vectors, flattened vertex by vertex and
+    row-major.  ``hom_bases`` is the same basis as morphism families of
+    `Fraction` matrices, formed for the whole table on first read."""
 
     quiver: Quiver
     entries: tuple
     hom: tuple  # hom[i][j] = dim Hom(i, j)
     ext: tuple
     ar_arrows: tuple  # (source id, target id)
-    hom_bases: tuple = field(repr=False, compare=False)  # bases[i][j]: Hom(i, j)
+    hom_vectors: tuple = field(repr=False, compare=False)
     # Results derived from this table alone, computed on first use and
     # keyed by value: the orthogonal masks of the torsion search, the
     # torsion pairs the CLI suites share, the canonical-sequence oracle's
@@ -323,14 +355,26 @@ class IndecTable:
     # keyed by members and by reduced rows, and the certificates keyed by
     # subobject or quotient), the validated cross-degree arrows, and per
     # window the derived AR arrows with their successor and predecessor
-    # lists, the tau-orbits with their numbering and the Hom masks; while
-    # the knitting is validated, also the integer-scaled Hom bases of
-    # `irreducible_dim`.
-    # A copy made with dataclasses.replace starts empty, so a patched table
-    # is re-validated.
+    # lists, the tau-orbits with their numbering and the Hom masks.
+    # A copy made with dataclasses.replace starts empty, and without
+    # ``hom_bases``, so a patched table is re-validated.
     memo: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    @cached_property
+    def hom_bases(self):
+        """bases[i][j]: the Hom(i, j) basis as dicts vertex -> Mat, each
+        ``hom_vectors`` vector divided by its last nonzero entry, as
+        `hom_space` returns it."""
+        reps = [e.rep for e in self.entries]
+        return tuple(
+            tuple(
+                tuple(_families(vectors, M, N))
+                for N, vectors in zip(reps, row)
+            )
+            for M, row in zip(reps, self.hom_vectors)
+        )
 
     def __len__(self):
         return len(self.entries)
@@ -394,13 +438,8 @@ def enumerate_indecomposables(quiver):
             tau_inv[i] = j
             tau_link[j] = i
 
-    hom = [[0] * n for _ in range(n)]
-    bases = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            dim, basis = hom_space(reps[i], reps[j])
-            hom[i][j] = dim
-            bases[i][j] = tuple(basis)
+    vectors = [[tuple(map(tuple, hom_kernel(M, N))) for N in reps] for M in reps]
+    hom = [[len(b) for b in row] for row in vectors]
     for i in range(n):
         if hom[i][i] != 1:
             raise ConsistencyError(
@@ -474,7 +513,7 @@ def enumerate_indecomposables(quiver):
         hom=tuple(tuple(r) for r in hom),
         ext=tuple(tuple(r) for r in ext),
         ar_arrows=tuple(sorted(arrows)),
-        hom_bases=tuple(tuple(r) for r in bases),
+        hom_vectors=tuple(map(tuple, vectors)),
     )
     _validate_ar_arrows(table)
     return table
@@ -522,15 +561,15 @@ def irreducible_dim(i, j, table):
     and never from the knitted AR arrows, so this stays an independent
     check of the knitting.
 
-    Each basis morphism is scaled to integer entries first; a nonzero
-    scale does not change the span of the composites, so their rank is
-    counted on ints (`linalg.echelon_add`).  The composites lie in
-    Hom(i, j), so once they span a space of its dimension the rank cannot
-    grow and the scan stops there.
+    The composites are formed from the integer ``hom_vectors``; a nonzero
+    scale does not change their span, so their rank is counted on ints
+    (`linalg.echelon_add`).  The composites lie in Hom(i, j), so once
+    they span a space of its dimension the rank cannot grow and the scan
+    stops there.
     """
     if i == j:
         return 0
-    target = table.hom_bases[i][j]
+    target = table.hom_vectors[i][j]
     if not target:
         return 0
     echelon = []
@@ -542,13 +581,14 @@ def irreducible_dim(i, j, table):
 
 def _int_composites(i, j, table):
     """The composites g f through each m other than i and j, flattened
-    like the morphisms of `_int_basis`, as sparse integer rows."""
+    like ``hom_vectors``, as sparse integer rows."""
     dims = [e.dimvec for e in table.entries]
+    vectors = table.hom_vectors
     for m in range(len(table.entries)):
         if m in (i, j):
             continue
-        F = _int_basis(table, i, m)
-        G = _int_basis(table, m, j) if F else ()
+        F = vectors[i][m]
+        G = vectors[m][j] if F else ()
         if not G:
             continue
         g_rows = [_blocks(g, dims[j], dims[m]) for g in G]
@@ -561,25 +601,6 @@ def _int_composites(i, j, table):
                     for row in v_rows
                     for col in v_cols
                 )
-
-
-def _int_basis(table, i, j):
-    """The Hom(i, j) basis, each morphism scaled to integer entries and
-    flattened vertex by vertex, row-major; kept in ``table.memo`` until
-    `_validate_ar_arrows` finishes."""
-    if not table.hom_bases[i][j]:
-        return ()
-    cache = table.memo.setdefault("int_hom_bases", {})
-    if (i, j) not in cache:
-        cache[i, j] = tuple(
-            _int_flat(f, table.quiver) for f in table.hom_bases[i][j]
-        )
-    return cache[i, j]
-
-
-def _int_flat(f, quiver):
-    flat = [x for v in quiver.vertices for row in f[v].rows for x in row]
-    return tuple(scaled_to_ints(flat))
 
 
 def _blocks(flat, nrows, ncols, columns=False):
@@ -610,4 +631,3 @@ def _validate_ar_arrows(table):
                 raise ConsistencyError(
                     f"knitting disagrees with rad/rad^2 at ({i}, {j})"
                 )
-    table.memo.pop("int_hom_bases", None)

@@ -28,6 +28,7 @@ pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConsistencyError, PreconditionError, UnsupportedError
 from .linalg import Mat
@@ -40,15 +41,20 @@ MAX_TORSION_CLASSES = 60_000
 
 @dataclass(frozen=True)
 class Subcategory:
-    """A set of indecomposable ids inside one IndecTable."""
+    """A set of indecomposable ids inside one IndecTable; iteration is in
+    ascending id order, sorted once per instance."""
 
     members: frozenset
 
     def __contains__(self, i):
         return i in self.members
 
+    @cached_property
+    def _ordered(self):
+        return tuple(sorted(self.members))
+
     def __iter__(self):
-        return iter(sorted(self.members))
+        return iter(self._ordered)
 
     def __len__(self):
         return len(self.members)
@@ -97,8 +103,11 @@ def _orth_masks(table):
     return table.memo["orth_masks"]
 
 
-def enumerate_torsion_pairs(table):
-    """All torsion pairs, sorted by the bitmask of the torsion class."""
+def torsion_masks(table):
+    """Every torsion pair as (torsion bitmask, free bitmask), sorted by
+    the torsion bitmask: the closure search.  It raises
+    ``UnsupportedError`` past ``MAX_TORSION_CLASSES`` classes, before any
+    pair is returned."""
     full, nohom_from, nohom_into = _orth_masks(table)
     # torsion mask -> free mask.  The search starts from the closure of
     # the empty set: 0 on a true Hom table, but a patched table (the
@@ -121,14 +130,27 @@ def enumerate_torsion_pairs(table):
                 )
             free_of[tnext] = fnext
             todo.append(tnext)
-    return [
-        TorsionPair(
-            Subcategory(frozenset(_bits(tmask))),
-            Subcategory(frozenset(_bits(fmask))),
-            (tmask | fmask) == full,
-        )
-        for tmask, fmask in sorted(free_of.items())
-    ]
+    return sorted(free_of.items())
+
+
+def is_split_mask(tmask, fmask, table):
+    """Whether the pair with these bitmasks is split: T and F cover
+    every indecomposable."""
+    return (tmask | fmask) == _orth_masks(table)[0]
+
+
+def pair_of_masks(tmask, fmask, table):
+    """The `TorsionPair` with these torsion and free bitmasks."""
+    return TorsionPair(
+        Subcategory(frozenset(_bits(tmask))),
+        Subcategory(frozenset(_bits(fmask))),
+        is_split_mask(tmask, fmask, table),
+    )
+
+
+def enumerate_torsion_pairs(table):
+    """All torsion pairs, sorted by the bitmask of the torsion class."""
+    return [pair_of_masks(t, f, table) for t, f in torsion_masks(table)]
 
 
 def _left_orth_mask(fmask, nohom_into):

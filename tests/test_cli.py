@@ -1,11 +1,12 @@
 import dataclasses
+import io
 import json
 import pathlib
 from collections import Counter
 
 import pytest
 
-from aisles import cli, derived, kronecker, torsion
+from aisles import cli, derived, kronecker, repcore, torsion
 from aisles.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from aisles.errors import UnsupportedError
 from aisles.quiver import BUILTIN_QUIVERS
@@ -332,6 +333,26 @@ def test_enumerate_over_class_cap_is_usage_error(capsys, monkeypatch):
     assert "MAX_TORSION_CLASSES = 13" in err
 
 
+@pytest.mark.parametrize("flag", [[], ["--split-only"]], ids=["all", "split-only"])
+def test_enumerate_builds_each_pair_as_it_writes_it(monkeypatch, flag):
+    """The closure search keeps bitmasks only: each `TorsionPair` is built
+    after the pairs before it, and the payload's head, are written."""
+    out = io.StringIO()
+    monkeypatch.setattr(cli.sys, "stdout", out)
+    written = []
+    pair_of_masks = torsion.pair_of_masks
+
+    def recording(*args):
+        written.append(out.tell())
+        return pair_of_masks(*args)
+
+    monkeypatch.setattr(torsion, "pair_of_masks", recording)
+    assert main(["enumerate", "--builtin", "d4", *flag]) == EXIT_OK
+    payload = json.loads(out.getvalue())
+    assert len(written) == payload["count"] == (25 if flag else 50)
+    assert 0 < written[0] and all(map(int.__lt__, written, written[1:]))
+
+
 def test_window_over_object_budget_is_usage_error(capsys, monkeypatch):
     # A3 has 6 indecomposables, so the default window holds 36 objects;
     # the check must come before the table is built.
@@ -472,6 +493,49 @@ def test_oracle_builds_each_image_and_checks_each_pair_once(monkeypatch):
     assert distinct <= calls["trace_subrepresentation"] <= 150
     solved = table.memo["oracle_certificates"].values()
     assert calls["hom_space"] == sum(map(len, solved)) == 818
+
+
+def test_oracle_certificates_are_all_proved_zero_mod_2(monkeypatch):
+    """On the builtin D5 every certificate the oracle solves is a zero
+    Hom space whose system has full rank mod 2: none is eliminated."""
+    table = enumerate_indecomposables(BUILTIN_QUIVERS["d5"]())
+    pairs = torsion.enumerate_torsion_pairs(table)
+    eliminated = 0
+    eliminate = repcore.eliminate
+
+    def counting(rows):
+        nonlocal eliminated
+        eliminated += 1
+        return eliminate(rows)
+
+    monkeypatch.setattr(repcore, "eliminate", counting)
+    assert cli._oracle_check(pairs, table)["pass"]
+    assert eliminated == 0 and table.memo["oracle_certificates"]
+
+
+def test_lift_leaves_the_fraction_hom_bases_unformed(capsys, monkeypatch):
+    """`lift` reads the Hom dimensions only: the `Fraction` bases of the
+    table are never formed."""
+    tables = []
+    build = cli.enumerate_indecomposables
+
+    def keeping(quiver):
+        tables.append(build(quiver))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "enumerate_indecomposables", keeping)
+    code, _, _ = run(capsys, "lift", "--builtin", "e6", "--torsion", "[[1,0,0,0,0,0]]")
+    assert code == EXIT_OK
+    assert "hom_bases" not in vars(tables[0])
+
+
+def test_table_patch_copy_forms_the_same_hom_bases(a3_table):
+    table = dataclasses.replace(a3_table)
+    patched = cli.apply_table_patch(table, str(FIXTURES / "falsified_hom.json"))
+    assert patched.hom != table.hom
+    assert "hom_bases" not in vars(patched)
+    assert patched.hom_vectors is table.hom_vectors
+    assert patched.hom_bases == table.hom_bases
 
 
 def test_quiver_file_not_utf8_is_usage_error(capsys, tmp_path):

@@ -15,10 +15,12 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aisles import repcore
 from aisles.extspace import ExtMachine
-from aisles.linalg import Mat
+from aisles.linalg import Mat, rank_mod2, scaled_to_ints
 from aisles.quiver import BUILTIN_QUIVERS, d4_quiver, linear_quiver
 from aisles.repcore import Representation, enumerate_indecomposables, hom_space
+from reference import orientations
 from test_linalg import reference_nullspace, reference_rref
 
 QUIVERS = [linear_quiver(2), linear_quiver(3), d4_quiver()]
@@ -124,12 +126,53 @@ def test_hom_space_scales_each_side_by_its_own_denominators():
     assert dim == 1 and basis[0][w][0, 0] == Fraction(4, 3) * basis[0][u][0, 0]
 
 
-@pytest.mark.parametrize("name", ["d4", "d5", "e6"])
-def test_table_hom_bases_match_fraction_nullspace(name):
-    table = enumerate_indecomposables(BUILTIN_QUIVERS[name]())
+def assert_table_matches_fraction_nullspace(table):
+    """Each `Fraction` basis is the nullspace of the `Fraction` delta, and
+    each stored integer vector is `scaled_to_ints` of its basis vector."""
     for X in table.entries:
         for Y in table.entries:
             want = reference_nullspace(fraction_delta(X.rep, Y.rep))
             got = [flat(f, table.quiver) for f in table.hom_bases[X.id][Y.id]]
             assert got == want
             assert all(type(x) is Fraction for vec in got for x in vec)
+            vectors = [list(v) for v in table.hom_vectors[X.id][Y.id]]
+            assert vectors == [scaled_to_ints(v) for v in want]
+            assert all(type(x) is int for vec in vectors for x in vec)
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "d5", "e6"])
+def test_table_hom_bases_match_fraction_nullspace(name):
+    assert_table_matches_fraction_nullspace(
+        enumerate_indecomposables(BUILTIN_QUIVERS[name]())
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(orientations())
+def test_table_hom_bases_match_fraction_nullspace_on_orientations(q):
+    assert_table_matches_fraction_nullspace(enumerate_indecomposables(q))
+
+
+def test_hom_singular_mod_2_falls_back_to_exact_elimination(monkeypatch):
+    """Over A2 with arrow map [2], delta is even: rank 0 mod 2, so no
+    space is certified zero and each one is eliminated exactly.
+    Hom(M, S_2) = 0 although delta = [-2] is singular mod 2, and
+    Hom(M, M) = k although delta is zero mod 2."""
+    Q = linear_quiver(2)
+    (a,) = Q.arrows
+    u, w = a.source, a.target
+    M = Representation(Q, {u: 1, w: 1}, {a.name: Mat([[2]])})
+    S = Representation(Q, {u: 0, w: 1}, {a.name: Mat.zeros(1, 0)})
+    eliminated = []
+    eliminate = repcore.eliminate
+
+    def counting(rows):
+        eliminated.append(rows)
+        return eliminate(rows)
+
+    monkeypatch.setattr(repcore, "eliminate", counting)
+    for X, Y, dim in ((M, S, 0), (M, M, 1)):
+        rows, ncols = repcore.hom_system(X, Y)
+        assert rank_mod2(rows) == 0 < ncols
+        assert hom_space(X, Y)[0] == dim == len(reference_nullspace(fraction_delta(X, Y)))
+    assert len(eliminated) == 2

@@ -11,6 +11,8 @@ from aisles.linalg import (
     Mat,
     eliminate,
     kernel,
+    kernel_ints,
+    rank_mod2,
     scaled_to_ints,
     span_rank,
     sparse_row,
@@ -205,3 +207,64 @@ def test_rref_degenerate_shapes():
         assert red == Mat.zeros(m.nrows, m.ncols)
         assert len(nullspace(m)) == m.ncols
         assert len(nullspace(m.transpose())) == m.nrows
+
+
+@settings(max_examples=300)
+@given(rational_matrices())
+def test_integer_kernel_is_the_scaled_fraction_kernel(m):
+    rows = [sparse_row(scaled_to_ints(r)) for r in m.rows]
+    got = kernel_ints(*eliminate(rows), m.ncols)
+    assert got == [scaled_to_ints(v) for v in reference_nullspace(m)]
+    assert all(type(x) is int for v in got for x in v)
+
+
+# -- the rank mod 2 ---------------------------------------------------------------
+
+
+def reference_rank_mod2(rows, ncols):
+    """Gauss-Jordan over GF(2) on dense 0/1 lists."""
+    dense = [[row.get(k, 0) % 2 for k in range(ncols)] for row in rows]
+    rank = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, len(dense)) if dense[i][c]), None)
+        if pivot is None:
+            continue
+        dense[rank], dense[pivot] = dense[pivot], dense[rank]
+        for i in range(len(dense)):
+            if i != rank and dense[i][c]:
+                dense[i] = [a ^ b for a, b in zip(dense[i], dense[rank])]
+        rank += 1
+    return rank
+
+
+# zero most often, and even entries about as often as odd ones
+sparse_entries = st.sampled_from([0, 0, 0, 0, 1, -1, 3, 2, -2, 4, 6, -6])
+
+
+@st.composite
+def integer_rows(draw, max_dim=6):
+    ncols = draw(st.integers(0, max_dim))
+    dense = draw(
+        st.lists(
+            st.lists(sparse_entries, min_size=ncols, max_size=ncols),
+            max_size=max_dim,
+        )
+    )
+    return [sparse_row(r) for r in dense], ncols
+
+
+@settings(max_examples=500)
+@given(integer_rows())
+def test_rank_mod2_is_the_gf2_rank_and_bounds_the_rank(case):
+    rows, ncols = case
+    exact = len(eliminate(rows)[1])
+    assert rank_mod2(rows) == reference_rank_mod2(rows, ncols) <= exact
+
+
+def test_rank_mod2_misses_even_minors():
+    # full rank over the rationals, singular mod 2: det [[1, 1], [1, 3]] = 2
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 3}]
+    assert rank_mod2(rows) == 1 < len(eliminate(rows)[1]) == 2
+    assert rank_mod2([{0: 2}, {1: -4}]) == 0
+    # det [[3, 2], [4, 5]] = 7 is odd
+    assert rank_mod2([{0: 3, 1: 2}, {0: 4, 1: 5}]) == 2

@@ -370,3 +370,33 @@ def test_coxeter_functor_must_return_to_the_quiver(monkeypatch):
     monkeypatch.setattr(Quiver, "sink_ordering", lambda self: real(self)[1:])
     with pytest.raises(ConsistencyError, match="off the quiver"):
         enumerate_indecomposables(linear_quiver(3))
+
+
+# -- the certificate mod 2 ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, nonzero, pairs", [("d5", 140, 400), ("e6", 462, 1296)])
+def test_only_nonzero_hom_systems_are_eliminated(monkeypatch, name, nonzero, pairs):
+    """Building the table, every zero Hom space is certified by its rank
+    mod 2, so the Hom systems that reach `eliminate` are exactly the
+    nonzero ones (the reflections eliminate too, on other rows)."""
+    systems, eliminated = [], []
+    hom_system, eliminate = repcore.hom_system, repcore.eliminate
+
+    def recording_system(M, N):
+        out = hom_system(M, N)
+        systems.append(out[0])
+        return out
+
+    def recording_eliminate(rows):
+        eliminated.append(rows)
+        return eliminate(rows)
+
+    monkeypatch.setattr(repcore, "hom_system", recording_system)
+    monkeypatch.setattr(repcore, "eliminate", recording_eliminate)
+    table = enumerate_indecomposables(BUILTIN_QUIVERS[name]())
+    ids = {id(rows) for rows in systems}
+    assert len(systems) == len(ids) == pairs
+    reached = sum(id(rows) in ids for rows in eliminated)
+    assert reached == sum(map(bool, sum(table.hom, ()))) == nonzero
+    assert "hom_bases" not in vars(table)
