@@ -396,6 +396,11 @@ def cmd_classify(args):
 def cmd_verify(args):
     window = parse_window(args.window)
     if args.builtin == "kronecker":
+        if args.table_patch:
+            raise AislesError(
+                "--table-patch patches a Dynkin Hom table; the Kronecker "
+                "model has none"
+            )
         model = load_model(args)
         checks = run_kronecker_verify(model, args.suite)
     else:
@@ -409,6 +414,11 @@ def cmd_verify(args):
 
 
 def cmd_transport(args):
+    if args.builtin != "kronecker":
+        raise AislesError(
+            "transport runs on the Kronecker model only: use --builtin "
+            "kronecker"
+        )
     model = load_model(args)
     summands = _parse_tilting(args.tilting)
     T = transport_mod.TiltingSet(frozenset(summands))

@@ -25,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from typing import NamedTuple
 
 from .errors import ConsistencyError, ShapeError, UnsupportedError
 from .extspace import ExtMachine
@@ -306,6 +307,27 @@ class TableContext:
     def near_boundary(self, x):
         return False
 
+    def components(self):
+        """A Dynkin module category is one finite component: no part of
+        it is pinned to either side of an admissible pair, and the
+        degree-0 layer of a heart is all postprojective."""
+        return Components(0, 0, 0)
+
+    def check_components(self, hm):
+        """Nothing to check: P_A is the whole degree-0 heart."""
+
+
+class Components(NamedTuple):
+    """Module masks, in the module order of ``HomMasks``, of the parts
+    that decide admissibility in a model.  An admissible base pair puts
+    every preinjective in the torsion class and every postprojective in
+    the torsion-free class; the tilted heart reads its preinjective and
+    regular components off the degree-0 torsion layer."""
+
+    preinjective: int
+    postprojective: int
+    regular: int
+
 
 class HomMasks:
     """Nonzero-morphism bitmasks of the objects of one window.
@@ -372,6 +394,16 @@ class HomMasks:
         for d in range(max(degree, self.window.lo), self.window.hi + 1):
             out |= self.layer(modules, d)
         return out
+
+    def place(self, modules, degree):
+        """The module mask ``modules`` (bit i: module object i) as the
+        window mask of those objects in one window degree."""
+        return modules << (degree - self.window.lo) * self.n
+
+    def part(self, mask, degree):
+        """The members of ``mask`` in one window degree, as a module
+        mask."""
+        return mask >> (degree - self.window.lo) * self.n & (1 << self.n) - 1
 
     def shift(self, mask, s):
         """The mask moved ``s`` degrees up, cut to the window."""

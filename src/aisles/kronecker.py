@@ -10,9 +10,12 @@ transjective index up to a configured range, quasi-length up to a
 configured tube depth, degrees inside a window, and the size of a model
 is bounded before anything is built.  ``KroneckerContext`` exposes the
 module category (Hom, Ext, the translate and object labels) to the
-shared Hom-mask core of ``aisles.derived``.  Aisles are window masks of
-that core: ``build_aisle_63b`` unions the same threshold masks the
-split-aisle scan searches, and the orthogonality, shift-closure and
+shared Hom-mask core of ``aisles.derived``, and states the model's
+admissibility rule once: the preinjective, postprojective and regular
+module masks (every preinjective torsion, every postprojective free),
+and the closure check on a tilted heart's components.  Aisles are window
+masks of that core: ``build_aisle_63b`` unions the same threshold masks
+the split-aisle scan searches, and the orthogonality, shift-closure and
 Ext-projective checks are mask operations.
 """
 
@@ -21,8 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .derived import Window, check_window_objects, hom_masks
-from .errors import ShapeError, TruncationError, UnsupportedError
+from .derived import Components, Window, check_window_objects, hom_masks
+from .errors import (
+    PreconditionError,
+    ShapeError,
+    TruncationError,
+    UnsupportedError,
+)
+from .torsion import _bits
 
 POST = "post"
 PRE = "pre"
@@ -185,6 +194,47 @@ class KroneckerContext:
     def near_boundary(self, x):
         return x.kind != REG and x.index >= self.model.range - 1
 
+    def components(self):
+        """The preinjective, postprojective and regular module masks;
+        an admissible pair has every preinjective torsion and every
+        postprojective torsion-free.  Built once per model."""
+        if "components" not in self.memo:
+            modules = self.objects()
+            self.memo["components"] = Components(*(
+                sum(1 << k for k, x in enumerate(modules) if x.kind == kind)
+                for kind in (PRE, POST, REG)
+            ))
+        return self.memo["components"]
+
+    def check_components(self, hm):
+        """The component identification of the heart ``hm``: the tilting
+        summands land in P_A, P_A is closed under inverse translation
+        inside the heart and I_A under translation.  A translate that is
+        not represented is skipped."""
+        masks = hm.masks
+        for t in sorted(hm.tilting.summands):
+            if not hm.P_A >> masks.index[t] & 1:
+                raise PreconditionError(
+                    f"tilting summand {t.name()} missed the postprojective "
+                    "part"
+                )
+        # tau is a bijection where represented: y outside P_A with tau(y)
+        # in P_A is an inverse translate escaping P_A
+        for k in _bits(hm.heart & ~hm.P_A):
+            t = masks.tau[k]
+            if t is not None and hm.P_A >> t & 1:
+                raise PreconditionError(
+                    f"inverse translate of {masks.objects[t].name()} escapes "
+                    "the postprojective part"
+                )
+        for k in _bits(hm.I_A):
+            t = masks.tau[k]
+            if t is not None and (hm.heart & ~hm.I_A) >> t & 1:
+                raise PreconditionError(
+                    f"translate of {masks.objects[k].name()} escapes the "
+                    "preinjective part"
+                )
+
 
 def _masks(model):
     return hom_masks(KroneckerContext(model), model.window)
@@ -263,20 +313,6 @@ def tau_rule(X, model):
     return X
 
 
-def tau_inverse_rule(X, model):
-    if X.kind == PRE:
-        if X.index >= 2:
-            return pre(X.index - 2, X.degree)
-        return post(1 - X.index, X.degree + 1)
-    if X.kind == POST:
-        if X.index + 2 > model.range:
-            raise TruncationError(
-                f"inverse tau of {X.name()} exceeds the transjective range"
-            )
-        return post(X.index + 2, X.degree)
-    return X
-
-
 def layer(X):
     """Transjective-layer index: preinjectives of degree d glue with the
     postprojectives and regulars of degree d + 1 into one component.
@@ -298,8 +334,8 @@ def _threshold_families(model):
         masks = _masks(model)
         lo, hi = model.window.lo, model.window.hi
         modules = list(enumerate(model.module_objects()))
-        posts = [i for i, x in modules if x.kind == POST]
-        pres = [i for i, x in modules if x.kind == PRE]
+        components = KroneckerContext(model).components()
+        pres, posts, _regular = map(_bits, components)
         # postprojectives from degree j1, preinjectives (layer = degree
         # + 1) from degree j1 - 1
         families = [{
@@ -344,11 +380,11 @@ def _shift_closed(aisle, model):
 
 
 def trace_at_zero(aisle, model):
-    """Degree-0 slice of the aisle mask and its complement: a torsion
-    pair on the truncated module category."""
+    """Degree-0 slice of the aisle mask and its complement, as module
+    masks: a torsion pair on the truncated module category."""
     masks = _masks(model)
-    torsion = set(masks.members(aisle & masks.layer(range(masks.n), 0)))
-    return torsion, set(masks.modules) - torsion
+    torsion = masks.part(aisle, 0)
+    return torsion, masks.part(masks.full, 0) & ~torsion
 
 
 def scan_split_aisles(model):
@@ -367,6 +403,7 @@ def verify_63b(model):
     report = {"model": describe(model), "cases": [], "pass": True}
     labels = model.tube_labels
     masks = _masks(model)
+    pres, posts, _regular = KroneckerContext(model).components()
     for i in model.window.interior():
         for L in _subsets(labels):
             aisle = build_aisle_63b(i, L, model)
@@ -384,12 +421,8 @@ def verify_63b(model):
                 case["witness"] = [witness[0].name(), witness[1].name()]
             if i == 0:
                 torsion, free = trace_at_zero(aisle, model)
-                checks["preinjectives_torsion"] = all(
-                    pre(m) in torsion for m in range(model.range + 1)
-                )
-                checks["postprojectives_free"] = all(
-                    post(m) in free for m in range(model.range + 1)
-                )
+                checks["preinjectives_torsion"] = not pres & ~torsion
+                checks["postprojectives_free"] = not posts & ~free
             case["pass"] = all(checks.values())
             report["cases"].append(case)
             report["pass"] = report["pass"] and case["pass"]

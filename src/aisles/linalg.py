@@ -260,28 +260,6 @@ class Mat:
             self.nrows,
         )
 
-    @staticmethod
-    def hstack(mats):
-        mats = list(mats)
-        if not mats:
-            raise ValueError("hstack of nothing")
-        nrows = mats[0].nrows
-        if any(m.nrows != nrows for m in mats):
-            raise ValueError("hstack row mismatch")
-        rows = [sum((m.rows[i] for m in mats), []) for i in range(nrows)]
-        return Mat(rows, nrows, sum(m.ncols for m in mats))
-
-    @staticmethod
-    def vstack(mats):
-        mats = list(mats)
-        if not mats:
-            raise ValueError("vstack of nothing")
-        ncols = mats[0].ncols
-        if any(m.ncols != ncols for m in mats):
-            raise ValueError("vstack column mismatch")
-        rows = [row for m in mats for row in m.rows]
-        return Mat(rows, sum(m.nrows for m in mats), ncols)
-
     def flatten(self):
         """Row-major entry list."""
         return [x for row in self.rows for x in row]

@@ -78,9 +78,6 @@ class Quiver:
 
     # -- basic structure ---------------------------------------------------
 
-    def vertex_index(self, v):
-        return self.vertices.index(v)
-
     def arrows_from(self, v):
         return [a for a in self.arrows if a.source == v]
 

@@ -385,17 +385,6 @@ class IndecTable:
                 return e
         raise KeyError(f"no indecomposable with dimension vector {d}")
 
-    def simple(self, v):
-        i = self.quiver.vertex_index(v)
-        d = tuple(1 if j == i else 0 for j in range(len(self.quiver.vertices)))
-        return self.by_dimvec(d)
-
-    def projectives(self):
-        return [e for e in self.entries if e.is_projective]
-
-    def injectives(self):
-        return [e for e in self.entries if e.is_injective]
-
     def projective_by_vertex(self, v):
         return next(e for e in self.entries if e.proj_vertex == v)
 

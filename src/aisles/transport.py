@@ -3,15 +3,20 @@
 A tilting set induces the torsion pair (T(T), F(T)) by Ext- and
 Hom-vanishing.  The module category of the tilted algebra is never
 constructed: its indecomposables are realized as the heart of the lifted
-t-structure, with morphisms given by the derived Hom rules.  The chi and
-zeta maps transport torsion pairs between the base category and the
-heart; the three-way classification verifier checks they are mutually
-inverse bijections on the admissible classes.
+t-structure, a mask of the Hom masks of ``HEART_WINDOW``, with
+morphisms given by the derived Hom rules.  Base torsion pairs are module
+masks and heart torsion pairs are heart-window masks; the chi and zeta
+maps between them are shifts and ANDs, and the three-way classification
+verifier checks they are mutually inverse bijections on the admissible
+classes.
 
 Both Dynkin tables and the symbolic Kronecker model plug in through the
 module-category context that lives beside each model
-(``derived.TableContext``, ``kronecker.KroneckerContext``); morphisms
-between heart objects come from that model's Hom masks.
+(``derived.TableContext``, ``kronecker.KroneckerContext``).  Each
+context states once what "admissible" means: the module masks of its
+preinjective, postprojective and regular components
+(``components()``), and the closure check on the heart's components
+(``check_components``).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kronecker as kr
-from .derived import TableContext, Window, hom_masks  # noqa: F401 (re-export)
+from .derived import TableContext, Window, _lowest, hom_masks  # noqa: F401
 from .errors import PreconditionError, TiltingUnsupportedError
 from .kronecker import KroneckerContext, build_aisle_63b
 
@@ -35,21 +40,23 @@ class TiltingSet:
 @dataclass(frozen=True)
 class HeartModel:
     """The tilted module category as the heart of the lifted
-    t-structure: T(T) in degree 0, F(T) in degree 1, with the
-    postprojective / regular / preinjective components identified."""
+    t-structure: T(T) in degree 0, F(T) in degree 1, as masks of the Hom
+    masks of ``HEART_WINDOW``, split into the postprojective,
+    preinjective and regular components."""
 
     context: object
     tilting: TiltingSet
-    degree0: frozenset
-    degree1: frozenset
-    P_A: frozenset
-    I_A: frozenset
-    R_A: frozenset
+    P_A: int
+    I_A: int
+    R_A: int
 
-    def heart_objects(self):
-        return {(x, 0) for x in self.degree0} | {
-            (y, 1) for y in self.degree1
-        }
+    @property
+    def masks(self):
+        return hom_masks(self.context, HEART_WINDOW)
+
+    @property
+    def heart(self):
+        return self.P_A | self.I_A | self.R_A
 
 
 # ---------------------------------------------------------------------------
@@ -139,63 +146,22 @@ def heart_realization(T, context):
             f"{context.name(sorted(not_proj)[0])} is torsion-free but not "
             "projective"
         )
-    if isinstance(context, KroneckerContext):
-        P_A = frozenset((x, 0) for x in gen if x.kind == kr.POST)
-        I_A = frozenset((x, 0) for x in gen if x.kind == kr.PRE) | frozenset(
-            (y, 1) for y in cogen
-        )
-        R_A = frozenset((x, 0) for x in gen if x.kind == kr.REG)
-    else:
-        P_A = frozenset((x, 0) for x in gen)
-        I_A = frozenset((y, 1) for y in cogen)
-        R_A = frozenset()
+    masks = hom_masks(context, HEART_WINDOW)
+    gen, cogen = (_module_mask(masks, c) for c in (gen, cogen))
+    pre, _post, reg = context.components()
     hm = HeartModel(
         context=context,
         tilting=T,
-        degree0=frozenset(gen),
-        degree1=frozenset(cogen),
-        P_A=P_A,
-        I_A=I_A,
-        R_A=R_A,
+        P_A=masks.place(gen & ~pre & ~reg, 0),
+        I_A=masks.place(gen & pre, 0) | masks.place(cogen, 1),
+        R_A=masks.place(gen & reg, 0),
     )
-    _validate_components(hm)
+    context.check_components(hm)
     return hm
 
 
-def _validate_components(hm):
-    """Structural sanity of the component identification: the tilting
-    summands land in P_A; P_A is closed under inverse translation inside
-    the heart, I_A under translation."""
-    if not isinstance(hm.context, KroneckerContext):
-        return
-    model = hm.context.model
-    heart = hm.heart_objects()
-    for t in hm.tilting.summands:
-        if (t, 0) not in hm.P_A:
-            raise PreconditionError(
-                f"tilting summand {t.name()} missed the postprojective part"
-            )
-    for (x, d) in hm.P_A:
-        try:
-            tx = kr.tau_inverse_rule(x.at(d), model)
-        except kr.TruncationError:
-            continue
-        key = (tx.at(0), tx.degree)
-        if key in heart and key not in hm.P_A:
-            raise PreconditionError(
-                f"inverse translate of {x.name()} escapes the "
-                "postprojective part"
-            )
-    for (x, d) in hm.I_A:
-        try:
-            tx = kr.tau_rule(x.at(d), model)
-        except kr.TruncationError:
-            continue
-        key = (tx.at(0), tx.degree)
-        if key in heart and key not in hm.I_A:
-            raise PreconditionError(
-                f"translate of {x.name()} escapes the preinjective part"
-            )
+def _module_mask(masks, objects):
+    return sum(1 << k for k, x in enumerate(masks.modules) if x in objects)
 
 
 # ---------------------------------------------------------------------------
@@ -203,64 +169,54 @@ def _validate_components(hm):
 # ---------------------------------------------------------------------------
 
 
-def _check_base_boundary(torsion, free, context):
-    """The admissible class in the base category: split, all
-    non-projective injective-side objects torsion, projectives free."""
-    for x in context.objects():
-        if x in torsion and x in free:
-            raise PreconditionError(f"{context.name(x)} on both sides")
-        if x not in torsion and x not in free:
-            raise PreconditionError(
-                f"pair is not split: {context.name(x)} in neither class"
-            )
-    if isinstance(context, KroneckerContext):
-        for x in context.objects():
-            if x.kind == kr.PRE and x not in torsion:
-                raise PreconditionError(
-                    f"preinjective {x.name()} outside the torsion class"
-                )
-            if x.kind == kr.POST and x not in free:
-                raise PreconditionError(
-                    f"postprojective {x.name()} outside the torsion-free class"
-                )
+def _check_base_boundary(torsion, free, hm):
+    """The admissible class in the base category: split, every
+    preinjective torsion and every postprojective torsion-free."""
+    masks, context = hm.masks, hm.context
+    pre, post, _reg = context.components()
+    for bad, message in (
+        (torsion & free, "{} on both sides"),
+        (masks.part(masks.full, 0) & ~(torsion | free),
+         "pair is not split: {} in neither class"),
+        (pre & ~torsion, "preinjective {} outside the torsion class"),
+        (post & ~free, "postprojective {} outside the torsion-free class"),
+    ):
+        if bad:
+            x = masks.modules[_lowest(bad)]
+            raise PreconditionError(message.format(context.name(x)))
 
 
 def transport_chi(torsion, free, hm):
-    """Base torsion pair to heart torsion pair: keep the degree-0 part
-    that survives in the heart, and the whole degree-1 layer on the
-    torsion side."""
-    context = hm.context
-    _check_base_boundary(torsion, free, context)
-    heart_torsion = {(x, 0) for x in torsion if x in hm.degree0} | {
-        (y, 1) for y in hm.degree1
-    }
-    heart_free = {(x, 0) for x in free if x in hm.degree0}
+    """Base torsion pair (module masks) to heart torsion pair (heart
+    masks): keep the degree-0 part that survives in the heart, and the
+    whole degree-1 layer on the torsion side."""
+    masks = hm.masks
+    _check_base_boundary(torsion, free, hm)
+    heart_torsion = hm.heart & (
+        masks.place(torsion, 0) | masks.layer(range(masks.n), 1)
+    )
+    heart_free = hm.heart & masks.place(free, 0)
     _validate_heart_pair(heart_torsion, heart_free, hm)
-    return frozenset(heart_torsion), frozenset(heart_free)
+    return heart_torsion, heart_free
 
 
 def _validate_heart_pair(heart_torsion, heart_free, hm):
-    context = hm.context
-    masks = hom_masks(context, HEART_WINDOW)
-
-    def mask(pairs):
-        return masks.mask(context.at(x, d) for (x, d) in pairs)
-
-    hit = masks.witness(mask(heart_torsion), mask(heart_free))
+    masks = hm.masks
+    hit = masks.witness(heart_torsion, heart_free)
     if hit is not None:
-        x, y = (context.label(masks.objects[k]) for k in hit)
+        x, y = (hm.context.label(masks.objects[k]) for k in hit)
         raise PreconditionError(f"transported pair not orthogonal at {x} -> {y}")
-    if heart_torsion | heart_free != hm.heart_objects():
+    if heart_torsion | heart_free != hm.heart:
         raise PreconditionError("transported pair does not cover the heart")
     _check_heart_components(heart_torsion, heart_free, hm)
 
 
 def _check_heart_components(heart_torsion, heart_free, hm):
-    if not hm.I_A <= heart_torsion:
+    if hm.I_A & ~heart_torsion:
         raise PreconditionError(
             "preinjective heart component outside the torsion side"
         )
-    if not hm.P_A <= heart_free:
+    if hm.P_A & ~heart_free:
         raise PreconditionError(
             "postprojective heart component outside the free side"
         )
@@ -268,19 +224,17 @@ def _check_heart_components(heart_torsion, heart_free, hm):
 
 def transport_zeta(heart_torsion, heart_free, hm):
     """Heart torsion pair back to the base category: the degree-0 part
-    of the torsion side, with its right orthogonal."""
-    context = hm.context
-    if heart_torsion | heart_free != hm.heart_objects():
+    of the torsion side, with its right orthogonal (the modules no
+    member has a nonzero Hom to)."""
+    masks = hm.masks
+    if heart_torsion | heart_free != hm.heart:
         raise PreconditionError("heart pair is not split")
     _check_heart_components(heart_torsion, heart_free, hm)
-    torsion = {x for (x, d) in heart_torsion if d == 0}
-    free = {
-        y
-        for y in context.objects()
-        if all(context.hom(t, y) == 0 for t in torsion)
-    }
-    _check_base_boundary(torsion, free, context)
-    return frozenset(torsion), frozenset(free)
+    torsion = masks.part(heart_torsion, 0)
+    reached = masks.part(masks.targets(masks.place(torsion, 0)), 0)
+    free = masks.part(masks.full, 0) & ~reached
+    _check_base_boundary(torsion, free, hm)
+    return torsion, free
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +244,17 @@ def transport_zeta(heart_torsion, heart_free, hm):
 
 def admissible_base_pairs(model):
     """Split torsion pairs on the truncated Kronecker module category
-    with every preinjective torsion and every postprojective free: one
-    per tube subset."""
+    with every preinjective torsion and every postprojective free, as
+    module masks: one per tube subset."""
     ctx = KroneckerContext(model)
+    modules = ctx.objects()
+    pre, _post, _reg = ctx.components()
+    everything = (1 << len(modules)) - 1
     pairs = []
     for L in kr._subsets(model.tube_labels):
-        L = set(L)
-        torsion = frozenset(
-            x
-            for x in ctx.objects()
-            if x.kind == kr.PRE or (x.kind == kr.REG and x.label in L)
-        )
-        free = frozenset(x for x in ctx.objects() if x not in torsion)
-        pairs.append((frozenset(sorted(L)), torsion, free))
+        tubes = sum(1 << k for k, x in enumerate(modules) if x.label in L)
+        torsion = pre | tubes
+        pairs.append((frozenset(L), torsion, everything & ~torsion))
     return pairs
 
 
@@ -319,13 +271,11 @@ def verify_theorem53(model, T):
     for (L, torsion, free) in base:
         checks = {}
         # orthogonality of the base pair
-        checks["base_orthogonal"] = all(
-            ctx.hom(x, y) == 0 for x in torsion for y in free
-        )
+        checks["base_orthogonal"] = masks.witness(
+            masks.place(torsion, 0), masks.place(free, 0)
+        ) is None
         # class (c): the lifted aisle is the classified split aisle
-        lifted = masks.layer(
-            [k for k, x in enumerate(masks.modules) if x in torsion], 0
-        ) | masks.above(range(masks.n), 1)
+        lifted = masks.place(torsion, 0) | masks.above(range(masks.n), 1)
         checks["lift_matches_classification"] = (
             lifted == build_aisle_63b(0, L, model)
         )

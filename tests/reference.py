@@ -1,10 +1,13 @@
 """Constructions only the tests use: the opposite quiver, the Kronecker
 quiver with honest matrices for its symbolic modules and its Euler form,
-and the random ADE orientations of the Hypothesis tests."""
+the inverse Kronecker translate, matrix stacking, the set-based
+transport maps the mask maps are checked against, and the random ADE
+orientations of the Hypothesis tests."""
 
 from hypothesis import strategies as st
 
-from aisles.kronecker import POST, PRE
+from aisles.errors import TruncationError
+from aisles.kronecker import POST, PRE, post, pre
 from aisles.linalg import Mat
 from aisles.quiver import Arrow, Quiver, quiver_from_edges
 from aisles.repcore import Representation
@@ -54,6 +57,70 @@ def explicit_representation(X, lam_values):
         b = _mat(m, m, lambda r, c: lam if r == c else int(c == r + 1))
     d1, d2 = X.dimvec()
     return Representation(kronecker_quiver(), {"1": d1, "2": d2}, {"a": a, "b": b})
+
+
+def tau_inverse_rule(X, model):
+    """Derived inverse AR translate of a symbolic Kronecker object;
+    preinjectives wrap to postprojectives one degree up.  Overflow past
+    the transjective truncation is an error."""
+    if X.kind == PRE:
+        if X.index >= 2:
+            return pre(X.index - 2, X.degree)
+        return post(1 - X.index, X.degree + 1)
+    if X.kind == POST:
+        if X.index + 2 > model.range:
+            raise TruncationError(
+                f"inverse tau of {X.name()} exceeds the transjective range"
+            )
+        return post(X.index + 2, X.degree)
+    return X
+
+
+def hstack(mats):
+    mats = list(mats)
+    if not mats:
+        raise ValueError("hstack of nothing")
+    nrows = mats[0].nrows
+    if any(m.nrows != nrows for m in mats):
+        raise ValueError("hstack row mismatch")
+    rows = [sum((m.rows[i] for m in mats), []) for i in range(nrows)]
+    return Mat(rows, nrows, sum(m.ncols for m in mats))
+
+
+def vstack(mats):
+    mats = list(mats)
+    if not mats:
+        raise ValueError("vstack of nothing")
+    ncols = mats[0].ncols
+    if any(m.ncols != ncols for m in mats):
+        raise ValueError("vstack column mismatch")
+    rows = [row for m in mats for row in m.rows]
+    return Mat(rows, sum(m.nrows for m in mats), ncols)
+
+
+def chi_reference(torsion, free, gen, cogen):
+    """The transport map chi on sets: a base torsion pair of module
+    objects to a heart pair of (object, degree) tuples, for the heart
+    with degree-0 layer ``gen`` = T(T) and degree-1 layer ``cogen`` =
+    F(T).  The degree-0 part that survives in the heart stays on its
+    side; the whole degree-1 layer is torsion."""
+    heart_torsion = {(x, 0) for x in torsion if x in gen} | {
+        (y, 1) for y in cogen
+    }
+    heart_free = {(x, 0) for x in free if x in gen}
+    return frozenset(heart_torsion), frozenset(heart_free)
+
+
+def zeta_reference(heart_torsion, context):
+    """The transport map zeta on sets: the degree-0 part of the heart's
+    torsion side, with its right orthogonal in the module category."""
+    torsion = {x for (x, d) in heart_torsion if d == 0}
+    free = {
+        y
+        for y in context.objects()
+        if all(context.hom(t, y) == 0 for t in torsion)
+    }
+    return frozenset(torsion), frozenset(free)
 
 
 # The ADE graphs of the orientation fuzz: edges (s, t), each flipped or not.

@@ -290,6 +290,32 @@ def test_transport_bad_tilting_is_usage_error(capsys, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--builtin", "d5"], ["--quiver", str(FIXTURES / "a2.quiver")], []],
+    ids=["builtin-d5", "quiver-file", "no-model"],
+)
+def test_transport_without_kronecker_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "transport", *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "error: transport runs on the Kronecker model only: use --builtin "
+        "kronecker\n"
+    )
+
+
+def test_verify_kronecker_table_patch_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "verify", "--builtin", "kronecker",
+        "--table-patch", str(FIXTURES / "falsified_hom.json"),
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "error: --table-patch patches a Dynkin Hom table; the Kronecker "
+        "model has none\n"
+    )
+
+
 def test_export_ar(capsys):
     code, out, _ = run(
         capsys, "export-ar", "--builtin", "a2", "--window=-1..2"

@@ -9,7 +9,10 @@ import aisles
 from aisles.derived import Window
 from aisles.errors import ShapeError, TruncationError
 from aisles.kronecker import (
+    POST,
+    PRE,
     REG,
+    KroneckerContext,
     TameModel,
     _masks,
     _orthogonal,
@@ -23,7 +26,6 @@ from aisles.kronecker import (
     pre,
     reg,
     scan_split_aisles,
-    tau_inverse_rule,
     tau_rule,
     trace_at_zero,
     verify_63b,
@@ -33,6 +35,7 @@ from reference import (
     euler_form_kronecker,
     explicit_representation,
     kronecker_quiver,
+    tau_inverse_rule,
 )
 
 LAM = {"t0": 0, "t1": 1, "t2": 5}
@@ -189,10 +192,22 @@ def test_orthogonal_witness_on_broken_aisle(tame_model):
 def test_trace_at_zero_pivot_zero(tame_model):
     aisle = build_aisle_63b(0, frozenset(tame_model.tube_labels), tame_model)
     torsion, free = trace_at_zero(aisle, tame_model)
+    modules = tame_model.module_objects()
+    assert not torsion & free and torsion | free == (1 << len(modules)) - 1
+    torsion = {x for k, x in enumerate(modules) if torsion >> k & 1}
     for m in range(tame_model.range + 1):
         assert pre(m) in torsion
-        assert post(m) in free
+        assert post(m) not in torsion
     assert reg("t0", 1) in torsion
+
+
+def test_components_partition_the_modules(tame_models):
+    for model in tame_models:
+        ctx = KroneckerContext(model)
+        masks = dict(zip((PRE, POST, REG), ctx.components()))
+        assert ctx.components() is ctx.components()  # built once per model
+        for k, x in enumerate(model.module_objects()):
+            assert [kind for kind, m in masks.items() if m >> k & 1] == [x.kind]
 
 
 def test_verify_63b_full(tame_model):

@@ -17,6 +17,7 @@ from aisles.linalg import (
     span_rank,
     sparse_row,
 )
+from reference import hstack
 
 
 def in_span(vector, vectors):
@@ -144,7 +145,7 @@ def reference_nullspace(m):
 
 
 def reference_solve(m, b):
-    aug = Mat.hstack([m, column(b)])
+    aug = hstack([m, column(b)])
     rows, pivots = reference_rref(aug)
     if m.ncols in pivots:
         return None

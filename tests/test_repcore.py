@@ -25,7 +25,7 @@ from aisles.repcore import (
     irreducible_dim,
     reflect,
 )
-from reference import orientations
+from reference import hstack, orientations, vstack
 from test_linalg import reference_nullspace, reference_solve
 from test_quiver import positive_roots
 
@@ -155,7 +155,7 @@ def reference_reflect(R, v):
     offset = 0
     if Q.is_sink(v):
         arrows = Q.arrows_into(v)
-        basis = reference_nullspace(Mat.hstack([R.maps[a.name] for a in arrows]))
+        basis = reference_nullspace(hstack([R.maps[a.name] for a in arrows]))
         K = Mat(basis, len(basis), sum(R.dim(a.source) for a in arrows)).transpose()
         for a in arrows:
             d = R.dim(a.source)
@@ -163,7 +163,7 @@ def reference_reflect(R, v):
             offset += d
     else:
         arrows = Q.arrows_from(v)
-        h = Mat.vstack([R.maps[a.name] for a in arrows])
+        h = vstack([R.maps[a.name] for a in arrows])
         basis = reference_nullspace(h.transpose())
         for a in arrows:
             d = R.dim(a.target)
