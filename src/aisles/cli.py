@@ -67,11 +67,20 @@ def load_table(args):
     return enumerate_indecomposables(quiver)
 
 
+# The options that shape the Kronecker model, with their defaults; a
+# Dynkin quiver takes none of them.
+KRONECKER_OPTIONS = {"tubes": 3, "tube_depth": 3, "range": 6}
+
+
 def load_model(args):
     window = parse_window(args.window)
-    kr.check_budgets(args.tubes, args.tube_depth, args.range, window)
-    labels = tuple(f"t{i}" for i in range(args.tubes))
-    return kr.TameModel(labels, args.tube_depth, args.range, window)
+    tubes, tube_depth, range_ = (
+        default if getattr(args, name) is None else getattr(args, name)
+        for name, default in KRONECKER_OPTIONS.items()
+    )
+    kr.check_budgets(tubes, tube_depth, range_, window)
+    labels = tuple(f"t{i}" for i in range(tubes))
+    return kr.TameModel(labels, tube_depth, range_, window)
 
 
 def emit(payload):
@@ -330,12 +339,9 @@ def _parse_torsion(table, text):
         ids = frozenset(table.by_dimvec(tuple(d)).id for d in dimvecs)
     except (ValueError, TypeError, KeyError) as exc:
         raise AislesError(f"bad torsion class {text!r}: {exc.args[0]}") from None
-    tp_free = torsion_mod.right_orth(torsion_mod.Subcategory(ids), table)
-    tp = torsion_mod.TorsionPair(
-        torsion_mod.Subcategory(ids),
-        tp_free,
-        split=len(ids) + len(tp_free) == len(table.entries),
-    )
+    torsion = torsion_mod.Subcategory(ids)
+    free = torsion_mod.right_orth(torsion, table)
+    tp = torsion_mod.pair_of_masks(torsion.mask, free.mask, table)
     if not torsion_mod.is_torsion_pair(tp, table):
         raise AislesError(
             "the given dimension vectors are not a torsion class"
@@ -404,6 +410,12 @@ def cmd_verify(args):
         model = load_model(args)
         checks = run_kronecker_verify(model, args.suite)
     else:
+        for name in KRONECKER_OPTIONS:
+            if getattr(args, name) is not None:
+                raise AislesError(
+                    f"--{name.replace('_', '-')} shapes the Kronecker model; "
+                    "a Dynkin quiver takes none"
+                )
         table = load_table(args)
         if args.table_patch:
             table = apply_table_patch(table, args.table_patch)
@@ -459,9 +471,7 @@ def cmd_export_ar(args):
                 for (d, deg) in data.get("members", [])
             )
             if members:
-                coloring = DerivedSubcategory(
-                    window, members, upper_tail=bool(data.get("upper_tail"))
-                )
+                coloring = DerivedSubcategory(window, members)
         except (ValueError, KeyError, OSError, TypeError) as exc:
             raise AislesError(f"bad coloring file: {exc}")
     sys.stdout.write(export_dot(table, window, coloring))
@@ -483,17 +493,25 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def model(p):
+        # a model is read from exactly one place
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--quiver", help="path to a quiver file")
+        group.add_argument("--builtin", help="builtin quiver name or 'kronecker'")
+
     def common(p, kronecker_ok=False):
-        p.add_argument("--quiver", help="path to a quiver file")
-        p.add_argument("--builtin", help="builtin quiver name or 'kronecker'")
+        model(p)
         p.add_argument("--window", default="-2..3", help="degree window lo..hi")
         if kronecker_ok:
-            p.add_argument("--tubes", type=int, default=3)
-            p.add_argument("--tube-depth", type=int, default=3)
-            p.add_argument("--range", type=int, default=6)
+            for name, default in KRONECKER_OPTIONS.items():
+                p.add_argument(
+                    f"--{name.replace('_', '-')}",
+                    type=int,
+                    help=f"Kronecker model only (default {default})",
+                )
 
     p = sub.add_parser("enumerate", help="list all torsion pairs")
-    common(p)
+    model(p)  # the module category has no degree window
     p.add_argument("--split-only", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 

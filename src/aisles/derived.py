@@ -10,11 +10,12 @@ arrows are validated against rad/rad^2 of explicit extension classes
 wrong gluing rule aborts the build instead of propagating.
 
 ``HomMasks`` is the core that both derived models (Dynkin tables here,
-the Kronecker model in ``aisles.kronecker``) answer Hom-vanishing,
-reachability, shift-closure, Ext-projectivity and split-aisle questions
-with: one bitmask per window object of the objects it has a nonzero
-morphism to, plus the window index of its translate.  Aisles and their
-orthogonals are window masks (ints).  It reads a module-category
+the Kronecker model in ``aisles.kronecker``) lift torsion pairs and
+answer Hom-vanishing, reachability, shift-closure, Ext-projectivity and
+split-aisle questions with: one bitmask per window object of the objects
+it has a nonzero morphism to, plus the window index of its translate.
+Aisles and their orthogonals are window masks (ints); a degree-0 trace
+is the ``part`` of a mask at degree 0.  It reads a module-category
 context (``TableContext`` for tables: Hom, Ext, the translate and object
 labels) and is built once per model and window.
 """
@@ -77,14 +78,12 @@ DEFAULT_WINDOW = Window(-2, 3)
 
 @dataclass(frozen=True)
 class DerivedSubcategory:
-    """A user-built set of windowed derived objects (an aisle candidate
-    or a coloring), saturated above the window when ``upper_tail`` is
-    set.  t-structures and successor cones do not use it: they are window
-    masks (``aisles.tstruct.TStructure``, ``aisles.tstruct.successors``)."""
+    """A user-built set of window objects: the coloring of ``export_dot``.
+    t-structures and successor cones do not use it: they are window masks
+    (``aisles.tstruct.TStructure``, ``aisles.tstruct.successors``)."""
 
     window: Window
     members: frozenset
-    upper_tail: bool = False
 
     def __post_init__(self):
         for x in self.members:
@@ -92,8 +91,6 @@ class DerivedSubcategory:
                 raise ShapeError(f"member {x} outside the window")
 
     def __contains__(self, obj):
-        if obj.degree > self.window.hi:
-            return self.upper_tail
         return obj in self.members
 
 
@@ -404,6 +401,18 @@ class HomMasks:
         """The members of ``mask`` in one window degree, as a module
         mask."""
         return mask >> (degree - self.window.lo) * self.n & (1 << self.n) - 1
+
+    def lift(self, torsion, free, pivot):
+        """The aisle and coaisle of the t-structure lifted from the module
+        masks ``torsion`` and ``free`` at window degree ``pivot``: the
+        aisle is ``torsion`` in degree ``pivot`` and every object above
+        it, the coaisle ``free`` in degree ``pivot`` and every object
+        below it."""
+        if not self.window.lo <= pivot <= self.window.hi:
+            raise ShapeError(f"pivot degree {pivot} outside the window")
+        cut = (pivot - self.window.lo) * self.n
+        above = (self.full >> cut + self.n) << cut + self.n
+        return torsion << cut | above, free << cut | (1 << cut) - 1
 
     def shift(self, mask, s):
         """The mask moved ``s`` degrees up, cut to the window."""

@@ -15,8 +15,9 @@ admissibility rule once: the preinjective, postprojective and regular
 module masks (every preinjective torsion, every postprojective free),
 and the closure check on a tilted heart's components.  Aisles are window
 masks of that core: ``build_aisle_63b`` unions the same threshold masks
-the split-aisle scan searches, and the orthogonality, shift-closure and
-Ext-projective checks are mask operations.
+the split-aisle scan searches, and ``verify_63b`` checks orthogonality,
+shift-closure, Ext-projectives and the degree-0 trace with the core's
+``witness``, ``shift_escape``, ``ext_projectives`` and ``part``.
 """
 
 from __future__ import annotations
@@ -364,29 +365,6 @@ def build_aisle_63b(i, L, model):
     return aisle
 
 
-def _orthogonal(aisle, model):
-    """First Hom witness from the aisle mask into its complement, or
-    None."""
-    masks = _masks(model)
-    hit = masks.witness(aisle, masks.full & ~aisle)
-    return None if hit is None else tuple(masks.objects[k] for k in hit)
-
-
-def _shift_closed(aisle, model):
-    """First member of the aisle mask whose shift leaves it, or None."""
-    masks = _masks(model)
-    k = masks.shift_escape(aisle)
-    return None if k is None else masks.objects[k]
-
-
-def trace_at_zero(aisle, model):
-    """Degree-0 slice of the aisle mask and its complement, as module
-    masks: a torsion pair on the truncated module category."""
-    masks = _masks(model)
-    torsion = masks.part(aisle, 0)
-    return torsion, masks.part(masks.full, 0) & ~torsion
-
-
 def scan_split_aisles(model):
     """Exhaustive scan over tube-and-layer-resolved shift-closed subsets
     that contain the top window degree and miss the bottom one; returns
@@ -408,9 +386,9 @@ def verify_63b(model):
         for L in _subsets(labels):
             aisle = build_aisle_63b(i, L, model)
             checks = {}
-            witness = _orthogonal(aisle, model)
+            witness = masks.witness(aisle, masks.full & ~aisle)
             checks["orthogonal"] = witness is None
-            checks["shift_closed"] = _shift_closed(aisle, model) is None
+            checks["shift_closed"] = masks.shift_escape(aisle) is None
             checks["no_ext_projectives"] = not masks.ext_projectives(aisle)
             case = {
                 "pivot": i,
@@ -418,11 +396,12 @@ def verify_63b(model):
                 "checks": checks,
             }
             if witness is not None:
-                case["witness"] = [witness[0].name(), witness[1].name()]
+                case["witness"] = [masks.objects[k].name() for k in witness]
             if i == 0:
-                torsion, free = trace_at_zero(aisle, model)
+                # the degree-0 trace: torsion in the aisle, free outside
+                torsion = masks.part(aisle, 0)
                 checks["preinjectives_torsion"] = not pres & ~torsion
-                checks["postprojectives_free"] = not posts & ~free
+                checks["postprojectives_free"] = not posts & torsion
             case["pass"] = all(checks.values())
             report["cases"].append(case)
             report["pass"] = report["pass"] and case["pass"]

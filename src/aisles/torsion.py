@@ -56,6 +56,11 @@ class Subcategory:
     def __iter__(self):
         return iter(self._ordered)
 
+    @cached_property
+    def mask(self):
+        """The members as a bitmask, bit i for id i."""
+        return sum(1 << i for i in self.members)
+
     def __len__(self):
         return len(self.members)
 
@@ -351,7 +356,7 @@ def canonical_sequence_oracle(y, tp, table):
             raise PreconditionError(
                 "input does not satisfy the torsion-pair axioms"
             )
-        tmask = pairs[key] = sum(1 << i for i in tp.torsion.members)
+        tmask = pairs[key] = tp.torsion.mask
     _trace, sub, quot, sub_into, into_quot = _canonical_case(y, tmask, table)
     for f in tp.free:
         if f not in sub_into:

@@ -275,7 +275,7 @@ def verify_theorem53(model, T):
             masks.place(torsion, 0), masks.place(free, 0)
         ) is None
         # class (c): the lifted aisle is the classified split aisle
-        lifted = masks.place(torsion, 0) | masks.above(range(masks.n), 1)
+        lifted, _coaisle = masks.lift(torsion, free, 0)
         checks["lift_matches_classification"] = (
             lifted == build_aisle_63b(0, L, model)
         )

@@ -6,8 +6,10 @@ right orthogonal contains every module in degree -1.  On top of that sit
 the Ext-projective calculus, sections and successor cones, semipath
 reachability, and the verifiers for the split-t-structure classification.
 A t-structure is a pair of window masks of the table's ``HomMasks``
-(``aisles.derived``), as a Kronecker aisle is, and every Hom-vanishing,
-reachability and split-aisle scan runs on those masks.
+(``aisles.derived``), as a Kronecker aisle is: ``lift`` builds them with
+``HomMasks.lift``, ``trace`` reads their degree-0 parts back into a
+torsion pair, and every Hom-vanishing, reachability and split-aisle scan
+runs on those masks.
 
 All verifiers quantify over interior window degrees only; conclusions
 about boundary-adjacent objects are never asserted.
@@ -30,13 +32,7 @@ from .derived import (
 )
 from .errors import ConsistencyError, PreconditionError
 from .linalg import span_rank
-from .torsion import (
-    Subcategory,
-    TorsionPair,
-    _bits,
-    canonical_sequence_oracle,
-    is_torsion_pair,
-)
+from .torsion import _bits, is_torsion_pair, pair_of_masks
 
 
 @dataclass(frozen=True)
@@ -66,21 +62,15 @@ def _masks(table, window):
 
 def lift(tp, table, window, pivot=0):
     """The t-structure induced by a torsion pair: torsion modules in
-    degree ``pivot`` plus everything in higher degrees.  Pivot 0 is the
-    lift proper; other pivots are its shifts."""
+    degree ``pivot`` plus everything in higher degrees, by
+    ``HomMasks.lift``.  Pivot 0 is the lift proper; other pivots are its
+    shifts."""
     masks = _masks(table, window)
-    every = range(masks.n)
-    below = masks.full & ~masks.above(every, pivot)
+    aisle, coaisle = masks.lift(tp.torsion.mask, tp.free.mask, pivot)
     heart = {DerivedObject(i, pivot) for i in tp.torsion} | {
         DerivedObject(j, pivot + 1) for j in tp.free
     }
-    return TStructure(
-        window=window,
-        aisle=masks.layer(tp.torsion, pivot) | masks.above(every, pivot + 1),
-        coaisle=masks.layer(tp.free, pivot) | below,
-        split=tp.split,
-        heart=frozenset(heart),
-    )
+    return TStructure(window, aisle, coaisle, tp.split, frozenset(heart))
 
 
 def trace(ts, table):
@@ -91,8 +81,7 @@ def trace(ts, table):
     a precondition violation, not a silent answer.  A degree outside the
     window lies in the aisle's or the coaisle's tail."""
     masks = _masks(table, ts.window)
-    n = masks.n
-    for i in range(n):
+    for i in range(masks.n):
         if masks.layer([i], 1) & ~ts.aisle:
             raise PreconditionError(
                 "aisle does not contain the shifted module "
@@ -103,68 +92,12 @@ def trace(ts, table):
                 "right orthogonal does not contain "
                 f"{DerivedObject(i, -1).label(table)}"
             )
-    zero = masks.layer(range(n), 0)
-    torsion = Subcategory(
-        frozenset(x.indec for x in masks.members(ts.aisle & zero))
-    )
-    free = Subcategory(
-        frozenset(y.indec for y in masks.members(ts.coaisle & zero))
-    )
-    split = len(torsion) + len(free) == n
-    tp = TorsionPair(torsion, free, split)
+    tp = pair_of_masks(masks.part(ts.aisle, 0), masks.part(ts.coaisle, 0), table)
     if not is_torsion_pair(tp, table):
         raise ConsistencyError(
             "degree-0 slice of the t-structure is not a torsion pair"
         )
     return tp
-
-
-def is_aisle_window(S, table):
-    """Aisle predicate with diagnostics; returns (bool, message).
-
-    Checks shift closure, then the approximation property: through the
-    canonical-sequence oracle of the traced pair when degree 1 sits
-    inside and degree -1 sits in the orthogonal, through the split
-    coverage property otherwise."""
-    window = S.window
-    n = len(table.entries)
-    masks = _masks(table, window)
-    inside = masks.mask(S.members)
-    k = masks.shift_escape(inside)
-    if k is not None:
-        x = masks.objects[k]
-        return False, f"not closed under shift at {x.label(table)}"
-    top = inside & ~(masks.full >> masks.n)
-    if top and not S.upper_tail:
-        return False, f"no upper tail above {masks.members(top)[0].label(table)}"
-    # the right orthogonal in the window: objects of the upper tail map
-    # into no window object, so the window members of S suffice
-    reached = masks.targets(inside)
-    one, zero, minus = (masks.layer(range(n), d) for d in (1, 0, -1))
-    # degrees 1 and -1 must lie in the window: S has no lower tail
-    if one and minus and not one & ~inside and not minus & reached:
-        torsion = Subcategory(
-            frozenset(x.indec for x in masks.members(inside & zero))
-        )
-        free = Subcategory(
-            frozenset(y.indec for y in masks.members(zero & ~reached))
-        )
-        tp = TorsionPair(torsion, free, split=len(torsion) + len(free) == n)
-        if not is_torsion_pair(tp, table):
-            return False, (
-                "degree-0 trace is not a fixed point of the orthogonal "
-                f"operators: torsion={sorted(torsion.members)}"
-            )
-        for y in range(n):
-            canonical_sequence_oracle(y, tp, table)
-        return True, "ok"
-    uncovered = masks.members(masks.interior & reached & ~inside)
-    if uncovered:
-        return False, (
-            f"object {uncovered[0].label(table)} has no approximation: "
-            "neither in the aisle nor in its right orthogonal"
-        )
-    return True, "ok (split coverage)"
 
 
 # ---------------------------------------------------------------------------

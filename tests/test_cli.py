@@ -316,6 +316,50 @@ def test_verify_kronecker_table_patch_is_usage_error(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--builtin", "a2", "--suite", "consistency", "--tubes", "9",
+          "--range", "99"], "--tubes"),
+        (["--builtin", "a2", "--tube-depth", "2"], "--tube-depth"),
+        (["--quiver", str(FIXTURES / "a2.quiver"), "--range", "6"], "--range"),
+    ],
+    ids=["tubes", "tube-depth", "range"],
+)
+def test_verify_dynkin_refuses_kronecker_options(capsys, argv, flag):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        f"error: {flag} shapes the Kronecker model; a Dynkin quiver takes "
+        "none\n"
+    )
+
+
+def _argparse_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (EXIT_USAGE, "")
+    return captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", ["verify", "transport"])
+def test_kronecker_with_quiver_file_is_usage_error(capsys, command):
+    err = _argparse_error(
+        capsys, command, "--builtin", "kronecker",
+        "--quiver", str(FIXTURES / "malformed.quiver"),
+    )
+    assert err == (
+        f"aisles {command}: error: argument --quiver: not allowed with "
+        "argument --builtin"
+    )
+
+
+def test_enumerate_refuses_window(capsys):
+    err = _argparse_error(capsys, "enumerate", "--builtin", "a2", "--window", "5..1")
+    assert err == "aisles: error: unrecognized arguments: --window 5..1"
+
+
 def test_export_ar(capsys):
     code, out, _ = run(
         capsys, "export-ar", "--builtin", "a2", "--window=-1..2"

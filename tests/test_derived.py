@@ -124,8 +124,10 @@ def test_subcategory_membership_and_tails(a2_table, window):
     members = frozenset(
         DerivedObject(i, d) for i in range(n) for d in range(1, 4)
     )
-    s = DerivedSubcategory(window, members, upper_tail=True)
-    assert DerivedObject(0, 5) in s
+    s = DerivedSubcategory(window, members)
+    assert DerivedObject(0, 3) in s
+    # no tails: objects outside the window are never members
+    assert DerivedObject(0, 5) not in s
     assert DerivedObject(0, -5) not in s
     assert DerivedObject(0, 0) not in s
     with pytest.raises(ShapeError):

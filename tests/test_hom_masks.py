@@ -15,7 +15,7 @@ from aisles.derived import (
     hom_masks,
     shift,
 )
-from aisles.errors import ConsistencyError
+from aisles.errors import ConsistencyError, ShapeError
 from aisles.kronecker import KroneckerContext, TameModel, default_model, hom_rule
 from aisles.quiver import BUILTIN_QUIVERS
 from aisles.repcore import enumerate_indecomposables
@@ -49,6 +49,38 @@ def test_kronecker_masks_match_hom_rule():
         masks = hom_masks(KroneckerContext(model), model.window)
         assert masks.objects == model.objects()
         _assert_masks_match(masks, hom_rule)
+
+
+def test_lift_places_torsion_and_free_at_the_pivot(a3_table, d4_table, tame_models):
+    """Bit k of the aisle is set exactly when object k lies above the
+    pivot, or at it with its module in ``torsion``; bit k of the coaisle
+    exactly when it lies below the pivot, or at it with its module in
+    ``free``.  Window object k is module object k % n."""
+    contexts = [TableContext(t) for t in (a3_table, d4_table)]
+    contexts += [KroneckerContext(m) for m in tame_models]
+    for context in contexts:
+        masks = hom_masks(context, DEFAULT_WINDOW)
+        n = masks.n
+        every = (1 << n) - 1
+        alternate = sum(1 << i for i in range(0, n, 2))
+        samples = [
+            (0, every),
+            (every, 0),
+            (alternate, every & ~alternate),
+            (every >> n // 2, every >> n // 3),  # overlapping sides
+        ]
+        for pivot in masks.window.interior():
+            for torsion, free in samples:
+                aisle, coaisle = masks.lift(torsion, free, pivot)
+                for k, x in enumerate(masks.objects):
+                    at = x.degree == pivot
+                    in_aisle = x.degree > pivot or (at and torsion >> k % n & 1)
+                    in_coaisle = x.degree < pivot or (at and free >> k % n & 1)
+                    assert aisle >> k & 1 == in_aisle, (pivot, x)
+                    assert coaisle >> k & 1 == in_coaisle, (pivot, x)
+        for pivot in (masks.window.lo - 1, masks.window.hi + 1):
+            with pytest.raises(ShapeError):
+                masks.lift(0, every, pivot)
 
 
 def test_ringel_criterion_matches_semipath_definition(a3_table, d4_table, window):

@@ -15,7 +15,6 @@ from aisles.kronecker import (
     KroneckerContext,
     TameModel,
     _masks,
-    _orthogonal,
     _subsets,
     build_aisle_63b,
     default_model,
@@ -27,7 +26,6 @@ from aisles.kronecker import (
     reg,
     scan_split_aisles,
     tau_rule,
-    trace_at_zero,
     verify_63b,
 )
 from aisles.repcore import hom_space
@@ -180,18 +178,21 @@ def test_classified_aisles_have_no_ext_projectives(tame_models):
 def test_orthogonal_witness_on_broken_aisle(tame_model):
     """Adding Reg(t0,1)@0 without the longer tube modules above it breaks
     Hom-orthogonality and produces a witness."""
+    masks = _masks(tame_model)
     base = build_aisle_63b(0, frozenset(), tame_model)
-    broken = base | _masks(tame_model).mask([reg("t0", 1, 0)])
-    witness = _orthogonal(broken, tame_model)
+    broken = base | masks.mask([reg("t0", 1, 0)])
+    witness = masks.witness(broken, masks.full & ~broken)
     assert witness is not None
-    x, y = witness
+    x, y = (masks.objects[k] for k in witness)
     assert x == reg("t0", 1, 0)
     assert hom_rule(x, y) != 0
 
 
 def test_trace_at_zero_pivot_zero(tame_model):
+    masks = _masks(tame_model)
     aisle = build_aisle_63b(0, frozenset(tame_model.tube_labels), tame_model)
-    torsion, free = trace_at_zero(aisle, tame_model)
+    torsion = masks.part(aisle, 0)
+    free = masks.part(masks.full & ~aisle, 0)
     modules = tame_model.module_objects()
     assert not torsion & free and torsion | free == (1 << len(modules)) - 1
     torsion = {x for k, x in enumerate(modules) if torsion >> k & 1}
@@ -239,8 +240,9 @@ REPEAT_WITNESS_AND_SCAN = """
 from aisles import kronecker as kr
 model = kr.default_model()
 base = kr.build_aisle_63b(0, frozenset(), model)
-broken = base | kr._masks(model).mask([kr.reg("t0", 1, 0)])
-x, y = kr._orthogonal(broken, model)
+masks = kr._masks(model)
+broken = base | masks.mask([kr.reg("t0", 1, 0)])
+x, y = (masks.objects[k] for k in masks.witness(broken, masks.full & ~broken))
 print(x.name(), y.name(), kr.scan_split_aisles(model))
 """
 

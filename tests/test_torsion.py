@@ -431,6 +431,24 @@ def test_coxeter_catalan_counts(name, count):
     assert len(enumerate_torsion_pairs(_builtin_table(name))) == count
 
 
+def _coxeter_catalan(name):
+    """The torsion-class count of a Dynkin type by its closed form: A_n
+    Cat(n + 1), D_n (3n - 2)/n * C(2n - 2, n - 1), E6 833."""
+    kind, n = name[0], int(name[1:])
+    if kind == "A":
+        return _catalan(n + 1)
+    if kind == "D":
+        return (3 * n - 2) * comb(2 * n - 2, n - 1) // n
+    return {6: 833}[n]
+
+
+@settings(max_examples=20, deadline=None)
+@given(orientations())
+def test_class_count_is_coxeter_catalan_on_any_orientation(q):
+    table = enumerate_indecomposables(q)
+    assert len(torsion.torsion_masks(table)) == _coxeter_catalan(q.name)
+
+
 
 def reference_projection(rows):
     """P with P * [rows^T | unit vectors off the rows' pivots] = [0 | I]:

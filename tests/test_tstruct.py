@@ -5,7 +5,6 @@ import pytest
 
 from aisles.derived import (
     DerivedObject,
-    DerivedSubcategory,
     TableContext,
     Window,
     all_objects,
@@ -23,7 +22,6 @@ from aisles.tstruct import (
     classify_split,
     enumerate_split_tstructures,
     ext_projectives,
-    is_aisle_window,
     lift,
     ringel_criterion,
     section_check,
@@ -150,57 +148,6 @@ def test_trace_precondition(a2_table, window):
         trace(both, a2_table)
     label = DerivedObject(0, -1).label(a2_table)
     assert str(exc.value) == f"right orthogonal does not contain {label}"
-
-
-def test_is_aisle_window_accepts_lifts(a2_table, window):
-    for tp in enumerate_torsion_pairs(a2_table):
-        ts = lift(tp, a2_table, window)
-        members = frozenset(_masks(a2_table, window).members(ts.aisle))
-        S = DerivedSubcategory(window, members, upper_tail=True)
-        ok, msg = is_aisle_window(S, a2_table)
-        assert ok, msg
-
-
-def test_is_aisle_window_rejects_non_shift_closed(a2_table, window):
-    bad = DerivedSubcategory(
-        window, frozenset({DerivedObject(0, 0)}), upper_tail=False
-    )
-    ok, msg = is_aisle_window(bad, a2_table)
-    assert not ok
-    assert "shift" in msg or "tail" in msg
-
-
-def test_is_aisle_window_rejects_bad_degree_zero(a2_table, window):
-    t = a2_table
-    # degree-0 slice {P_1} is not a torsion class (not closed under quotients)
-    p1 = t.by_dimvec((1, 1)).id
-    n = len(t.entries)
-    members = {DerivedObject(p1, 0)}
-    for d in window.degrees():
-        if d >= 1:
-            members |= {DerivedObject(i, d) for i in range(n)}
-    bad = DerivedSubcategory(window, frozenset(members), upper_tail=True)
-    ok, msg = is_aisle_window(bad, t)
-    assert not ok
-
-
-def test_is_aisle_window_split_coverage_and_tail(a2_table, window):
-    t = a2_table
-    n = len(t.entries)
-    p1 = t.by_dimvec((1, 1)).id
-    top = frozenset(DerivedObject(i, window.hi) for i in range(n))
-    ok, msg = is_aisle_window(DerivedSubcategory(window, top), t)
-    assert not ok and msg.startswith("no upper tail above")
-    # Hom(P_1, S_1) != 0 in degree 2, so S_1[2] is neither in the aisle
-    # nor in its right orthogonal
-    members = top | {DerivedObject(p1, 2)}
-    ok, msg = is_aisle_window(
-        DerivedSubcategory(window, members, upper_tail=True), t
-    )
-    assert not ok
-    assert msg.startswith("object [1, 0]@2 has no approximation")
-    ok, msg = is_aisle_window(DerivedSubcategory(window, top, upper_tail=True), t)
-    assert ok and msg == "ok (split coverage)"
 
 
 def test_ext_projectives_example(a2_table, window):
