@@ -29,6 +29,7 @@ from .derived import (
     check_window_objects,
     export_dot,
     hom_masks,
+    module_relation,
 )
 from .errors import AislesError, ConsistencyError, PreconditionError
 from .quiver import BUILTIN_QUIVERS, load_quiver_file
@@ -339,9 +340,9 @@ def _parse_torsion(table, text):
         ids = frozenset(table.by_dimvec(tuple(d)).id for d in dimvecs)
     except (ValueError, TypeError, KeyError) as exc:
         raise AislesError(f"bad torsion class {text!r}: {exc.args[0]}") from None
-    torsion = torsion_mod.Subcategory(ids)
-    free = torsion_mod.right_orth(torsion, table)
-    tp = torsion_mod.pair_of_masks(torsion.mask, free.mask, table)
+    torsion = sum(1 << i for i in ids)
+    free = module_relation(TableContext(table)).right_perp(torsion)
+    tp = torsion_mod.pair_of_masks(torsion, free, table)
     if not torsion_mod.is_torsion_pair(tp, table):
         raise AislesError(
             "the given dimension vectors are not a torsion class"

@@ -9,20 +9,24 @@ arrows are validated against rad/rad^2 of explicit extension classes
 (``aisles.extspace``: Ext^1 as the cokernel of the Hom system), so a
 wrong gluing rule aborts the build instead of propagating.
 
+``module_relation`` says once per model which module pairs have a
+nonzero Hom or Ext, as bitmasks; it is the only reader of a context's
+``hom`` and ``ext`` (``TableContext`` for tables), and torsion, the Hom
+masks and transport all read it.  ``split_gap`` is the one split rule.
+
 ``HomMasks`` is the core that both derived models (Dynkin tables here,
 the Kronecker model in ``aisles.kronecker``) lift torsion pairs and
 answer Hom-vanishing, reachability, shift-closure, Ext-projectivity and
 split-aisle questions with: one bitmask per window object of the objects
 it has a nonzero morphism to, plus the window index of its translate.
 Aisles and their orthogonals are window masks (ints); a degree-0 trace
-is the ``part`` of a mask at degree 0.  It reads a module-category
-context (``TableContext`` for tables: Hom, Ext, the translate and object
-labels) and is built once per model and window.
+is the ``part`` of a mask at degree 0.  It is built once per model and
+window from the module relation and the context's translate and object
+labels.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -30,7 +34,6 @@ from typing import NamedTuple
 
 from .errors import ConsistencyError, ShapeError, UnsupportedError
 from .extspace import ExtMachine
-from .torsion import _bits
 
 # The Hom masks take time and memory quadratic in the window objects, and
 # every verifier walks them.  E8 over the default window has 720 objects,
@@ -139,40 +142,6 @@ def tau_derived(X, table):
         return DerivedObject(e.tau, X.degree)
     inj = table.injective_by_vertex(e.proj_vertex)
     return DerivedObject(inj.id, X.degree - 1)
-
-
-def tau_inverse_derived(X, table):
-    e = table.entries[X.indec]
-    if e.tau_inverse is not None:
-        return DerivedObject(e.tau_inverse, X.degree)
-    proj = table.projective_by_vertex(e.inj_vertex)
-    return DerivedObject(proj.id, X.degree + 1)
-
-
-def tau_orbits(table, window):
-    """Partition of the windowed objects into tau-orbit lines, built once
-    per table and window."""
-    key = ("tau_orbits", window)
-    if key not in table.memo:
-        table.memo[key] = _tau_orbits(table, window)
-    return table.memo[key]
-
-
-def _tau_orbits(table, window):
-    seen = set()
-    orbits = []
-    for x in sorted(all_objects(table, window)):
-        if x in seen:
-            continue
-        orbit = {x}
-        for step in (tau_derived, tau_inverse_derived):
-            cur = step(x, table)
-            while window.contains(cur) and cur not in orbit:
-                orbit.add(cur)
-                cur = step(cur, table)
-        seen |= orbit
-        orbits.append(frozenset(orbit))
-    return orbits
 
 
 def _cross_arrow_pairs(table):
@@ -301,9 +270,6 @@ class TableContext:
     def name(self, x):
         return str(list(self.table.entries[x].dimvec))
 
-    def near_boundary(self, x):
-        return False
-
     def components(self):
         """A Dynkin module category is one finite component: no part of
         it is pinned to either side of an admissible pair, and the
@@ -326,6 +292,83 @@ class Components(NamedTuple):
     regular: int
 
 
+def bits(mask):
+    """The set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
+def lowest(mask):
+    """The lowest set bit of ``mask``, or None when it is 0."""
+    return (mask & -mask).bit_length() - 1 if mask else None
+
+
+def union(rows, mask):
+    """The OR of ``rows[k]`` over the set bits k of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def split_gap(whole, torsion, free):
+    """The lowest index where ``torsion | free`` and ``whole`` differ:
+    None exactly when the pair is split over ``whole``."""
+    return lowest((torsion | free) ^ whole)
+
+
+class ModuleRelation(NamedTuple):
+    """Which module objects of a model have a nonzero Hom or Ext, as
+    bitmasks over ``modules`` (``context.objects()``, in order): bit l
+    of ``hom[k]`` (of ``ext[k]``) is set when Hom(k, l) (Ext(k, l)) is
+    nonzero, and ``into`` is the transpose of ``hom``."""
+
+    modules: list
+    index: dict
+    full: int
+    hom: list
+    ext: list
+    into: list
+
+    def mask(self, objects):
+        return sum(1 << self.index[x] for x in objects)
+
+    def right_perp(self, mask):
+        """The modules no member of ``mask`` has a nonzero Hom to."""
+        return self.full & ~union(self.hom, mask)
+
+    def left_perp(self, mask):
+        """The modules with no nonzero Hom to any member of ``mask``."""
+        return self.full & ~union(self.into, mask)
+
+
+def module_relation(context):
+    """The ``ModuleRelation`` of a model, built once and kept in its memo:
+    the only reader of the context's ``hom`` and ``ext`` rules."""
+    if "module_relation" not in context.memo:
+        modules = context.objects()
+        n = len(modules)
+        hom, ext = (
+            [_row(rule, x, modules) for x in modules]
+            for rule in (context.hom, context.ext)
+        )
+        into = [sum(1 << k for k in range(n) if hom[k] >> j & 1) for j in range(n)]
+        index = {x: k for k, x in enumerate(modules)}
+        context.memo["module_relation"] = ModuleRelation(
+            modules, index, (1 << n) - 1, hom, ext, into
+        )
+    return context.memo["module_relation"]
+
+
+def _row(rule, x, modules):
+    return sum(1 << j for j, y in enumerate(modules) if rule(x, y) != 0)
+
+
 class HomMasks:
     """Nonzero-morphism bitmasks of the objects of one window.
 
@@ -335,15 +378,17 @@ class HomMasks:
     represented) and ``label(obj)``.  Window object k is module object
     k % n in degree lo + k // n, the order of ``all_objects`` and
     ``TameModel.objects()``.  Bit l of ``out[k]`` is set when object k
-    has a nonzero morphism to object l: module Hom in degree gap 0,
-    module Ext in gap 1, nothing otherwise.  This is the only place where
-    a verifier applies that gap rule.  ``tau[k]`` is the window index of
+    has a nonzero morphism to object l, read off the model's
+    ``module_relation``: module Hom in degree gap 0, module Ext in gap 1,
+    nothing otherwise.  This is the only place where a verifier applies
+    that gap rule.  ``tau[k]`` is the window index of
     the translate of object k, or None when it lies outside the window
     or is not represented.
     """
 
     def __init__(self, context, window):
-        modules = context.objects()
+        relation = module_relation(context)
+        modules = relation.modules
         n = len(modules)
         check_window_objects(window, n)
         self.context = context
@@ -357,12 +402,10 @@ class HomMasks:
         self.interior = ((1 << len(self.objects) - 2 * n) - 1) << n
         self.tau = [self.index.get(context.tau(x)) for x in self.objects]
         self._ext_projectives = {}  # aisle mask -> Ext-projective mask
-        hom_row = [_row(context.hom, x, modules) for x in modules]
-        ext_row = [_row(context.ext, x, modules) for x in modules]
         self.out = []
         for base in range(0, len(self.objects), n):
             for i in range(n):
-                gaps = hom_row[i] | ext_row[i] << n
+                gaps = relation.hom[i] | relation.ext[i] << n
                 self.out.append((gaps << base) & self.full)
 
     def mask(self, objects):
@@ -372,7 +415,7 @@ class HomMasks:
         return out
 
     def members(self, mask):
-        return [self.objects[k] for k in _bits(mask)]
+        return [self.objects[k] for k in bits(mask)]
 
     def layer(self, modules, degree):
         """The module objects numbered in ``modules`` in one degree; 0
@@ -421,18 +464,15 @@ class HomMasks:
 
     def targets(self, mask):
         """Objects with a nonzero morphism from some object of ``mask``."""
-        out = 0
-        for k in _bits(mask):
-            out |= self.out[k]
-        return out
+        return union(self.out, mask)
 
     def witness(self, sources, targets):
         """The first (k, l) in window order, k in ``sources`` and l in
         ``targets``, with a nonzero morphism from k to l; or None."""
-        for k in _bits(sources):
+        for k in bits(sources):
             hit = self.out[k] & targets
             if hit:
-                return k, _lowest(hit)
+                return k, lowest(hit)
         return None
 
     def shift_escape(self, mask):
@@ -440,7 +480,7 @@ class HomMasks:
         is not in ``mask``, as a window index; None when the mask is
         closed under shift inside the window."""
         missing = self.shift(mask, 1) & ~mask
-        return _lowest(missing) - self.n if missing else None
+        return lowest(missing) - self.n if missing else None
 
     def ext_projectives(self, aisle):
         """The interior members of ``aisle`` with no extensions into it,
@@ -459,7 +499,7 @@ class HomMasks:
         reached = self.targets(aisle)
         shifted = self.shift(aisle, 1)
         out = 0
-        for k in _bits(aisle & self.interior):
+        for k in bits(aisle & self.interior):
             t = self.tau[k]
             if t is None:
                 continue
@@ -498,7 +538,7 @@ class HomMasks:
         between its own objects."""
         size, n = len(self.objects), self.n
         return [
-            ([k + n] if k + n < size else []) + _bits(self.out[k] & ~(1 << k))
+            ([k + n] if k + n < size else []) + bits(self.out[k] & ~(1 << k))
             for k in range(size)
         ]
 
@@ -515,14 +555,6 @@ class HomMasks:
         return reach
 
 
-def _lowest(mask):
-    return (mask & -mask).bit_length() - 1
-
-
-def _row(rule, x, modules):
-    return sum(1 << j for j, y in enumerate(modules) if rule(x, y) != 0)
-
-
 def hom_masks(context, window):
     """The ``HomMasks`` of a model and window, built once and kept in the
     model's memo (a table copied with ``dataclasses.replace`` starts with
@@ -531,24 +563,6 @@ def hom_masks(context, window):
     if key not in context.memo:
         context.memo[key] = HomMasks(context, window)
     return context.memo[key]
-
-
-def breadth_first(succ, sources, parent):
-    """Window indices reachable from ``sources`` along ``succ`` (index ->
-    successor indices), yielded in breadth-first order; ``parent`` gets
-    each one's predecessor, None for the sources."""
-    queue = deque()
-    for k in sources:
-        if k not in parent:
-            parent[k] = None
-            queue.append(k)
-    while queue:
-        k = queue.popleft()
-        yield k
-        for j in succ[k]:
-            if j not in parent:
-                parent[j] = k
-                queue.append(j)
 
 
 # ---------------------------------------------------------------------------

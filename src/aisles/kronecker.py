@@ -25,14 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .derived import Components, Window, check_window_objects, hom_masks
+from .derived import Components, Window, bits, check_window_objects, hom_masks
 from .errors import (
     PreconditionError,
     ShapeError,
     TruncationError,
     UnsupportedError,
 )
-from .torsion import _bits
 
 POST = "post"
 PRE = "pre"
@@ -192,9 +191,6 @@ class KroneckerContext:
     def name(self, x):
         return x.name()
 
-    def near_boundary(self, x):
-        return x.kind != REG and x.index >= self.model.range - 1
-
     def components(self):
         """The preinjective, postprojective and regular module masks;
         an admissible pair has every preinjective torsion and every
@@ -221,14 +217,14 @@ class KroneckerContext:
                 )
         # tau is a bijection where represented: y outside P_A with tau(y)
         # in P_A is an inverse translate escaping P_A
-        for k in _bits(hm.heart & ~hm.P_A):
+        for k in bits(hm.heart & ~hm.P_A):
             t = masks.tau[k]
             if t is not None and hm.P_A >> t & 1:
                 raise PreconditionError(
                     f"inverse translate of {masks.objects[t].name()} escapes "
                     "the postprojective part"
                 )
-        for k in _bits(hm.I_A):
+        for k in bits(hm.I_A):
             t = masks.tau[k]
             if t is not None and (hm.heart & ~hm.I_A) >> t & 1:
                 raise PreconditionError(
@@ -336,7 +332,7 @@ def _threshold_families(model):
         lo, hi = model.window.lo, model.window.hi
         modules = list(enumerate(model.module_objects()))
         components = KroneckerContext(model).components()
-        pres, posts, _regular = map(_bits, components)
+        pres, posts, _regular = map(bits, components)
         # postprojectives from degree j1, preinjectives (layer = degree
         # + 1) from degree j1 - 1
         families = [{
@@ -383,7 +379,7 @@ def verify_63b(model):
     masks = _masks(model)
     pres, posts, _regular = KroneckerContext(model).components()
     for i in model.window.interior():
-        for L in _subsets(labels):
+        for L in subsets(labels):
             aisle = build_aisle_63b(i, L, model)
             checks = {}
             witness = masks.witness(aisle, masks.full & ~aisle)
@@ -423,7 +419,8 @@ def verify_63b(model):
     return report
 
 
-def _subsets(items):
+def subsets(items):
+    """Every sublist of ``items``, in binary counting order."""
     items = list(items)
     for mask in range(1 << len(items)):
         yield [items[k] for k in range(len(items)) if mask >> k & 1]

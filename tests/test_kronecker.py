@@ -15,7 +15,6 @@ from aisles.kronecker import (
     KroneckerContext,
     TameModel,
     _masks,
-    _subsets,
     build_aisle_63b,
     default_model,
     ext_module,
@@ -25,6 +24,7 @@ from aisles.kronecker import (
     pre,
     reg,
     scan_split_aisles,
+    subsets,
     tau_rule,
     verify_63b,
 )
@@ -160,7 +160,7 @@ def test_build_aisle_matches_layer_rule(tame_models):
     for model in tame_models:
         masks = _masks(model)
         for i in model.window.interior():
-            for L in _subsets(model.tube_labels):
+            for L in subsets(model.tube_labels):
                 want = masks.mask(_layer_rule_aisle(i, L, model))
                 assert build_aisle_63b(i, L, model) == want, (i, L)
 
@@ -171,7 +171,7 @@ def test_classified_aisles_have_no_ext_projectives(tame_models):
     for model in tame_models:
         masks = _masks(model)
         for i in model.window.interior():
-            for L in _subsets(model.tube_labels):
+            for L in subsets(model.tube_labels):
                 assert masks.ext_projectives(build_aisle_63b(i, L, model)) == 0
 
 

@@ -15,7 +15,7 @@ from aisles.quiver import (
     load_quiver,
     load_quiver_file,
 )
-from reference import opposite
+from reference import opposite, orientations
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -161,6 +161,19 @@ def test_sink_ordering_is_admissible():
     for v in order:
         assert cur.is_sink(v)
         cur = cur.reversed_at(v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(orientations())
+def test_sink_ordering_takes_the_first_sink_in_vertex_order(quiver):
+    cur = quiver
+    taken = set()
+    for v in quiver.sink_ordering():
+        sinks = [w for w in cur.vertices if w not in taken and cur.is_sink(w)]
+        assert v == sinks[0]
+        taken.add(v)
+        cur = cur.reversed_at(v)
+    assert taken == set(quiver.vertices)
 
 
 def test_opposite_swaps_arrows():

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import random
 from math import comb
 
 import pytest
@@ -10,17 +11,13 @@ from aisles.errors import ConsistencyError, PreconditionError
 from aisles.linalg import Mat, span_rank
 from aisles.quiver import BUILTIN_QUIVERS, linear_quiver, quiver_from_edges
 from aisles.repcore import enumerate_indecomposables, hom_space
+from aisles.derived import TableContext, bits, module_relation
 from aisles.torsion import (
     Subcategory,
     TorsionPair,
-    _bits,
-    _left_orth_mask,
-    _orth_masks,
     canonical_sequence_oracle,
     enumerate_torsion_pairs,
     is_torsion_pair,
-    left_orth,
-    right_orth,
     sub_and_quotient,
     trace_subrepresentation,
 )
@@ -32,16 +29,40 @@ def _ids(table, *dimvecs):
     return frozenset(table.by_dimvec(d).id for d in dimvecs)
 
 
+def _mask(table, *dimvecs):
+    return sum(1 << i for i in _ids(table, *dimvecs))
+
+
 def test_orthogonals_a2(a2_table):
     t = a2_table
-    assert right_orth(Subcategory(_ids(t, (0, 1))), t).members == _ids(t, (1, 0))
-    assert left_orth(Subcategory(_ids(t, (1, 0))), t).members == _ids(t, (0, 1))
-    everything = frozenset(range(3))
-    assert right_orth(Subcategory(frozenset()), t).members == everything
-    assert right_orth(Subcategory(everything), t).members == frozenset()
-    assert left_orth(Subcategory(_ids(t, (0, 1), (1, 1))), t).members == _ids(
-        t, (1, 0)
-    )
+    relation = module_relation(TableContext(t))
+    assert relation.right_perp(_mask(t, (0, 1))) == _mask(t, (1, 0))
+    assert relation.left_perp(_mask(t, (1, 0))) == _mask(t, (0, 1))
+    everything = 0b111
+    assert relation.right_perp(0) == everything
+    assert relation.right_perp(everything) == 0
+    assert relation.left_perp(_mask(t, (0, 1), (1, 1))) == _mask(t, (1, 0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_orthogonals_match_brute_force_on_patched_table(a3_table, seed):
+    """Both orthogonals of every subset, on a3 with random Hom entries
+    zeroed or set, against the definition read off ``table.hom``."""
+    rng = random.Random(seed)
+    n = len(a3_table.entries)
+    hom = [list(row) for row in a3_table.hom]
+    for _ in range(6):
+        hom[rng.randrange(n)][rng.randrange(n)] = rng.choice((0, 1, 2))
+    table = dataclasses.replace(a3_table, hom=tuple(tuple(r) for r in hom))
+    relation = module_relation(TableContext(table))
+    for mask in range(1 << n):
+        members = bits(mask)
+        assert relation.right_perp(mask) == sum(
+            1 << j for j in range(n) if all(hom[i][j] == 0 for i in members)
+        )
+        assert relation.left_perp(mask) == sum(
+            1 << i for i in range(n) if all(hom[i][j] == 0 for j in members)
+        )
 
 
 def test_enumeration_counts(a2_table, a3_table):
@@ -83,8 +104,9 @@ def test_enumeration_sorted_canonically(a3_table):
 @given(st.sets(st.integers(0, 5)))
 def test_closure_idempotence(seed):
     table = test_closure_idempotence.table
-    s = Subcategory(frozenset(i for i in seed if i < len(table.entries)))
-    close = lambda x: left_orth(right_orth(x, table), table)
+    s = sum(1 << i for i in seed if i < len(table.entries))
+    relation = module_relation(TableContext(table))
+    close = lambda x: relation.left_perp(relation.right_perp(x))
     once = close(s)
     assert close(once) == once
 
@@ -353,18 +375,25 @@ def test_is_torsion_pair_fixed_point(a2_table):
 
 def _brute_force_pairs(table):
     """Reference enumeration: scan all 2^n subsets and keep those that are
-    fixed points of the double-orthogonal operator."""
-    full, nohom_from, nohom_into = _orth_masks(table)
+    fixed points of the double-orthogonal operator, read off
+    ``table.hom``."""
+    n = len(table.entries)
+    full = (1 << n) - 1
+    nohom = [[table.hom[i][j] == 0 for j in range(n)] for i in range(n)]
+    nohom_from = [sum(1 << j for j in range(n) if nohom[i][j]) for i in range(n)]
+    nohom_into = [sum(1 << i for i in range(n) if nohom[i][j]) for j in range(n)]
     pairs = []
-    for tmask in range(1 << len(table.entries)):
-        fmask = full
-        for i in _bits(tmask):
+    for tmask in range(1 << n):
+        fmask = tback = full
+        for i in bits(tmask):
             fmask &= nohom_from[i]
-        if tmask != _left_orth_mask(fmask, nohom_into):
+        for j in bits(fmask):
+            tback &= nohom_into[j]
+        if tmask != tback:
             continue
         split = (tmask | fmask) == full
-        torsion = Subcategory(frozenset(_bits(tmask)))
-        free = Subcategory(frozenset(_bits(fmask)))
+        torsion = Subcategory(frozenset(bits(tmask)))
+        free = Subcategory(frozenset(bits(fmask)))
         pairs.append(TorsionPair(torsion, free, split))
     return pairs
 

@@ -1,14 +1,21 @@
 import dataclasses
+from itertools import combinations, product
 
 import pytest
 
-from aisles.derived import DerivedObject, Window, hom_masks
+from aisles.derived import (
+    DerivedObject,
+    TableContext,
+    Window,
+    hom_masks,
+    module_relation,
+    union,
+)
 from aisles.errors import PreconditionError, TiltingUnsupportedError
 from aisles.kronecker import TameModel, post, pre, reg
 from aisles.transport import (
     HEART_WINDOW,
     KroneckerContext,
-    TableContext,
     TiltingSet,
     _validate_heart_pair,
     admissible_base_pairs,
@@ -29,7 +36,8 @@ def _ids(table, *dimvecs):
 
 
 def _modules(masks, mask):
-    """A module mask as the set of its module objects."""
+    """A module mask as the set of its module objects; ``masks`` is a
+    ``HomMasks`` or a ``ModuleRelation``."""
     return {x for k, x in enumerate(masks.modules) if mask >> k & 1}
 
 
@@ -70,12 +78,10 @@ def test_induced_pair_a2_apr_tilt(a2_table):
     p1 = a2_table.by_dimvec((1, 1)).id
     s1 = a2_table.by_dimvec((1, 0)).id
     s2 = a2_table.by_dimvec((0, 1)).id
-    gen, cogen, warnings = induced_torsion_pair(
-        TiltingSet(frozenset({p1, s1})), ctx
-    )
-    assert gen == frozenset({p1, s1})
-    assert cogen == frozenset({s2})
-    assert warnings == []
+    gen, cogen = induced_torsion_pair(TiltingSet(frozenset({p1, s1})), ctx)
+    relation = module_relation(ctx)
+    assert _modules(relation, gen) == {p1, s1}
+    assert _modules(relation, cogen) == {s2}
 
 
 def test_heart_realization_a2(a2_table):
@@ -153,11 +159,20 @@ def test_kronecker_tilting_set(tame_model):
     assert ok, diag
     ok, diag = is_tilting_set({post(1), post(3)}, ctx)  # not rigid
     assert not ok
+    # past the transjective range: not an object of the model
+    with pytest.raises(PreconditionError) as exc:
+        is_tilting_set({post(1), post(tame_model.range + 1)}, ctx)
+    assert str(exc.value) == (
+        "tilting summand Post(7)@0 is not an object of the model"
+    )
 
 
 def test_kronecker_induced_pair(tame_model):
     ctx = KroneckerContext(tame_model)
-    gen, cogen, warnings = induced_torsion_pair(KRONECKER_T, ctx)
+    gen, cogen = (
+        _modules(module_relation(ctx), c)
+        for c in induced_torsion_pair(KRONECKER_T, ctx)
+    )
     assert post(0) in cogen
     assert post(1) in gen and post(2) in gen
     assert all(pre(m) in gen for m in range(tame_model.range + 1))
@@ -177,7 +192,9 @@ def test_kronecker_heart_components(tame_model):
     assert (pre(0), 0) in I_A
     assert (reg("t0", 1), 0) in R_A
     assert not (hm.P_A & hm.I_A or hm.P_A & hm.R_A or hm.I_A & hm.R_A)
-    gen, cogen, _ = induced_torsion_pair(KRONECKER_T, ctx)
+    gen, cogen = (
+        _modules(hm.masks, c) for c in induced_torsion_pair(KRONECKER_T, ctx)
+    )
     assert P_A | I_A | R_A == {(x, 0) for x in gen} | {(y, 1) for y in cogen}
 
 
@@ -342,6 +359,24 @@ def test_induced_pair_overlap_witness(tame_model):
     assert str(exc.value) == "torsion classes overlap at Pre(0)@0"
 
 
+def test_induced_pair_is_orthogonal_for_every_tilting_pair():
+    """Every 2-element tilting set of the Kronecker models with 3-4 tubes,
+    tube depth 1-4 and range 1-10 induces a pair with no Hom from the
+    torsion to the torsion-free class, so the check that raises on one
+    never fires, also next to the truncation boundary."""
+    found = 0
+    for tubes, depth, range_ in product((3, 4), range(1, 5), range(1, 11)):
+        labels = tuple(f"t{i}" for i in range(tubes))
+        ctx = KroneckerContext(TameModel(labels, depth, range_, Window(-2, 3)))
+        relation = module_relation(ctx)
+        for pair in combinations(ctx.objects(), 2):
+            if is_tilting_set(pair, ctx)[0]:
+                gen, cogen = induced_torsion_pair(TiltingSet(frozenset(pair)), ctx)
+                assert not union(relation.hom, gen) & cogen
+                found += 1
+    assert found == 880
+
+
 # ---------------------------------------------------------------------------
 # The mask maps against the set-based reference
 # ---------------------------------------------------------------------------
@@ -357,7 +392,9 @@ def test_mask_maps_match_set_reference(tubes):
             ctx = KroneckerContext(model)
             hm = heart_realization(KRONECKER_T, ctx)
             masks = hm.masks
-            gen, cogen, _ = induced_torsion_pair(KRONECKER_T, ctx)
+            gen, cogen = (
+                _modules(masks, c) for c in induced_torsion_pair(KRONECKER_T, ctx)
+            )
             for (_L, torsion, free) in admissible_base_pairs(model):
                 ht, hf = transport_chi(torsion, free, hm)
                 ref_t, ref_f = chi_reference(

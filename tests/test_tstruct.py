@@ -11,8 +11,6 @@ from aisles.derived import (
     derived_ar_arrows,
     hom_masks,
     tau_derived,
-    tau_inverse_derived,
-    tau_orbits,
 )
 from aisles.errors import PreconditionError
 from aisles.quiver import BUILTIN_QUIVERS
@@ -32,6 +30,7 @@ from aisles.tstruct import (
     verify_lemma41,
     verify_lemma42,
 )
+from reference import tau_inverse_derived, tau_orbits
 
 
 def _ids(table, *dimvecs):
