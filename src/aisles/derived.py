@@ -189,10 +189,24 @@ def derived_ar_arrows(table, window):
     """AR arrows of the windowed derived category: the module AR quiver
     in every degree plus the validated cross-degree arrows.  Every mesh
     whose translate lies in the window is checked for completeness, once
-    per table and window."""
+    per table and window, on the window-index adjacency built with the
+    arrows and kept beside them (``ar_adjacency``)."""
     key = ("ar_arrows", window)
     if key not in table.memo:
-        table.memo[key] = _derived_ar_arrows(table, window)
+        arrows, adjacency = _derived_ar_arrows(table, window)
+        table.memo[key] = arrows
+        table.memo[("ar_adjacency", window)] = adjacency
+    return table.memo[key]
+
+
+def ar_adjacency(table, window):
+    """Per window index (the order of ``all_objects``), the window indices
+    its derived AR arrows point to and those whose arrows point to it, in
+    arrow order, as (successors, predecessors); built by
+    ``derived_ar_arrows``, which this calls once per table and window."""
+    key = ("ar_adjacency", window)
+    if key not in table.memo:
+        derived_ar_arrows(table, window)
     return table.memo[key]
 
 
@@ -206,23 +220,33 @@ def _derived_ar_arrows(table, window):
             for (i, j) in cross:
                 arrows.append((DerivedObject(i, d), DerivedObject(j, d + 1)))
     arrows.sort()
-    _check_meshes(table, window, arrows)
-    return arrows
-
-
-def _check_meshes(table, window, arrows):
-    ins = {}
-    outs = {}
+    n = len(table.entries)
+    succ = [[] for _ in range(n * (window.hi - window.lo + 1))]
+    pred = [[] for _ in succ]
     for (x, y) in arrows:
-        ins.setdefault(y, set()).add(x)
-        outs.setdefault(x, set()).add(y)
+        k = (x.degree - window.lo) * n + x.indec
+        m = (y.degree - window.lo) * n + y.indec
+        succ[k].append(m)
+        pred[m].append(k)
+    adjacency = succ, pred
+    _check_meshes(table, window, adjacency)
+    return arrows, adjacency
+
+
+def _check_meshes(table, window, adjacency):
+    """The arrows into each interior object are the arrows out of its
+    translate, when that lies in the window's interior too."""
+    succ, pred = adjacency
+    n = len(table.entries)
     for d in window.interior():
-        for i in range(len(table.entries)):
+        base = (d - window.lo) * n
+        for i in range(n):
             z = DerivedObject(i, d)
             tz = tau_derived(z, table)
             if not window.is_interior(tz):
                 continue
-            if ins.get(z, set()) != outs.get(tz, set()):
+            tk = (tz.degree - window.lo) * n + tz.indec
+            if set(pred[base + i]) != set(succ[tk]):
                 raise ConsistencyError(f"incomplete derived mesh at {z}")
 
 

@@ -21,10 +21,12 @@ only for output entries: `kernel` divides each `kernel_ints` vector by
 its last nonzero entry, which sits at its free column (`unit_last`), and
 an entry x of a reduced row with pivot p is x/p.
 
-`rank_mod2` is the one shortcut: the rank over GF(2) of integer rows,
-on bitmasks.  It never exceeds the rank over the rationals, so when it
-equals the number of columns the kernel is zero without an elimination;
-any other answer proves nothing, and the caller eliminates.
+`rank_mod2` is the one shortcut: the rank over GF(2) of rows given as
+int bitmasks of their odd entries, which a caller can read off its
+integer data without forming the rows.  It never exceeds the rank over
+the rationals, so when it equals the number of columns the kernel is
+zero without an elimination; any other answer proves nothing, and the
+caller eliminates.
 
 Every elimination runs on sparse integer rows.  `Mat` is a container of
 `Fraction` entries; its one elimination, `Mat.rref`, goes through
@@ -145,17 +147,15 @@ def kernel(reduced, pivots, ncols):
     return [unit_last(vec) for vec in kernel_ints(reduced, pivots, ncols)]
 
 
-def rank_mod2(rows):
-    """Rank over GF(2) of sparse integer rows, each held as an int bitmask
-    of its odd entries.  A minor that is odd is nonzero, so this is a
-    lower bound on the rank over the rationals: when it equals the number
-    of columns, the right kernel is zero, and only then is it a proof."""
+def rank_mod2(masks):
+    """Rank over GF(2) of rows held as int bitmasks, bit k set when the
+    row's entry in column k is odd (`repcore.hom_parities` reads them off
+    integer maps).  A minor that is odd is nonzero, so this is a lower
+    bound on the rank over the rationals of any integer rows with these
+    parities: when it equals the number of columns, their right kernel
+    is zero, and only then is it a proof."""
     by_top = {}
-    for row in rows:
-        m = 0
-        for k, x in row.items():
-            if x & 1:
-                m |= 1 << k
+    for m in masks:
         while m:
             top = m.bit_length() - 1
             b = by_top.get(top)

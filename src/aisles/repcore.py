@@ -13,6 +13,12 @@ AR formula ext(X, Y) = hom(Y, tau X) against the walk's tau, the top of
 each projective against the vertex its orbit started from, and the
 knitted AR arrows against rad/rad^2 linear algebra.  Validation failures
 abort.
+
+Each Hom space is the kernel of Ringel's map delta (`hom_system`).  A
+pair whose Euler form is positive has a nonzero Hom and is eliminated
+exactly; any other is first tried on the parities of delta
+(`hom_parities`, read off the integer maps as bitmasks), and a rank mod
+2 equal to the number of columns proves it zero without forming delta.
 """
 
 from __future__ import annotations
@@ -101,6 +107,22 @@ class Representation:
 # ---------------------------------------------------------------------------
 
 
+def _coordinates(M, N):
+    """The first column of each vertex's block in the Hom system, and
+    the number of columns: f_v is N_v x M_v, vertex by vertex."""
+    if M.quiver is not N.quiver and M.quiver != N.quiver:
+        raise ShapeError(
+            "the Hom system delta needs representations over one quiver"
+        )
+    mdim, ndim = M.dims.get, N.dims.get
+    offsets = {}
+    total = 0
+    for v in M.quiver.vertices:
+        offsets[v] = total
+        total += ndim(v, 0) * mdim(v, 0)
+    return offsets, total
+
+
 def hom_system(M, N):
     """The map
 
@@ -120,22 +142,12 @@ def hom_system(M, N):
     nonzero scale changes neither the kernel, nor the image, nor the
     reduced row echelon form.
     """
-    if M.quiver != N.quiver:
-        raise ShapeError(
-            "the Hom system delta needs representations over one quiver"
-        )
-    Q = M.quiver
+    offsets, total = _coordinates(M, N)
     mdim, ndim = M.dims.get, N.dims.get
-    offsets = {}
-    total = 0
-    for v in Q.vertices:
-        offsets[v] = total
-        total += ndim(v, 0) * mdim(v, 0)
-
     dm, m_maps = M.int_maps
     dn, n_maps = N.int_maps
     rows = []
-    for a in Q.arrows:
+    for a in M.quiver.arrows:
         u, w = a.source, a.target
         n_rows = n_maps[a.name][0]
         m_columns = m_maps[a.name][1]
@@ -154,16 +166,80 @@ def hom_system(M, N):
     return rows, total
 
 
+def hom_parities(M, N):
+    """The rows of `hom_system` mod 2, as (int bitmasks, number of
+    columns) for `linalg.rank_mod2`: bit k of row (a, r, c) is set when
+    its entry in column k is odd.  Read off `Representation.int_maps`
+    without forming the rows.  The odd entries of row r of D_N N_a,
+    spread at stride m_u, fill the u-part from column off_u + c; those
+    of column c of D_M M_a fill the w-part from column off_w + r m_w.
+    Each part is scaled by the other module's D, so it is even
+    throughout when that D is."""
+    offsets, total = _coordinates(M, N)
+    dm, m_maps = M.int_maps
+    dn, n_maps = N.int_maps
+    masks = []
+    for a in M.quiver.arrows:
+        n_rows = n_maps[a.name][0]  # one per row r < n_w
+        m_columns = m_maps[a.name][1]  # one per column c < m_u
+        if not (n_rows and m_columns):
+            continue
+        mu = len(m_columns)
+        if dn & 1:
+            m_parts = []
+            for column in m_columns:
+                part = 0
+                for k, x in column:
+                    if x & 1:
+                        part |= 1 << k
+                m_parts.append(part)
+        else:
+            m_parts = [0] * mu
+        ou, base = offsets[a.source], offsets[a.target]
+        mw = M.dims.get(a.target, 0)
+        for row in n_rows:
+            part = 0
+            if dm & 1:
+                for k, x in row:
+                    if x & 1:
+                        part |= 1 << k * mu
+                part <<= ou
+            for m_part in m_parts:
+                masks.append(part | m_part << base)
+                part <<= 1
+            base += mw
+    return masks, total
+
+
+def _euler(M, N):
+    """<dim M, dim N>: the columns of `hom_system` minus its rows."""
+    mdim, ndim = M.dims.get, N.dims.get
+    val = 0
+    for v in M.quiver.vertices:
+        val += mdim(v, 0) * ndim(v, 0)
+    for a in M.quiver.arrows:
+        val -= mdim(a.source, 0) * ndim(a.target, 0)
+    return val
+
+
 def hom_kernel(M, N):
     """Hom(M, N) as coprime integer vectors in the coordinates of
     `hom_system`, the kernel basis read off its reduced rows
-    (`linalg.kernel_ints`).  A system whose rank mod 2 is its number of
-    columns has a zero kernel (`linalg.rank_mod2`), and is not
-    eliminated; any other one is, so only exact elimination ever finds a
-    nonzero morphism."""
+    (`linalg.kernel_ints`).
+
+    A system whose rank mod 2 is its number of columns has a zero kernel
+    (`linalg.rank_mod2` on `hom_parities`), and its rows are never
+    formed; any other one is eliminated, so only exact elimination ever
+    finds a nonzero morphism.  The Euler form routes: dim Hom - dim Ext^1
+    = <dim M, dim N> is the number of columns minus the number of rows,
+    so when it is positive the rank is short of the columns, Hom is
+    nonzero, and the system is eliminated without trying the parities.
+    """
+    if _euler(M, N) <= 0:
+        masks, ncols = hom_parities(M, N)
+        if rank_mod2(masks) == ncols:
+            return []
     rows, ncols = hom_system(M, N)
-    if rank_mod2(rows) == ncols:
-        return []
     return kernel_ints(*eliminate(rows), ncols)
 
 
@@ -218,11 +294,17 @@ def euler_form(quiver, d, e):
     vectors (for any hereditary path algebra, not only Dynkin)."""
     if len(d) != len(quiver.vertices) or len(e) != len(quiver.vertices):
         raise ShapeError("dimension vector length mismatch")
+    return sum(map(mul, _pushed(quiver, d), e))
+
+
+def _pushed(quiver, d):
+    """The vector p with <d, e> = p . e for every e: d_w minus d_u over
+    the arrows u -> w."""
     idx = {v: i for i, v in enumerate(quiver.vertices)}
-    val = sum(di * ei for di, ei in zip(d, e))
+    p = list(d)
     for a in quiver.arrows:
-        val -= d[idx[a.source]] * e[idx[a.target]]
-    return val
+        p[idx[a.target]] -= d[idx[a.source]]
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +388,9 @@ def tau_minus_orbits(quiver, cap):
                 raise ConsistencyError(
                     f"C^- took {orbit[-1].dimension_vector()} off the quiver"
                 )
+            # over the one quiver object, so that comparing the quivers of
+            # two modules of the table is an identity check
+            rep = Representation(quiver, rep.dims, rep.maps)
     return orbits
 
 
@@ -431,15 +516,17 @@ def enumerate_indecomposables(quiver):
                 f"endomorphism ring of {roots[i]} has dimension {hom[i][i]}"
             )
 
-    ext = [[0] * n for _ in range(n)]
+    # ext = hom - <i, j>, the Euler form read off one pushed vector per root
+    ext = [
+        [h - sum(map(mul, p, e)) for h, e in zip(hom_row, roots)]
+        for hom_row, p in zip(hom, (_pushed(quiver, d) for d in roots))
+    ]
     for i in range(n):
         for j in range(n):
-            val = hom[i][j] - euler_form(quiver, roots[i], roots[j])
-            if val < 0:
+            if ext[i][j] < 0:
                 raise ConsistencyError(
                     f"negative Ext dimension between {roots[i]} and {roots[j]}"
                 )
-            ext[i][j] = val
 
     # AR formula validation: ext(i, j) = hom(j, tau i) for non-projective i,
     # ext(i, j) = 0 for projective i.
@@ -567,38 +654,36 @@ def irreducible_dim(i, j, table):
 def _int_composites(i, j, table):
     """The composites g f through each m other than i and j, flattened
     like ``hom_vectors``, as sparse integer rows."""
-    dims = [e.dimvec for e in table.entries]
+    entries = table.entries
     vectors = table.hom_vectors
-    for m in range(len(table.entries)):
-        if m in (i, j):
-            continue
-        F = vectors[i][m]
-        G = vectors[m][j] if F else ()
+    dim_i, dim_j = entries[i].dimvec, entries[j].dimvec
+    for m, F in enumerate(vectors[i]):
+        G = vectors[m][j] if F and m != i and m != j else ()
         if not G:
             continue
-        g_rows = [_blocks(g, dims[j], dims[m]) for g in G]
+        dim_m = entries[m].dimvec
         for f in F:
-            f_cols = _blocks(f, dims[m], dims[i], columns=True)
-            for rows in g_rows:
-                yield sparse_row(
-                    sum(map(mul, row, col))
-                    for v_rows, v_cols in zip(rows, f_cols)
-                    for row in v_rows
-                    for col in v_cols
-                )
+            for g in G:
+                yield _compose(g, f, dim_j, dim_m, dim_i)
 
 
-def _blocks(flat, nrows, ncols, columns=False):
-    """Per vertex, the rows (or the columns) of the matrices of a flattened
-    morphism whose matrix at vertex k is nrows[k] x ncols[k]."""
-    out = []
-    k = 0
-    for r, c in zip(nrows, ncols):
-        if columns:
-            out.append([flat[k + y : k + r * c : c] for y in range(c)])
-        else:
-            out.append([flat[k + x * c : k + x * c + c] for x in range(r)])
-        k += r * c
+def _compose(g, f, dim_j, dim_m, dim_i):
+    """g f for flattened morphisms f: i -> m and g: m -> j, whose matrices
+    at vertex k are dim_m[k] x dim_i[k] and dim_j[k] x dim_m[k], as a
+    sparse integer row flattened the same way."""
+    out = {}
+    k = at_g = at_f = 0
+    for r, c, s in zip(dim_j, dim_m, dim_i):
+        end_f = at_f + c * s
+        for _ in range(r):
+            g_row = g[at_g : at_g + c]
+            at_g += c
+            for y in range(at_f, at_f + s):
+                value = sum(map(mul, g_row, f[y:end_f:s]))
+                if value:
+                    out[k] = value
+                k += 1
+        at_f = end_f
     return out
 
 

@@ -24,8 +24,8 @@ from .derived import (
     DerivedObject,
     TableContext,
     Window,
+    ar_adjacency,
     bits,
-    derived_ar_arrows,
     hom_masks,
 )
 from .errors import ConsistencyError, PreconditionError
@@ -129,7 +129,7 @@ def section_check(S, table, window):
     if len(hit) != len(members) or len(hit) != orbits:
         return False
     translates = {masks.tau[k] for k in members}
-    succ, pred = _arrow_successors(table, window)
+    succ, pred = ar_adjacency(table, window)
     for k in members:
         for j in succ[k]:
             if masks.interior >> j & 1 and j not in members:
@@ -164,24 +164,8 @@ def successors(S, table, window):
     ``window``."""
     masks = _masks(table, window)
     sources = [masks.index[x] for x in S if window.contains(x)]
-    succ, _pred = _arrow_successors(table, window)
+    succ, _pred = ar_adjacency(table, window)
     return sum(1 << k for k in breadth_first(succ, sources, {}))
-
-
-def _arrow_successors(table, window):
-    """Per window index, the window indices its derived AR arrows point
-    to and those whose arrows point to it, as (successors, predecessors);
-    built once per table and window and kept in ``table.memo``."""
-    key = ("arrow_successors", window)
-    if key not in table.memo:
-        masks = _masks(table, window)
-        succ = [[] for _ in masks.objects]
-        pred = [[] for _ in masks.objects]
-        for (x, y) in derived_ar_arrows(table, window):
-            succ[masks.index[x]].append(masks.index[y])
-            pred[masks.index[y]].append(masks.index[x])
-        table.memo[key] = succ, pred
-    return table.memo[key]
 
 
 def _first_semipath(masks, source, targets):
@@ -356,11 +340,11 @@ def verify_cor64(ts, table, candidates=None):
             ok = False
             diagnostics.append(f"{e.label(table)} outside the heart")
     masks = _masks(table, window)
+    # per f, every other shift of f inside the window
+    shifts = [masks.above([f.indec], window.lo) & ~(1 << masks.index[f]) for f in E]
     for e in E:
-        for f in E:
-            # every other shift of f inside the window
-            shifts = masks.above([f.indec], window.lo) & ~(1 << masks.index[f])
-            for k in bits(masks.out[masks.index[e]] & shifts):
+        for f, f_shifts in zip(E, shifts):
+            for k in bits(masks.out[masks.index[e]] & f_shifts):
                 ok = False
                 diagnostics.append(
                     f"nonzero morphism {e.label(table)} -> "

@@ -2,8 +2,9 @@
 quiver with honest matrices for its symbolic modules and its Euler form,
 the inverse Kronecker and Dynkin translates and the Dynkin tau-orbits
 they walk, matrix stacking, the set-based transport maps the mask maps
-are checked against, and the random ADE orientations of the Hypothesis
-tests."""
+are checked against, the rank mod 2 of sparse integer rows the parity
+masks are checked against, and the random ADE orientations of the
+Hypothesis tests."""
 
 from hypothesis import strategies as st
 
@@ -130,6 +131,38 @@ def vstack(mats):
         raise ValueError("vstack column mismatch")
     rows = [row for m in mats for row in m.rows]
     return Mat(rows, sum(m.nrows for m in mats), ncols)
+
+
+def odd_masks(rows):
+    """Each sparse integer row as the int bitmask of its odd entries."""
+    out = []
+    for row in rows:
+        m = 0
+        for k, x in row.items():
+            if x & 1:
+                m |= 1 << k
+        out.append(m)
+    return out
+
+
+def rank_mod2_rows(rows):
+    """Rank over GF(2) of sparse integer rows, each held as an int
+    bitmask of its odd entries: the form `linalg.rank_mod2` had before it
+    took the masks, run here on the dict rows of `repcore.hom_system`."""
+    by_top = {}
+    for row in rows:
+        m = 0
+        for k, x in row.items():
+            if x & 1:
+                m |= 1 << k
+        while m:
+            top = m.bit_length() - 1
+            b = by_top.get(top)
+            if b is None:
+                by_top[top] = m
+                break
+            m ^= b
+    return len(by_top)
 
 
 def chi_reference(torsion, free, gen, cogen):

@@ -6,7 +6,10 @@ the Ext cokernel eliminate those rows fraction-free.  Here delta is
 written out again from its definition with `Fraction` entries, and its
 kernel and image are computed by the plain `Fraction` Gauss-Jordan of
 ``test_linalg``; the reduced row echelon form is unique, so the results
-must agree entry for entry.
+must agree entry for entry.  The parity masks that certify zero Hom
+spaces without forming delta are checked row for row against the odd
+entries of `hom_system`, and their rank against the rank mod 2 of its
+dict rows (``reference.rank_mod2_rows``).
 """
 
 from fractions import Fraction
@@ -19,8 +22,13 @@ from aisles import repcore
 from aisles.extspace import ExtMachine
 from aisles.linalg import Mat, rank_mod2, scaled_to_ints
 from aisles.quiver import BUILTIN_QUIVERS, d4_quiver, linear_quiver
-from aisles.repcore import Representation, enumerate_indecomposables, hom_space
-from reference import orientations
+from aisles.repcore import (
+    Representation,
+    enumerate_indecomposables,
+    euler_form,
+    hom_space,
+)
+from reference import odd_masks, orientations, rank_mod2_rows
 from test_linalg import reference_nullspace, reference_rref
 
 QUIVERS = [linear_quiver(2), linear_quiver(3), d4_quiver()]
@@ -172,7 +180,106 @@ def test_hom_singular_mod_2_falls_back_to_exact_elimination(monkeypatch):
 
     monkeypatch.setattr(repcore, "eliminate", counting)
     for X, Y, dim in ((M, S, 0), (M, M, 1)):
-        rows, ncols = repcore.hom_system(X, Y)
-        assert rank_mod2(rows) == 0 < ncols
+        masks, ncols = repcore.hom_parities(X, Y)
+        assert rank_mod2(masks) == 0 < ncols
         assert hom_space(X, Y)[0] == dim == len(reference_nullspace(fraction_delta(X, Y)))
     assert len(eliminated) == 2
+
+
+# -- the parity certificate and the Euler-form routing ----------------------------
+
+
+def assert_parities_match_rows(M, N):
+    """`hom_parities` is `hom_system` mod 2, row for row, and certifies
+    exactly when the rank mod 2 of the dict rows would."""
+    rows, ncols = repcore.hom_system(M, N)
+    masks, mask_cols = repcore.hom_parities(M, N)
+    assert mask_cols == ncols
+    assert masks == odd_masks(rows)
+    assert rank_mod2(masks) == rank_mod2_rows(rows)
+
+
+def assert_table_parities_match_rows(table):
+    reps = [e.rep for e in table.entries]
+    for M in reps:
+        for N in reps:
+            assert_parities_match_rows(M, N)
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "d5", "e6", "e7"])
+def test_parity_masks_match_the_dict_rows_on_every_table_pair(name):
+    assert_table_parities_match_rows(enumerate_indecomposables(BUILTIN_QUIVERS[name]()))
+
+
+@settings(max_examples=10, deadline=None)
+@given(orientations())
+def test_parity_masks_match_the_dict_rows_on_orientations(q):
+    assert_table_parities_match_rows(enumerate_indecomposables(q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs())
+def test_parity_masks_match_the_dict_rows_on_scaled_representations(pair):
+    # denominators 1-6: either scale D is even about half the time, and
+    # then the part of each row it multiplies has no odd entry
+    assert_parities_match_rows(*pair)
+
+
+def test_parity_masks_drop_the_part_an_even_scale_multiplies():
+    # both integer maps are [1]; the scales are D_M = 2 and D_N = 3
+    Q = linear_quiver(2)
+    (a,) = Q.arrows
+    u, w = a.source, a.target
+    M = Representation(Q, {u: 1, w: 1}, {a.name: Mat([[Fraction(1, 2)]])})
+    N = Representation(Q, {u: 1, w: 1}, {a.name: Mat([[Fraction(1, 3)]])})
+    # row (a, 0, 0) of D_M D_N delta is D_M (D_N N_a) at (u, 0, 0) and
+    # -D_N (D_M M_a) at (w, 0, 0): 2 * 1 and -3 * 1
+    assert repcore.hom_system(M, N) == ([{0: 2, 1: -3}], 2)
+    assert repcore.hom_parities(M, N) == ([0b10], 2)
+    # with the roles exchanged: 3 * 1 and -2 * 1
+    assert repcore.hom_system(N, M) == ([{0: 3, 1: -2}], 2)
+    assert repcore.hom_parities(N, M) == ([0b01], 2)
+
+
+def euler(M, N):
+    return euler_form(M.quiver, M.dimension_vector(), N.dimension_vector())
+
+
+def kernel_and_certificate_calls(M, N):
+    """`hom_kernel(M, N)` and the pairs it read the parities of."""
+    tried = []
+    parities = repcore.hom_parities
+
+    def recording(X, Y):
+        tried.append((X, Y))
+        return parities(X, Y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repcore, "hom_parities", recording)
+        return repcore.hom_kernel(M, N), tried
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs())
+def test_positive_euler_form_skips_the_certificate(pair):
+    """<dim M, dim N> = dim Hom - dim Ext^1, so a positive form means a
+    nonzero Hom: the parities are never read, and the kernel is the
+    exact nullspace of delta."""
+    M, N = pair
+    got, tried = kernel_and_certificate_calls(M, N)
+    want = reference_nullspace(fraction_delta(M, N))
+    assert got == [scaled_to_ints(v) for v in want]
+    if euler(M, N) > 0:
+        assert tried == [] and len(got) >= euler(M, N)
+    else:
+        assert tried == [(M, N)]
+
+
+def test_positive_euler_form_goes_straight_to_elimination():
+    """Over A2 with arrow map [1], <M, M> = 1: delta is the one odd row
+    [1, -1], and Hom(M, M) = k comes from elimination alone."""
+    Q = linear_quiver(2)
+    (a,) = Q.arrows
+    M = Representation(Q, {a.source: 1, a.target: 1}, {a.name: Mat([[1]])})
+    assert euler(M, M) == 1
+    assert kernel_and_certificate_calls(M, M) == ([[1, 1]], [])

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings
 
-from aisles import derived, tstruct
+from aisles import derived
 from aisles.derived import (
     DEFAULT_WINDOW,
     DerivedObject,
@@ -166,14 +166,15 @@ def test_masks_and_arrows_built_once_per_table_and_window(a3_table, monkeypatch)
 
 def test_successor_lists_built_once_per_table_and_window(a3_table, monkeypatch):
     walks = 0
-    arrows = tstruct.derived_ar_arrows
+    arrows = derived.derived_ar_arrows
 
     def counting_arrows(table, window):
         nonlocal walks
         walks += 1
         return arrows(table, window)
 
-    monkeypatch.setattr(tstruct, "derived_ar_arrows", counting_arrows)
+    # the successor lists are the adjacency built with the arrows
+    monkeypatch.setattr(derived, "derived_ar_arrows", counting_arrows)
     table = dataclasses.replace(a3_table)
     S = [DerivedObject(0, 0)]
     cones = {successors(S, table, DEFAULT_WINDOW) for _ in range(3)}

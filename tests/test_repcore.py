@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import hashlib
+import json
 import operator
 from fractions import Fraction
 
@@ -372,31 +374,74 @@ def test_coxeter_functor_must_return_to_the_quiver(monkeypatch):
         enumerate_indecomposables(linear_quiver(3))
 
 
+# -- the builtin tables, pinned ----------------------------------------------------
+
+# sha256 of the compact JSON of [dimension vectors, hom, ext, ar_arrows,
+# hom_vectors] of each builtin table, written by the table build that
+# formed every row of delta for every pair and tested its rank mod 2 on
+# those rows: any change of a root's position, a Hom or Ext dimension, an
+# AR arrow or a Hom basis vector shows here.
+TABLE_DIGESTS = {
+    "a2": "d3984f7a6660d305cdd9ba796deb1d70338cf6ccfa9996d9182429cb3451f54f",
+    "a3": "012972dd9f7314d893e2fbcb5b4e8a7866a14da94e5a09fa1532758bf83d03a4",
+    "a4": "c35529ab70cea194a9699ae7e5498f01d7164dad1ccf47e3b63afb30a4a8d25b",
+    "d4": "f9c95b2383521dd0a9ac543aa136a327f262c068821f7f1351417bf172f19bcb",
+    "d5": "39802965d966244d94a59005e04a747d9f353eec1d043a599ca70d62aa0d40af",
+    "e6": "a3d7446dea7f19430d77aa360d84072a52b7c945601debe9a8601b6b9b17d07c",
+    "e7": "ad0d8c8afcdd1354263d6f32870c082a39ca4745831d0c7c4c7d638e8f2ab48f",
+    "e8": "95fa168107b55f9eb91d5fcce9fb83d3dd97bbd1b54f69e3211ba7e0668c7eb6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
+def test_builtin_table_matches_its_pinned_digest(name):
+    assert sorted(TABLE_DIGESTS) == sorted(BUILTIN_QUIVERS)
+    t = enumerate_indecomposables(BUILTIN_QUIVERS[name]())
+    data = [[e.dimvec for e in t.entries], t.hom, t.ext, t.ar_arrows, t.hom_vectors]
+    text = json.dumps(data, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[name]
+
+
 # -- the certificate mod 2 ----------------------------------------------------------
 
 
 @pytest.mark.parametrize("name, nonzero, pairs", [("d5", 140, 400), ("e6", 462, 1296)])
 def test_only_nonzero_hom_systems_are_eliminated(monkeypatch, name, nonzero, pairs):
-    """Building the table, every zero Hom space is certified by its rank
-    mod 2, so the Hom systems that reach `eliminate` are exactly the
-    nonzero ones (the reflections eliminate too, on other rows)."""
-    systems, eliminated = [], []
-    hom_system, eliminate = repcore.hom_system, repcore.eliminate
+    """Building the table, every zero Hom space is certified by the rank
+    mod 2 of its parity masks, and every nonzero one is routed past them
+    by its positive Euler form (Dynkin modules are directing, so a
+    nonzero Hom between indecomposables comes with a zero Ext).  So delta
+    is built as rows, and eliminated, for exactly the nonzero pairs (the
+    reflections eliminate too, on other rows)."""
+    systems, certified, eliminated = [], [], []
+    hom_system, hom_parities = repcore.hom_system, repcore.hom_parities
+    eliminate = repcore.eliminate
 
     def recording_system(M, N):
         out = hom_system(M, N)
-        systems.append(out[0])
+        systems.append((M, N, out[0]))
         return out
+
+    def recording_parities(M, N):
+        certified.append((M, N))
+        return hom_parities(M, N)
 
     def recording_eliminate(rows):
         eliminated.append(rows)
         return eliminate(rows)
 
     monkeypatch.setattr(repcore, "hom_system", recording_system)
+    monkeypatch.setattr(repcore, "hom_parities", recording_parities)
     monkeypatch.setattr(repcore, "eliminate", recording_eliminate)
     table = enumerate_indecomposables(BUILTIN_QUIVERS[name]())
-    ids = {id(rows) for rows in systems}
-    assert len(systems) == len(ids) == pairs
-    reached = sum(id(rows) in ids for rows in eliminated)
-    assert reached == sum(map(bool, sum(table.hom, ()))) == nonzero
+    index = {id(e.rep): e.id for e in table.entries}
+    built = [(index[id(M)], index[id(N)]) for M, N, _rows in systems]
+    tried = [(index[id(M)], index[id(N)]) for M, N in certified]
+    want = [(i, j) for i, row in enumerate(table.hom) for j, h in enumerate(row) if h]
+    assert sorted(built) == want and len(set(built)) == len(built) == nonzero
+    n = len(table)
+    assert sorted(tried) == [(i, j) for i in range(n) for j in range(n) if not table.hom[i][j]]
+    assert len(tried) == pairs - nonzero
+    eliminated_ids = {id(rows) for rows in eliminated}
+    assert all(id(rows) in eliminated_ids for _M, _N, rows in systems)
     assert "hom_bases" not in vars(table)
