@@ -111,6 +111,10 @@ def emit_list(payload, key, items):
     sys.stdout.write(("]" if sep == "\n    " else "\n  ]") + tail + "\n")
 
 
+def _int_list(value):
+    return isinstance(value, list) and all(type(x) is int for x in value)
+
+
 def apply_table_patch(table, path):
     """Overwrite hom-table entries from a JSON fixture ``{"hom": [[i, j,
     value], ...]}``; used to show the verifiers actually detect wrong
@@ -132,9 +136,8 @@ def apply_table_patch(table, path):
     hom = [list(row) for row in table.hom]
     for entry in patch["hom"]:
         if not (
-            isinstance(entry, list)
+            _int_list(entry)
             and len(entry) == 3
-            and all(type(x) is int for x in entry)
             and 0 <= entry[0] < n
             and 0 <= entry[1] < n
             and entry[2] >= 0
@@ -337,10 +340,13 @@ def cmd_enumerate(args):
 def _parse_torsion(table, text):
     try:
         dimvecs = json.loads(text)
-        ids = frozenset(table.by_dimvec(tuple(d)).id for d in dimvecs)
-    except (ValueError, TypeError, KeyError) as exc:
+        if not (isinstance(dimvecs, list) and all(map(_int_list, dimvecs))):
+            raise ValueError("want a JSON list of dimension vectors of ints")
+        torsion = 0
+        for d in dimvecs:
+            torsion |= 1 << table.by_dimvec(tuple(d)).id
+    except (ValueError, KeyError) as exc:
         raise AislesError(f"bad torsion class {text!r}: {exc.args[0]}") from None
-    torsion = sum(1 << i for i in ids)
     free = module_relation(TableContext(table)).right_perp(torsion)
     tp = torsion_mod.pair_of_masks(torsion, free, table)
     if not torsion_mod.is_torsion_pair(tp, table):
@@ -462,18 +468,29 @@ def cmd_export_ar(args):
         try:
             with open(args.color_file, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            if not isinstance(data, dict):
+            if not (
+                isinstance(data, dict)
+                and data.keys() == {"members"}
+                and isinstance(data["members"], list)
+                and all(
+                    isinstance(m, list)
+                    and len(m) == 2
+                    and _int_list(m[0])
+                    and type(m[1]) is int
+                    for m in data["members"]
+                )
+            ):
                 raise AislesError(
                     'bad coloring file: want an object {"members": '
                     "[[dimvec, degree], ...]}"
                 )
             members = frozenset(
-                DerivedObject(table.by_dimvec(tuple(d)).id, int(deg))
-                for (d, deg) in data.get("members", [])
+                DerivedObject(table.by_dimvec(tuple(d)).id, deg)
+                for (d, deg) in data["members"]
             )
             if members:
                 coloring = DerivedSubcategory(window, members)
-        except (ValueError, KeyError, OSError, TypeError) as exc:
+        except (ValueError, KeyError, OSError) as exc:
             raise AislesError(f"bad coloring file: {exc}")
     sys.stdout.write(export_dot(table, window, coloring))
     return EXIT_OK

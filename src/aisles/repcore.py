@@ -10,9 +10,9 @@ dimension vector.  The table then records all Hom/Ext dimensions, the AR
 translate and the AR quiver, with every derived quantity cross-validated
 against an independent computation: End = k, Ext from the Euler form, the
 AR formula ext(X, Y) = hom(Y, tau X) against the walk's tau, the top of
-each projective against the vertex its orbit started from, and the
-knitted AR arrows against rad/rad^2 linear algebra.  Validation failures
-abort.
+each projective against the vertex its orbit started from, and the AR
+arrows, read off rad/rad^2, against the radical and mesh rules.
+Validation failures abort.
 
 Each Hom space is the kernel of Ringel's map delta (`hom_system`).  A
 pair whose Euler form is positive has a nonzero Hom and is eliminated
@@ -23,7 +23,7 @@ exactly; any other is first tried on the parities of delta
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import lcm
 from operator import mul
@@ -479,7 +479,8 @@ def enumerate_indecomposables(quiver):
 
     Raises UnsupportedError for non-Dynkin input and ConsistencyError if
     any of the cross-checks (entry count, Euler/AR identities, the
-    projective starting each orbit, knitting vs rad/rad^2) fails.
+    projective starting each orbit, the radical and mesh rules on the
+    rad/rad^2 arrows) fails.
     """
     expected = quiver.positive_root_count()  # raises UnsupportedError
     orbits = tau_minus_orbits(quiver, expected)
@@ -578,49 +579,44 @@ def enumerate_indecomposables(quiver):
         for i in range(n)
     )
 
-    arrows = _knit_ar_arrows(quiver, entries)
     table = IndecTable(
         quiver=quiver,
         entries=entries,
         hom=tuple(tuple(r) for r in hom),
         ext=tuple(tuple(r) for r in ext),
-        ar_arrows=tuple(sorted(arrows)),
+        ar_arrows=(),
         hom_vectors=tuple(map(tuple, vectors)),
     )
-    _validate_ar_arrows(table)
-    return table
+    return replace(table, ar_arrows=_ar_arrows(table))
 
 
-def _knit_ar_arrows(quiver, entries):
-    """AR arrows by knitting: the projective slice from radical inclusions
-    (rad P_v = direct sum of P_w over arrows v -> w), then mesh completion:
-    arrows into a non-projective X are the translates of arrows out of
-    tau X, iterated to a fixpoint."""
-    proj_of = {e.proj_vertex: e.id for e in entries if e.is_projective}
-    arrows = set()
-    for a in quiver.arrows:
-        arrows.add((proj_of[a.target], proj_of[a.source]))
-    changed = True
-    while changed:
-        changed = False
-        for e in entries:
-            if e.tau is None:
-                continue
-            for (src, tgt) in list(arrows):
-                if src == e.tau and (tgt, e.id) not in arrows:
-                    arrows.add((tgt, e.id))
-                    changed = True
-    # mesh property: middles of the mesh ending at X = arrows out of tau X
-    for e in entries:
-        if e.tau is None:
-            continue
-        ins = {s for s, t in arrows if t == e.id}
-        outs = {t for s, t in arrows if s == e.tau}
-        if ins != outs:
-            raise ConsistencyError(
-                f"incomplete mesh at {e.dimvec}: ins {ins} vs outs {outs}"
-            )
-    return arrows
+def _ar_arrows(table):
+    """The AR arrows in ascending order: the pairs (i, j) with
+    dim rad/rad^2 = 1 (`irreducible_dim`, 0 or 1 on every pair), checked
+    by the radical rule (the arrows into P_v leave the P_w, one per
+    quiver arrow v -> w, as rad P_v is their sum) and the mesh rule (the
+    arrows into a non-projective X are the arrows out of tau X).  These
+    fix the arrows: (Y, X) is one iff (tau X, Y) is, until X is projective."""
+    n = len(table.entries)
+    arrows = []
+    for i in range(n):
+        for j in range(n):
+            irr = irreducible_dim(i, j, table)
+            if irr not in (0, 1):
+                raise ConsistencyError(f"arrow multiplicity {irr} between {i} and {j}")
+            if irr:
+                arrows.append((i, j))
+    quiver = table.quiver
+    proj_of = {e.proj_vertex: e.id for e in table.entries if e.is_projective}
+    for e in table.entries:
+        if e.is_projective:
+            want = {proj_of[a.target] for a in quiver.arrows_from(e.proj_vertex)}
+        else:
+            want = {t for s, t in arrows if s == e.tau}
+        if {s for s, t in arrows if t == e.id} != want:
+            rule = "radical" if e.is_projective else "mesh"
+            raise ConsistencyError(f"{rule} rule fails at the arrows into {e.dimvec}")
+    return tuple(arrows)
 
 
 def irreducible_dim(i, j, table):
@@ -629,9 +625,8 @@ def irreducible_dim(i, j, table):
     For non-isomorphic indecomposables rad = Hom and rad^2 is spanned by
     composites g f of basis morphisms f: i -> m, g: m -> j through any
     third indecomposable m (radical endomorphisms vanish: End is trivial
-    over a Dynkin quiver).  The composites come from the Hom bases alone
-    and never from the knitted AR arrows, so this stays an independent
-    check of the knitting.
+    over a Dynkin quiver).  The composites come from the Hom bases alone,
+    and the table's AR arrows are read off this function.
 
     The composites are formed from the integer ``hom_vectors``; a nonzero
     scale does not change their span, so their rank is counted on ints
@@ -685,19 +680,3 @@ def _compose(g, f, dim_j, dim_m, dim_i):
                 k += 1
         at_f = end_f
     return out
-
-
-def _validate_ar_arrows(table):
-    n = len(table.entries)
-    knitted = set(table.ar_arrows)
-    for i in range(n):
-        for j in range(n):
-            irr = irreducible_dim(i, j, table)
-            if irr not in (0, 1):
-                raise ConsistencyError(
-                    f"arrow multiplicity {irr} between {i} and {j}"
-                )
-            if (irr == 1) != ((i, j) in knitted):
-                raise ConsistencyError(
-                    f"knitting disagrees with rad/rad^2 at ({i}, {j})"
-                )

@@ -43,28 +43,27 @@ MAX_TORSION_CLASSES = 60_000
 
 @dataclass(frozen=True)
 class Subcategory:
-    """A set of indecomposable ids inside one IndecTable; iteration is in
-    ascending id order, sorted once per instance."""
+    """A set of indecomposable ids inside one IndecTable as a bitmask, bit
+    i for id i; iteration is in ascending id order."""
 
-    members: frozenset
+    mask: int
 
     def __contains__(self, i):
-        return i in self.members
+        return self.mask >> i & 1 == 1
 
     @cached_property
     def _ordered(self):
-        return tuple(sorted(self.members))
+        return tuple(bits(self.mask))
 
     def __iter__(self):
         return iter(self._ordered)
 
-    @cached_property
-    def mask(self):
-        """The members as a bitmask, bit i for id i."""
-        return sum(1 << i for i in self.members)
+    @property
+    def members(self):
+        return frozenset(self._ordered)
 
     def __len__(self):
-        return len(self.members)
+        return self.mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -118,9 +117,7 @@ def is_split_mask(tmask, fmask, table):
 def pair_of_masks(tmask, fmask, table):
     """The `TorsionPair` with these torsion and free bitmasks."""
     return TorsionPair(
-        Subcategory(frozenset(bits(tmask))),
-        Subcategory(frozenset(bits(fmask))),
-        is_split_mask(tmask, fmask, table),
+        Subcategory(tmask), Subcategory(fmask), is_split_mask(tmask, fmask, table)
     )
 
 
@@ -294,23 +291,22 @@ def canonical_sequence_oracle(y, tp, table):
     A certification failure means the input was not a torsion pair; the
     failing Hom space is reported as a falsification witness.  The
     torsion-pair axioms are checked on the first call for each distinct
-    (torsion, free); only a pair that passes is kept in the memo, with
-    its torsion bitmask, so one that fails raises on every call.  The
-    trace, its subobject and quotient, and each certifying Hom dimension
-    are computed once per table and distinct trace (``_canonical_case``);
+    pair of (torsion, free) bitmasks; only a pair that passes is kept in
+    the memo, so one that fails raises on every call.  The trace, its
+    subobject and quotient, and each certifying Hom dimension are
+    computed once per table and distinct trace (``_canonical_case``);
     the free and then the torsion modules are still checked on every
     call, in order, so the first failing witness is the same as without
     the memo.
     """
-    pairs = table.memo.setdefault("oracle_pairs", {})
-    key = (tp.torsion.members, tp.free.members)
-    tmask = pairs.get(key)
-    if tmask is None:
+    checked = table.memo.setdefault("oracle_pairs", set())
+    tmask = tp.torsion.mask
+    if (tmask, tp.free.mask) not in checked:
         if not is_torsion_pair(tp, table):
             raise PreconditionError(
                 "input does not satisfy the torsion-pair axioms"
             )
-        tmask = pairs[key] = tp.torsion.mask
+        checked.add((tmask, tp.free.mask))
     _trace, sub, quot, sub_into, into_quot = _canonical_case(y, tmask, table)
     for f in tp.free:
         if f not in sub_into:

@@ -229,7 +229,7 @@ def verify_lemma41(ts, table):
         raise PreconditionError("biconditional asserted for split input")
     masks = _masks(table, ts.window)
     down_closed = not masks.shift(ts.aisle & masks.interior, -1) & ~ts.aisle
-    heart_empty = not any(ts.window.contains(h) for h in ts.heart)
+    heart_empty = not any(ts.window.is_interior(h) for h in ts.heart)
     return down_closed == heart_empty
 
 

@@ -148,15 +148,44 @@ def test_lift_rejects_non_torsion_class(capsys):
     assert "not a torsion class" in err
 
 
+SHAPE = "want a JSON list of dimension vectors of ints"
+
+
 @pytest.mark.parametrize(
     "text, token",
-    [("[[1,2,3]]", "(1, 2, 3)"), ("nope", "'nope'")],
-    ids=["unknown-dimvec", "not-json"],
+    [
+        ("[[1,2,3]]", "(1, 2, 3)"),
+        ("nope", "'nope'"),
+        ("{}", SHAPE),
+        ('""', SHAPE),
+        ("[[true,false]]", SHAPE),
+        ("[[1.0,0]]", SHAPE),
+        ("[1,0]", SHAPE),
+        ('[["1","0"]]', SHAPE),
+    ],
+    ids=[
+        "unknown-dimvec",
+        "not-json",
+        "object",
+        "string",
+        "bools",
+        "floats",
+        "flat-list",
+        "string-entries",
+    ],
 )
 def test_lift_malformed_torsion_is_usage_error(capsys, text, token):
     code, out, err = run(capsys, "lift", "--builtin", "a2", "--torsion", text)
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: bad torsion class") and token in err
+
+
+def test_lift_empty_torsion_class(capsys):
+    code, out, _ = run(capsys, "lift", "--builtin", "a2", "--torsion", "[]")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["aisle"].keys() == {"1", "2", "3"}
+    assert payload["heart"] == ["[0, 1]@1", "[1, 0]@1", "[1, 1]@1"]
 
 
 def test_classify_a2(capsys):
@@ -175,6 +204,19 @@ def test_verify_clean_table(capsys):
     names = {c["name"] for c in payload["checks"]}
     assert "euler_identity" in names
     assert "lift_trace_roundtrip" in names
+
+
+@pytest.mark.parametrize("window", ["-2..0", "-1..1", "0..2", "0..3", "-3..0"])
+@pytest.mark.parametrize("name", ["a2", "a3", "d4"])
+def test_verify_all_passes_with_degree_0_or_1_on_the_window_edge(
+    capsys, name, window
+):
+    """Lemma 4.1 reads the heart on interior degrees only, as it reads
+    the aisle's down-closure."""
+    code, out, _ = run(
+        capsys, "verify", "--builtin", name, "--suite", "all", f"--window={window}"
+    )
+    assert code == EXIT_OK and json.loads(out)["pass"] is True
 
 
 def test_verify_falsified_table_fails(capsys):
@@ -616,7 +658,23 @@ def test_quiver_file_not_utf8_is_usage_error(capsys, tmp_path):
     assert err.startswith("error: ") and "is not UTF-8 text" in err
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", '"members"', "3", "null"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        '"members"',
+        "3",
+        "null",
+        "{}",
+        '{"other": 1}',
+        '{"members": {}}',
+        '{"members": [[[1, 0], 0], [[0, 1], 1]], "other": 1}',
+        '{"members": [[[1, 0], 0.5]]}',
+        '{"members": [[[1, 0], "1"]]}',
+        '{"members": [[[1, 0], true]]}',
+        '{"members": [[[1.0, 0], 1]]}',
+    ],
+)
 def test_export_ar_color_file_not_an_object_is_usage_error(
     capsys, tmp_path, text
 ):

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import json
@@ -19,7 +18,6 @@ from aisles.quiver import (
 )
 from aisles.repcore import (
     Representation,
-    _validate_ar_arrows,
     compose_morphisms,
     enumerate_indecomposables,
     euler_form,
@@ -239,29 +237,30 @@ def test_irreducible_dim_matches_fraction_composites(name):
     assert got == want
 
 
-@pytest.mark.parametrize("name", ["d4", "d5"])
-def test_validation_catches_wrong_knitting(name):
-    """The early stop in `irreducible_dim` must not hide a knitting error:
-    dropping any AR arrow, or adding any non-arrow pair with nonzero Hom,
-    fails the rad/rad^2 check."""
+@pytest.mark.parametrize("name", ["a3", "d4", "d5", "e6"])
+def test_radical_and_mesh_rules_catch_every_flip(name, monkeypatch):
+    """The radical and mesh rules fix the AR arrows, so flipping
+    `irreducible_dim` on any one pair fails them: dropping an AR arrow,
+    adding a pair with nonzero Hom (the diagonal too), or adding a pair
+    with zero Hom.  On a3 each flip runs through the whole table build."""
     t = builtin_table(name)
-    arrows = set(t.ar_arrows)
     n = len(t.entries)
-    extra = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j and t.hom[i][j] and (i, j) not in arrows
-    ]
-    assert extra
-    wrong = [arrows - {a} for a in sorted(arrows)]
-    wrong += [arrows | {p} for p in extra]
-    for knitted in wrong:
-        patched = dataclasses.replace(t, ar_arrows=tuple(sorted(knitted)))
-        with pytest.raises(
-            ConsistencyError, match=r"knitting disagrees with rad/rad\^2"
-        ):
-            _validate_ar_arrows(patched)
+    irr = {(i, j): irreducible_dim(i, j, t) for i in range(n) for j in range(n)}
+    assert repcore._ar_arrows(t) == t.ar_arrows
+    flip = None
+
+    def flipped(i, j, table):
+        return irr[i, j] ^ ((i, j) == flip)
+
+    monkeypatch.setattr(repcore, "irreducible_dim", flipped)
+    build = (
+        (lambda: enumerate_indecomposables(t.quiver))
+        if name == "a3"
+        else (lambda: repcore._ar_arrows(t))
+    )
+    for flip in irr:
+        with pytest.raises(ConsistencyError, match=r"(radical|mesh) rule fails"):
+            build()
 
 
 def test_non_dynkin_rejected():

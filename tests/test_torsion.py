@@ -155,7 +155,7 @@ def test_oracle_trivial_cases(a2_table):
 def test_oracle_rejects_non_pair(a2_table):
     t = a2_table
     bogus = TorsionPair(
-        Subcategory(_ids(t, (1, 1))), Subcategory(_ids(t, (1, 0))), False
+        Subcategory(_mask(t, (1, 1))), Subcategory(_mask(t, (1, 0))), False
     )
     # a pair that fails its axioms is not remembered: it fails every call
     for _ in range(2):
@@ -392,9 +392,7 @@ def _brute_force_pairs(table):
         if tmask != tback:
             continue
         split = (tmask | fmask) == full
-        torsion = Subcategory(frozenset(bits(tmask)))
-        free = Subcategory(frozenset(bits(fmask)))
-        pairs.append(TorsionPair(torsion, free, split))
+        pairs.append(TorsionPair(Subcategory(tmask), Subcategory(fmask), split))
     return pairs
 
 
