@@ -61,7 +61,9 @@ def load_table(args):
         quiver = load_quiver_file(args.quiver)
     else:
         raise AislesError("no quiver given: use --quiver or --builtin")
-    if args.command != "enumerate":  # the only subcommand without a window
+    if args.command == "enumerate":  # the only subcommand without a window
+        torsion_mod.check_class_count(quiver.torsion_class_count())
+    else:
         check_window_objects(
             parse_window(args.window), quiver.positive_root_count()
         )
@@ -347,13 +349,13 @@ def _parse_torsion(table, text):
             torsion |= 1 << table.by_dimvec(tuple(d)).id
     except (ValueError, KeyError) as exc:
         raise AislesError(f"bad torsion class {text!r}: {exc.args[0]}") from None
-    free = module_relation(TableContext(table)).right_perp(torsion)
-    tp = torsion_mod.pair_of_masks(torsion, free, table)
-    if not torsion_mod.is_torsion_pair(tp, table):
+    relation = module_relation(TableContext(table))
+    free = relation.right_perp(torsion)  # so only T = lperp(F) can fail
+    if relation.left_perp(free) != torsion:
         raise AislesError(
             "the given dimension vectors are not a torsion class"
         )
-    return tp
+    return torsion_mod.pair_of_masks(torsion, free, table)
 
 
 def ts_to_json(ts, table):

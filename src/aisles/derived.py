@@ -4,7 +4,8 @@ Every object is a stalk: an indecomposable module placed in a single
 degree.  Hom spaces live only in degree gaps 0 (module Hom) and 1 (module
 Ext), the AR translate becomes a total bijection, and the derived AR
 quiver is the module AR quiver in each degree glued by cross-degree
-arrows from injectives to projectives one degree up.  The cross-degree
+arrows from injectives to projectives one degree up, kept as bitmask
+rows over the window objects like the Hom masks.  The cross-degree
 arrows are validated against rad/rad^2 of explicit extension classes
 (``aisles.extspace``: Ext^1 as the cokernel of the Hom system), so a
 wrong gluing rule aborts the build instead of propagating.
@@ -189,8 +190,8 @@ def derived_ar_arrows(table, window):
     """AR arrows of the windowed derived category: the module AR quiver
     in every degree plus the validated cross-degree arrows.  Every mesh
     whose translate lies in the window is checked for completeness, once
-    per table and window, on the window-index adjacency built with the
-    arrows and kept beside them (``ar_adjacency``)."""
+    per table and window, on the adjacency rows built with the arrows
+    and kept beside them (``ar_adjacency``)."""
     key = ("ar_arrows", window)
     if key not in table.memo:
         arrows, adjacency = _derived_ar_arrows(table, window)
@@ -200,9 +201,9 @@ def derived_ar_arrows(table, window):
 
 
 def ar_adjacency(table, window):
-    """Per window index (the order of ``all_objects``), the window indices
-    its derived AR arrows point to and those whose arrows point to it, in
-    arrow order, as (successors, predecessors); built by
+    """Per window index (the order of ``all_objects``), the bitmask of
+    the window indices its derived AR arrows point to and of those whose
+    arrows point to it, as (successors, predecessors); built by
     ``derived_ar_arrows``, which this calls once per table and window."""
     key = ("ar_adjacency", window)
     if key not in table.memo:
@@ -212,42 +213,28 @@ def ar_adjacency(table, window):
 
 def _derived_ar_arrows(table, window):
     cross = cross_arrow_pairs(table)
+    masks = hom_masks(TableContext(table), window)
+    n = masks.n
+    succ = [0] * len(masks.objects)
+    pred = [0] * len(masks.objects)
     arrows = []
     for d in window.degrees():
-        for (s, t) in table.ar_arrows:
-            arrows.append((DerivedObject(s, d), DerivedObject(t, d)))
-        if d < window.hi:
-            for (i, j) in cross:
-                arrows.append((DerivedObject(i, d), DerivedObject(j, d + 1)))
-    arrows.sort()
-    n = len(table.entries)
-    succ = [[] for _ in range(n * (window.hi - window.lo + 1))]
-    pred = [[] for _ in succ]
-    for (x, y) in arrows:
-        k = (x.degree - window.lo) * n + x.indec
-        m = (y.degree - window.lo) * n + y.indec
-        succ[k].append(m)
-        pred[m].append(k)
-    adjacency = succ, pred
-    _check_meshes(table, window, adjacency)
-    return arrows, adjacency
-
-
-def _check_meshes(table, window, adjacency):
-    """The arrows into each interior object are the arrows out of its
-    translate, when that lies in the window's interior too."""
-    succ, pred = adjacency
-    n = len(table.entries)
-    for d in window.interior():
         base = (d - window.lo) * n
-        for i in range(n):
-            z = DerivedObject(i, d)
-            tz = tau_derived(z, table)
-            if not window.is_interior(tz):
-                continue
-            tk = (tz.degree - window.lo) * n + tz.indec
-            if set(pred[base + i]) != set(succ[tk]):
-                raise ConsistencyError(f"incomplete derived mesh at {z}")
+        pairs = [(base + s, base + t) for (s, t) in table.ar_arrows]
+        if d < window.hi:
+            pairs += [(base + i, base + n + j) for (i, j) in cross]
+        for (k, m) in pairs:
+            succ[k] |= 1 << m
+            pred[m] |= 1 << k
+            arrows.append((masks.objects[k], masks.objects[m]))
+    arrows.sort()
+    # the arrows into each interior object are the arrows out of its
+    # translate, when that lies in the window's interior too
+    for k in bits(masks.interior):
+        t = masks.tau[k]
+        if masks.interior >> t & 1 and pred[k] != succ[t]:
+            raise ConsistencyError(f"incomplete derived mesh at {masks.objects[k]}")
+    return arrows, (succ, pred)
 
 
 # ---------------------------------------------------------------------------
@@ -441,33 +428,28 @@ class HomMasks:
     def members(self, mask):
         return [self.objects[k] for k in bits(mask)]
 
-    def layer(self, modules, degree):
-        """The module objects numbered in ``modules`` in one degree; 0
-        when the degree lies outside the window."""
-        out = 0
-        if self.window.lo <= degree <= self.window.hi:
-            base = (degree - self.window.lo) * self.n
-            for i in modules:
-                out |= 1 << (base + i)
-        return out
-
-    def above(self, modules, degree):
-        """The module objects numbered in ``modules``, in every window
-        degree from ``degree`` up."""
-        out = 0
-        for d in range(max(degree, self.window.lo), self.window.hi + 1):
-            out |= self.layer(modules, d)
-        return out
-
     def place(self, modules, degree):
         """The module mask ``modules`` (bit i: module object i) as the
-        window mask of those objects in one window degree."""
+        window mask of those objects in one degree; 0 when the degree
+        lies outside the window."""
+        if not self.window.lo <= degree <= self.window.hi:
+            return 0
         return modules << (degree - self.window.lo) * self.n
+
+    def above(self, modules, degree):
+        """The module mask ``modules`` placed in every window degree from
+        ``degree`` up."""
+        return sum(self.place(modules, d) for d in range(degree, self.window.hi + 1))
 
     def part(self, mask, degree):
         """The members of ``mask`` in one window degree, as a module
         mask."""
         return mask >> (degree - self.window.lo) * self.n & (1 << self.n) - 1
+
+    def translate(self, mask):
+        """The translates of the members of ``mask``, each of which must
+        lie in the window (as those of interior objects do)."""
+        return sum(1 << self.tau[k] for k in bits(mask))
 
     def lift(self, torsion, free, pivot):
         """The aisle and coaisle of the t-structure lifted from the module
@@ -553,6 +535,19 @@ class HomMasks:
             if not hit & ~inside:
                 found.append(tuple(t for t, _m, _r in combo))
         return found
+
+    @cached_property
+    def orbit_ends(self):
+        """Per window index, the one-bit mask of the tau-most object of
+        its tau-orbit in the window, and the mask of every such end, one
+        per orbit.  The translate never raises the degree, so an orbit
+        meets the window in one unbroken run."""
+        ends = []
+        for end in range(len(self.objects)):
+            while self.tau[end] is not None:
+                end = self.tau[end]
+            ends.append(1 << end)
+        return ends, union(ends, self.full)
 
     @cached_property
     def semipath_successors(self):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .derived import Components, Window, bits, check_window_objects, hom_masks
+from .derived import Components, Window, bits, check_window_objects, hom_masks, lowest
 from .errors import (
     PreconditionError,
     ShapeError,
@@ -66,9 +66,6 @@ class KroneckerObject:
 
     def at(self, degree):
         return KroneckerObject(self.kind, self.index, self.label, degree)
-
-    def shifted(self, s):
-        return self.at(self.degree + s)
 
     def name(self):
         if self.kind == REG:
@@ -330,20 +327,21 @@ def _threshold_families(model):
     if "threshold_families" not in model.memo:
         masks = _masks(model)
         lo, hi = model.window.lo, model.window.hi
-        modules = list(enumerate(model.module_objects()))
-        components = KroneckerContext(model).components()
-        pres, posts, _regular = map(bits, components)
+        pres, posts, regular = KroneckerContext(model).components()
         # postprojectives from degree j1, preinjectives (layer = degree
         # + 1) from degree j1 - 1
         families = [{
             j1: masks.above(posts, j1) | masks.above(pres, j1 - 1)
             for j1 in range(lo + 2, hi + 1)
         }]
-        for lam in model.tube_labels:
-            tube = [i for i, x in modules if x.label == lam]
+        # the regular modules run tube by tube in label order
+        # (``module_objects``), ``tube_depth`` of them each
+        tube = (1 << model.tube_depth) - 1 << lowest(regular)
+        for _lam in model.tube_labels:
             families.append(
                 {t: masks.above(tube, t) for t in range(lo + 1, hi + 1)}
             )
+            tube <<= model.tube_depth
         model.memo["threshold_families"] = families
     return model.memo["threshold_families"]
 

@@ -19,6 +19,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
+from math import comb
 
 from .errors import QuiverLoadError, UnsupportedError
 
@@ -181,6 +182,16 @@ class Quiver:
         if kind == "D":
             return n * (n - 1)
         return {6: 36, 7: 63, 8: 120}[n]
+
+    def torsion_class_count(self):
+        """The Coxeter-Catalan number of the Dynkin type: the number of
+        torsion classes of the path algebra, read off the type alone."""
+        kind, n = self.dynkin_type()
+        if kind == "A":
+            return comb(2 * n + 2, n + 1) // (n + 2)
+        if kind == "D":
+            return (3 * n - 2) * comb(2 * n - 2, n - 1) // n
+        return {6: 833, 7: 4_160, 8: 25_080}[n]
 
 
 def breadth_first(succ, sources, parent):

@@ -435,8 +435,8 @@ class IndecTable:
     # of each Hom(i, y) and which images lie inside which, the traces
     # keyed by members and by reduced rows, and the certificates keyed by
     # subobject or quotient), the validated cross-degree arrows, and per
-    # window the derived AR arrows with their successor and predecessor
-    # lists, the tau-orbit end of each window index and the Hom masks.
+    # window the derived AR arrows, their successor and predecessor
+    # bitmask rows, and the Hom masks (which hold the tau-orbit ends).
     # A copy made with dataclasses.replace starts empty, and without
     # ``hom_bases``, so a patched table is re-validated.
     memo: dict = field(

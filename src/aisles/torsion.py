@@ -77,6 +77,17 @@ def _relation(table):
     return module_relation(TableContext(table))
 
 
+def check_class_count(count):
+    """Refuse ``count`` torsion classes past ``MAX_TORSION_CLASSES``: the
+    closure search's cap, also checked on the Coxeter-Catalan number of
+    a quiver before its table is built."""
+    if count > MAX_TORSION_CLASSES:
+        raise UnsupportedError(
+            f"more than MAX_TORSION_CLASSES = {MAX_TORSION_CLASSES} "
+            "torsion classes; enumeration stopped at the class cap"
+        )
+
+
 def torsion_masks(table):
     """Every torsion pair as (torsion bitmask, free bitmask), sorted by
     the torsion bitmask: the closure search.  It raises
@@ -98,11 +109,7 @@ def torsion_masks(table):
             tnext = full & ~union(into, fnext)
             if tnext in free_of:
                 continue
-            if len(free_of) == MAX_TORSION_CLASSES:
-                raise UnsupportedError(
-                    f"more than MAX_TORSION_CLASSES = {MAX_TORSION_CLASSES} "
-                    "torsion classes; enumeration stopped at the class cap"
-                )
+            check_class_count(len(free_of) + 1)
             free_of[tnext] = fnext
             todo.append(tnext)
     return sorted(free_of.items())

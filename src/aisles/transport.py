@@ -195,7 +195,7 @@ def transport_chi(torsion, free, hm):
     masks = hm.masks
     _check_base_boundary(torsion, free, hm)
     heart_torsion = hm.heart & (
-        masks.place(torsion, 0) | masks.layer(range(masks.n), 1)
+        masks.place(torsion, 0) | masks.place((1 << masks.n) - 1, 1)
     )
     heart_free = hm.heart & masks.place(free, 0)
     _validate_heart_pair(heart_torsion, heart_free, hm)

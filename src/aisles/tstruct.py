@@ -9,8 +9,9 @@ A t-structure is a pair of window masks of the table's ``HomMasks``
 (``aisles.derived``), as a Kronecker aisle is: ``lift`` builds them with
 ``HomMasks.lift``, ``trace`` reads their degree-0 parts back into a
 torsion pair, and every Hom-vanishing, reachability and split-aisle scan
-runs on those masks.  Sections are checked on window indices, with the
-translates of ``HomMasks.tau`` and one tau-orbit end per index.
+runs on those masks.  Sections and successor cones are mask operations
+too: on the derived AR adjacency rows (``ar_adjacency``), the
+translates of ``HomMasks.tau`` and its ``orbit_ends``.
 
 All verifiers quantify over interior window degrees only; conclusions
 about boundary-adjacent objects are never asserted.
@@ -27,6 +28,7 @@ from .derived import (
     ar_adjacency,
     bits,
     hom_masks,
+    union,
 )
 from .errors import ConsistencyError, PreconditionError
 from .linalg import span_rank
@@ -81,12 +83,12 @@ def trace(ts, table):
     window lies in the aisle's or the coaisle's tail."""
     masks = _masks(table, ts.window)
     for i in range(masks.n):
-        if masks.layer([i], 1) & ~ts.aisle:
+        if masks.place(1 << i, 1) & ~ts.aisle:
             raise PreconditionError(
                 "aisle does not contain the shifted module "
                 f"{DerivedObject(i, 1).label(table)}"
             )
-        if masks.layer([i], -1) & ~ts.coaisle:
+        if masks.place(1 << i, -1) & ~ts.coaisle:
             raise PreconditionError(
                 "right orthogonal does not contain "
                 f"{DerivedObject(i, -1).label(table)}"
@@ -118,54 +120,37 @@ def ext_projectives(ts, table):
 
 def section_check(S, table, window):
     """One object per interior tau-orbit, compatible with the AR arrows
-    up to translation (the presection condition).  Only the arrows at
-    members of S are looked at, as window indices."""
+    up to translation (the presection condition): each interior
+    non-member an arrow from S reaches has its translate in S, and each
+    one with an arrow into S is the translate of a member."""
     if not all(window.is_interior(x) for x in S):
         return False
     masks = _masks(table, window)
-    members = {masks.index[x] for x in S}
-    ends, orbits = _orbit_ends(table, masks)
-    hit = {ends[k] for k in members}
-    if len(hit) != len(members) or len(hit) != orbits:
+    members = masks.mask(S)
+    ends, every = masks.orbit_ends
+    hit = union(ends, members)
+    if hit != every or hit.bit_count() != members.bit_count():
         return False
-    translates = {masks.tau[k] for k in members}
     succ, pred = ar_adjacency(table, window)
-    for k in members:
-        for j in succ[k]:
-            if masks.interior >> j & 1 and j not in members:
-                if masks.tau[j] not in members:
-                    return False
-        for j in pred[k]:
-            if masks.interior >> j & 1 and j not in members:
-                if j not in translates:
-                    return False
-    return True
-
-
-def _orbit_ends(table, masks):
-    """Per window index, the index of the tau-most object of its tau-orbit
-    in the window, and the number of orbits; built once per table and
-    window and kept in ``table.memo``.  The translate never raises the
-    degree, so an orbit meets the window in one unbroken run."""
-    key = ("orbit_ends", masks.window)
-    if key not in table.memo:
-        ends = []
-        for end in range(len(masks.objects)):
-            while masks.tau[end] is not None:
-                end = masks.tau[end]
-            ends.append(end)
-        table.memo[key] = ends, len(set(ends))
-    return table.memo[key]
+    outside = masks.interior & ~members
+    return not (
+        masks.translate(union(succ, members) & outside) & ~members
+        or union(pred, members) & outside & ~masks.translate(members)
+    )
 
 
 def successors(S, table, window):
     """Reflexive-transitive closure of the objects ``S`` under the
     derived AR arrows, as a mask of the table's ``HomMasks`` for
-    ``window``."""
+    ``window``: OR the successor rows of the new objects until none
+    is added."""
     masks = _masks(table, window)
-    sources = [masks.index[x] for x in S if window.contains(x)]
     succ, _pred = ar_adjacency(table, window)
-    return sum(1 << k for k in breadth_first(succ, sources, {}))
+    cone = new = masks.mask(x for x in S if window.contains(x))
+    while new:
+        new = union(succ, new) & ~cone
+        cone |= new
+    return cone
 
 
 def _first_semipath(masks, source, targets):
@@ -295,7 +280,7 @@ def classify_split(table, window, split_pairs):
         # the Hom-orthogonal ones are the split aisles
         degrees = range(window.lo + 1, window.hi + 1)
         scan = masks.orthogonal_unions(
-            [[(t, masks.above([i], t)) for t in degrees] for i in range(masks.n)]
+            [[(t, masks.above(1 << i, t)) for t in degrees] for i in range(masks.n)]
         )
         # expected family: pivoted lifts at every pivot whose thresholds
         # stay inside the scan range, plus the top tail aisle
@@ -341,7 +326,7 @@ def verify_cor64(ts, table, candidates=None):
             diagnostics.append(f"{e.label(table)} outside the heart")
     masks = _masks(table, window)
     # per f, every other shift of f inside the window
-    shifts = [masks.above([f.indec], window.lo) & ~(1 << masks.index[f]) for f in E]
+    shifts = [masks.above(1 << f.indec, window.lo) & ~(1 << masks.index[f]) for f in E]
     for e in E:
         for f, f_shifts in zip(E, shifts):
             for k in bits(masks.out[masks.index[e]] & f_shifts):

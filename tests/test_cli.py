@@ -436,13 +436,38 @@ def test_verify_output_deterministic(capsys):
     assert first == second
 
 
-def test_enumerate_over_class_cap_is_usage_error(capsys, monkeypatch):
-    # A3 has 14 torsion classes; a cap of 13 must stop the search.
+def test_enumerate_over_class_cap_is_usage_error(capsys, monkeypatch, a3_table):
+    # A3 has 14 torsion classes; a cap of 13 stops the closure search,
+    # and the CLI refuses A3 before it builds the table
     monkeypatch.setattr(torsion, "MAX_TORSION_CLASSES", 13)
+    with pytest.raises(UnsupportedError, match="MAX_TORSION_CLASSES = 13"):
+        torsion.torsion_masks(a3_table)
     code, out, err = run(capsys, "enumerate", "--builtin", "a3")
     assert code == EXIT_USAGE
     assert out == ""
     assert "MAX_TORSION_CLASSES = 13" in err
+
+
+def test_enumerate_refuses_a_quiver_over_the_class_cap_unbuilt(
+    capsys, monkeypatch, tmp_path
+):
+    # linear A11 has Cat(12) = 208,012 torsion classes
+    path = tmp_path / "a11.quiver"
+    path.write_text(
+        "".join(f"vertex {v}\n" for v in range(1, 12))
+        + "".join(f"arrow a{v}: {v} -> {v + 1}\n" for v in range(1, 11))
+    )
+
+    def no_table(quiver):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "enumerate_indecomposables", no_table)
+    code, out, err = run(capsys, "enumerate", "--quiver", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "error: more than MAX_TORSION_CLASSES = 60000 torsion classes; "
+        "enumeration stopped at the class cap\n"
+    )
 
 
 @pytest.mark.parametrize("flag", [[], ["--split-only"]], ids=["all", "split-only"])

@@ -1,6 +1,8 @@
 """The Hom-mask core against the reference gap rules, and its memo."""
 
 import dataclasses
+import functools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -137,31 +139,34 @@ def test_ringel_criterion_matches_semipath_definition(a3_table, d4_table, window
 
 
 def test_masks_and_arrows_built_once_per_table_and_window(a3_table, monkeypatch):
-    builds = meshes = 0
-    build, check = derived.HomMasks, derived._check_meshes
+    builds = arrow_builds = 0
+    build, build_arrows = derived.HomMasks, derived._derived_ar_arrows
 
     def counting_build(context, window):
         nonlocal builds
         builds += 1
         return build(context, window)
 
-    def counting_check(table, window, arrows):
-        nonlocal meshes
-        meshes += 1
-        check(table, window, arrows)
+    def counting_arrows(table, window):
+        nonlocal arrow_builds
+        arrow_builds += 1
+        return build_arrows(table, window)
 
+    # the arrows, their adjacency rows and the mesh check are one build
     monkeypatch.setattr(derived, "HomMasks", counting_build)
-    monkeypatch.setattr(derived, "_check_meshes", counting_check)
+    monkeypatch.setattr(derived, "_derived_ar_arrows", counting_arrows)
     table = dataclasses.replace(a3_table)
     for _ in range(3):
         hom_masks(TableContext(table), DEFAULT_WINDOW)
         derived_ar_arrows(table, DEFAULT_WINDOW)
-    assert (builds, meshes) == (1, 1)
+        derived.ar_adjacency(table, DEFAULT_WINDOW)
+    assert (builds, arrow_builds) == (1, 1)
     # a patched copy starts with an empty memo and is checked again
     patched = dataclasses.replace(table)
+    derived.ar_adjacency(patched, DEFAULT_WINDOW)
     hom_masks(TableContext(patched), DEFAULT_WINDOW)
     derived_ar_arrows(patched, DEFAULT_WINDOW)
-    assert (builds, meshes) == (2, 2)
+    assert (builds, arrow_builds) == (2, 2)
 
 
 def test_successor_lists_built_once_per_table_and_window(a3_table, monkeypatch):
@@ -186,7 +191,75 @@ def test_successor_lists_built_once_per_table_and_window(a3_table, monkeypatch):
     assert walks == 3
 
 
-def test_derived_mesh_check_raises_on_a_missing_arrow(a3_table):
-    broken = dataclasses.replace(a3_table, ar_arrows=a3_table.ar_arrows[1:])
-    with pytest.raises(ConsistencyError):
+@functools.cache
+def _table(name):
+    return enumerate_indecomposables(BUILTIN_QUIVERS[name]())
+
+
+@pytest.mark.parametrize(
+    "name, drop",
+    [
+        (name, k)
+        for name in ("a3", "d4", "d5")
+        for k in range(len(_table(name).ar_arrows))
+    ],
+    ids=str,
+)
+def test_derived_mesh_check_raises_on_a_missing_arrow(name, drop):
+    """Every module AR arrow is needed: dropping any one breaks a mesh."""
+    table = _table(name)
+    arrows = table.ar_arrows[:drop] + table.ar_arrows[drop + 1:]
+    broken = dataclasses.replace(table, ar_arrows=arrows)
+    with pytest.raises(ConsistencyError, match="incomplete derived mesh"):
         derived_ar_arrows(broken, DEFAULT_WINDOW)
+
+
+def _reference_cone(arrows, sources):
+    """Breadth-first successor cone over derived AR arrow pairs."""
+    out = {}
+    for x, y in arrows:
+        out.setdefault(x, []).append(y)
+    seen, todo = set(sources), deque(sources)
+    while todo:
+        for y in out.get(todo.popleft(), ()):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def _assert_adjacency_matches_arrows(table, window):
+    arrows = derived_ar_arrows(table, window)
+    assert arrows == sorted(arrows)
+    masks = hom_masks(TableContext(table), window)
+    succ, pred = derived.ar_adjacency(table, window)
+    from_rows = sorted(
+        (masks.objects[k], masks.objects[m])
+        for k, row in enumerate(succ)
+        for m in derived.bits(row)
+    )
+    assert from_rows == arrows
+    assert pred == [
+        sum(1 << k for k, row in enumerate(succ) if row >> m & 1)
+        for m in range(len(succ))
+    ]
+    for x in masks.objects:
+        want = masks.mask(_reference_cone(arrows, [x]))
+        assert successors([x], table, window) == want, x
+    degree0 = [x for x in masks.objects if x.degree == 0]
+    assert successors(degree0, table, window) == masks.mask(
+        _reference_cone(arrows, degree0)
+    )
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "d5", "e6"])
+def test_adjacency_rows_and_cones_match_the_arrow_pairs(name):
+    _assert_adjacency_matches_arrows(_table(name), DEFAULT_WINDOW)
+
+
+@settings(max_examples=15, deadline=None)
+@given(orientations())
+def test_adjacency_rows_and_cones_match_on_any_orientation(quiver):
+    _assert_adjacency_matches_arrows(
+        enumerate_indecomposables(quiver), Window(-1, 2)
+    )

@@ -460,13 +460,21 @@ def test_coxeter_catalan_counts(name, count):
 
 def _coxeter_catalan(name):
     """The torsion-class count of a Dynkin type by its closed form: A_n
-    Cat(n + 1), D_n (3n - 2)/n * C(2n - 2, n - 1), E6 833."""
-    kind, n = name[0], int(name[1:])
+    Cat(n + 1), D_n (3n - 2)/n * C(2n - 2, n - 1), E6, E7, E8 833,
+    4160, 25080 (Ingalls-Thomas)."""
+    kind, n = name[0].upper(), int(name[1:])
     if kind == "A":
         return _catalan(n + 1)
     if kind == "D":
         return (3 * n - 2) * comb(2 * n - 2, n - 1) // n
-    return {6: 833}[n]
+    return {6: 833, 7: 4160, 8: 25080}[n]
+
+
+def test_quiver_class_count_is_coxeter_catalan():
+    for name, build in BUILTIN_QUIVERS.items():
+        assert build().torsion_class_count() == _coxeter_catalan(name), name
+    for n in range(1, 13):
+        assert linear_quiver(n).torsion_class_count() == _coxeter_catalan(f"A{n}")
 
 
 @settings(max_examples=20, deadline=None)
