@@ -1,12 +1,12 @@
-"""Command-line interface.
+"""Command-line interface: argument parsing, loading and output.
 
 Subcommands: enumerate, lift, trace, classify, verify, transport,
-export-ar.  All machine-readable output is JSON with sorted keys and
-fixed orderings, so identical configurations produce byte-identical
-output.  Exit codes: 0 success, 1 verification failure, 2 usage or load
-error.  Inputs over a size budget (``MAX_WINDOW_OBJECTS``,
-``MAX_SCAN_CANDIDATES``, ``MAX_TORSION_CLASSES``) exit 2 before the
-work starts.
+export-ar; `verify` runs a model's table of ``aisles.suites``.  All
+machine-readable output is JSON with sorted keys and fixed orderings, so
+identical configurations produce byte-identical output.  Exit codes: 0
+success, 1 verification failure, 2 usage or load error.  Inputs over a
+size budget (``MAX_WINDOW_OBJECTS``, ``MAX_SCAN_CANDIDATES``,
+``MAX_TORSION_CLASSES``) exit 2 before the work starts.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ from .derived import (
     hom_masks,
     module_relation,
 )
-from .errors import AislesError, ConsistencyError, PreconditionError
+from .errors import AislesError
 from .quiver import BUILTIN_QUIVERS, load_quiver_file
-from .repcore import enumerate_indecomposables, euler_form
+from .repcore import enumerate_indecomposables
+from .suites import DYNKIN_SUITES, KRONECKER_SUITES, run_suites, split_pairs
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -154,163 +155,6 @@ def apply_table_patch(table, path):
 
 
 # ---------------------------------------------------------------------------
-# Verification suites
-# ---------------------------------------------------------------------------
-
-
-def _failed(name, witness):
-    return {"name": name, "pass": False, "witness": witness}
-
-
-def check_table_consistency(table):
-    """Euler-form and AR-formula identities over the whole table; the
-    first failure is reported with its witness pair."""
-    n = len(table.entries)
-    for i in range(n):
-        for j in range(n):
-            euler = euler_form(
-                table.quiver, table.entries[i].dimvec, table.entries[j].dimvec
-            )
-            t = table.entries[i].tau
-            ar = 0 if t is None else table.hom[j][t]
-            for name, ok in (
-                ("euler_identity", table.hom[i][j] - table.ext[i][j] == euler),
-                ("ar_formula", table.ext[i][j] == ar),
-            ):
-                if not ok:
-                    return [_failed(name, f"({i},{j})")]
-    return [
-        {"name": "euler_identity", "pass": True},
-        {"name": "ar_formula", "pass": True},
-    ]
-
-
-def _pairs(table):
-    """All torsion pairs of ``table``, enumerated once per table and kept
-    in its memo for the suites that follow."""
-    if "torsion_pairs" not in table.memo:
-        table.memo["torsion_pairs"] = torsion_mod.enumerate_torsion_pairs(table)
-    return table.memo["torsion_pairs"]
-
-
-def _split_pairs(table):
-    return [tp for tp in _pairs(table) if tp.split]
-
-
-def suite_roundtrip(table, window):
-    pairs = _pairs(table)
-    checks = [{"name": "lift_trace_roundtrip", "pass": True}]
-    for tp in pairs:
-        ts = tstruct.lift(tp, table, window)
-        back = tstruct.trace(ts, table)
-        if back != tp or tstruct.lift(back, table, window).aisle != ts.aisle:
-            witness = torsion_mod.pair_to_json(tp, table)
-            checks = [_failed("lift_trace_roundtrip", witness)]
-            break
-    oracle = _oracle_check(pairs, table)
-    # no later suite reads the oracle's memo: free it before they run
-    torsion_mod.forget_oracle_memo(table)
-    return checks + [oracle]
-
-
-def _oracle_check(pairs, table):
-    for tp in pairs:
-        for y in range(len(table.entries)):
-            try:
-                torsion_mod.canonical_sequence_oracle(y, tp, table)
-            except (ConsistencyError, PreconditionError) as exc:
-                return _failed("canonical_sequence_oracle", str(exc))
-    return {"name": "canonical_sequence_oracle", "pass": True}
-
-
-def suite_semipath(table, window):
-    for tp in _split_pairs(table):
-        ts = tstruct.lift(tp, table, window)
-        ok, witness = tstruct.verify_lemma42(ts, table)
-        if not ok:
-            labels = [x.label(table) for x in witness]
-            return [_failed("no_aisle_to_orthogonal_semipath", labels)]
-        if not tstruct.verify_lemma41(ts, table):
-            pair = torsion_mod.pair_to_json(tp, table)
-            return [_failed("triangulated_iff_zero_heart", pair)]
-    ringel = tstruct.ringel_criterion(table, window)
-    return [
-        {"name": "no_aisle_to_orthogonal_semipath", "pass": True},
-        {"name": "triangulated_iff_zero_heart", "pass": True},
-        {"name": "ringel_witnesses_nonempty", "pass": bool(ringel)},
-    ]
-
-
-def suite_classify(table, window):
-    report = tstruct.classify_split(table, window, _split_pairs(table))
-    return [
-        {
-            "name": "split_classification",
-            "pass": all(case["pass"] for case in report),
-            "cases": report,
-        }
-    ]
-
-
-def suite_cor64(table, window):
-    for _pivot, _tp, ts in tstruct.enumerate_split_tstructures(
-        table, window, _split_pairs(table)
-    ):
-        E = tstruct.ext_projectives(ts, table)
-        if not E:
-            continue
-        ok, diagnostics = tstruct.verify_cor64(ts, table, candidates=E)
-        if not ok:
-            return [_failed("tilting_complex_checks", diagnostics)]
-    return [{"name": "tilting_complex_checks", "pass": True}]
-
-
-DYNKIN_SUITES = {
-    "consistency": lambda table, window: check_table_consistency(table),
-    "roundtrip": suite_roundtrip,
-    "semipath": suite_semipath,
-    "classify": suite_classify,
-    "cor64": suite_cor64,
-}
-
-
-def run_dynkin_verify(table, window, suite):
-    names = list(DYNKIN_SUITES) if suite == "all" else [suite]
-    checks = []
-    for name in names:
-        if name not in DYNKIN_SUITES:
-            raise AislesError(f"unknown suite {name!r}")
-        try:
-            checks.extend(DYNKIN_SUITES[name](table, window))
-        except (ConsistencyError, PreconditionError) as exc:
-            # inconsistent input data surfaces as a failed check, not a crash
-            checks.append(
-                {"name": f"{name}_internal", "pass": False, "witness": str(exc)}
-            )
-    return checks
-
-
-def run_kronecker_verify(model, suite):
-    checks = []
-    if suite in ("all", "63b"):
-        report = kr.verify_63b(model)
-        checks.append(
-            {"name": "tame_split_classification", "pass": report["pass"],
-             "cases": len(report["cases"])}
-        )
-    if suite in ("all", "53"):
-        T = transport_mod.TiltingSet(frozenset({kr.post(1), kr.post(2)}))
-        report = transport_mod.verify_theorem53(model, T)
-        checks.append(
-            {"name": "three_way_bijection", "pass": report["pass"],
-             "cases": len(report["cases"])}
-        )
-    if not checks:
-        raise AislesError(f"unknown suite {suite!r} for the tame model")
-    return checks
-
-
-# ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
@@ -401,8 +245,7 @@ def cmd_trace(args):
 def cmd_classify(args):
     table = load_table(args)
     window = parse_window(args.window)
-    split_pairs = _split_pairs(table)
-    report = tstruct.classify_split(table, window, split_pairs)
+    report = tstruct.classify_split(table, window, split_pairs(table))
     ok = all(case["pass"] for case in report)
     emit({"quiver": table.quiver.name, "cases": report, "pass": ok})
     return EXIT_OK if ok else EXIT_FAIL
@@ -416,8 +259,7 @@ def cmd_verify(args):
                 "--table-patch patches a Dynkin Hom table; the Kronecker "
                 "model has none"
             )
-        model = load_model(args)
-        checks = run_kronecker_verify(model, args.suite)
+        suites, subject = KRONECKER_SUITES, load_model(args)
     else:
         for name in KRONECKER_OPTIONS:
             if getattr(args, name) is not None:
@@ -425,10 +267,10 @@ def cmd_verify(args):
                     f"--{name.replace('_', '-')} shapes the Kronecker model; "
                     "a Dynkin quiver takes none"
                 )
-        table = load_table(args)
+        suites, subject = DYNKIN_SUITES, load_table(args)
         if args.table_patch:
-            table = apply_table_patch(table, args.table_patch)
-        checks = run_dynkin_verify(table, window, args.suite)
+            subject = apply_table_patch(subject, args.table_patch)
+    checks = run_suites(suites, subject, window, args.suite)
     ok = all(c["pass"] for c in checks)
     emit({"checks": checks, "pass": ok})
     return EXIT_OK if ok else EXIT_FAIL

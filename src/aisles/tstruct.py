@@ -121,8 +121,13 @@ def ext_projectives(ts, table):
 def section_check(S, table, window):
     """One object per interior tau-orbit, compatible with the AR arrows
     up to translation (the presection condition): each interior
-    non-member an arrow from S reaches has its translate in S, and each
-    one with an arrow into S is the translate of a member."""
+    non-member an arrow from S reaches has its translate in S.  Its dual
+    (each interior non-member with an arrow into S is a translate of a
+    member) follows: an arrow y -> s of ZΔ gives the path tau^k y ->
+    tau^k s -> ... -> y -> s, whose objects are interior when its ends
+    are, so if S meets the orbit of a non-member y at tau^k y (k >= 1),
+    tau^k s breaks the condition, and if at tau^-k y (k >= 2), tau^-1 y
+    does."""
     if not all(window.is_interior(x) for x in S):
         return False
     masks = _masks(table, window)
@@ -131,12 +136,9 @@ def section_check(S, table, window):
     hit = union(ends, members)
     if hit != every or hit.bit_count() != members.bit_count():
         return False
-    succ, pred = ar_adjacency(table, window)
-    outside = masks.interior & ~members
-    return not (
-        masks.translate(union(succ, members) & outside) & ~members
-        or union(pred, members) & outside & ~masks.translate(members)
-    )
+    succ, _pred = ar_adjacency(table, window)
+    reached = union(succ, members) & masks.interior & ~members
+    return not masks.translate(reached) & ~members
 
 
 def successors(S, table, window):

@@ -9,15 +9,7 @@ import pathlib
 
 import pytest
 
-from aisles.cli import (
-    EXIT_FAIL,
-    EXIT_OK,
-    EXIT_USAGE,
-    apply_table_patch,
-    check_table_consistency,
-    main,
-    run_dynkin_verify,
-)
+from aisles.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, apply_table_patch, main
 from aisles.derived import Window
 from aisles.kronecker import (
     default_model,
@@ -29,6 +21,7 @@ from aisles.kronecker import (
 )
 from aisles.errors import TiltingUnsupportedError
 from aisles.repcore import euler_form, hom_space
+from aisles.suites import DYNKIN_SUITES, check_table_consistency, run_suites
 from aisles.torsion import canonical_sequence_oracle, enumerate_torsion_pairs
 from aisles.transport import (
     KroneckerContext,
@@ -148,7 +141,7 @@ def test_semipath_separation_and_falsifiability(a2_table, a3_table):
                 assert verify_lemma41(ts, table)
             assert ringel_criterion(table, WINDOW)
         patched = apply_table_patch(a2_table, FIXTURES / "falsified_hom.json")
-        checks = run_dynkin_verify(patched, WINDOW, "all")
+        checks = run_suites(DYNKIN_SUITES, patched, WINDOW, "all")
         assert not all(c["pass"] for c in checks)
 
     _gate("semipath-separation", check)

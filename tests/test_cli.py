@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from aisles import cli, derived, kronecker, repcore, torsion
+from aisles import cli, derived, kronecker, repcore, suites, torsion, tstruct
 from aisles.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from aisles.errors import UnsupportedError
 from aisles.quiver import BUILTIN_QUIVERS
@@ -537,19 +537,19 @@ def test_cor64_suite_computes_ext_projectives_once(a3_table, window, monkeypatch
     """One Ext-projective computation per split t-structure: the suite
     hands its set to verify_cor64 instead of having it recomputed."""
     calls = 0
-    compute = cli.tstruct.ext_projectives
+    compute = tstruct.ext_projectives
 
     def counting(ts, table):
         nonlocal calls
         calls += 1
         return compute(ts, table)
 
-    monkeypatch.setattr(cli.tstruct, "ext_projectives", counting)
-    structures = cli.tstruct.enumerate_split_tstructures(
-        a3_table, window, cli._split_pairs(a3_table)
+    monkeypatch.setattr(tstruct, "ext_projectives", counting)
+    structures = tstruct.enumerate_split_tstructures(
+        a3_table, window, suites.split_pairs(a3_table)
     )
-    assert cli.suite_cor64(a3_table, window) == [
-        {"name": "tilting_complex_checks", "pass": True}
+    assert suites.suite_cor64(a3_table, window) == [
+        {"name": "tilting_complex_checks", "pass": True, "cases": len(structures)}
     ]
     assert calls == len(structures)
 
@@ -568,9 +568,9 @@ def test_oracle_warm_memo_keeps_the_first_witness(a3_table, tmp_path, patch):
         path.write_text(json.dumps({"hom": patch}))
     table = cli.apply_table_patch(a3_table, str(path))
     pairs = torsion.enumerate_torsion_pairs(table)
-    first = cli._oracle_check(pairs, table)
+    first = suites._oracle_check(pairs, table)
     assert "oracle_cases" in table.memo
-    assert cli._oracle_check(pairs, table) == first
+    assert suites._oracle_check(pairs, table) == first
     assert first["pass"] is (patch is None)
     if patch is not None:
         side = "/trace)" if patch == [[4, 0, 1]] else "Hom(trace("
@@ -591,9 +591,9 @@ def test_roundtrip_suite_solves_each_certificate_once(window, monkeypatch):
         return solve(M, N)
 
     monkeypatch.setattr(torsion, "hom_space", counting)
-    assert cli.suite_roundtrip(table, window) == [
-        {"name": "lift_trace_roundtrip", "pass": True},
-        {"name": "canonical_sequence_oracle", "pass": True},
+    assert suites.suite_roundtrip(table, window) == [
+        {"name": "lift_trace_roundtrip", "pass": True, "cases": 182},
+        {"name": "canonical_sequence_oracle", "pass": True, "cases": 182 * 20},
     ]
     assert 0 < calls <= 4000
     # the suite leaves no oracle memo behind for the later suites
@@ -618,8 +618,8 @@ def test_oracle_builds_each_image_and_checks_each_pair_once(monkeypatch):
             return inner(*args)
 
         monkeypatch.setattr(torsion, name, counting)
-    assert cli._oracle_check(pairs, table)["pass"]
-    assert cli._oracle_check(pairs, table)["pass"]
+    assert suites._oracle_check(pairs, table)["pass"]
+    assert suites._oracle_check(pairs, table)["pass"]
     calls = Counter(name for name, _ in seen)
     assert calls["is_torsion_pair"] == len(pairs) == 182
     n = len(table.entries)
@@ -646,7 +646,7 @@ def test_oracle_certificates_are_all_proved_zero_mod_2(monkeypatch):
         return eliminate(rows)
 
     monkeypatch.setattr(repcore, "eliminate", counting)
-    assert cli._oracle_check(pairs, table)["pass"]
+    assert suites._oracle_check(pairs, table)["pass"]
     assert eliminated == 0 and table.memo["oracle_certificates"]
 
 
@@ -727,8 +727,8 @@ def test_verify_all_enumerates_torsion_pairs_once(capsys, monkeypatch, a3_table)
     code, _, _ = run(capsys, "verify", "--builtin", "a3", "--suite", "all")
     assert code == EXIT_OK and calls == 1
     table = dataclasses.replace(a3_table)
-    pairs = cli._pairs(table)
-    assert cli._pairs(table) is pairs and calls == 2
+    pairs = suites._pairs(table)
+    assert suites._pairs(table) is pairs and calls == 2
     patched = cli.apply_table_patch(table, str(FIXTURES / "falsified_hom.json"))
-    assert cli._pairs(patched) == enumerate_pairs(patched) != pairs
+    assert suites._pairs(patched) == enumerate_pairs(patched) != pairs
     assert calls == 3

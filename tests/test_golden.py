@@ -4,8 +4,13 @@ The fixtures under ``fixtures/golden`` were written before the code they
 pin was last restructured: the first seven by the subset-scan torsion
 enumeration, the next five by the per-model Hom scans that the shared
 Hom-mask core replaced, and the ``lift``/``trace`` ones by the lift that
-stored aisles as sets of stalk objects.  Any change to enumeration
-order, witness choice, pair content or JSON layout shows here.
+stored aisles as sets of stalk objects.  The three Dynkin ``verify``
+goldens (``verify_d4.json`` and the two ``*_falsified.json``) were
+rewritten once when every check record gained its integer ``cases``
+count and ``split_classification`` stopped listing its per-structure
+report (which ``classify`` still prints); their names, pass flags and
+witnesses are unchanged.  Any change to enumeration order, witness
+choice, pair content or JSON layout shows here.
 """
 
 import pathlib

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -244,6 +245,44 @@ def test_section_check_matches_full_scan(name, window):
         assert section_check(S, table, window) == want, sorted(S)
         outcomes.add(want)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "name, lo, hi", [("a2", -2, 3), ("a3", -2, 3), ("d4", -1, 2)]
+)
+def test_section_check_rejects_one_per_orbit_sets_that_are_not_slices(
+    name, lo, hi
+):
+    """A set with one interior object per tau-orbit is a section of ZΔ
+    exactly when its full subquiver is connected (a slice).  Over every
+    such set, ``section_check`` accepts exactly the connected ones; most
+    are not, and only the presection condition rejects those."""
+    table = enumerate_indecomposables(BUILTIN_QUIVERS[name]())
+    window = Window(lo, hi)
+    neighbours = {}
+    for a, b in derived_ar_arrows(table, window):
+        neighbours.setdefault(a, set()).add(b)
+        neighbours.setdefault(b, set()).add(a)
+    orbits = [
+        sorted(x for x in orbit if window.is_interior(x))
+        for orbit in tau_orbits(table, window)
+    ]
+    outcomes = []
+    for choice in itertools.product(*orbits):
+        S = set(choice)
+        reached, todo = {choice[0]}, [choice[0]]
+        while todo:
+            new = neighbours[todo.pop()] & S - reached
+            reached |= new
+            todo += new
+        assert section_check(S, table, window) == (reached == S), choice
+        outcomes.append(reached == S)
+    assert 0 < sum(outcomes) < len(outcomes)
+    # on A2: [0, 1] in degrees -1 and 0 lie on the two orbits, unjoined
+    if name == "a2":
+        s2 = table.by_dimvec((0, 1)).id
+        pair = {DerivedObject(s2, -1), DerivedObject(s2, 0)}
+        assert not section_check(pair, table, window)
 
 
 def test_successors_cone(a2_table, window):
