@@ -24,9 +24,9 @@ an entry x of a reduced row with pivot p is x/p.
 `rank_mod2` is the one shortcut: the rank over GF(2) of rows given as
 int bitmasks of their odd entries, which a caller can read off its
 integer data without forming the rows.  It never exceeds the rank over
-the rationals, so when it equals the number of columns the kernel is
-zero without an elimination; any other answer proves nothing, and the
-caller eliminates.
+the rationals, which never exceeds the number of rows or of columns, so
+when it reaches the smaller of the two it is the rank, without an
+elimination; any lower answer proves nothing, and the caller eliminates.
 
 Every elimination runs on sparse integer rows.  `Mat` is a container of
 `Fraction` entries; its one elimination, `Mat.rref`, goes through
@@ -102,9 +102,17 @@ def eliminate(rows):
                 row = _cancel(row, prow, c)
                 if row:
                     by_lead.setdefault(min(row), []).append(row)
-        reduced = [_cancel(row, prow, c) if c in row else row for row in reduced]
         reduced.append(prow)
         pivots.append(c)
+    # back-substitute once, from the last row up: the rows below row k
+    # are reduced by then, so cancelling a pivot of theirs in row k puts
+    # no entry at any other pivot
+    at = {c: k for k, c in enumerate(pivots)}
+    for k in range(len(reduced) - 2, -1, -1):
+        row = reduced[k]
+        for c in [c for c in row if c in at and c != pivots[k]]:
+            row = _cancel(row, reduced[at[c]], c)
+        reduced[k] = row
     return reduced, pivots
 
 
@@ -152,8 +160,8 @@ def rank_mod2(masks):
     row's entry in column k is odd (`repcore.hom_parities` reads them off
     integer maps).  A minor that is odd is nonzero, so this is a lower
     bound on the rank over the rationals of any integer rows with these
-    parities: when it equals the number of columns, their right kernel
-    is zero, and only then is it a proof."""
+    parities: when it equals the number of rows or of columns, it is
+    that rank, and only then is it a proof."""
     by_top = {}
     for m in masks:
         while m:

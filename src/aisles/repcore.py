@@ -6,24 +6,30 @@ reflection functors at the sources of an admissible ordering) is applied
 until it gives zero.  The walk is capped at the number of positive roots,
 must bring the quiver back to itself after each C^-, and must meet that
 many distinct dimension vectors; identity of isomorphism classes is by
-dimension vector.  The table then records all Hom/Ext dimensions, the AR
-translate and the AR quiver, with every derived quantity cross-validated
-against an independent computation: End = k, Ext from the Euler form, the
-AR formula ext(X, Y) = hom(Y, tau X) against the walk's tau, the top of
-each projective against the vertex its orbit started from, and the AR
-arrows, read off rad/rad^2, against the radical and mesh rules.
-Validation failures abort.
+dimension vector.  The table then records all Hom/Ext dimensions and the
+AR translate, cross-validated against independent computations: End = k,
+Ext from the Euler form, the AR formula ext(X, Y) = hom(Y, tau X) against
+the walk's tau, and the top of each projective against the vertex its
+orbit started from.  Validation failures abort.
 
-Each Hom space is the kernel of Ringel's map delta (`hom_system`).  A
-pair whose Euler form is positive has a nonzero Hom and is eliminated
-exactly; any other is first tried on the parities of delta
-(`hom_parities`, read off the integer maps as bitmasks), and a rank mod
-2 equal to the number of columns proves it zero without forming delta.
+Hom(M, N) is the kernel of Ringel's map delta (`hom_system`) and Ext^1
+its cokernel.  The table build proves both dimensions from the parities
+of delta alone (`hom_parities`, read off the integer maps as bitmasks):
+the rank mod 2 bounds the rank over the rationals from below, and the
+size of delta from above, so when it reaches min(rows, columns) it is
+the rank.  Dynkin modules are directing, so Hom and Ext^1 between two
+indecomposables are never both nonzero and delta always has that full
+rank; a pair whose rank mod 2 falls short is eliminated exactly.
+
+The Hom bases (``IndecTable.hom_vectors``) and the AR arrows, read off
+rad/rad^2 and checked by the radical and mesh rules, are solved on first
+read: each nonzero pair eliminated once, its basis held to the dimension
+the build certified.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 from operator import mul
@@ -225,15 +231,16 @@ def _euler(M, N):
 def hom_kernel(M, N):
     """Hom(M, N) as coprime integer vectors in the coordinates of
     `hom_system`, the kernel basis read off its reduced rows
-    (`linalg.kernel_ints`).
+    (`linalg.kernel_ints`), for `hom_space`; the table build certifies
+    its dimensions on its own and solves its bases on first read.
 
     A system whose rank mod 2 is its number of columns has a zero kernel
     (`linalg.rank_mod2` on `hom_parities`), and its rows are never
-    formed; any other one is eliminated, so only exact elimination ever
-    finds a nonzero morphism.  The Euler form routes: dim Hom - dim Ext^1
-    = <dim M, dim N> is the number of columns minus the number of rows,
-    so when it is positive the rank is short of the columns, Hom is
-    nonzero, and the system is eliminated without trying the parities.
+    formed; any other one is eliminated.  The Euler form routes: dim Hom
+    - dim Ext^1 = <dim M, dim N> is the number of columns minus the
+    number of rows, so when it is positive the rank is short of the
+    columns, Hom is nonzero, and the system is eliminated without trying
+    the parities.
     """
     if _euler(M, N) <= 0:
         masks, ncols = hom_parities(M, N)
@@ -412,22 +419,40 @@ class IndecEntry:
     inj_vertex: str | None
 
 
+class _Solved:
+    """What a table shares with its `dataclasses.replace` copies: the Hom
+    dimensions its build certified (``hom``, which no patch of the
+    table's own ``hom`` field reaches), the kernels its build eliminated
+    ((i, j) -> basis), and the Hom kernels and AR arrows, None until
+    first read."""
+
+    __slots__ = ("hom", "kernels", "vectors", "arrows")
+
+    def __init__(self, hom, kernels):
+        self.hom = hom
+        self.kernels = kernels
+        self.vectors = self.arrows = None
+
+
 @dataclass(frozen=True)
 class IndecTable:
     """Complete list of indecomposables of a Dynkin quiver with Hom/Ext
     tables, tau links and the AR quiver.  Immutable after construction.
 
-    ``hom_vectors[i][j]`` holds the Hom(i, j) basis as `hom_kernel`
-    returns it: coprime integer vectors, flattened vertex by vertex and
-    row-major.  ``hom_bases`` is the same basis as morphism families of
-    `Fraction` matrices, formed for the whole table on first read."""
+    ``hom`` and ``ext`` are filled by the build; ``hom_vectors`` and
+    ``ar_arrows`` are solved on first read and shared with every
+    `dataclasses.replace` copy.  ``hom_vectors[i][j]`` holds the Hom(i, j)
+    basis as `hom_kernel` returns it: coprime integer vectors, flattened
+    vertex by vertex and row-major.  ``hom_bases`` is the same basis as
+    morphism families of `Fraction` matrices, formed for the whole table
+    on first read.  ``ar_arrows`` lists the AR arrows as (source id,
+    target id) pairs in ascending order."""
 
     quiver: Quiver
     entries: tuple
     hom: tuple  # hom[i][j] = dim Hom(i, j)
     ext: tuple
-    ar_arrows: tuple  # (source id, target id)
-    hom_vectors: tuple = field(repr=False, compare=False)
+    solved: _Solved = field(repr=False, compare=False)
     # Results derived from this table alone, computed on first use and
     # keyed by value: the module relation (Hom and Ext bitmasks), the
     # torsion pairs the CLI suites share, the canonical-sequence oracle's
@@ -438,10 +463,25 @@ class IndecTable:
     # window the derived AR arrows, their successor and predecessor
     # bitmask rows, and the Hom masks (which hold the tau-orbit ends).
     # A copy made with dataclasses.replace starts empty, and without
-    # ``hom_bases``, so a patched table is re-validated.
+    # ``hom_bases``, so a patched table is re-validated; it shares
+    # ``solved``, which reads no patchable field.
     memo: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    @property
+    def hom_vectors(self):
+        solved = self.solved
+        if solved.vectors is None:
+            solved.vectors = _hom_vectors(self.entries, solved)
+        return solved.vectors
+
+    @property
+    def ar_arrows(self):
+        solved = self.solved
+        if solved.arrows is None:
+            solved.arrows = _ar_arrows(self)
+        return solved.arrows
 
     @cached_property
     def hom_bases(self):
@@ -479,8 +519,9 @@ def enumerate_indecomposables(quiver):
 
     Raises UnsupportedError for non-Dynkin input and ConsistencyError if
     any of the cross-checks (entry count, Euler/AR identities, the
-    projective starting each orbit, the radical and mesh rules on the
-    rad/rad^2 arrows) fails.
+    projective starting each orbit) fails.  Reading ``hom_vectors`` or
+    ``ar_arrows`` later raises it when a basis misses its certified
+    dimension or the radical and mesh rules fail.
     """
     expected = quiver.positive_root_count()  # raises UnsupportedError
     orbits = tau_minus_orbits(quiver, expected)
@@ -509,8 +550,23 @@ def enumerate_indecomposables(quiver):
             tau_inv[i] = j
             tau_link[j] = i
 
-    vectors = [[tuple(map(tuple, hom_kernel(M, N))) for N in reps] for M in reps]
-    hom = [[len(b) for b in row] for row in vectors]
+    # dim Hom = columns - rank of delta, proved by its rank mod 2 when
+    # that reaches min(rows, columns); any other pair is eliminated here,
+    # and its kernel kept for `hom_vectors`
+    hom = []
+    kernels = {}
+    for i, M in enumerate(reps):
+        row = []
+        for j, N in enumerate(reps):
+            masks, ncols = hom_parities(M, N)
+            rank = rank_mod2(masks)
+            if rank == min(len(masks), ncols):
+                row.append(ncols - rank)
+            else:
+                kernels[i, j] = _kernel(*hom_system(M, N))
+                row.append(len(kernels[i, j]))
+        hom.append(tuple(row))
+    hom = tuple(hom)
     for i in range(n):
         if hom[i][i] != 1:
             raise ConsistencyError(
@@ -579,15 +635,38 @@ def enumerate_indecomposables(quiver):
         for i in range(n)
     )
 
-    table = IndecTable(
+    return IndecTable(
         quiver=quiver,
         entries=entries,
-        hom=tuple(tuple(r) for r in hom),
+        hom=hom,
         ext=tuple(tuple(r) for r in ext),
-        ar_arrows=(),
-        hom_vectors=tuple(map(tuple, vectors)),
+        solved=_Solved(hom, kernels),
     )
-    return replace(table, ar_arrows=_ar_arrows(table))
+
+
+def _kernel(rows, ncols):
+    return tuple(map(tuple, kernel_ints(*eliminate(rows), ncols)))
+
+
+def _hom_vectors(entries, solved):
+    """``hom_vectors``: the kernel of each pair the build certified
+    nonzero, eliminated once unless the build kept it, and of the
+    dimension certified; () for the others."""
+    vectors = []
+    for X, dims in zip(entries, solved.hom):
+        row = []
+        for Y, dim in zip(entries, dims):
+            basis = solved.kernels.get((X.id, Y.id), ())
+            if dim and not basis:
+                basis = _kernel(*hom_system(X.rep, Y.rep))
+                if len(basis) != dim:
+                    raise ConsistencyError(
+                        f"Hom({X.dimvec}, {Y.dimvec}) solves to dimension "
+                        f"{len(basis)}, certified {dim}"
+                    )
+            row.append(basis)
+        vectors.append(tuple(row))
+    return tuple(vectors)
 
 
 def _ar_arrows(table):
@@ -643,7 +722,7 @@ def irreducible_dim(i, j, table):
     for gf in _int_composites(i, j, table):
         if echelon_add(echelon, gf) and len(echelon) == len(target):
             break
-    return table.hom[i][j] - len(echelon)
+    return len(target) - len(echelon)
 
 
 def _int_composites(i, j, table):

@@ -634,9 +634,11 @@ def test_oracle_builds_each_image_and_checks_each_pair_once(monkeypatch):
 
 def test_oracle_certificates_are_all_proved_zero_mod_2(monkeypatch):
     """On the builtin D5 every certificate the oracle solves is a zero
-    Hom space whose system has full rank mod 2: none is eliminated."""
+    Hom space whose system has full rank mod 2: none is eliminated.  The
+    table's own bases, solved on first read, are read before counting."""
     table = enumerate_indecomposables(BUILTIN_QUIVERS["d5"]())
     pairs = torsion.enumerate_torsion_pairs(table)
+    assert table.hom_bases
     eliminated = 0
     eliminate = repcore.eliminate
 
@@ -651,19 +653,33 @@ def test_oracle_certificates_are_all_proved_zero_mod_2(monkeypatch):
 
 
 def test_lift_leaves_the_fraction_hom_bases_unformed(capsys, monkeypatch):
-    """`lift` reads the Hom dimensions only: the `Fraction` bases of the
-    table are never formed."""
+    """`lift`, `trace` and `enumerate` read the Hom and Ext dimensions
+    only: no Hom system is formed, and neither the Hom bases (integer or
+    `Fraction`) nor the AR arrows of the table are solved."""
     tables = []
     build = cli.enumerate_indecomposables
+    systems = []
+    hom_system = repcore.hom_system
 
     def keeping(quiver):
         tables.append(build(quiver))
         return tables[-1]
 
+    def recording(M, N):
+        systems.append((M, N))
+        return hom_system(M, N)
+
     monkeypatch.setattr(cli, "enumerate_indecomposables", keeping)
-    code, _, _ = run(capsys, "lift", "--builtin", "e6", "--torsion", "[[1,0,0,0,0,0]]")
-    assert code == EXIT_OK
-    assert "hom_bases" not in vars(tables[0])
+    monkeypatch.setattr(repcore, "hom_system", recording)
+    torsion_class = ["--torsion", "[[1,0,0,0,0,0]]"]
+    for argv in (["lift", *torsion_class], ["trace", *torsion_class], ["enumerate"]):
+        code, _, _ = run(capsys, argv[0], "--builtin", "e6", *argv[1:])
+        assert code == EXIT_OK
+    assert len(tables) == 3
+    for table in tables:
+        assert "hom_bases" not in vars(table)
+        assert table.solved.vectors is None and table.solved.arrows is None
+    assert systems == []
 
 
 def test_table_patch_copy_forms_the_same_hom_bases(a3_table):
@@ -673,6 +689,24 @@ def test_table_patch_copy_forms_the_same_hom_bases(a3_table):
     assert "hom_bases" not in vars(patched)
     assert patched.hom_vectors is table.hom_vectors
     assert patched.hom_bases == table.hom_bases
+
+
+@pytest.mark.parametrize("arrow_patch", [False, True], ids=["fixture", "arrow"])
+def test_table_patch_copy_reads_the_same_ar_arrows(tmp_path, arrow_patch):
+    """A patched copy read first solves the arrows for the original too:
+    neither reads the patched ``hom``, also where it moves the Hom
+    dimension of an AR arrow."""
+    table = enumerate_indecomposables(BUILTIN_QUIVERS["a3"]())
+    path = FIXTURES / "falsified_hom.json"
+    if arrow_patch:
+        i, j = enumerate_indecomposables(table.quiver).ar_arrows[0]
+        path = tmp_path / "arrow.json"
+        path.write_text(json.dumps({"hom": [[i, j, 2]]}), encoding="utf-8")
+    patched = cli.apply_table_patch(table, str(path))
+    assert patched.hom != table.hom
+    arrows = patched.ar_arrows
+    assert table.ar_arrows is arrows
+    assert arrows == enumerate_indecomposables(table.quiver).ar_arrows
 
 
 def test_quiver_file_not_utf8_is_usage_error(capsys, tmp_path):

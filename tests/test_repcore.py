@@ -242,7 +242,8 @@ def test_radical_and_mesh_rules_catch_every_flip(name, monkeypatch):
     """The radical and mesh rules fix the AR arrows, so flipping
     `irreducible_dim` on any one pair fails them: dropping an AR arrow,
     adding a pair with nonzero Hom (the diagonal too), or adding a pair
-    with zero Hom.  On a3 each flip runs through the whole table build."""
+    with zero Hom.  On a3 each flip builds the table and reads its
+    arrows."""
     t = builtin_table(name)
     n = len(t.entries)
     irr = {(i, j): irreducible_dim(i, j, t) for i in range(n) for j in range(n)}
@@ -254,7 +255,7 @@ def test_radical_and_mesh_rules_catch_every_flip(name, monkeypatch):
 
     monkeypatch.setattr(repcore, "irreducible_dim", flipped)
     build = (
-        (lambda: enumerate_indecomposables(t.quiver))
+        (lambda: enumerate_indecomposables(t.quiver).ar_arrows)
         if name == "a3"
         else (lambda: repcore._ar_arrows(t))
     )
@@ -406,12 +407,13 @@ def test_builtin_table_matches_its_pinned_digest(name):
 
 @pytest.mark.parametrize("name, nonzero, pairs", [("d5", 140, 400), ("e6", 462, 1296)])
 def test_only_nonzero_hom_systems_are_eliminated(monkeypatch, name, nonzero, pairs):
-    """Building the table, every zero Hom space is certified by the rank
-    mod 2 of its parity masks, and every nonzero one is routed past them
-    by its positive Euler form (Dynkin modules are directing, so a
-    nonzero Hom between indecomposables comes with a zero Ext).  So delta
-    is built as rows, and eliminated, for exactly the nonzero pairs (the
-    reflections eliminate too, on other rows)."""
+    """Building the table reads the parity masks of every pair once and
+    forms no row of delta: Dynkin modules are directing, so Hom and Ext
+    between indecomposables are never both nonzero, delta has full rank,
+    and its rank mod 2 proves that rank.  Reading ``hom_vectors`` then
+    builds delta as rows, and eliminates it, once for exactly the
+    nonzero pairs (the reflections eliminate too, on other rows); the
+    AR arrows read those bases and form no system."""
     systems, certified, eliminated = [], [], []
     hom_system, hom_parities = repcore.hom_system, repcore.hom_parities
     eliminate = repcore.eliminate
@@ -433,14 +435,57 @@ def test_only_nonzero_hom_systems_are_eliminated(monkeypatch, name, nonzero, pai
     monkeypatch.setattr(repcore, "hom_parities", recording_parities)
     monkeypatch.setattr(repcore, "eliminate", recording_eliminate)
     table = enumerate_indecomposables(BUILTIN_QUIVERS[name]())
+    assert systems == []
     index = {id(e.rep): e.id for e in table.entries}
-    built = [(index[id(M)], index[id(N)]) for M, N, _rows in systems]
+    n = len(table)
     tried = [(index[id(M)], index[id(N)]) for M, N in certified]
+    assert sorted(tried) == [(i, j) for i in range(n) for j in range(n)]
+    assert len(tried) == pairs
+    assert table.hom_vectors is table.hom_vectors
+    assert table.ar_arrows
+    built = [(index[id(M)], index[id(N)]) for M, N, _rows in systems]
     want = [(i, j) for i, row in enumerate(table.hom) for j, h in enumerate(row) if h]
     assert sorted(built) == want and len(set(built)) == len(built) == nonzero
-    n = len(table)
-    assert sorted(tried) == [(i, j) for i in range(n) for j in range(n) if not table.hom[i][j]]
-    assert len(tried) == pairs - nonzero
+    assert len(certified) == pairs
     eliminated_ids = {id(rows) for rows in eliminated}
     assert all(id(rows) in eliminated_ids for _M, _N, rows in systems)
     assert "hom_bases" not in vars(table)
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "d5"])
+def test_short_rank_mod_2_falls_back_to_elimination(monkeypatch, name):
+    """With every rank mod 2 short, no pair is proved by its parities:
+    the build eliminates each one, keeps its kernel, and reading
+    ``hom_vectors`` forms no system again.  The table is the same."""
+    rank_mod2 = repcore.rank_mod2
+    hom_system = repcore.hom_system
+    systems = []
+
+    def recording(M, N):
+        systems.append((M, N))
+        return hom_system(M, N)
+
+    monkeypatch.setattr(repcore, "rank_mod2", lambda masks: rank_mod2(masks) - 1)
+    monkeypatch.setattr(repcore, "hom_system", recording)
+    t = enumerate_indecomposables(BUILTIN_QUIVERS[name]())
+    assert len(systems) == len(t) ** 2
+    data = [[e.dimvec for e in t.entries], t.hom, t.ext, t.ar_arrows, t.hom_vectors]
+    assert len(systems) == len(t) ** 2
+    text = json.dumps(data, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "wrong", [lambda basis: basis[1:], lambda basis: basis + basis[:1]], ids=["short", "long"]
+)
+def test_basis_off_its_certified_dimension_raises(monkeypatch, wrong):
+    """A Hom basis solved on first read must have the dimension the
+    build proved mod 2; exact elimination cross-checks the parities."""
+    table = enumerate_indecomposables(BUILTIN_QUIVERS["a3"]())
+    kernel_ints = repcore.kernel_ints
+    monkeypatch.setattr(
+        repcore, "kernel_ints", lambda *args: wrong(kernel_ints(*args))
+    )
+    with pytest.raises(ConsistencyError, match=r"solves to dimension \d+, certified 1"):
+        table.hom_vectors
+    assert table.solved.vectors is None
