@@ -12,7 +12,6 @@ size budget (``MAX_WINDOW_OBJECTS``, ``MAX_SCAN_CANDIDATES``,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from itertools import islice
@@ -151,7 +150,7 @@ def apply_table_patch(table, path):
             )
         i, j, value = entry
         hom[i][j] = value
-    return dataclasses.replace(table, hom=tuple(tuple(r) for r in hom))
+    return table.copy(hom=tuple(tuple(r) for r in hom))
 
 
 # ---------------------------------------------------------------------------

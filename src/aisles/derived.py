@@ -28,7 +28,6 @@ labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import NamedTuple
@@ -42,8 +41,7 @@ from .extspace import ExtMachine
 MAX_WINDOW_OBJECTS = 2_000
 
 
-@dataclass(frozen=True, order=True)
-class DerivedObject:
+class DerivedObject(NamedTuple):
     """A stalk object: indecomposable ``indec`` placed in ``degree``."""
 
     indec: int
@@ -53,16 +51,20 @@ class DerivedObject:
         return f"{list(table.entries[self.indec].dimvec)}@{self.degree}"
 
 
-@dataclass(frozen=True)
-class Window:
+class _WindowFields(NamedTuple):
     lo: int
     hi: int
 
-    def __post_init__(self):
-        if not (self.lo <= 0 <= self.hi):
+
+class Window(_WindowFields):
+    __slots__ = ()
+
+    def __new__(cls, lo, hi):
+        if not (lo <= 0 <= hi):
             raise ShapeError("window must contain degree 0")
-        if self.hi - self.lo < 2:
+        if hi - lo < 2:
             raise ShapeError("window needs at least three degrees")
+        return tuple.__new__(cls, (lo, hi))
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
@@ -80,18 +82,16 @@ class Window:
 DEFAULT_WINDOW = Window(-2, 3)
 
 
-@dataclass(frozen=True)
 class DerivedSubcategory:
     """A user-built set of window objects: the coloring of ``export_dot``.
     t-structures and successor cones do not use it: they are window masks
     (``aisles.tstruct.TStructure``, ``aisles.tstruct.successors``)."""
 
-    window: Window
-    members: frozenset
-
-    def __post_init__(self):
-        for x in self.members:
-            if not self.window.contains(x):
+    def __init__(self, window, members):
+        self.window = window
+        self.members = members
+        for x in members:
+            if not window.contains(x):
                 raise ShapeError(f"member {x} outside the window")
 
     def __contains__(self, obj):
@@ -242,8 +242,7 @@ def _derived_ar_arrows(table, window):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableContext:
+class TableContext(NamedTuple):
     """Module-category view of a Dynkin IndecTable: module objects are
     table ids, placed in a degree as stalk ``DerivedObject``s.  ``tau``
     and ``label`` take such window objects."""
@@ -576,8 +575,7 @@ class HomMasks:
 
 def hom_masks(context, window):
     """The ``HomMasks`` of a model and window, built once and kept in the
-    model's memo (a table copied with ``dataclasses.replace`` starts with
-    an empty one)."""
+    model's memo (an `IndecTable.copy` starts with an empty one)."""
     key = ("hom_masks", window)
     if key not in context.memo:
         context.memo[key] = HomMasks(context, window)

@@ -22,8 +22,8 @@ shift-closure, Ext-projectives and the degree-0 trace with the core's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 from .derived import Components, Window, bits, check_window_objects, hom_masks, lowest
 from .errors import (
@@ -42,20 +42,24 @@ REG = "reg"
 MAX_SCAN_CANDIDATES = 1_000_000
 
 
-@dataclass(frozen=True, order=True)
-class KroneckerObject:
+class _KroneckerFields(NamedTuple):
     kind: str
     index: int  # transjective index for post/pre, quasi-length for reg
     label: str | None
     degree: int
 
-    def __post_init__(self):
-        if self.kind not in (POST, PRE, REG):
-            raise ShapeError(f"unknown kind {self.kind!r}")
-        if self.kind == REG and (self.label is None or self.index < 1):
+
+class KroneckerObject(_KroneckerFields):
+    __slots__ = ()
+
+    def __new__(cls, kind, index, label, degree):
+        if kind not in (POST, PRE, REG):
+            raise ShapeError(f"unknown kind {kind!r}")
+        if kind == REG and (label is None or index < 1):
             raise ShapeError("regular objects need a tube label and length")
-        if self.kind != REG and (self.label is not None or self.index < 0):
+        if kind != REG and (label is not None or index < 0):
             raise ShapeError("transjective objects take a bare index")
+        return tuple.__new__(cls, (kind, index, label, degree))
 
     def dimvec(self):
         if self.kind == POST:
@@ -85,26 +89,20 @@ def reg(label, length, degree=0):
     return KroneckerObject(REG, length, label, degree)
 
 
-@dataclass(frozen=True)
 class TameModel:
-    tube_labels: tuple
-    tube_depth: int
-    range: int
-    window: Window
-    # Results derived from this model alone (its Hom masks and split-aisle
-    # blocks), computed on first use.
-    memo: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        if len(self.tube_labels) < 3:
+    def __init__(self, tube_labels, tube_depth, range, window):
+        if len(tube_labels) < 3:
             raise ShapeError("need at least three tube labels")
-        if self.tube_depth < 1 or self.range < 1:
+        if tube_depth < 1 or range < 1:
             raise ShapeError("positive truncation parameters required")
-        check_budgets(
-            len(self.tube_labels), self.tube_depth, self.range, self.window
-        )
+        check_budgets(len(tube_labels), tube_depth, range, window)
+        self.tube_labels = tube_labels
+        self.tube_depth = tube_depth
+        self.range = range
+        self.window = window
+        # Results derived from this model alone (its Hom masks and
+        # split-aisle blocks), computed on first use.
+        self.memo = {}
 
     def module_objects(self):
         """The represented degree-0 objects, canonically ordered."""
@@ -146,8 +144,7 @@ def default_model():
     return TameModel(("t0", "t1", "t2"), 3, 6, Window(-2, 3))
 
 
-@dataclass(frozen=True)
-class KroneckerContext:
+class KroneckerContext(NamedTuple):
     """Module-category view of the truncated Kronecker model.  ``tau``
     and ``label`` take window objects; a translate past the transjective
     range is not represented (None)."""

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import repeat
 from math import comb
+from typing import NamedTuple
 
 from .errors import QuiverLoadError, UnsupportedError
 
@@ -27,29 +27,36 @@ _ARROW_RE = re.compile(r"^arrow\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$")
 _VERTEX_RE = re.compile(r"^vertex\s+(\S+)$")
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
 class Quiver:
     """A finite acyclic connected quiver.
 
     ``vertices`` fixes the canonical coordinate order used by every
-    dimension vector over this quiver.
+    dimension vector over this quiver.  ``_checked`` skips `validate`,
+    for callers that validate themselves or derive from a valid quiver.
     """
 
-    vertices: tuple
-    arrows: tuple
-    name: str = ""
-    _checked: bool = field(default=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self._checked:
+    def __init__(self, vertices, arrows, name="", _checked=False):
+        self.vertices = vertices
+        self.arrows = arrows
+        self.name = name
+        if not _checked:
             self.validate()
+
+    def __eq__(self, other):
+        if type(other) is not Quiver:
+            return NotImplemented
+        return (self.vertices, self.arrows, self.name) == (
+            other.vertices, other.arrows, other.name
+        )
+
+    def __hash__(self):
+        return hash((self.vertices, self.arrows, self.name))
 
     def validate(self, vertex_lines=None, arrow_lines=None):
         """Raise QuiverLoadError on the faults the module docstring lists,

@@ -8,7 +8,8 @@ must bring the quiver back to itself after each C^-, and must meet that
 many distinct dimension vectors; identity of isomorphism classes is by
 dimension vector.  The table then records all Hom/Ext dimensions and the
 AR translate, cross-validated against independent computations: End = k,
-Ext from the Euler form, the AR formula ext(X, Y) = hom(Y, tau X) against
+Ext from the Euler form, never nonzero beside a nonzero Hom (Dynkin
+modules are directing), the AR formula ext(X, Y) = hom(Y, tau X) against
 the walk's tau, and the top of each projective against the vertex its
 orbit started from.  Validation failures abort.
 
@@ -29,10 +30,10 @@ the build certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from .errors import ConsistencyError, ShapeError, UnsupportedError
 from .linalg import (
@@ -46,29 +47,29 @@ from .linalg import (
     sparse_row,
     unit_last,
 )
-from .quiver import Quiver, breadth_first
+from .quiver import breadth_first
 
 
-@dataclass(frozen=True)
 class Representation:
     """Vector spaces at vertices and matrices along arrows.
 
     ``maps[a]`` has shape dims(target a) x dims(source a).  `int_maps`
     holds the same maps scaled by one integer, the form the Hom system
-    is built from.
+    is built from.  Unhashable: it holds dicts.
     """
 
-    quiver: Quiver
-    dims: dict
-    maps: dict
+    __hash__ = None
 
-    def __post_init__(self):
-        for v in self.quiver.vertices:
-            if self.dims.get(v, 0) < 0:
+    def __init__(self, quiver, dims, maps):
+        self.quiver = quiver
+        self.dims = dims
+        self.maps = maps
+        for v in quiver.vertices:
+            if dims.get(v, 0) < 0:
                 raise ShapeError(f"negative dimension at vertex {v!r}")
-        for a in self.quiver.arrows:
-            m = self.maps[a.name]
-            want = (self.dims.get(a.target, 0), self.dims.get(a.source, 0))
+        for a in quiver.arrows:
+            m = maps[a.name]
+            want = (dims.get(a.target, 0), dims.get(a.source, 0))
             if (m.nrows, m.ncols) != want:
                 raise ShapeError(
                     f"map for arrow {a.name!r} has shape "
@@ -406,8 +407,7 @@ def tau_minus_orbits(quiver, cap):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IndecEntry:
+class IndecEntry(NamedTuple):
     id: int
     dimvec: tuple
     rep: Representation
@@ -420,7 +420,7 @@ class IndecEntry:
 
 
 class _Solved:
-    """What a table shares with its `dataclasses.replace` copies: the Hom
+    """What a table shares with its `IndecTable.copy` copies: the Hom
     dimensions its build certified (``hom``, which no patch of the
     table's own ``hom`` field reaches), the kernels its build eliminated
     ((i, j) -> basis), and the Hom kernels and AR arrows, None until
@@ -434,40 +434,47 @@ class _Solved:
         self.vectors = self.arrows = None
 
 
-@dataclass(frozen=True)
 class IndecTable:
     """Complete list of indecomposables of a Dynkin quiver with Hom/Ext
-    tables, tau links and the AR quiver.  Immutable after construction.
+    tables, tau links and the AR quiver.  Immutable after construction,
+    and unhashable: it holds dicts.
 
     ``hom`` and ``ext`` are filled by the build; ``hom_vectors`` and
-    ``ar_arrows`` are solved on first read and shared with every
-    `dataclasses.replace` copy.  ``hom_vectors[i][j]`` holds the Hom(i, j)
-    basis as `hom_kernel` returns it: coprime integer vectors, flattened
-    vertex by vertex and row-major.  ``hom_bases`` is the same basis as
-    morphism families of `Fraction` matrices, formed for the whole table
-    on first read.  ``ar_arrows`` lists the AR arrows as (source id,
-    target id) pairs in ascending order."""
+    ``ar_arrows`` are solved on first read and shared with every `copy`.
+    ``hom_vectors[i][j]`` holds the Hom(i, j) basis as `hom_kernel`
+    returns it: coprime integer vectors, flattened vertex by vertex and
+    row-major.  ``hom_bases`` is the same basis as morphism families of
+    `Fraction` matrices, formed for the whole table on first read.
+    ``ar_arrows`` lists the AR arrows as (source id, target id) pairs in
+    ascending order."""
 
-    quiver: Quiver
-    entries: tuple
-    hom: tuple  # hom[i][j] = dim Hom(i, j)
-    ext: tuple
-    solved: _Solved = field(repr=False, compare=False)
-    # Results derived from this table alone, computed on first use and
-    # keyed by value: the module relation (Hom and Ext bitmasks), the
-    # torsion pairs the CLI suites share, the canonical-sequence oracle's
-    # entries (the pairs whose axioms hold, per module the reduced image
-    # of each Hom(i, y) and which images lie inside which, the traces
-    # keyed by members and by reduced rows, and the certificates keyed by
-    # subobject or quotient), the validated cross-degree arrows, and per
-    # window the derived AR arrows, their successor and predecessor
-    # bitmask rows, and the Hom masks (which hold the tau-orbit ends).
-    # A copy made with dataclasses.replace starts empty, and without
-    # ``hom_bases``, so a patched table is re-validated; it shares
-    # ``solved``, which reads no patchable field.
-    memo: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    __hash__ = None
+
+    def __init__(self, quiver, entries, hom, ext, solved):
+        self.quiver = quiver
+        self.entries = entries
+        self.hom = hom  # hom[i][j] = dim Hom(i, j)
+        self.ext = ext
+        self.solved = solved
+            # Results derived from this table alone, computed on first use
+        # and keyed by value: the module relation (Hom and Ext bitmasks),
+        # the torsion pairs the CLI suites share, the canonical-sequence
+        # oracle's entries (the pairs whose axioms hold, per module the
+        # reduced image of each Hom(i, y) and which images lie inside
+        # which, the traces keyed by members and by reduced rows, and the
+        # certificates keyed by subobject or quotient), the validated
+        # cross-degree arrows, and per window the derived AR arrows, their
+        # successor and predecessor bitmask rows, and the Hom masks (which
+        # hold the tau-orbit ends).  A `copy` starts empty, and without
+        # ``hom_bases``, so a patched table is re-validated.
+        self.memo = {}
+
+    def copy(self, hom=None):
+        """This table with ``hom`` in place of its own, when given.  The
+        copy shares ``solved``, which reads no patchable field, and starts
+        with an empty ``memo`` and no ``hom_bases``."""
+        hom = self.hom if hom is None else hom
+        return IndecTable(self.quiver, self.entries, hom, self.ext, self.solved)
 
     @property
     def hom_vectors(self):
@@ -578,11 +585,14 @@ def enumerate_indecomposables(quiver):
         [h - sum(map(mul, p, e)) for h, e in zip(hom_row, roots)]
         for hom_row, p in zip(hom, (_pushed(quiver, d) for d in roots))
     ]
+    # Dynkin modules are directing: Hom and Ext between indecomposables
+    # are never both nonzero, so the rank of delta is never short
     for i in range(n):
         for j in range(n):
-            if ext[i][j] < 0:
+            if hom[i][j] and ext[i][j]:
                 raise ConsistencyError(
-                    f"negative Ext dimension between {roots[i]} and {roots[j]}"
+                    f"Hom and Ext from {roots[i]} to {roots[j]} are both "
+                    "nonzero: the modules are not directing"
                 )
 
     # AR formula validation: ext(i, j) = hom(j, tau i) for non-projective i,

@@ -28,8 +28,8 @@ pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .derived import TableContext, bits, module_relation, split_gap, union
 from .errors import ConsistencyError, PreconditionError, UnsupportedError
@@ -41,12 +41,21 @@ from .repcore import Representation, hom_space
 MAX_TORSION_CLASSES = 60_000
 
 
-@dataclass(frozen=True)
 class Subcategory:
     """A set of indecomposable ids inside one IndecTable as a bitmask, bit
-    i for id i; iteration is in ascending id order."""
+    i for id i; iteration is in ascending id order.  Equal and hashed by
+    its mask."""
 
-    mask: int
+    def __init__(self, mask):
+        self.mask = mask
+
+    def __eq__(self, other):
+        if type(other) is not Subcategory:
+            return NotImplemented
+        return self.mask == other.mask
+
+    def __hash__(self):
+        return hash(self.mask)
 
     def __contains__(self, i):
         return self.mask >> i & 1 == 1
@@ -66,8 +75,7 @@ class Subcategory:
         return self.mask.bit_count()
 
 
-@dataclass(frozen=True)
-class TorsionPair:
+class TorsionPair(NamedTuple):
     torsion: Subcategory
     free: Subcategory
     split: bool

@@ -23,7 +23,7 @@ preinjective, postprojective and regular components
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kronecker as kr
 from .derived import (
@@ -42,13 +42,11 @@ from .kronecker import KroneckerContext, build_aisle_63b
 HEART_WINDOW = Window(-1, 1)
 
 
-@dataclass(frozen=True)
-class TiltingSet:
+class TiltingSet(NamedTuple):
     summands: frozenset
 
 
-@dataclass(frozen=True)
-class HeartModel:
+class HeartModel(NamedTuple):
     """The tilted module category as the heart of the lifted
     t-structure: T(T) in degree 0, F(T) in degree 1, as masks of the Hom
     masks of ``HEART_WINDOW``, split into the postprojective,

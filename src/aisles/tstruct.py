@@ -19,7 +19,7 @@ about boundary-adjacent objects are never asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .derived import (
     DerivedObject,
@@ -36,8 +36,7 @@ from .quiver import breadth_first
 from .torsion import is_torsion_pair, pair_of_masks
 
 
-@dataclass(frozen=True)
-class TStructure:
+class TStructure(NamedTuple):
     """Aisle plus its right orthogonal (stored unshifted as ``coaisle``)
     as masks of the table's ``HomMasks`` for ``window``, the split flag
     and the heart object set.  The aisle holds every object above the

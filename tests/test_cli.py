@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import pathlib
@@ -683,7 +682,7 @@ def test_lift_leaves_the_fraction_hom_bases_unformed(capsys, monkeypatch):
 
 
 def test_table_patch_copy_forms_the_same_hom_bases(a3_table):
-    table = dataclasses.replace(a3_table)
+    table = a3_table.copy()
     patched = cli.apply_table_patch(table, str(FIXTURES / "falsified_hom.json"))
     assert patched.hom != table.hom
     assert "hom_bases" not in vars(patched)
@@ -760,7 +759,7 @@ def test_verify_all_enumerates_torsion_pairs_once(capsys, monkeypatch, a3_table)
     monkeypatch.setattr(torsion, "enumerate_torsion_pairs", counting)
     code, _, _ = run(capsys, "verify", "--builtin", "a3", "--suite", "all")
     assert code == EXIT_OK and calls == 1
-    table = dataclasses.replace(a3_table)
+    table = a3_table.copy()
     pairs = suites._pairs(table)
     assert suites._pairs(table) is pairs and calls == 2
     patched = cli.apply_table_patch(table, str(FIXTURES / "falsified_hom.json"))

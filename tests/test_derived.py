@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,6 +27,14 @@ def test_window_validation():
         Window(0, 1)
     w = Window(-1, 2)
     assert list(w.interior()) == [0, 1]
+
+
+def test_derived_objects_sort_by_indec_then_degree():
+    objs = [
+        DerivedObject(2, 0), DerivedObject(0, 1), DerivedObject(1, -1), DerivedObject(0, -2)
+    ]
+    assert sorted(objs) == sorted(objs, key=lambda x: (x.indec, x.degree))
+    assert sorted(objs)[:2] == [DerivedObject(0, -2), DerivedObject(0, 1)]
 
 
 def test_hom_derived_rules(a2_table, window):
@@ -175,7 +181,7 @@ def test_cross_arrow_pairs_belong_to_their_table(monkeypatch):
     assert originals[0][1] != originals[1][1]
     for k in range(20):
         original, want = originals[k % 2]
-        table = dataclasses.replace(original)
+        table = original.copy()
         assert cross_arrow_pairs(table) == want
         assert cross_arrow_pairs(table) == want
         assert validations == k + 1

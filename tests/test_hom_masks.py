@@ -1,6 +1,5 @@
 """The Hom-mask core against the reference gap rules, and its memo."""
 
-import dataclasses
 import functools
 from collections import deque
 
@@ -155,14 +154,14 @@ def test_masks_and_arrows_built_once_per_table_and_window(a3_table, monkeypatch)
     # the arrows, their adjacency rows and the mesh check are one build
     monkeypatch.setattr(derived, "HomMasks", counting_build)
     monkeypatch.setattr(derived, "_derived_ar_arrows", counting_arrows)
-    table = dataclasses.replace(a3_table)
+    table = a3_table.copy()
     for _ in range(3):
         hom_masks(TableContext(table), DEFAULT_WINDOW)
         derived_ar_arrows(table, DEFAULT_WINDOW)
         derived.ar_adjacency(table, DEFAULT_WINDOW)
     assert (builds, arrow_builds) == (1, 1)
     # a patched copy starts with an empty memo and is checked again
-    patched = dataclasses.replace(table)
+    patched = table.copy()
     derived.ar_adjacency(patched, DEFAULT_WINDOW)
     hom_masks(TableContext(patched), DEFAULT_WINDOW)
     derived_ar_arrows(patched, DEFAULT_WINDOW)
@@ -180,14 +179,14 @@ def test_successor_lists_built_once_per_table_and_window(a3_table, monkeypatch):
 
     # the successor lists are the adjacency built with the arrows
     monkeypatch.setattr(derived, "derived_ar_arrows", counting_arrows)
-    table = dataclasses.replace(a3_table)
+    table = a3_table.copy()
     S = [DerivedObject(0, 0)]
     cones = {successors(S, table, DEFAULT_WINDOW) for _ in range(3)}
     assert walks == 1 and len(cones) == 1
     # another window, and a patched copy, build their own lists
     successors(S, table, Window(-1, 1))
     assert walks == 2
-    assert successors(S, dataclasses.replace(table), DEFAULT_WINDOW) in cones
+    assert successors(S, table.copy(), DEFAULT_WINDOW) in cones
     assert walks == 3
 
 

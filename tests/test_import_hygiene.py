@@ -1,4 +1,5 @@
-"""No module of the package reaches into another one's private names.
+"""No module of the package reaches into another one's private names,
+and importing the CLI loads neither `dataclasses` nor `inspect`.
 
 A name that starts with an underscore belongs to the module that
 defines it; a module that needs it from elsewhere should get a public
@@ -8,9 +9,21 @@ derived as alias`` (or ``import aisles.derived as alias``).
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "aisles"
+
+# Prints the modules among `dataclasses` and `inspect` that importing the
+# CLI adds; a site hook that loaded them before the import does not count.
+NEW_MODULES = """
+import sys
+before = set(sys.modules)
+import aisles.cli
+print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
+"""
 
 
 def _is_private(name):
@@ -74,3 +87,15 @@ def test_the_check_sees_both_forms():
         (4, "kr._subsets"),
         (5, "tm._orth_masks"),
     ]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Every run imports the CLI before it checks anything, and
+    `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`: the
+    records are NamedTuples and plain classes instead."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", NEW_MODULES],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "[]\n"

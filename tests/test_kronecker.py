@@ -49,6 +49,14 @@ def test_object_validation():
     assert reg("t0", 2).dimvec() == (2, 2)
 
 
+def test_objects_sort_by_kind_index_label_degree():
+    objs = [reg("t1", 1), post(2, 1), pre(0), post(2, 0), reg("t0", 1), post(0, 3)]
+    key = lambda x: (x.kind, x.index, x.label or "", x.degree)  # noqa: E731
+    assert sorted(objs) == sorted(objs, key=key)
+    assert sorted(objs)[:3] == [post(0, 3), post(2, 0), post(2, 1)]
+    assert sorted(objs)[-2:] == [reg("t0", 1), reg("t1", 1)]
+
+
 def test_model_validation():
     with pytest.raises(ShapeError):
         TameModel(("t0", "t1"), 3, 6, Window(-2, 3))

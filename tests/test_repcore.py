@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aisles import repcore
+from aisles.derived import TableContext, module_relation
 from aisles.errors import ConsistencyError, UnsupportedError
 from aisles.linalg import Mat, span_rank
 from aisles.quiver import (
@@ -286,6 +287,25 @@ def test_representation_shape_validation():
         Representation(q, {"1": 1, "2": 1}, {"a1": Mat.zeros(2, 1)})
 
 
+def test_representations_and_tables_are_unhashable(a2_table):
+    """Both hold dicts, so no cache may key on them (by value or by id)."""
+    for record in (a2_table.entries[0].rep, a2_table):
+        with pytest.raises(TypeError):
+            hash(record)
+
+
+def test_table_copy_shares_solved_and_starts_a_fresh_memo(a3_table):
+    table = a3_table.copy()
+    module_relation(TableContext(table))
+    assert table.memo
+    for hom in (None, tuple(tuple(0 for _ in r) for r in table.hom)):
+        copy = table.copy(hom=hom)
+        assert copy.solved is table.solved and copy.memo == {}
+        assert copy.hom is (table.hom if hom is None else hom)
+        assert copy.entries is table.entries and copy.ext is table.ext
+        assert "hom_bases" not in vars(copy)
+
+
 def test_simple_rep_end_is_field(a2_table):
     for v in ("1", "2"):
         s = simple(linear_quiver(2), v)
@@ -489,3 +509,26 @@ def test_basis_off_its_certified_dimension_raises(monkeypatch, wrong):
     with pytest.raises(ConsistencyError, match=r"solves to dimension \d+, certified 1"):
         table.hom_vectors
     assert table.solved.vectors is None
+
+
+# A3 pairs (i, j) with only Hom, neither, and only Ext nonzero
+@pytest.mark.parametrize("pair", [(0, 3), (0, 1), (1, 0)], ids=["hom", "zero", "ext"])
+def test_a_wrong_hom_kernel_breaks_the_directing_check(monkeypatch, pair):
+    """One Hom kernel one vector too long raises Hom and, with the Euler
+    form, Ext by one: the pair then has both nonzero, which no pair of
+    Dynkin modules has (they are directing)."""
+    t = enumerate_indecomposables(BUILTIN_QUIVERS["a3"]())
+    i, j = pair
+    rank_mod2, kernel = repcore.rank_mod2, repcore._kernel
+    calls = []
+
+    def one_long(rows, ncols):
+        calls.append(None)
+        basis = kernel(rows, ncols)
+        return basis + ((0,) * ncols,) if len(calls) == i * len(t) + j + 1 else basis
+
+    monkeypatch.setattr(repcore, "rank_mod2", lambda masks: rank_mod2(masks) - 1)
+    monkeypatch.setattr(repcore, "_kernel", one_long)
+    with pytest.raises(ConsistencyError, match="both nonzero: the modules are not directing"):
+        enumerate_indecomposables(BUILTIN_QUIVERS["a3"]())
+    assert len(calls) == len(t) ** 2

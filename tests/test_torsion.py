@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import random
 from math import comb
@@ -53,7 +52,7 @@ def test_orthogonals_match_brute_force_on_patched_table(a3_table, seed):
     hom = [list(row) for row in a3_table.hom]
     for _ in range(6):
         hom[rng.randrange(n)][rng.randrange(n)] = rng.choice((0, 1, 2))
-    table = dataclasses.replace(a3_table, hom=tuple(tuple(r) for r in hom))
+    table = a3_table.copy(hom=tuple(tuple(r) for r in hom))
     relation = module_relation(TableContext(table))
     for mask in range(1 << n):
         members = bits(mask)
@@ -240,7 +239,7 @@ def _assert_traces_match_reference(table):
 @pytest.mark.parametrize("name", ["a3", "d4", "d5"])
 def test_memoised_oracle_matches_unmemoised(name):
     # a copy starts with an empty memo, so the first sweep fills it
-    table = dataclasses.replace(_builtin_table(name))
+    table = _builtin_table(name).copy()
     expected = _oracle_outcomes(_unmemoised_oracle, table)
     assert _oracle_outcomes(canonical_sequence_oracle, table) == expected
     assert _oracle_outcomes(canonical_sequence_oracle, table) == expected
@@ -272,7 +271,7 @@ def test_dominators_match_span_ranks(name):
     """For each module y, i dominates j exactly when the image of Hom(j,
     y) lies in that of Hom(i, y), strictly or with i < j, by the ranks
     of the stacked Hom basis columns at every vertex."""
-    table = dataclasses.replace(_builtin_table(name))
+    table = _builtin_table(name).copy()
     n = len(table.entries)
     ties = 0
     for y in range(n):
@@ -308,9 +307,7 @@ def test_oracle_memo_follows_hom_bases_on_patched_hom(a3_table):
         for j in range(n):
             hom = [list(row) for row in a3_table.hom]
             hom[i][j] = 0 if hom[i][j] else 1
-            patched = dataclasses.replace(
-                a3_table, hom=tuple(tuple(r) for r in hom)
-            )
+            patched = a3_table.copy(hom=tuple(tuple(r) for r in hom))
             expected = _oracle_outcomes(_unmemoised_oracle, patched)
             assert _oracle_outcomes(canonical_sequence_oracle, patched) == expected
             _assert_certificates_are_their_cases(patched)
@@ -417,7 +414,7 @@ def test_closure_search_matches_subset_scan_on_patched_table(a2_table):
     p1 = a2_table.by_dimvec((0, 1)).id
     hom = [list(row) for row in a2_table.hom]
     hom[p1] = [0] * len(hom)
-    patched = dataclasses.replace(a2_table, hom=tuple(tuple(r) for r in hom))
+    patched = a2_table.copy(hom=tuple(tuple(r) for r in hom))
     pairs = enumerate_torsion_pairs(patched)
     assert pairs == _brute_force_pairs(patched)
     assert p1 in pairs[0].torsion

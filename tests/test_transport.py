@@ -1,4 +1,3 @@
-import dataclasses
 from itertools import combinations, product
 
 import pytest
@@ -273,7 +272,7 @@ def test_component_closure_witness(tame_model, obj, source, target, message):
     hm = heart_realization(KRONECKER_T, ctx)
     bit = hm.masks.mask([obj])
     moved = {source: getattr(hm, source) & ~bit, target: getattr(hm, target) | bit}
-    broken = dataclasses.replace(hm, **moved)
+    broken = hm._replace(**moved)
     with pytest.raises(PreconditionError) as exc:
         ctx.check_components(broken)
     assert str(exc.value) == message
@@ -285,7 +284,7 @@ def test_dynkin_heart_has_no_closure_check(a2_table):
     s1 = a2_table.by_dimvec((1, 0)).id
     hm = heart_realization(TiltingSet(frozenset({p1, s1})), ctx)
     # the Kronecker closure check would reject a summand outside P_A
-    ctx.check_components(dataclasses.replace(hm, P_A=0, R_A=hm.P_A))
+    ctx.check_components(hm._replace(P_A=0, R_A=hm.P_A))
 
 
 @pytest.mark.parametrize(

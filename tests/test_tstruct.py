@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -131,7 +130,7 @@ def test_trace_precondition(a2_table, window):
     # remove a degree-1 shifted module from the aisle
     broken = ts.aisle & ~masks.mask(x for x in masks.objects if x.degree == 1)
     with pytest.raises(PreconditionError) as exc:
-        trace(replace(ts, aisle=broken), a2_table)
+        trace(ts._replace(aisle=broken), a2_table)
     assert "@1" in str(exc.value) or "shift" in str(exc.value)
     # the first missing object in module order, the aisle's before the
     # orthogonal's for each module
@@ -139,8 +138,7 @@ def test_trace_precondition(a2_table, window):
     assert str(exc.value) == (
         f"aisle does not contain the shifted module {label}"
     )
-    both = replace(
-        ts,
+    both = ts._replace(
         aisle=ts.aisle & ~masks.mask([DerivedObject(1, 1)]),
         coaisle=ts.coaisle & ~masks.mask([DerivedObject(0, -1)]),
     )
@@ -335,9 +333,7 @@ def test_verify_lemma42_detects_corruption(a2_table, window):
     ts = lift(tp, t, window)
     masks = _masks(t, window)
     s2 = t.by_dimvec((0, 1)).id
-    corrupted = replace(
-        ts, aisle=ts.aisle | masks.mask([DerivedObject(s2, 0)])
-    )
+    corrupted = ts._replace(aisle=ts.aisle | masks.mask([DerivedObject(s2, 0)]))
     ok, witness = verify_lemma42(corrupted, t)
     assert not ok
     assert witness[0] == DerivedObject(s2, 0)
