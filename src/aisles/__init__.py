@@ -4,7 +4,7 @@ windowed stalk model of their bounded derived categories, a symbolic
 Kronecker model for the tame case, and the transport of torsion pairs
 through tilting."""
 
-from .derived import DerivedObject, DerivedSubcategory, Window, hom_derived, shift, tau_derived
+from .derived import DerivedObject, Window, hom_derived, shift, tau_derived
 from .quiver import Quiver, load_quiver, load_quiver_file, linear_quiver
 from .repcore import IndecTable, Representation, enumerate_indecomposables, hom_space
 from .torsion import TorsionPair, enumerate_torsion_pairs
@@ -12,7 +12,6 @@ from .tstruct import TStructure, lift, trace
 
 __all__ = [
     "DerivedObject",
-    "DerivedSubcategory",
     "IndecTable",
     "Quiver",
     "Representation",

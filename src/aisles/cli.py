@@ -22,10 +22,11 @@ from . import transport as transport_mod
 from . import tstruct
 from .derived import (
     DerivedObject,
-    DerivedSubcategory,
     TableContext,
     Window,
+    bits,
     check_window_objects,
+    coloring_mask,
     export_dot,
     hom_masks,
     module_relation,
@@ -207,11 +208,14 @@ def ts_to_json(ts, table):
         by_degree.setdefault(str(x.degree), []).append(
             str(list(table.entries[x.indec].dimvec))
         )
+    # heart bit (d - lo)·n + i, listed by indecomposable, then degree
+    n = len(table.entries)
+    heart = sorted((k % n, ts.window.lo + k // n) for k in bits(ts.heart))
     return {
         "aisle": by_degree,
         # every aisle contains all objects above the window
         "upper_tail": True,
-        "heart": [x.label(table) for x in sorted(ts.heart)],
+        "heart": [DerivedObject(*x).label(table) for x in heart],
         "split": ts.split,
     }
 
@@ -306,7 +310,7 @@ def _parse_tilting(text):
 def cmd_export_ar(args):
     table = load_table(args)
     window = parse_window(args.window)
-    coloring = None
+    coloring = 0
     if args.color_file:
         try:
             with open(args.color_file, "r", encoding="utf-8") as fh:
@@ -327,14 +331,12 @@ def cmd_export_ar(args):
                     'bad coloring file: want an object {"members": '
                     "[[dimvec, degree], ...]}"
                 )
-            members = frozenset(
-                DerivedObject(table.by_dimvec(tuple(d)).id, deg)
-                for (d, deg) in data["members"]
-            )
-            if members:
-                coloring = DerivedSubcategory(window, members)
+            members = [
+                (table.by_dimvec(tuple(d)).id, deg) for (d, deg) in data["members"]
+            ]
         except (ValueError, KeyError, OSError) as exc:
             raise AislesError(f"bad coloring file: {exc}")
+        coloring = coloring_mask(table, window, members)
     sys.stdout.write(export_dot(table, window, coloring))
     return EXIT_OK
 

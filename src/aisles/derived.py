@@ -20,10 +20,11 @@ the Kronecker model in ``aisles.kronecker``) lift torsion pairs and
 answer Hom-vanishing, reachability, shift-closure, Ext-projectivity and
 split-aisle questions with: one bitmask per window object of the objects
 it has a nonzero morphism to, plus the window index of its translate.
-Aisles and their orthogonals are window masks (ints); a degree-0 trace
-is the ``part`` of a mask at degree 0.  It is built once per model and
-window from the module relation and the context's translate and object
-labels.
+It is built once per model and window from the module relation and the
+context's translate and object labels.  Every derived subcategory is a
+window mask, bit (d - lo)·n + i for module i in degree d: aisles and
+coaisles, hearts, Ext-projectives, sections, successor cones and the
+``export_dot`` coloring; a degree-0 trace is a mask's ``part``.
 """
 
 from __future__ import annotations
@@ -82,22 +83,6 @@ class Window(_WindowFields):
 DEFAULT_WINDOW = Window(-2, 3)
 
 
-class DerivedSubcategory:
-    """A user-built set of window objects: the coloring of ``export_dot``.
-    t-structures and successor cones do not use it: they are window masks
-    (``aisles.tstruct.TStructure``, ``aisles.tstruct.successors``)."""
-
-    def __init__(self, window, members):
-        self.window = window
-        self.members = members
-        for x in members:
-            if not window.contains(x):
-                raise ShapeError(f"member {x} outside the window")
-
-    def __contains__(self, obj):
-        return obj in self.members
-
-
 def check_window_objects(window, per_degree):
     """Refuse a window whose object count exceeds ``MAX_WINDOW_OBJECTS``;
     called with the module count before anything is built."""
@@ -107,6 +92,22 @@ def check_window_objects(window, per_degree):
             f"{count} window objects exceed MAX_WINDOW_OBJECTS = "
             f"{MAX_WINDOW_OBJECTS}; use a narrower window or a smaller model"
         )
+
+
+def coloring_mask(table, window, members):
+    """The ``HomMasks`` window mask of the (indecomposable, degree) pairs
+    ``members``, the coloring of ``export_dot``.  A mask has no tails, so
+    a member outside the window is refused, named by its label."""
+    masks = hom_masks(TableContext(table), window)
+    mask = 0
+    for i, d in members:
+        if not window.lo <= d <= window.hi:
+            raise ShapeError(
+                f"member {DerivedObject(i, d).label(table)} outside the "
+                f"window {window.lo}..{window.hi}"
+            )
+        mask |= masks.place(1 << i, d)
+    return mask
 
 
 def all_objects(table, window):
@@ -451,16 +452,18 @@ class HomMasks:
         return sum(1 << self.tau[k] for k in bits(mask))
 
     def lift(self, torsion, free, pivot):
-        """The aisle and coaisle of the t-structure lifted from the module
-        masks ``torsion`` and ``free`` at window degree ``pivot``: the
-        aisle is ``torsion`` in degree ``pivot`` and every object above
-        it, the coaisle ``free`` in degree ``pivot`` and every object
-        below it."""
+        """The aisle, coaisle and heart of the t-structure lifted from the
+        module masks ``torsion`` and ``free`` at window degree ``pivot``:
+        the aisle is ``torsion`` in degree ``pivot`` and every object
+        above it, the coaisle ``free`` in degree ``pivot`` and every
+        object below it, the heart ``torsion`` in degree ``pivot`` and
+        ``free`` one degree up, past the window at the top pivot."""
         if not self.window.lo <= pivot <= self.window.hi:
             raise ShapeError(f"pivot degree {pivot} outside the window")
         cut = (pivot - self.window.lo) * self.n
         above = (self.full >> cut + self.n) << cut + self.n
-        return torsion << cut | above, free << cut | (1 << cut) - 1
+        heart = torsion << cut | free << cut + self.n
+        return torsion << cut | above, free << cut | (1 << cut) - 1, heart
 
     def shift(self, mask, s):
         """The mask moved ``s`` degrees up, cut to the window."""
@@ -587,15 +590,16 @@ def hom_masks(context, window):
 # ---------------------------------------------------------------------------
 
 
-def export_dot(table, window, coloring=None, name="derived_ar"):
+def export_dot(table, window, coloring=0, name="derived_ar"):
     """GraphViz rendering of the windowed derived AR quiver.
 
-    ``coloring`` is an optional DerivedSubcategory; its members are drawn
-    filled, the complement plain."""
+    ``coloring`` is a window mask (``coloring_mask``); its members are
+    drawn filled, the complement plain."""
+    index = hom_masks(TableContext(table), window).index
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     for x in sorted(all_objects(table, window)):
         attrs = [f'label="{x.label(table)}"']
-        if coloring is not None and x in coloring:
+        if coloring >> index[x] & 1:
             attrs.append('style=filled fillcolor=lightblue')
         lines.append(f'  "n{x.indec}_{x.degree}" [{" ".join(attrs)}];')
     for (x, y) in derived_ar_arrows(table, window):

@@ -104,7 +104,7 @@ def suite_semipath(table, window):
     return [
         check("no_aisle_to_orthogonal_semipath", len(pairs)),
         check("triangulated_iff_zero_heart", len(pairs)),
-        check("ringel_witnesses_nonempty", len(ringel), None if ringel else []),
+        check("ringel_witnesses_nonempty", ringel.bit_count(), None if ringel else []),
     ]
 
 

@@ -21,7 +21,8 @@ members i.  Each image is reduced once per table, and which images lie
 inside which is recorded once per module, so a trace is keyed by the
 members whose image lies in no other member's: many classes share that
 key, and a trace is built about once.  Subobjects and quotients with
-equal matrices share their certificates, each solved the first time a
+equal matrices share their certificates, module masks of the members
+whose Hom space is solved zero or nonzero, each solved the first time a
 pair needs it; the torsion-pair axioms are checked once per distinct
 pair.
 """
@@ -323,31 +324,34 @@ def canonical_sequence_oracle(y, tp, table):
             )
         checked.add((tmask, tp.free.mask))
     _trace, sub, quot, sub_into, into_quot = _canonical_case(y, tmask, table)
-    for f in tp.free:
-        if f not in sub_into:
-            sub_into[f], _ = hom_space(sub, table.entries[f].rep)
-        if sub_into[f] != 0:
-            raise ConsistencyError(
-                f"falsified: Hom(trace({table.entries[y].dimvec}), "
-                f"{table.entries[f].dimvec}) has dimension {sub_into[f]}"
-            )
-    for t in tp.torsion:
-        if t not in into_quot:
-            into_quot[t], _ = hom_space(table.entries[t].rep, quot)
-        if into_quot[t] != 0:
-            raise ConsistencyError(
-                f"falsified: Hom({table.entries[t].dimvec}, "
-                f"{table.entries[y].dimvec}/trace) has dimension {into_quot[t]}"
-            )
+    entries = table.entries
+    for members, certificate, solve, space in (
+        (tp.free.mask, sub_into, lambda f: hom_space(sub, entries[f].rep),
+         "Hom(trace({1}), {0})"),
+        (tmask, into_quot, lambda t: hom_space(entries[t].rep, quot),
+         "Hom({0}, {1}/trace)"),
+    ):
+        # solve the members in neither mask, up to the first nonzero one;
+        # its dimension is solved again for the message
+        for k in bits(members & ~certificate[0]):
+            if certificate[1] >> k & 1 or solve(k)[0]:
+                certificate[1] |= 1 << k
+                space = space.format(entries[k].dimvec, entries[y].dimvec)
+                raise ConsistencyError(
+                    f"falsified: {space} has dimension {solve(k)[0]}"
+                )
+            certificate[0] |= 1 << k
     return sub, quot
 
 
 def _canonical_case(y, tmask, table):
-    """(trace, sub, quot, dim Hom(sub, f) by f, dim Hom(t, quot) by t)
-    for the trace in entry ``y`` of the torsion class with bitmask
-    ``tmask``; ``trace`` holds the per-vertex reduced rows.  The two
-    dicts fill as the oracle asks, and cases whose subobjects (or
-    quotients) have the same dimensions and matrices share them.
+    """(trace, sub, quot, Hom(sub, f) certificate, Hom(t, quot)
+    certificate) for the trace in entry ``y`` of the torsion class with
+    bitmask ``tmask``; ``trace`` holds the per-vertex reduced rows.  A
+    certificate is a [certified, nonzero] pair of module masks, the
+    members f (or t) whose Hom space is solved zero or nonzero; both
+    fill as the oracle asks, and cases whose subobjects (or quotients)
+    have the same dimensions and matrices share them.
 
     The trace is the sum of the images of Hom(i, y) over the members i,
     so it depends only on the members with a nonzero Hom basis into y,
@@ -383,8 +387,8 @@ def _canonical_case(y, tmask, table):
                     trace,
                     sub,
                     quot,
-                    solved.setdefault(("sub", _value(sub)), {}),
-                    solved.setdefault(("quot", _value(quot)), {}),
+                    solved.setdefault(("sub", _value(sub)), [0, 0]),
+                    solved.setdefault(("quot", _value(quot)), [0, 0]),
                 )
             traces[reduced] = case
         traces[key] = case

@@ -273,7 +273,7 @@ def verify_theorem53(model, T):
         # orthogonality of the base pair
         checks["base_orthogonal"] = not union(relation.hom, torsion) & free
         # class (c): the lifted aisle is the classified split aisle
-        lifted, _coaisle = masks.lift(torsion, free, 0)
+        lifted = masks.lift(torsion, free, 0)[0]
         checks["lift_matches_classification"] = (
             lifted == build_aisle_63b(0, L, model)
         )

@@ -5,13 +5,13 @@ t-structures whose aisle contains every module in degree 1 and whose
 right orthogonal contains every module in degree -1.  On top of that sit
 the Ext-projective calculus, sections and successor cones, semipath
 reachability, and the verifiers for the split-t-structure classification.
-A t-structure is a pair of window masks of the table's ``HomMasks``
-(``aisles.derived``), as a Kronecker aisle is: ``lift`` builds them with
-``HomMasks.lift``, ``trace`` reads their degree-0 parts back into a
-torsion pair, and every Hom-vanishing, reachability and split-aisle scan
-runs on those masks.  Sections and successor cones are mask operations
-too: on the derived AR adjacency rows (``ar_adjacency``), the
-translates of ``HomMasks.tau`` and its ``orbit_ends``.
+A t-structure's aisle, coaisle and heart are window masks of the
+table's ``HomMasks`` (``aisles.derived``), as a Kronecker aisle is:
+``lift`` builds them with ``HomMasks.lift``, ``trace`` reads their
+degree-0 parts back into a torsion pair.  Ext-projectives, sections,
+successor cones and Ringel witnesses are window masks too, read off the
+Hom masks, the derived AR adjacency rows (``ar_adjacency``), the
+translates ``HomMasks.tau`` and its ``orbit_ends``.
 
 All verifiers quantify over interior window degrees only; conclusions
 about boundary-adjacent objects are never asserted.
@@ -39,16 +39,17 @@ from .torsion import is_torsion_pair, pair_of_masks
 class TStructure(NamedTuple):
     """Aisle plus its right orthogonal (stored unshifted as ``coaisle``)
     as masks of the table's ``HomMasks`` for ``window``, the split flag
-    and the heart object set.  The aisle holds every object above the
-    window and the coaisle every object below it, so no flag stores the
-    tails.  ``heart`` holds ``DerivedObject``s: one can lie above the
-    window."""
+    and the heart.  The aisle holds every object above the window and
+    the coaisle every object below it, so no flag stores the tails.
+    ``heart`` is a mask over the window's objects and the degree just
+    above it, bit (d - lo)·n + i: at the top pivot its free part lies
+    there."""
 
     window: Window
     aisle: int
     coaisle: int
     split: bool
-    heart: frozenset
+    heart: int
 
 
 # ---------------------------------------------------------------------------
@@ -65,12 +66,9 @@ def lift(tp, table, window, pivot=0):
     degree ``pivot`` plus everything in higher degrees, by
     ``HomMasks.lift``.  Pivot 0 is the lift proper; other pivots are its
     shifts."""
-    masks = _masks(table, window)
-    aisle, coaisle = masks.lift(tp.torsion.mask, tp.free.mask, pivot)
-    heart = {DerivedObject(i, pivot) for i in tp.torsion} | {
-        DerivedObject(j, pivot + 1) for j in tp.free
-    }
-    return TStructure(window, aisle, coaisle, tp.split, frozenset(heart))
+    lifted = _masks(table, window).lift(tp.torsion.mask, tp.free.mask, pivot)
+    aisle, coaisle, heart = lifted
+    return TStructure(window, aisle, coaisle, tp.split, heart)
 
 
 def trace(ts, table):
@@ -106,10 +104,9 @@ def trace(ts, table):
 
 
 def ext_projectives(ts, table):
-    """Interior aisle members with no extensions inside the aisle, by
-    ``HomMasks.ext_projectives``."""
-    masks = _masks(table, ts.window)
-    return set(masks.members(masks.ext_projectives(ts.aisle)))
+    """Interior aisle members with no extensions inside the aisle, as a
+    window mask, by ``HomMasks.ext_projectives``."""
+    return _masks(table, ts.window).ext_projectives(ts.aisle)
 
 
 # ---------------------------------------------------------------------------
@@ -118,36 +115,33 @@ def ext_projectives(ts, table):
 
 
 def section_check(S, table, window):
-    """One object per interior tau-orbit, compatible with the AR arrows
-    up to translation (the presection condition): each interior
-    non-member an arrow from S reaches has its translate in S.  Its dual
-    (each interior non-member with an arrow into S is a translate of a
-    member) follows: an arrow y -> s of ZΔ gives the path tau^k y ->
-    tau^k s -> ... -> y -> s, whose objects are interior when its ends
-    are, so if S meets the orbit of a non-member y at tau^k y (k >= 1),
-    tau^k s breaks the condition, and if at tau^-k y (k >= 2), tau^-1 y
-    does."""
-    if not all(window.is_interior(x) for x in S):
-        return False
+    """Whether the window mask ``S`` has one object per interior
+    tau-orbit, compatible with the AR arrows up to translation (the
+    presection condition): each interior non-member an arrow from S
+    reaches has its translate in S.  Its dual (each interior non-member
+    with an arrow into S is a translate of a member) follows: an arrow
+    y -> s of ZΔ gives the path tau^k y -> tau^k s -> ... -> y -> s,
+    whose objects are interior when its ends are, so if S meets the
+    orbit of a non-member y at tau^k y (k >= 1), tau^k s breaks the
+    condition, and if at tau^-k y (k >= 2), tau^-1 y does."""
     masks = _masks(table, window)
-    members = masks.mask(S)
+    if S & ~masks.interior:
+        return False
     ends, every = masks.orbit_ends
-    hit = union(ends, members)
-    if hit != every or hit.bit_count() != members.bit_count():
+    hit = union(ends, S)
+    if hit != every or hit.bit_count() != S.bit_count():
         return False
     succ, _pred = ar_adjacency(table, window)
-    reached = union(succ, members) & masks.interior & ~members
-    return not masks.translate(reached) & ~members
+    reached = union(succ, S) & masks.interior & ~S
+    return not masks.translate(reached) & ~S
 
 
 def successors(S, table, window):
-    """Reflexive-transitive closure of the objects ``S`` under the
-    derived AR arrows, as a mask of the table's ``HomMasks`` for
-    ``window``: OR the successor rows of the new objects until none
-    is added."""
-    masks = _masks(table, window)
+    """Reflexive-transitive closure of the window mask ``S`` under the
+    derived AR arrows, as a window mask: OR the successor rows of the new
+    objects until none is added."""
     succ, _pred = ar_adjacency(table, window)
-    cone = new = masks.mask(x for x in S if window.contains(x))
+    cone = new = S
     while new:
         new = union(succ, new) & ~cone
         cone |= new
@@ -180,14 +174,12 @@ def semipath(X, Y, table, window):
 
 def ringel_criterion(table, window):
     """Interior objects X with no semipath from X[1] back to X (the
-    witnesses of derived-hereditariness)."""
+    witnesses of derived-hereditariness), as a window mask."""
     masks = _masks(table, window)
     reach = masks.semipath_reach
-    return {
-        x
-        for k, x in enumerate(masks.objects)
-        if window.is_interior(x) and not (reach[k + masks.n] >> k) & 1
-    }
+    return sum(
+        1 << k for k in bits(masks.interior) if not reach[k + masks.n] >> k & 1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +207,7 @@ def verify_lemma41(ts, table):
         raise PreconditionError("biconditional asserted for split input")
     masks = _masks(table, ts.window)
     down_closed = not masks.shift(ts.aisle & masks.interior, -1) & ~ts.aisle
-    heart_empty = not any(ts.window.is_interior(h) for h in ts.heart)
+    heart_empty = not ts.heart & masks.interior
     return down_closed == heart_empty
 
 
@@ -251,17 +243,16 @@ def classify_split(table, window, split_pairs):
     for pivot, tp, ts in enumerated:
         E = ext_projectives(ts, table)
         checks = {}
-        checks["ext_projective_count"] = len(E) in (0, n_vertices)
-        heart_nonzero = bool(ts.heart)
+        checks["ext_projective_count"] = E.bit_count() in (0, n_vertices)
         if E:
-            checks["count_matches_vertices"] = len(E) == n_vertices
+            checks["count_matches_vertices"] = E.bit_count() == n_vertices
             checks["section"] = section_check(E, table, window)
             cone = successors(E, table, window)
             checks["successors_reproduce_aisle"] = not (
                 (cone ^ ts.aisle) & masks.interior
             )
         else:
-            checks["zero_heart"] = not heart_nonzero
+            checks["zero_heart"] = not ts.heart
         report.append(
             {
                 "pivot": pivot,
@@ -269,7 +260,7 @@ def classify_split(table, window, split_pairs):
                     list(table.entries[i].dimvec) for i in tp.torsion
                 ],
                 "ext_projectives": sorted(
-                    x.label(table) for x in E
+                    x.label(table) for x in masks.members(E)
                 ),
                 "checks": checks,
                 "pass": all(checks.values()),
@@ -310,38 +301,36 @@ def verify_cor64(ts, table, candidates=None):
     inside the heart, shift-self-orthogonal, signed dimension vectors of
     full rank.  Returns (bool, diagnostics list).
 
-    ``candidates`` is the Ext-projective set when the caller has it
-    already, or other window objects: corrupted sets must make at least
+    ``candidates`` is the Ext-projective window mask when the caller has
+    it already, or another window mask: corrupted sets must make at least
     one check fail."""
     if not ts.split:
         raise PreconditionError("tilting-complex check needs a split input")
-    E = sorted(ext_projectives(ts, table) if candidates is None else candidates)
+    masks = _masks(table, ts.window)
+    n, objects = masks.n, masks.objects
+    E = ext_projectives(ts, table) if candidates is None else candidates
     if not E:
         raise PreconditionError("no Ext-projectives to check")
-    window = ts.window
-    diagnostics = []
-    ok = True
-    for e in E:
-        if e not in ts.heart:
-            ok = False
-            diagnostics.append(f"{e.label(table)} outside the heart")
-    masks = _masks(table, window)
+    # the members by indecomposable, then degree
+    E = sorted(bits(E), key=lambda k: (k % n, k))
+    diagnostics = [
+        f"{objects[e].label(table)} outside the heart"
+        for e in E
+        if not ts.heart >> e & 1
+    ]
     # per f, every other shift of f inside the window
-    shifts = [masks.above(1 << f.indec, window.lo) & ~(1 << masks.index[f]) for f in E]
+    shifts = [masks.above(1 << f % n, ts.window.lo) & ~(1 << f) for f in E]
     for e in E:
         for f, f_shifts in zip(E, shifts):
-            for k in bits(masks.out[masks.index[e]] & f_shifts):
-                ok = False
+            for k in bits(masks.out[e] & f_shifts):
                 diagnostics.append(
-                    f"nonzero morphism {e.label(table)} -> "
-                    f"{f.label(table)} shifted by "
-                    f"{masks.objects[k].degree - f.degree}"
+                    f"nonzero morphism {objects[e].label(table)} -> "
+                    f"{objects[f].label(table)} shifted by {k // n - f // n}"
                 )
     signed = [
-        [-c if e.degree % 2 else c for c in table.entries[e.indec].dimvec]
+        [-c if objects[e].degree % 2 else c for c in table.entries[e % n].dimvec]
         for e in E
     ]
     if span_rank(signed) != len(table.quiver.vertices):
-        ok = False
         diagnostics.append("signed dimension vectors do not span full rank")
-    return ok, diagnostics
+    return not diagnostics, diagnostics

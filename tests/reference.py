@@ -1,10 +1,12 @@
 """Constructions only the tests use: the opposite quiver, the Kronecker
 quiver with honest matrices for its symbolic modules and its Euler form,
 the inverse Kronecker and Dynkin translates and the Dynkin tau-orbits
-they walk, matrix stacking, the set-based transport maps the mask maps
+they walk, successor cones over derived AR arrows, matrix stacking, the set-based transport maps the mask maps
 are checked against, the rank mod 2 of sparse integer rows the parity
 masks are checked against, and the random ADE orientations of the
 Hypothesis tests."""
+
+from collections import deque
 
 from hypothesis import strategies as st
 
@@ -109,6 +111,20 @@ def tau_orbits(table, window):
             seen |= orbit
             orbits.append(frozenset(orbit))
     return table.memo[key]
+
+
+def reference_cone(arrows, sources):
+    """Breadth-first successor cone over derived AR arrow pairs."""
+    out = {}
+    for x, y in arrows:
+        out.setdefault(x, []).append(y)
+    seen, todo = set(sources), deque(sources)
+    while todo:
+        for y in out.get(todo.popleft(), ()):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
 
 
 def hstack(mats):

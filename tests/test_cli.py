@@ -628,7 +628,9 @@ def test_oracle_builds_each_image_and_checks_each_pair_once(monkeypatch):
     assert distinct == 95
     assert distinct <= calls["trace_subrepresentation"] <= 150
     solved = table.memo["oracle_certificates"].values()
-    assert calls["hom_space"] == sum(map(len, solved)) == 818
+    # each certificate is a [certified, nonzero] pair of module masks
+    count = sum((certified | nonzero).bit_count() for certified, nonzero in solved)
+    assert calls["hom_space"] == count == 818
 
 
 def test_oracle_certificates_are_all_proved_zero_mod_2(monkeypatch):
@@ -743,6 +745,19 @@ def test_export_ar_color_file_not_an_object_is_usage_error(
     )
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: bad coloring file")
+
+
+def test_export_ar_color_member_outside_the_window_is_usage_error(
+    capsys, tmp_path
+):
+    """The member is named as the file writes it, with the window."""
+    path = tmp_path / "color.json"
+    path.write_text('{"members": [[[1, 0, 0, 0], 9]]}', encoding="utf-8")
+    code, out, err = run(
+        capsys, "export-ar", "--builtin", "d4", "--color-file", str(path)
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: member [1, 0, 0, 0]@9 outside the window -2..3\n"
 
 
 def test_verify_all_enumerates_torsion_pairs_once(capsys, monkeypatch, a3_table):

@@ -4,13 +4,15 @@ from hypothesis import given, strategies as st
 from aisles import derived
 from aisles.derived import (
     DerivedObject,
-    DerivedSubcategory,
+    TableContext,
     Window,
     all_objects,
+    coloring_mask,
     cross_arrow_pairs,
     derived_ar_arrows,
     export_dot,
     hom_derived,
+    hom_masks,
     shift,
     tau_derived,
 )
@@ -126,17 +128,19 @@ def test_single_vertex_quiver_has_no_arrows(window):
 
 def test_subcategory_membership_and_tails(a2_table, window):
     n = len(a2_table.entries)
-    members = frozenset(
-        DerivedObject(i, d) for i in range(n) for d in range(1, 4)
-    )
-    s = DerivedSubcategory(window, members)
+    members = [DerivedObject(i, d) for i in range(n) for d in range(1, 4)]
+    mask = coloring_mask(a2_table, window, members)
+    s = hom_masks(TableContext(a2_table), window).members(mask)
+    assert s == sorted(members, key=lambda x: (x.degree, x.indec))
     assert DerivedObject(0, 3) in s
     # no tails: objects outside the window are never members
     assert DerivedObject(0, 5) not in s
     assert DerivedObject(0, -5) not in s
     assert DerivedObject(0, 0) not in s
-    with pytest.raises(ShapeError):
-        DerivedSubcategory(window, frozenset({DerivedObject(0, 9)}))
+    with pytest.raises(ShapeError) as exc:
+        coloring_mask(a2_table, window, [DerivedObject(0, 9)])
+    label = DerivedObject(0, 9).label(a2_table)
+    assert str(exc.value) == f"member {label} outside the window -2..3"
 
 
 def test_export_dot_counts(a2_table):
@@ -147,7 +151,7 @@ def test_export_dot_counts(a2_table):
     colored = export_dot(
         a2_table,
         w,
-        DerivedSubcategory(w, frozenset({DerivedObject(0, 0)})),
+        coloring_mask(a2_table, w, [DerivedObject(0, 0)]),
     )
     assert colored.count("fillcolor") == 1
 

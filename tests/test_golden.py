@@ -9,8 +9,11 @@ goldens (``verify_d4.json`` and the two ``*_falsified.json``) were
 rewritten once when every check record gained its integer ``cases``
 count and ``split_classification`` stopped listing its per-structure
 report (which ``classify`` still prints); their names, pass flags and
-witnesses are unchanged.  Any change to enumeration order, witness
-choice, pair content or JSON layout shows here.
+witnesses are unchanged.  ``classify_d4_window.json`` was written while
+hearts and Ext-projectives were sets of stalk objects, before they
+became window masks; it pins the Ext-projective labels off the default
+window.  Any change to enumeration order, witness choice, pair content
+or JSON layout shows here.
 """
 
 import pathlib
@@ -30,6 +33,11 @@ CASES = [
     ("enumerate_d4.json", ["enumerate", "--builtin", "d4"], EXIT_OK),
     ("verify_d4.json", ["verify", "--builtin", "d4", "--suite", "all"], EXIT_OK),
     ("classify_a3.json", ["classify", "--builtin", "a3"], EXIT_OK),
+    (
+        "classify_d4_window.json",
+        ["classify", "--builtin", "d4", "--window=-1..2"],
+        EXIT_OK,
+    ),
     (
         "verify_kronecker.json",
         ["verify", "--builtin", "kronecker", "--suite", "all"],

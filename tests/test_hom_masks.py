@@ -1,7 +1,6 @@
 """The Hom-mask core against the reference gap rules, and its memo."""
 
 import functools
-from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +28,7 @@ from aisles.kronecker import (
 from aisles.quiver import BUILTIN_QUIVERS
 from aisles.repcore import enumerate_indecomposables
 from aisles.tstruct import ringel_criterion, semipath, successors
-from reference import orientations
+from reference import orientations, reference_cone
 
 
 def _assert_masks_match(masks, rule):
@@ -98,7 +97,9 @@ def test_lift_places_torsion_and_free_at_the_pivot(a3_table, d4_table, tame_mode
     """Bit k of the aisle is set exactly when object k lies above the
     pivot, or at it with its module in ``torsion``; bit k of the coaisle
     exactly when it lies below the pivot, or at it with its module in
-    ``free``.  Window object k is module object k % n."""
+    ``free``; bit k of the heart exactly when it lies at the pivot with
+    its module in ``torsion``, or one degree up with it in ``free``.
+    Window object k is module object k % n."""
     contexts = [TableContext(t) for t in (a3_table, d4_table)]
     contexts += [KroneckerContext(m) for m in tame_models]
     for context in contexts:
@@ -114,13 +115,17 @@ def test_lift_places_torsion_and_free_at_the_pivot(a3_table, d4_table, tame_mode
         ]
         for pivot in masks.window.interior():
             for torsion, free in samples:
-                aisle, coaisle = masks.lift(torsion, free, pivot)
+                aisle, coaisle, heart = masks.lift(torsion, free, pivot)
                 for k, x in enumerate(masks.objects):
                     at = x.degree == pivot
                     in_aisle = x.degree > pivot or (at and torsion >> k % n & 1)
                     in_coaisle = x.degree < pivot or (at and free >> k % n & 1)
+                    in_heart = at and torsion >> k % n & 1 or (
+                        x.degree == pivot + 1 and free >> k % n & 1
+                    )
                     assert aisle >> k & 1 == in_aisle, (pivot, x)
                     assert coaisle >> k & 1 == in_coaisle, (pivot, x)
+                    assert heart >> k & 1 == in_heart, (pivot, x)
         for pivot in (masks.window.lo - 1, masks.window.hi + 1):
             with pytest.raises(ShapeError):
                 masks.lift(0, every, pivot)
@@ -134,7 +139,8 @@ def test_ringel_criterion_matches_semipath_definition(a3_table, d4_table, window
             if window.is_interior(x)
             and semipath(shift(x, 1), x, table, window) is None
         }
-        assert ringel_criterion(table, window) == want
+        masks = hom_masks(TableContext(table), window)
+        assert ringel_criterion(table, window) == masks.mask(want)
 
 
 def test_masks_and_arrows_built_once_per_table_and_window(a3_table, monkeypatch):
@@ -180,7 +186,7 @@ def test_successor_lists_built_once_per_table_and_window(a3_table, monkeypatch):
     # the successor lists are the adjacency built with the arrows
     monkeypatch.setattr(derived, "derived_ar_arrows", counting_arrows)
     table = a3_table.copy()
-    S = [DerivedObject(0, 0)]
+    S = hom_masks(TableContext(table), DEFAULT_WINDOW).mask([DerivedObject(0, 0)])
     cones = {successors(S, table, DEFAULT_WINDOW) for _ in range(3)}
     assert walks == 1 and len(cones) == 1
     # another window, and a patched copy, build their own lists
@@ -217,20 +223,6 @@ def test_derived_mesh_check_raises_on_a_missing_arrow(monkeypatch, name, drop):
         derived_ar_arrows(broken, DEFAULT_WINDOW)
 
 
-def _reference_cone(arrows, sources):
-    """Breadth-first successor cone over derived AR arrow pairs."""
-    out = {}
-    for x, y in arrows:
-        out.setdefault(x, []).append(y)
-    seen, todo = set(sources), deque(sources)
-    while todo:
-        for y in out.get(todo.popleft(), ()):
-            if y not in seen:
-                seen.add(y)
-                todo.append(y)
-    return seen
-
-
 def _assert_adjacency_matches_arrows(table, window):
     arrows = derived_ar_arrows(table, window)
     assert arrows == sorted(arrows)
@@ -247,11 +239,11 @@ def _assert_adjacency_matches_arrows(table, window):
         for m in range(len(succ))
     ]
     for x in masks.objects:
-        want = masks.mask(_reference_cone(arrows, [x]))
-        assert successors([x], table, window) == want, x
+        want = masks.mask(reference_cone(arrows, [x]))
+        assert successors(masks.mask([x]), table, window) == want, x
     degree0 = [x for x in masks.objects if x.degree == 0]
-    assert successors(degree0, table, window) == masks.mask(
-        _reference_cone(arrows, degree0)
+    assert successors(masks.mask(degree0), table, window) == masks.mask(
+        reference_cone(arrows, degree0)
     )
 
 

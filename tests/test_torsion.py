@@ -316,9 +316,10 @@ def test_oracle_memo_follows_hom_bases_on_patched_hom(a3_table):
 
 
 def _assert_certificates_are_their_cases(table):
-    """Cases share a dict of certificates only when their subobjects (or
-    quotients) have equal dimensions and matrices, and every certificate
-    kept is the Hom dimension of each case's own subobject or quotient."""
+    """Cases share a [certified, nonzero] pair of module masks only when
+    their subobjects (or quotients) have equal dimensions and matrices,
+    and every member kept in one is certified exactly when the Hom
+    dimension of each case's own subobject or quotient is zero."""
     owner = {}
     for _trace, sub, quot, sub_into, into_quot in table.memo[
         "oracle_cases"
@@ -326,10 +327,14 @@ def _assert_certificates_are_their_cases(table):
         for rep, solved in ((sub, sub_into), (quot, into_quot)):
             first = owner.setdefault(id(solved), rep)
             assert (first.dims, first.maps) == (rep.dims, rep.maps)
-        for f, dim in sub_into.items():
-            assert dim == hom_space(sub, table.entries[f].rep)[0]
-        for t, dim in into_quot.items():
-            assert dim == hom_space(table.entries[t].rep, quot)[0]
+            assert not solved[0] & solved[1]
+        reps = [e.rep for e in table.entries]
+        for (certified, nonzero), dim in (
+            (sub_into, lambda f: hom_space(sub, reps[f])[0]),
+            (into_quot, lambda t: hom_space(reps[t], quot)[0]),
+        ):
+            for k in bits(certified | nonzero):
+                assert (dim(k) == 0) == bool(certified >> k & 1)
 
 
 def test_duality_with_opposite_quiver(a3_table):

@@ -3,13 +3,16 @@ import random
 
 import pytest
 
+from aisles import derived, tstruct
 from aisles.derived import (
     DerivedObject,
     TableContext,
     Window,
     all_objects,
     derived_ar_arrows,
+    hom_derived,
     hom_masks,
+    shift,
     tau_derived,
 )
 from aisles.errors import PreconditionError
@@ -30,7 +33,7 @@ from aisles.tstruct import (
     verify_lemma41,
     verify_lemma42,
 )
-from reference import tau_inverse_derived, tau_orbits
+from reference import reference_cone, tau_inverse_derived, tau_orbits
 
 
 def _ids(table, *dimvecs):
@@ -39,6 +42,17 @@ def _ids(table, *dimvecs):
 
 def _masks(table, window):
     return hom_masks(TableContext(table), window)
+
+
+def _heart_objects(ts, table):
+    """The heart mask decoded: bit (d - lo)·n + i is module i in degree
+    d, which may lie one degree above the window."""
+    n = len(table.entries)
+    return {
+        DerivedObject(k % n, ts.window.lo + k // n)
+        for k in range(ts.heart.bit_length())
+        if ts.heart >> k & 1
+    }
 
 
 def _pair(table, torsion_dimvecs):
@@ -76,12 +90,17 @@ def test_lift_structure(a2_table, window):
     # read from the aisle's upper and the coaisle's lower tail
     for tail in (Window(-2, 0), Window(0, 2)):
         assert trace(lift(tp, t, tail), t) == tp
-    assert ts.heart == {DerivedObject(s1, 0), DerivedObject(s2, 1), DerivedObject(p1, 1)}
+    assert _heart_objects(ts, t) == {
+        DerivedObject(s1, 0), DerivedObject(s2, 1), DerivedObject(p1, 1)
+    }
 
 
 def _lift_by_objects(tp, table, window, pivot):
-    """Aisle, coaisle and heart of the pivoted lift written out as sets
-    of stalk objects: the reference for the masks ``lift`` builds."""
+    """Aisle, coaisle, heart and Ext-projectives of the pivoted lift
+    written out as sets of stalk objects: the reference for the masks
+    ``lift`` and ``ext_projectives`` build.  The Ext-projectives are the
+    interior aisle members with no nonzero morphism into the shifted
+    aisle, by ``hom_derived``."""
     n = len(table.entries)
     aisle = {DerivedObject(i, pivot) for i in tp.torsion}
     coaisle = {DerivedObject(j, pivot) for j in tp.free}
@@ -93,7 +112,13 @@ def _lift_by_objects(tp, table, window, pivot):
     heart = {DerivedObject(i, pivot) for i in tp.torsion} | {
         DerivedObject(j, pivot + 1) for j in tp.free
     }
-    return aisle, coaisle, heart
+    ext_projectives = {
+        x
+        for x in aisle
+        if window.is_interior(x)
+        and not any(hom_derived(x, shift(y, 1), table) for y in aisle)
+    }
+    return aisle, coaisle, heart, ext_projectives
 
 
 def _by_degree(objects):
@@ -105,22 +130,55 @@ def _by_degree(objects):
 
 @pytest.mark.parametrize("name", ["a2", "a3", "d4", "d5"])
 def test_lift_matches_stalk_object_reference(name):
+    """The decoded heart, the Ext-projectives, their successor cone and
+    ``section_check`` against the object-set references, at every pivot
+    of three windows; some of the Ext-projective sets are sections and
+    some are not."""
     table = enumerate_indecomposables(BUILTIN_QUIVERS[name]())
     pairs = enumerate_torsion_pairs(table)
+    sections = set()
     for window in (Window(-2, 3), Window(-2, 0), Window(0, 2)):
         masks = _masks(table, window)
+        arrows = derived_ar_arrows(table, window)
         # pivot 0 and every pivot enumerate_split_tstructures lifts at
         for pivot in sorted({0, *range(window.lo + 1, window.hi - 1)}):
             for tp in pairs:
                 ts = lift(tp, table, window, pivot)
-                aisle, coaisle, heart = _lift_by_objects(
+                aisle, coaisle, heart, E = _lift_by_objects(
                     tp, table, window, pivot
                 )
                 for got, want in ((ts.aisle, aisle), (ts.coaisle, coaisle)):
                     assert _by_degree(masks.members(got)) == _by_degree(want)
-                assert ts.heart == heart
+                assert _heart_objects(ts, table) == heart
                 assert ts.split == tp.split
                 assert ts.window == window
+                got = ext_projectives(ts, table)
+                assert got == masks.mask(E), (pivot, sorted(E))
+                cone = masks.mask(reference_cone(arrows, E))
+                assert successors(got, table, window) == cone
+                want = full_scan_section_check(E, table, window)
+                assert section_check(got, table, window) == want
+                sections.add(want)
+    assert sections == {True, False}
+
+
+def test_mask_entry_points_build_no_stalk_objects(d4_table, window, monkeypatch):
+    """Once a window's Hom masks and AR rows are built, ``lift``,
+    ``ext_projectives``, ``section_check`` and ``successors`` work on
+    masks alone: they build no ``DerivedObject``."""
+    pairs = enumerate_torsion_pairs(d4_table)
+    successors(0, d4_table, window)  # builds the masks and the AR rows
+
+    def refuse(*args):
+        raise AssertionError(f"DerivedObject{args} built")
+
+    for module in (derived, tstruct):
+        monkeypatch.setattr(module, "DerivedObject", refuse)
+    for tp in pairs:
+        ts = lift(tp, d4_table, window)
+        E = ext_projectives(ts, d4_table)
+        section_check(E, d4_table, window)
+        successors(E, d4_table, window)
 
 
 def test_trace_precondition(a2_table, window):
@@ -154,10 +212,10 @@ def test_ext_projectives_example(a2_table, window):
     ts = lift(tp, t, window)
     s1 = t.by_dimvec((1, 0)).id
     s2 = t.by_dimvec((0, 1)).id
-    assert ext_projectives(ts, t) == {
+    assert ext_projectives(ts, t) == _masks(t, window).mask([
         DerivedObject(s1, 0),
         DerivedObject(s2, 1),
-    }
+    ])
 
 
 def test_nonsplit_lift_ext_projectives_frozen(a2_table, window):
@@ -166,10 +224,10 @@ def test_nonsplit_lift_ext_projectives_frozen(a2_table, window):
     assert not tp.split
     s2 = t.by_dimvec((0, 1)).id
     p1 = t.by_dimvec((1, 1)).id
-    assert ext_projectives(lift(tp, t, window), t) == {
+    assert ext_projectives(lift(tp, t, window), t) == _masks(t, window).mask([
         DerivedObject(s2, 0),
         DerivedObject(p1, 1),
-    }
+    ])
 
 
 def test_section_check(a2_table, window):
@@ -177,13 +235,14 @@ def test_section_check(a2_table, window):
     s1 = t.by_dimvec((1, 0)).id
     s2 = t.by_dimvec((0, 1)).id
     p1 = t.by_dimvec((1, 1)).id
-    good = {DerivedObject(s1, 0), DerivedObject(s2, 1)}
+    mask = _masks(t, window).mask
+    good = mask([DerivedObject(s1, 0), DerivedObject(s2, 1)])
     assert section_check(good, t, window)
     # two objects from one tau-orbit
-    bad = {DerivedObject(s1, 0), DerivedObject(p1, 1)}
+    bad = mask([DerivedObject(s1, 0), DerivedObject(p1, 1)])
     assert not section_check(bad, t, window)
     # boundary object disqualifies
-    assert not section_check({DerivedObject(s1, window.hi)}, t, window)
+    assert not section_check(mask([DerivedObject(s1, window.hi)]), t, window)
 
 
 def full_scan_section_check(S, table, window):
@@ -214,6 +273,7 @@ def test_section_check_matches_full_scan(name, window):
     joined by another object; the empty set; and 200 random choices of
     one interior object per tau-orbit."""
     table = enumerate_indecomposables(BUILTIN_QUIVERS[name]())
+    masks = _masks(table, window)
     split = [tp for tp in enumerate_torsion_pairs(table) if tp.split]
     rng = random.Random(0)
     orbits = [
@@ -223,7 +283,7 @@ def test_section_check_matches_full_scan(name, window):
     candidates = [set()]
     candidates += [{rng.choice(orbit) for orbit in orbits} for _ in range(200)]
     for _pivot, _tp, ts in enumerate_split_tstructures(table, window, split):
-        E = ext_projectives(ts, table)
+        E = set(masks.members(ext_projectives(ts, table)))
         if not E:
             continue
         candidates.append(E)
@@ -240,7 +300,7 @@ def test_section_check_matches_full_scan(name, window):
     outcomes = set()
     for S in candidates:
         want = full_scan_section_check(S, table, window)
-        assert section_check(S, table, window) == want, sorted(S)
+        assert section_check(masks.mask(S), table, window) == want, sorted(S)
         outcomes.add(want)
     assert outcomes == {True, False}
 
@@ -257,6 +317,7 @@ def test_section_check_rejects_one_per_orbit_sets_that_are_not_slices(
     are not, and only the presection condition rejects those."""
     table = enumerate_indecomposables(BUILTIN_QUIVERS[name]())
     window = Window(lo, hi)
+    mask = _masks(table, window).mask
     neighbours = {}
     for a, b in derived_ar_arrows(table, window):
         neighbours.setdefault(a, set()).add(b)
@@ -273,21 +334,21 @@ def test_section_check_rejects_one_per_orbit_sets_that_are_not_slices(
             new = neighbours[todo.pop()] & S - reached
             reached |= new
             todo += new
-        assert section_check(S, table, window) == (reached == S), choice
+        assert section_check(mask(S), table, window) == (reached == S), choice
         outcomes.append(reached == S)
     assert 0 < sum(outcomes) < len(outcomes)
     # on A2: [0, 1] in degrees -1 and 0 lie on the two orbits, unjoined
     if name == "a2":
         s2 = table.by_dimvec((0, 1)).id
         pair = {DerivedObject(s2, -1), DerivedObject(s2, 0)}
-        assert not section_check(pair, table, window)
+        assert not section_check(mask(pair), table, window)
 
 
 def test_successors_cone(a2_table, window):
     t = a2_table
     s1 = t.by_dimvec((1, 0)).id
-    cone = successors({DerivedObject(s1, 0)}, t, window)
     index = _masks(t, window).index
+    cone = successors(1 << index[DerivedObject(s1, 0)], t, window)
     assert (cone >> index[DerivedObject(s1, 0)]) & 1
     s2 = t.by_dimvec((0, 1)).id
     assert (cone >> index[DerivedObject(s2, 1)]) & 1
@@ -316,7 +377,7 @@ def test_ringel_criterion_all_interior(a2_table, a3_table, window):
         interior = {
             x for x in all_objects(t, window) if window.is_interior(x)
         }
-        assert ringel_criterion(t, window) == interior
+        assert ringel_criterion(t, window) == _masks(t, window).mask(interior)
 
 
 def test_verify_lemma42_split_pairs(a2_table, window):
@@ -397,11 +458,11 @@ def test_verify_cor64_detects_corrupted_candidates(a2_table, window):
     s1 = t.by_dimvec((1, 0)).id
     s2 = t.by_dimvec((0, 1)).id
     p1 = t.by_dimvec((1, 1)).id
-    bad = {
+    bad = _masks(t, window).mask([
         DerivedObject(s1, 0),
         DerivedObject(s2, 1),
         DerivedObject(p1, 1),
-    }
+    ])
     ok, diag = verify_cor64(ts, t, candidates=bad)
     assert not ok
     assert diag
