@@ -3,12 +3,13 @@
 Every object is a stalk: an indecomposable module placed in a single
 degree.  Hom spaces live only in degree gaps 0 (module Hom) and 1 (module
 Ext), the AR translate becomes a total bijection, and the derived AR
-quiver is the module AR quiver in each degree glued by cross-degree
-arrows from injectives to projectives one degree up, kept as bitmask
-rows over the window objects like the Hom masks.  The cross-degree
-arrows are validated against rad/rad^2 of explicit extension classes
-(``aisles.extspace``: Ext^1 as the cokernel of the Hom system), so a
-wrong gluing rule aborts the build instead of propagating.
+quiver ZQ^op is the module AR quiver in each degree glued by the
+arrows I_w[d] -> P_v[d+1] of ``repcore.gluing_pairs``, kept as successor
+rows over the window objects like the Hom masks.  Both kinds of arrow
+are proved once per table by the derived mesh rule (``ar_arrows`` of
+the table); the gluing is also validated against rad/rad^2 of explicit
+extension classes (``aisles.extspace``: Ext^1 as the cokernel of the Hom
+system).
 
 ``module_relation`` says once per model which module pairs have a
 nonzero Hom or Ext, as bitmasks; it is the only reader of a context's
@@ -35,6 +36,7 @@ from typing import NamedTuple
 
 from .errors import ConsistencyError, ShapeError, UnsupportedError
 from .extspace import ExtMachine
+from .repcore import gluing_pairs
 
 # The Hom masks take time and memory quadratic in the window objects, and
 # every verifier walks them.  E8 over the default window has 720 objects,
@@ -76,9 +78,6 @@ class Window(_WindowFields):
     def contains(self, obj):
         return self.lo <= obj.degree <= self.hi
 
-    def is_interior(self, obj):
-        return self.lo < obj.degree < self.hi
-
 
 DEFAULT_WINDOW = Window(-2, 3)
 
@@ -110,14 +109,6 @@ def coloring_mask(table, window, members):
     return mask
 
 
-def all_objects(table, window):
-    return [
-        DerivedObject(i, d)
-        for d in window.degrees()
-        for i in range(len(table.entries))
-    ]
-
-
 def hom_derived(X, Y, table):
     """Morphism-space dimension between stalk objects.
 
@@ -146,18 +137,6 @@ def tau_derived(X, table):
     return DerivedObject(inj.id, X.degree - 1)
 
 
-def _cross_arrow_pairs(table):
-    """Module-level pairs (i, j) with an irreducible extension class:
-    i an injective I_w, j the projective P_v for each quiver arrow w -> v
-    (the mesh middle of P_v one degree up is rad P_v plus I_v/soc)."""
-    pairs = set()
-    for a in table.quiver.arrows:
-        iw = table.injective_by_vertex(a.source)
-        pv = table.projective_by_vertex(a.target)
-        pairs.add((iw.id, pv.id))
-    return pairs
-
-
 def _validate_cross_arrows(table, pairs):
     """Cross-check the gluing rule against rad/rad^2 of explicit
     extension classes for every module pair."""
@@ -178,64 +157,43 @@ def _validate_cross_arrows(table, pairs):
 
 
 def cross_arrow_pairs(table):
-    """The validated cross-degree arrow pairs, kept in the table's memo so
-    the validation runs once per table and the result dies with it."""
+    """The validated gluing pairs (``repcore.gluing_pairs``), kept in the
+    table's memo so the validation runs once per table and the result
+    dies with it."""
     if "cross_arrow_pairs" not in table.memo:
-        pairs = _cross_arrow_pairs(table)
+        pairs = gluing_pairs(table)
         _validate_cross_arrows(table, pairs)
         table.memo["cross_arrow_pairs"] = pairs
     return table.memo["cross_arrow_pairs"]
 
 
 def derived_ar_arrows(table, window):
-    """AR arrows of the windowed derived category: the module AR quiver
-    in every degree plus the validated cross-degree arrows.  Every mesh
-    whose translate lies in the window is checked for completeness, once
-    per table and window, on the adjacency rows built with the arrows
-    and kept beside them (``ar_adjacency``)."""
-    key = ("ar_arrows", window)
-    if key not in table.memo:
-        arrows, adjacency = _derived_ar_arrows(table, window)
-        table.memo[key] = arrows
-        table.memo[("ar_adjacency", window)] = adjacency
-    return table.memo[key]
-
-
-def ar_adjacency(table, window):
-    """Per window index (the order of ``all_objects``), the bitmask of
-    the window indices its derived AR arrows point to and of those whose
-    arrows point to it, as (successors, predecessors); built by
-    ``derived_ar_arrows``, which this calls once per table and window."""
-    key = ("ar_adjacency", window)
-    if key not in table.memo:
-        derived_ar_arrows(table, window)
-    return table.memo[key]
-
-
-def _derived_ar_arrows(table, window):
+    """The successor rows of the windowed derived AR quiver: per window
+    index, the mask of the window indices its arrows point to.  These
+    are the module AR arrows in every degree and the validated gluing
+    arrows from each degree to the next, both proved by the derived mesh
+    rule when the table's ``ar_arrows`` are first read."""
+    arrows = table.ar_arrows
     cross = cross_arrow_pairs(table)
     masks = hom_masks(TableContext(table), window)
     n = masks.n
     succ = [0] * len(masks.objects)
-    pred = [0] * len(masks.objects)
-    arrows = []
-    for d in window.degrees():
-        base = (d - window.lo) * n
-        pairs = [(base + s, base + t) for (s, t) in table.ar_arrows]
-        if d < window.hi:
-            pairs += [(base + i, base + n + j) for (i, j) in cross]
-        for (k, m) in pairs:
-            succ[k] |= 1 << m
-            pred[m] |= 1 << k
-            arrows.append((masks.objects[k], masks.objects[m]))
-    arrows.sort()
-    # the arrows into each interior object are the arrows out of its
-    # translate, when that lies in the window's interior too
-    for k in bits(masks.interior):
-        t = masks.tau[k]
-        if masks.interior >> t & 1 and pred[k] != succ[t]:
-            raise ConsistencyError(f"incomplete derived mesh at {masks.objects[k]}")
-    return arrows, (succ, pred)
+    for base in range(0, len(succ), n):
+        for s, t in arrows:
+            succ[base + s] |= 1 << base + t
+        if base + n < len(succ):
+            for i, j in cross:
+                succ[base + i] |= 1 << base + n + j
+    return succ
+
+
+def ar_adjacency(table, window):
+    """The ``derived_ar_arrows`` rows, built once per table and window and
+    kept in the table's memo."""
+    key = ("ar_adjacency", window)
+    if key not in table.memo:
+        table.memo[key] = derived_ar_arrows(table, window)
+    return table.memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +345,13 @@ class HomMasks:
     ``hom(x, y)``, ``ext(x, y)``, ``at(x, degree)`` and a ``memo`` dict,
     and on window objects ``tau(obj)`` (None when the translate is not
     represented) and ``label(obj)``.  Window object k is module object
-    k % n in degree lo + k // n, the order of ``all_objects`` and
-    ``TameModel.objects()``.  Bit l of ``out[k]`` is set when object k
-    has a nonzero morphism to object l, read off the model's
-    ``module_relation``: module Hom in degree gap 0, module Ext in gap 1,
-    nothing otherwise.  This is the only place where a verifier applies
-    that gap rule.  ``tau[k]`` is the window index of
-    the translate of object k, or None when it lies outside the window
-    or is not represented.
+    k % n in degree lo + k // n, the order of ``TameModel.objects()``.
+    Bit l of ``out[k]`` is set when object k has a nonzero morphism to
+    object l, read off the model's ``module_relation``: module Hom in
+    degree gap 0, module Ext in gap 1, nothing otherwise.  This is the
+    only place where a verifier applies that gap rule.  ``tau[k]`` is the
+    window index of the translate of object k, or None when it lies
+    outside the window or is not represented.
     """
 
     def __init__(self, context, window):
@@ -418,12 +375,6 @@ class HomMasks:
             for i in range(n):
                 gaps = relation.hom[i] | relation.ext[i] << n
                 self.out.append((gaps << base) & self.full)
-
-    def mask(self, objects):
-        out = 0
-        for x in objects:
-            out |= 1 << self.index[x]
-        return out
 
     def members(self, mask):
         return [self.objects[k] for k in bits(mask)]
@@ -591,20 +542,23 @@ def hom_masks(context, window):
 
 
 def export_dot(table, window, coloring=0, name="derived_ar"):
-    """GraphViz rendering of the windowed derived AR quiver.
+    """GraphViz rendering of the windowed derived AR quiver: its objects,
+    then the arrows of its successor rows, both in (indec, degree) order.
 
     ``coloring`` is a window mask (``coloring_mask``); its members are
     drawn filled, the complement plain."""
-    index = hom_masks(TableContext(table), window).index
+    objects = hom_masks(TableContext(table), window).objects
+    succ = ar_adjacency(table, window)
+    order = sorted(range(len(objects)), key=lambda k: objects[k])
+    node = [f'"n{x.indec}_{x.degree}"' for x in objects]
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    for x in sorted(all_objects(table, window)):
-        attrs = [f'label="{x.label(table)}"']
-        if coloring >> index[x] & 1:
+    for k in order:
+        attrs = [f'label="{objects[k].label(table)}"']
+        if coloring >> k & 1:
             attrs.append('style=filled fillcolor=lightblue')
-        lines.append(f'  "n{x.indec}_{x.degree}" [{" ".join(attrs)}];')
-    for (x, y) in derived_ar_arrows(table, window):
-        lines.append(
-            f'  "n{x.indec}_{x.degree}" -> "n{y.indec}_{y.degree}";'
-        )
+        lines.append(f'  {node[k]} [{" ".join(attrs)}];')
+    for k in order:
+        for m in sorted(bits(succ[k]), key=lambda m: objects[m]):
+            lines.append(f"  {node[k]} -> {node[m]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

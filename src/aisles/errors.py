@@ -27,7 +27,8 @@ class ConsistencyError(AislesError):
     """Two independent computations of the same quantity disagree.
 
     Raised when cross-validation fails (AR formula vs Coxeter transform,
-    AR arrows vs the radical and mesh rules, criterion vs definition).
+    AR and gluing arrows vs the derived mesh rule, criterion vs
+    definition).
     Always fatal: it means the generated tables cannot be trusted.
     """
 

@@ -22,10 +22,11 @@ the rank.  Dynkin modules are directing, so Hom and Ext^1 between two
 indecomposables are never both nonzero and delta always has that full
 rank; a pair whose rank mod 2 falls short is eliminated exactly.
 
-The Hom bases (``IndecTable.hom_vectors``) and the AR arrows, read off
-rad/rad^2 and checked by the radical and mesh rules, are solved on first
-read: each nonzero pair eliminated once, its basis held to the dimension
-the build certified.
+The Hom bases (``IndecTable.hom_vectors``) and the AR arrows are solved
+on first read: each nonzero pair eliminated once, its basis held to the
+dimension the build certified.  The AR arrows are read off rad/rad^2 and
+proved, with the gluing arrows of the derived AR quiver ZQ^op
+(``gluing_pairs``), by the derived mesh rule stated on modules.
 """
 
 from __future__ import annotations
@@ -446,7 +447,8 @@ class IndecTable:
     row-major.  ``hom_bases`` is the same basis as morphism families of
     `Fraction` matrices, formed for the whole table on first read.
     ``ar_arrows`` lists the AR arrows as (source id, target id) pairs in
-    ascending order."""
+    ascending order, proved with ``gluing_pairs`` by the derived mesh rule
+    when first read (`_ar_arrows`)."""
 
     __hash__ = None
 
@@ -456,17 +458,17 @@ class IndecTable:
         self.hom = hom  # hom[i][j] = dim Hom(i, j)
         self.ext = ext
         self.solved = solved
-            # Results derived from this table alone, computed on first use
+        # Results derived from this table alone, computed on first use
         # and keyed by value: the module relation (Hom and Ext bitmasks),
         # the torsion pairs the CLI suites share, the canonical-sequence
         # oracle's entries (the pairs whose axioms hold, per module the
         # reduced image of each Hom(i, y) and which images lie inside
         # which, the traces keyed by members and by reduced rows, and the
         # certificates keyed by subobject or quotient), the validated
-        # cross-degree arrows, and per window the derived AR arrows, their
-        # successor and predecessor bitmask rows, and the Hom masks (which
-        # hold the tau-orbit ends).  A `copy` starts empty, and without
-        # ``hom_bases``, so a patched table is re-validated.
+        # gluing pairs, and per window the derived AR successor rows and
+        # the Hom masks (which hold the tau-orbit ends).  A `copy` starts
+        # empty, and without ``hom_bases``, so a patched table is
+        # re-validated.
         self.memo = {}
 
     def copy(self, hom=None):
@@ -528,7 +530,7 @@ def enumerate_indecomposables(quiver):
     any of the cross-checks (entry count, Euler/AR identities, the
     projective starting each orbit) fails.  Reading ``hom_vectors`` or
     ``ar_arrows`` later raises it when a basis misses its certified
-    dimension or the radical and mesh rules fail.
+    dimension or the derived mesh rule fails.
     """
     expected = quiver.positive_root_count()  # raises UnsupportedError
     orbits = tau_minus_orbits(quiver, expected)
@@ -679,13 +681,29 @@ def _hom_vectors(entries, solved):
     return tuple(vectors)
 
 
+def gluing_pairs(table):
+    """The module pairs (I_w id, P_v id), one per quiver arrow w -> v:
+    the gluing arrows I_w[d] -> P_v[d+1] of the derived AR quiver
+    ZQ^op, whose mesh at P_v[d+1] has rad P_v and I_v/soc as middle."""
+    return {
+        (
+            table.injective_by_vertex(a.source).id,
+            table.projective_by_vertex(a.target).id,
+        )
+        for a in table.quiver.arrows
+    }
+
+
 def _ar_arrows(table):
     """The AR arrows in ascending order: the pairs (i, j) with
-    dim rad/rad^2 = 1 (`irreducible_dim`, 0 or 1 on every pair), checked
-    by the radical rule (the arrows into P_v leave the P_w, one per
-    quiver arrow v -> w, as rad P_v is their sum) and the mesh rule (the
-    arrows into a non-projective X are the arrows out of tau X).  These
-    fix the arrows: (Y, X) is one iff (tau X, Y) is, until X is projective."""
+    dim rad/rad^2 = 1 (`irreducible_dim`, 0 or 1 on every pair), proved
+    with `gluing_pairs` by the derived mesh rule: in ZQ^op the arrows
+    into each object X are the arrows out of tau X.  For a non-projective
+    X, tau X lies in X's degree, so the module arrows into X are those
+    out of tau X, and neither end has a gluing arrow.  For P_v, tau P_v
+    is I_v one degree down, so the module arrows into P_v are the gluing
+    targets of I_v, and the gluing sources of P_v are the module arrows
+    out of I_v.  This fixes both the module arrows and the gluing."""
     n = len(table.entries)
     arrows = []
     for i in range(n):
@@ -695,16 +713,21 @@ def _ar_arrows(table):
                 raise ConsistencyError(f"arrow multiplicity {irr} between {i} and {j}")
             if irr:
                 arrows.append((i, j))
-    quiver = table.quiver
-    proj_of = {e.proj_vertex: e.id for e in table.entries if e.is_projective}
+    into, out, glued_into, glued_out = ([set() for _ in range(n)] for _ in range(4))
+    for s, t in arrows:
+        out[s].add(t)
+        into[t].add(s)
+    for s, t in gluing_pairs(table):
+        glued_out[s].add(t)
+        glued_into[t].add(s)
     for e in table.entries:
         if e.is_projective:
-            want = {proj_of[a.target] for a in quiver.arrows_from(e.proj_vertex)}
+            inj = table.injective_by_vertex(e.proj_vertex).id
+            holds = into[e.id] == glued_out[inj] and glued_into[e.id] == out[inj]
         else:
-            want = {t for s, t in arrows if s == e.tau}
-        if {s for s, t in arrows if t == e.id} != want:
-            rule = "radical" if e.is_projective else "mesh"
-            raise ConsistencyError(f"{rule} rule fails at the arrows into {e.dimvec}")
+            holds = into[e.id] == out[e.tau] and not glued_into[e.id] | glued_out[e.tau]
+        if not holds:
+            raise ConsistencyError(f"mesh rule fails at the arrows into {e.dimvec}")
     return tuple(arrows)
 
 

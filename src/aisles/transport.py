@@ -35,7 +35,7 @@ from .derived import (
     split_gap,
     union,
 )
-from .errors import PreconditionError, TiltingUnsupportedError
+from .errors import PreconditionError, ShapeError, TiltingUnsupportedError
 from .kronecker import KroneckerContext, build_aisle_63b
 
 # Heart objects sit in degrees 0 and 1, whatever window the caller uses.
@@ -261,7 +261,17 @@ def verify_theorem53(model, T):
     """Exhaustive check of the three-way bijection for one tilting set:
     base split pairs with the boundary conditions, their lifted split
     aisles, and their transported heart pairs, with zeta and chi inverse
-    to each other throughout."""
+    to each other throughout.  Each base pair lifts at pivot 0 and is
+    compared with the split aisle classified there, and split aisles are
+    classified at interior pivots only, so a window with degree 0 on its
+    edge is refused first."""
+    lo, hi = model.window
+    if not lo < 0 < hi:
+        raise ShapeError(
+            f"window {lo}..{hi} has degree 0 on its edge: the three-way "
+            "bijection lifts each base pair at pivot 0, and split aisles "
+            "are classified at interior pivots only"
+        )
     ctx = KroneckerContext(model)
     hm = heart_realization(T, ctx)
     masks = hom_masks(ctx, model.window)

@@ -10,7 +10,7 @@ table's ``HomMasks`` (``aisles.derived``), as a Kronecker aisle is:
 ``lift`` builds them with ``HomMasks.lift``, ``trace`` reads their
 degree-0 parts back into a torsion pair.  Ext-projectives, sections,
 successor cones and Ringel witnesses are window masks too, read off the
-Hom masks, the derived AR adjacency rows (``ar_adjacency``), the
+Hom masks, the derived AR successor rows (``ar_adjacency``), the
 translates ``HomMasks.tau`` and its ``orbit_ends``.
 
 All verifiers quantify over interior window degrees only; conclusions
@@ -131,7 +131,7 @@ def section_check(S, table, window):
     hit = union(ends, S)
     if hit != every or hit.bit_count() != S.bit_count():
         return False
-    succ, _pred = ar_adjacency(table, window)
+    succ = ar_adjacency(table, window)
     reached = union(succ, S) & masks.interior & ~S
     return not masks.translate(reached) & ~S
 
@@ -140,7 +140,7 @@ def successors(S, table, window):
     """Reflexive-transitive closure of the window mask ``S`` under the
     derived AR arrows, as a window mask: OR the successor rows of the new
     objects until none is added."""
-    succ, _pred = ar_adjacency(table, window)
+    succ = ar_adjacency(table, window)
     cone = new = S
     while new:
         new = union(succ, new) & ~cone

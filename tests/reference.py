@@ -1,16 +1,26 @@
 """Constructions only the tests use: the opposite quiver, the Kronecker
 quiver with honest matrices for its symbolic modules and its Euler form,
 the inverse Kronecker and Dynkin translates and the Dynkin tau-orbits
-they walk, successor cones over derived AR arrows, matrix stacking, the set-based transport maps the mask maps
-are checked against, the rank mod 2 of sparse integer rows the parity
-masks are checked against, and the random ADE orientations of the
-Hypothesis tests."""
+they walk, the object-set side of the window masks (the window's stalk
+objects, interiority, the mask of an object set), the derived AR arrows
+as stalk-object pairs and the successor cones over them, matrix
+stacking, the set-based transport maps the mask maps are checked
+against, the rank mod 2 of sparse integer rows the parity masks are
+checked against, and the random ADE orientations of the Hypothesis
+tests."""
 
 from collections import deque
 
 from hypothesis import strategies as st
 
-from aisles.derived import DerivedObject, all_objects, tau_derived
+from aisles.derived import (
+    DerivedObject,
+    TableContext,
+    ar_adjacency,
+    bits,
+    hom_masks,
+    tau_derived,
+)
 from aisles.errors import TruncationError
 from aisles.kronecker import POST, PRE, post, pre
 from aisles.linalg import Mat
@@ -79,6 +89,56 @@ def tau_inverse_rule(X, model):
             )
         return post(X.index + 2, X.degree)
     return X
+
+
+def all_objects(table, window):
+    """The window's stalk objects in window order: degree, then module."""
+    return [
+        DerivedObject(i, d)
+        for d in window.degrees()
+        for i in range(len(table.entries))
+    ]
+
+
+def is_interior(window, obj):
+    return window.lo < obj.degree < window.hi
+
+
+def window_mask(masks, objects):
+    """The window mask of ``objects`` in the ``HomMasks`` ``masks``."""
+    out = 0
+    for x in objects:
+        out |= 1 << masks.index[x]
+    return out
+
+
+def arrow_pairs(table, window):
+    """The derived AR arrows read off the successor rows
+    (``derived.ar_adjacency``), as sorted stalk-object pairs."""
+    objects = hom_masks(TableContext(table), window).objects
+    return sorted(
+        (objects[k], objects[m])
+        for k, row in enumerate(ar_adjacency(table, window))
+        for m in bits(row)
+    )
+
+
+def reference_arrow_pairs(table, window):
+    """The derived AR arrows of ZQ^op built by hand, as sorted stalk-object
+    pairs: the module AR arrows in every degree, and I_w[d] -> P_v[d+1]
+    for each quiver arrow w -> v below the top degree."""
+    injective, projective = table.injective_by_vertex, table.projective_by_vertex
+    gluing = [
+        (injective(a.source).id, projective(a.target).id)
+        for a in table.quiver.arrows
+    ]
+    module = table.ar_arrows
+    pairs = []
+    for d in window.degrees():
+        pairs += [(DerivedObject(s, d), DerivedObject(t, d)) for s, t in module]
+        if d < window.hi:
+            pairs += [(DerivedObject(i, d), DerivedObject(j, d + 1)) for i, j in gluing]
+    return sorted(pairs)
 
 
 def tau_inverse_derived(X, table):

@@ -345,6 +345,42 @@ def test_transport_without_kronecker_is_usage_error(capsys, argv):
     )
 
 
+@pytest.mark.parametrize("window", ["0..2", "-2..0"])
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "--suite", "all"], ["transport"]],
+    ids=["verify", "transport"],
+)
+def test_kronecker_refuses_degree_0_on_the_window_edge(capsys, command, window):
+    """The three-way bijection lifts at pivot 0, which must be interior:
+    the model is refused by name and reason before any check fails."""
+    code, out, err = run(
+        capsys, command[0], "--builtin", "kronecker", *command[1:], f"--window={window}"
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        f"error: window {window} has degree 0 on its edge: the three-way "
+        "bijection lifts each base pair at pivot 0, and split aisles are "
+        "classified at interior pivots only\n"
+    )
+
+
+def test_kronecker_passes_on_the_narrowest_window(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--builtin", "kronecker", "--suite", "all", "--window=-1..1"
+    )
+    checks = {c["name"]: (c["pass"], c["cases"]) for c in json.loads(out)["checks"]}
+    assert code == EXIT_OK
+    assert checks == {
+        "tame_split_classification": (True, 8),
+        "three_way_bijection": (True, 8),
+    }
+    code, out, _ = run(capsys, "transport", "--builtin", "kronecker", "--window=-1..1")
+    payload = json.loads(out)
+    assert code == EXIT_OK and payload["pass"] is True
+    assert len(payload["cases"]) == 8
+
+
 def test_verify_kronecker_table_patch_is_usage_error(capsys):
     code, out, err = run(
         capsys, "verify", "--builtin", "kronecker",

@@ -12,8 +12,13 @@ report (which ``classify`` still prints); their names, pass flags and
 witnesses are unchanged.  ``classify_d4_window.json`` was written while
 hearts and Ext-projectives were sets of stalk objects, before they
 became window masks; it pins the Ext-projective labels off the default
-window.  Any change to enumeration order, witness choice, pair content
-or JSON layout shows here.
+window.  ``export_ar_d4_window.dot`` was written while the derived AR
+quiver was kept as a sorted list of stalk-object pairs checked mesh by
+mesh per window, before it became successor rows proved once per table;
+it pins a window other than the default, and a coloring whose members
+lie in two degrees (``export_ar_a3.dot`` has neither).  Any change to
+enumeration order, witness choice, pair content or JSON layout shows
+here.
 """
 
 import pathlib
@@ -63,6 +68,14 @@ CASES = [
         EXIT_OK,
     ),
     ("export_ar_a3.dot", ["export-ar", "--builtin", "a3"], EXIT_OK),
+    (
+        "export_ar_d4_window.dot",
+        [
+            "export-ar", "--builtin", "d4", "--window=-1..1",
+            "--color-file", str(FIXTURES / "d4_coloring.json"),
+        ],
+        EXIT_OK,
+    ),
     (
         "lift_a3.json",
         ["lift", "--builtin", "a3", "--torsion", "[[1,0,0]]"],

@@ -28,7 +28,15 @@ from aisles.kronecker import (
 from aisles.quiver import BUILTIN_QUIVERS
 from aisles.repcore import enumerate_indecomposables
 from aisles.tstruct import ringel_criterion, semipath, successors
-from reference import orientations, reference_cone
+from reference import (
+    all_objects,
+    arrow_pairs,
+    is_interior,
+    orientations,
+    reference_arrow_pairs,
+    reference_cone,
+    window_mask,
+)
 
 
 def _assert_masks_match(masks, rule):
@@ -46,7 +54,7 @@ def d5_table():
 def test_table_masks_match_hom_derived(a3_table, d4_table, d5_table, window):
     for table in (a3_table, d4_table, d5_table):
         masks = hom_masks(TableContext(table), window)
-        assert masks.objects == derived.all_objects(table, window)
+        assert masks.objects == all_objects(table, window)
         _assert_masks_match(masks, lambda x, y: hom_derived(x, y, table))
 
 
@@ -135,17 +143,17 @@ def test_ringel_criterion_matches_semipath_definition(a3_table, d4_table, window
     for table in (a3_table, d4_table):
         want = {
             x
-            for x in derived.all_objects(table, window)
-            if window.is_interior(x)
+            for x in all_objects(table, window)
+            if is_interior(window, x)
             and semipath(shift(x, 1), x, table, window) is None
         }
         masks = hom_masks(TableContext(table), window)
-        assert ringel_criterion(table, window) == masks.mask(want)
+        assert ringel_criterion(table, window) == window_mask(masks, want)
 
 
 def test_masks_and_arrows_built_once_per_table_and_window(a3_table, monkeypatch):
     builds = arrow_builds = 0
-    build, build_arrows = derived.HomMasks, derived._derived_ar_arrows
+    build, build_arrows = derived.HomMasks, derived.derived_ar_arrows
 
     def counting_build(context, window):
         nonlocal builds
@@ -157,20 +165,19 @@ def test_masks_and_arrows_built_once_per_table_and_window(a3_table, monkeypatch)
         arrow_builds += 1
         return build_arrows(table, window)
 
-    # the arrows, their adjacency rows and the mesh check are one build
+    # the successor rows are one build, kept in the table's memo
     monkeypatch.setattr(derived, "HomMasks", counting_build)
-    monkeypatch.setattr(derived, "_derived_ar_arrows", counting_arrows)
+    monkeypatch.setattr(derived, "derived_ar_arrows", counting_arrows)
     table = a3_table.copy()
     for _ in range(3):
         hom_masks(TableContext(table), DEFAULT_WINDOW)
-        derived_ar_arrows(table, DEFAULT_WINDOW)
         derived.ar_adjacency(table, DEFAULT_WINDOW)
     assert (builds, arrow_builds) == (1, 1)
-    # a patched copy starts with an empty memo and is checked again
+    # a patched copy starts with an empty memo and is built again
     patched = table.copy()
     derived.ar_adjacency(patched, DEFAULT_WINDOW)
     hom_masks(TableContext(patched), DEFAULT_WINDOW)
-    derived_ar_arrows(patched, DEFAULT_WINDOW)
+    derived.ar_adjacency(patched, DEFAULT_WINDOW)
     assert (builds, arrow_builds) == (2, 2)
 
 
@@ -183,10 +190,11 @@ def test_successor_lists_built_once_per_table_and_window(a3_table, monkeypatch):
         walks += 1
         return arrows(table, window)
 
-    # the successor lists are the adjacency built with the arrows
+    # successors reads the rows ar_adjacency keeps per table and window
     monkeypatch.setattr(derived, "derived_ar_arrows", counting_arrows)
     table = a3_table.copy()
-    S = hom_masks(TableContext(table), DEFAULT_WINDOW).mask([DerivedObject(0, 0)])
+    masks = hom_masks(TableContext(table), DEFAULT_WINDOW)
+    S = window_mask(masks, [DerivedObject(0, 0)])
     cones = {successors(S, table, DEFAULT_WINDOW) for _ in range(3)}
     assert walks == 1 and len(cones) == 1
     # another window, and a patched copy, build their own lists
@@ -211,39 +219,41 @@ def _table(name):
     ids=str,
 )
 def test_derived_mesh_check_raises_on_a_missing_arrow(monkeypatch, name, drop):
-    """Every module AR arrow is needed: dropping any one breaks a mesh.
-    The arrows are solved on first read, so a fresh table reads the
-    dropped list in place of the rad/rad^2 arrows."""
-    arrows = list(_table(name).ar_arrows)
-    del arrows[drop]
-    monkeypatch.setattr(repcore, "_ar_arrows", lambda table: tuple(arrows))
+    """Every module AR arrow is needed: with any one missing from
+    rad/rad^2, reading a fresh table's derived AR arrows fails the mesh
+    proof, before the rows are built."""
+    missing = _table(name).ar_arrows[drop]
+    irreducible = repcore.irreducible_dim
+
+    def dropped(i, j, table):
+        return 0 if (i, j) == missing else irreducible(i, j, table)
+
+    monkeypatch.setattr(repcore, "irreducible_dim", dropped)
     broken = enumerate_indecomposables(BUILTIN_QUIVERS[name]())
-    assert list(broken.ar_arrows) == arrows
-    with pytest.raises(ConsistencyError, match="incomplete derived mesh"):
+    with pytest.raises(ConsistencyError, match="mesh rule fails"):
         derived_ar_arrows(broken, DEFAULT_WINDOW)
 
 
 def _assert_adjacency_matches_arrows(table, window):
-    arrows = derived_ar_arrows(table, window)
-    assert arrows == sorted(arrows)
+    """The successor rows hold exactly the arrows of ZQ^op built by hand,
+    every interior mesh closes (the arrows into k are the arrows out of
+    its translate), and the successor cones match a breadth-first walk
+    over the pairs."""
+    arrows = reference_arrow_pairs(table, window)
+    assert arrow_pairs(table, window) == arrows
     masks = hom_masks(TableContext(table), window)
-    succ, pred = derived.ar_adjacency(table, window)
-    from_rows = sorted(
-        (masks.objects[k], masks.objects[m])
-        for k, row in enumerate(succ)
-        for m in derived.bits(row)
-    )
-    assert from_rows == arrows
-    assert pred == [
-        sum(1 << k for k, row in enumerate(succ) if row >> m & 1)
-        for m in range(len(succ))
-    ]
+    succ = derived.ar_adjacency(table, window)
+    for k in derived.bits(masks.interior):
+        t = masks.tau[k]
+        if masks.interior >> t & 1:
+            into = sum(1 << j for j, row in enumerate(succ) if row >> k & 1)
+            assert into == succ[t], masks.objects[k]
     for x in masks.objects:
-        want = masks.mask(reference_cone(arrows, [x]))
-        assert successors(masks.mask([x]), table, window) == want, x
+        want = window_mask(masks, reference_cone(arrows, [x]))
+        assert successors(window_mask(masks, [x]), table, window) == want, x
     degree0 = [x for x in masks.objects if x.degree == 0]
-    assert successors(masks.mask(degree0), table, window) == masks.mask(
-        reference_cone(arrows, degree0)
+    assert successors(window_mask(masks, degree0), table, window) == window_mask(
+        masks, reference_cone(arrows, degree0)
     )
 
 

@@ -34,6 +34,7 @@ from reference import (
     explicit_representation,
     kronecker_quiver,
     tau_inverse_rule,
+    window_mask,
 )
 
 LAM = {"t0": 0, "t1": 1, "t2": 5}
@@ -169,7 +170,7 @@ def test_build_aisle_matches_layer_rule(tame_models):
         masks = _masks(model)
         for i in model.window.interior():
             for L in subsets(model.tube_labels):
-                want = masks.mask(_layer_rule_aisle(i, L, model))
+                want = window_mask(masks, _layer_rule_aisle(i, L, model))
                 assert build_aisle_63b(i, L, model) == want, (i, L)
 
 
@@ -188,7 +189,7 @@ def test_orthogonal_witness_on_broken_aisle(tame_model):
     Hom-orthogonality and produces a witness."""
     masks = _masks(tame_model)
     base = build_aisle_63b(0, frozenset(), tame_model)
-    broken = base | masks.mask([reg("t0", 1, 0)])
+    broken = base | window_mask(masks, [reg("t0", 1, 0)])
     witness = masks.witness(broken, masks.full & ~broken)
     assert witness is not None
     x, y = (masks.objects[k] for k in witness)
@@ -249,7 +250,7 @@ from aisles import kronecker as kr
 model = kr.default_model()
 base = kr.build_aisle_63b(0, frozenset(), model)
 masks = kr._masks(model)
-broken = base | masks.mask([kr.reg("t0", 1, 0)])
+broken = base | 1 << masks.index[kr.reg("t0", 1, 0)]
 x, y = (masks.objects[k] for k in masks.witness(broken, masks.full & ~broken))
 print(x.name(), y.name(), kr.scan_split_aisles(model))
 """

@@ -240,8 +240,8 @@ def test_irreducible_dim_matches_fraction_composites(name):
 
 @pytest.mark.parametrize("name", ["a3", "d4", "d5", "e6"])
 def test_radical_and_mesh_rules_catch_every_flip(name, monkeypatch):
-    """The radical and mesh rules fix the AR arrows, so flipping
-    `irreducible_dim` on any one pair fails them: dropping an AR arrow,
+    """The derived mesh rule fixes the AR arrows, so flipping
+    `irreducible_dim` on any one pair fails it: dropping an AR arrow,
     adding a pair with nonzero Hom (the diagonal too), or adding a pair
     with zero Hom.  On a3 each flip builds the table and reads its
     arrows."""
@@ -261,6 +261,45 @@ def test_radical_and_mesh_rules_catch_every_flip(name, monkeypatch):
         else (lambda: repcore._ar_arrows(t))
     )
     for flip in irr:
+        with pytest.raises(ConsistencyError, match=r"(radical|mesh) rule fails"):
+            build()
+
+
+@pytest.mark.parametrize("name", ["a3", "d4", "d5"])
+def test_mesh_rule_catches_every_wrong_gluing(name, monkeypatch):
+    """The derived mesh rule fixes the gluing arrows I_w[d] -> P_v[d+1]
+    too, so the proof fails on every single dropped, added or swapped
+    `gluing_pairs` pair, on the rule read off the reversed arrows and on
+    the empty rule.  On a3 each wrong rule builds the table and reads
+    its arrows."""
+    t = builtin_table(name)
+    n = len(t.entries)
+    irr = {(i, j): irreducible_dim(i, j, t) for i in range(n) for j in range(n)}
+    rule = repcore.gluing_pairs(t)
+    assert len(rule) == len(t.quiver.arrows)
+    reversed_rule = {
+        (t.injective_by_vertex(a.target).id, t.projective_by_vertex(a.source).id)
+        for a in t.quiver.arrows
+    }
+    assert reversed_rule != rule
+    others = [(i, j) for i in range(n) for j in range(n) if (i, j) not in rule]
+    wrong = [rule - {p} for p in rule]
+    wrong += [rule | {q} for q in others]
+    wrong += [rule - {p} | {q} for p in rule for q in others]
+    wrong += [reversed_rule, set()]
+    # d5: 4 drops, 396 adds, 1,584 swaps and the two whole rules
+    assert len(wrong) == len(rule) + (len(rule) + 1) * len(others) + 2
+    gluing = rule
+
+    monkeypatch.setattr(repcore, "irreducible_dim", lambda i, j, table: irr[i, j])
+    monkeypatch.setattr(repcore, "gluing_pairs", lambda table: gluing)
+    assert repcore._ar_arrows(t) == t.ar_arrows
+    build = (
+        (lambda: enumerate_indecomposables(t.quiver).ar_arrows)
+        if name == "a3"
+        else (lambda: repcore._ar_arrows(t))
+    )
+    for gluing in wrong:
         with pytest.raises(ConsistencyError, match=r"(radical|mesh) rule fails"):
             build()
 

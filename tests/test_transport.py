@@ -1,3 +1,4 @@
+import functools
 from itertools import combinations, product
 
 import pytest
@@ -25,7 +26,7 @@ from aisles.transport import (
     transport_zeta,
     verify_theorem53,
 )
-from reference import chi_reference, zeta_reference
+from reference import chi_reference, window_mask, zeta_reference
 
 KRONECKER_T = TiltingSet(frozenset({post(1), post(2)}))
 
@@ -117,8 +118,8 @@ def test_heart_pair_orthogonality_witness(a2_table):
     # Hom(P_1, S_1) != 0, so P_1 cannot be torsion with S_1 free
     with pytest.raises(PreconditionError) as exc:
         _validate_heart_pair(
-            masks.mask([DerivedObject(p1, 0)]),
-            masks.mask([DerivedObject(s1, 0), DerivedObject(s2, 1)]),
+            window_mask(masks, [DerivedObject(p1, 0)]),
+            window_mask(masks, [DerivedObject(s1, 0), DerivedObject(s2, 1)]),
             hm,
         )
     assert "not orthogonal at [1, 1]@0 -> [1, 0]@0" in str(exc.value)
@@ -131,7 +132,7 @@ def test_heart_pair_orthogonality_witness_kronecker(tame_model):
     # Hom(Post(1), Reg(t0,1)) != 0 in degree 0
     with pytest.raises(PreconditionError) as exc:
         _validate_heart_pair(
-            masks.mask([post(1)]), masks.mask([reg("t0", 1)]), hm
+            window_mask(masks, [post(1)]), window_mask(masks, [reg("t0", 1)]), hm
         )
     assert "not orthogonal at Post(1)@0 -> Reg(t0,1)@0" in str(exc.value)
 
@@ -221,7 +222,7 @@ def test_chi_rejects_corrupted_heart_pair(tame_model):
     (_L, torsion, free) = admissible_base_pairs(tame_model)[0]
     ht, hf = transport_chi(torsion, free, hm)
     # drop a degree-1 object from the torsion side: no longer covers the heart
-    dropped = ht & ~hm.masks.mask([post(0, 1)])
+    dropped = ht & ~window_mask(hm.masks, [post(0, 1)])
     with pytest.raises(PreconditionError) as exc:
         transport_zeta(dropped, hf, hm)
     assert str(exc.value) == "heart pair is not split"
@@ -270,7 +271,7 @@ def test_verify_theorem53(tame_model):
 def test_component_closure_witness(tame_model, obj, source, target, message):
     ctx = KroneckerContext(tame_model)
     hm = heart_realization(KRONECKER_T, ctx)
-    bit = hm.masks.mask([obj])
+    bit = window_mask(hm.masks, [obj])
     moved = {source: getattr(hm, source) & ~bit, target: getattr(hm, target) | bit}
     broken = hm._replace(**moved)
     with pytest.raises(PreconditionError) as exc:
@@ -324,7 +325,7 @@ def test_base_boundary_witness(
 def test_heart_pair_witnesses(tame_model):
     ctx = KroneckerContext(tame_model)
     hm = heart_realization(KRONECKER_T, ctx)
-    bit = hm.masks.mask
+    bit = functools.partial(window_mask, hm.masks)
     _L, torsion, free = admissible_base_pairs(tame_model)[0]  # no tubes
     ht, hf = transport_chi(torsion, free, hm)
     with pytest.raises(PreconditionError) as exc:

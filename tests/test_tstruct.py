@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -8,8 +9,6 @@ from aisles.derived import (
     DerivedObject,
     TableContext,
     Window,
-    all_objects,
-    derived_ar_arrows,
     hom_derived,
     hom_masks,
     shift,
@@ -33,7 +32,15 @@ from aisles.tstruct import (
     verify_lemma41,
     verify_lemma42,
 )
-from reference import reference_cone, tau_inverse_derived, tau_orbits
+from reference import (
+    all_objects,
+    arrow_pairs,
+    is_interior,
+    reference_cone,
+    tau_inverse_derived,
+    tau_orbits,
+    window_mask,
+)
 
 
 def _ids(table, *dimvecs):
@@ -115,7 +122,7 @@ def _lift_by_objects(tp, table, window, pivot):
     ext_projectives = {
         x
         for x in aisle
-        if window.is_interior(x)
+        if is_interior(window, x)
         and not any(hom_derived(x, shift(y, 1), table) for y in aisle)
     }
     return aisle, coaisle, heart, ext_projectives
@@ -139,7 +146,7 @@ def test_lift_matches_stalk_object_reference(name):
     sections = set()
     for window in (Window(-2, 3), Window(-2, 0), Window(0, 2)):
         masks = _masks(table, window)
-        arrows = derived_ar_arrows(table, window)
+        arrows = arrow_pairs(table, window)
         # pivot 0 and every pivot enumerate_split_tstructures lifts at
         for pivot in sorted({0, *range(window.lo + 1, window.hi - 1)}):
             for tp in pairs:
@@ -153,8 +160,8 @@ def test_lift_matches_stalk_object_reference(name):
                 assert ts.split == tp.split
                 assert ts.window == window
                 got = ext_projectives(ts, table)
-                assert got == masks.mask(E), (pivot, sorted(E))
-                cone = masks.mask(reference_cone(arrows, E))
+                assert got == window_mask(masks, E), (pivot, sorted(E))
+                cone = window_mask(masks, reference_cone(arrows, E))
                 assert successors(got, table, window) == cone
                 want = full_scan_section_check(E, table, window)
                 assert section_check(got, table, window) == want
@@ -186,7 +193,8 @@ def test_trace_precondition(a2_table, window):
     ts = lift(tp, a2_table, window)
     masks = _masks(a2_table, window)
     # remove a degree-1 shifted module from the aisle
-    broken = ts.aisle & ~masks.mask(x for x in masks.objects if x.degree == 1)
+    degree1 = [x for x in masks.objects if x.degree == 1]
+    broken = ts.aisle & ~window_mask(masks, degree1)
     with pytest.raises(PreconditionError) as exc:
         trace(ts._replace(aisle=broken), a2_table)
     assert "@1" in str(exc.value) or "shift" in str(exc.value)
@@ -197,8 +205,8 @@ def test_trace_precondition(a2_table, window):
         f"aisle does not contain the shifted module {label}"
     )
     both = ts._replace(
-        aisle=ts.aisle & ~masks.mask([DerivedObject(1, 1)]),
-        coaisle=ts.coaisle & ~masks.mask([DerivedObject(0, -1)]),
+        aisle=ts.aisle & ~window_mask(masks, [DerivedObject(1, 1)]),
+        coaisle=ts.coaisle & ~window_mask(masks, [DerivedObject(0, -1)]),
     )
     with pytest.raises(PreconditionError) as exc:
         trace(both, a2_table)
@@ -212,7 +220,7 @@ def test_ext_projectives_example(a2_table, window):
     ts = lift(tp, t, window)
     s1 = t.by_dimvec((1, 0)).id
     s2 = t.by_dimvec((0, 1)).id
-    assert ext_projectives(ts, t) == _masks(t, window).mask([
+    assert ext_projectives(ts, t) == window_mask(_masks(t, window), [
         DerivedObject(s1, 0),
         DerivedObject(s2, 1),
     ])
@@ -224,7 +232,7 @@ def test_nonsplit_lift_ext_projectives_frozen(a2_table, window):
     assert not tp.split
     s2 = t.by_dimvec((0, 1)).id
     p1 = t.by_dimvec((1, 1)).id
-    assert ext_projectives(lift(tp, t, window), t) == _masks(t, window).mask([
+    assert ext_projectives(lift(tp, t, window), t) == window_mask(_masks(t, window), [
         DerivedObject(s2, 0),
         DerivedObject(p1, 1),
     ])
@@ -235,7 +243,7 @@ def test_section_check(a2_table, window):
     s1 = t.by_dimvec((1, 0)).id
     s2 = t.by_dimvec((0, 1)).id
     p1 = t.by_dimvec((1, 1)).id
-    mask = _masks(t, window).mask
+    mask = functools.partial(window_mask, _masks(t, window))
     good = mask([DerivedObject(s1, 0), DerivedObject(s2, 1)])
     assert section_check(good, t, window)
     # two objects from one tau-orbit
@@ -248,19 +256,19 @@ def test_section_check(a2_table, window):
 def full_scan_section_check(S, table, window):
     """The presection condition over every tau-orbit and every derived
     AR arrow of the window."""
-    interior = {x for x in S if window.is_interior(x)}
+    interior = {x for x in S if is_interior(window, x)}
     if interior != set(S):
         return False
     for orbit in tau_orbits(table, window):
-        hits = [x for x in orbit if window.is_interior(x) and x in S]
+        hits = [x for x in orbit if is_interior(window, x) and x in S]
         if len(hits) != 1:
             return False
     sset = set(S)
-    for (x, y) in derived_ar_arrows(table, window):
-        if x in sset and window.is_interior(y):
+    for (x, y) in arrow_pairs(table, window):
+        if x in sset and is_interior(window, y):
             if y not in sset and tau_derived(y, table) not in sset:
                 return False
-        if y in sset and window.is_interior(x):
+        if y in sset and is_interior(window, x):
             if x not in sset and tau_inverse_derived(x, table) not in sset:
                 return False
     return True
@@ -277,7 +285,7 @@ def test_section_check_matches_full_scan(name, window):
     split = [tp for tp in enumerate_torsion_pairs(table) if tp.split]
     rng = random.Random(0)
     orbits = [
-        sorted(x for x in orbit if window.is_interior(x))
+        sorted(x for x in orbit if is_interior(window, x))
         for orbit in tau_orbits(table, window)
     ]
     candidates = [set()]
@@ -300,7 +308,7 @@ def test_section_check_matches_full_scan(name, window):
     outcomes = set()
     for S in candidates:
         want = full_scan_section_check(S, table, window)
-        assert section_check(masks.mask(S), table, window) == want, sorted(S)
+        assert section_check(window_mask(masks, S), table, window) == want, sorted(S)
         outcomes.add(want)
     assert outcomes == {True, False}
 
@@ -317,13 +325,13 @@ def test_section_check_rejects_one_per_orbit_sets_that_are_not_slices(
     are not, and only the presection condition rejects those."""
     table = enumerate_indecomposables(BUILTIN_QUIVERS[name]())
     window = Window(lo, hi)
-    mask = _masks(table, window).mask
+    mask = functools.partial(window_mask, _masks(table, window))
     neighbours = {}
-    for a, b in derived_ar_arrows(table, window):
+    for a, b in arrow_pairs(table, window):
         neighbours.setdefault(a, set()).add(b)
         neighbours.setdefault(b, set()).add(a)
     orbits = [
-        sorted(x for x in orbit if window.is_interior(x))
+        sorted(x for x in orbit if is_interior(window, x))
         for orbit in tau_orbits(table, window)
     ]
     outcomes = []
@@ -375,9 +383,9 @@ def test_semipath_shift_and_hom_edges(a2_table, window):
 def test_ringel_criterion_all_interior(a2_table, a3_table, window):
     for t in (a2_table, a3_table):
         interior = {
-            x for x in all_objects(t, window) if window.is_interior(x)
+            x for x in all_objects(t, window) if is_interior(window, x)
         }
-        assert ringel_criterion(t, window) == _masks(t, window).mask(interior)
+        assert ringel_criterion(t, window) == window_mask(_masks(t, window), interior)
 
 
 def test_verify_lemma42_split_pairs(a2_table, window):
@@ -394,7 +402,7 @@ def test_verify_lemma42_detects_corruption(a2_table, window):
     ts = lift(tp, t, window)
     masks = _masks(t, window)
     s2 = t.by_dimvec((0, 1)).id
-    corrupted = ts._replace(aisle=ts.aisle | masks.mask([DerivedObject(s2, 0)]))
+    corrupted = ts._replace(aisle=ts.aisle | window_mask(masks, [DerivedObject(s2, 0)]))
     ok, witness = verify_lemma42(corrupted, t)
     assert not ok
     assert witness[0] == DerivedObject(s2, 0)
@@ -458,7 +466,7 @@ def test_verify_cor64_detects_corrupted_candidates(a2_table, window):
     s1 = t.by_dimvec((1, 0)).id
     s2 = t.by_dimvec((0, 1)).id
     p1 = t.by_dimvec((1, 1)).id
-    bad = _masks(t, window).mask([
+    bad = window_mask(_masks(t, window), [
         DerivedObject(s1, 0),
         DerivedObject(s2, 1),
         DerivedObject(p1, 1),
