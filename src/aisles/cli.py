@@ -245,8 +245,22 @@ def cmd_trace(args):
     return EXIT_OK if back == tp else EXIT_FAIL
 
 
+def _require_arrows(table, command):
+    """Refuse a quiver with no arrow (A1) for ``command``: the split
+    classification reads each aisle off a section of the derived AR
+    quiver and its successors, and ZA1 has no arrows, so no successor
+    cone reaches a shift and every pivot would read as failed."""
+    if not table.quiver.arrows:
+        raise AislesError(
+            f"{command} needs a quiver with an arrow: the classification by "
+            "sections needs a derived AR quiver with arrows, and over a "
+            "quiver with none (A1) no successor cone reaches a shift"
+        )
+
+
 def cmd_classify(args):
     table = load_table(args)
+    _require_arrows(table, "classify")
     window = parse_window(args.window)
     report = tstruct.classify_split(table, window, split_pairs(table))
     ok = all(case["pass"] for case in report)
@@ -271,6 +285,7 @@ def cmd_verify(args):
                     "a Dynkin quiver takes none"
                 )
         suites, subject = DYNKIN_SUITES, load_table(args)
+        _require_arrows(subject, "verify")
         if args.table_patch:
             subject = apply_table_patch(subject, args.table_patch)
     checks = run_suites(suites, subject, window, args.suite)

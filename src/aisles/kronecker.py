@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple
 
-from .derived import Components, Window, bits, check_window_objects, hom_masks, lowest
+from .derived import Components, bits, check_window_objects, hom_masks, lowest
 from .errors import (
     PreconditionError,
     ShapeError,
@@ -138,10 +138,6 @@ def check_budgets(tubes, tube_depth, range_, window):
             f"MAX_SCAN_CANDIDATES = {MAX_SCAN_CANDIDATES} split-aisle "
             "scan candidates; use fewer tubes or a narrower window"
         )
-
-
-def default_model():
-    return TameModel(("t0", "t1", "t2"), 3, 6, Window(-2, 3))
 
 
 class KroneckerContext(NamedTuple):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from functools import cached_property
 from itertools import repeat
 from math import comb
 from typing import NamedTuple
@@ -39,12 +40,17 @@ class Quiver:
     ``vertices`` fixes the canonical coordinate order used by every
     dimension vector over this quiver.  ``_checked`` skips `validate`,
     for callers that validate themselves or derive from a valid quiver.
+    Equal and hashed by value; the arrows at each vertex and the quivers
+    reversed at a vertex are kept on first use, the plan a Coxeter walk
+    reads in every round, so ``vertices`` and ``arrows`` are not to be
+    reassigned.
     """
 
     def __init__(self, vertices, arrows, name="", _checked=False):
         self.vertices = vertices
         self.arrows = arrows
         self.name = name
+        self._reversed = {}  # v -> this quiver reversed at v, once built
         if not _checked:
             self.validate()
 
@@ -87,17 +93,28 @@ class Quiver:
 
     # -- basic structure ---------------------------------------------------
 
+    @cached_property
+    def _incident(self):
+        """{v: (arrows into v, arrows from v)}, in arrow order: the arrow
+        list scanned once."""
+        into = {v: [] for v in self.vertices}
+        out = {v: [] for v in self.vertices}
+        for a in self.arrows:
+            into[a.target].append(a)
+            out[a.source].append(a)
+        return {v: (tuple(into[v]), tuple(out[v])) for v in self.vertices}
+
     def arrows_from(self, v):
-        return [a for a in self.arrows if a.source == v]
+        return self._incident[v][1]
 
     def arrows_into(self, v):
-        return [a for a in self.arrows if a.target == v]
+        return self._incident[v][0]
 
     def is_sink(self, v):
-        return not self.arrows_from(v)
+        return not self._incident[v][1]
 
     def is_source(self, v):
-        return not self.arrows_into(v)
+        return not self._incident[v][0]
 
     def _neighbours(self):
         """The underlying undirected graph, as neighbour lists."""
@@ -114,14 +131,20 @@ class Quiver:
     # -- derived quivers ---------------------------------------------------
 
     def reversed_at(self, v):
-        """Reverse every arrow incident to ``v``."""
-        new = tuple(
-            Arrow(a.name, a.target, a.source)
-            if v in (a.source, a.target)
-            else a
-            for a in self.arrows
-        )
-        return Quiver(self.vertices, new, self.name, _checked=True)
+        """Reverse every arrow incident to ``v``.  The result is kept per
+        vertex, so a Coxeter walk, which reflects the same sequence of
+        quivers in every round, builds each of them once."""
+        quiver = self._reversed.get(v)
+        if quiver is None:
+            new = tuple(
+                Arrow(a.name, a.target, a.source)
+                if v in (a.source, a.target)
+                else a
+                for a in self.arrows
+            )
+            quiver = Quiver(self.vertices, new, self.name, _checked=True)
+            self._reversed[v] = quiver
+        return quiver
 
     def sink_ordering(self):
         """An admissible ordering v1, v2, ... with v1 a sink of the quiver,

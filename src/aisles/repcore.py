@@ -6,12 +6,15 @@ reflection functors at the sources of an admissible ordering) is applied
 until it gives zero.  The walk is capped at the number of positive roots,
 must bring the quiver back to itself after each C^-, and must meet that
 many distinct dimension vectors; identity of isomorphism classes is by
-dimension vector.  The table then records all Hom/Ext dimensions and the
-AR translate, cross-validated against independent computations: End = k,
-Ext from the Euler form, never nonzero beside a nonzero Hom (Dynkin
-modules are directing), the AR formula ext(X, Y) = hom(Y, tau X) against
-the walk's tau, and the top of each projective against the vertex its
-orbit started from.  Validation failures abort.
+dimension vector.  Its plan, the quivers C^- passes through and the
+arrows at each reflected vertex, is built once per walk and kept on the
+quivers (`Quiver.reversed_at`, `Quiver.arrows_into`).  The table then
+records all Hom/Ext dimensions and the AR translate, cross-validated
+against independent computations: End = k, Ext from the Euler form,
+never nonzero beside a nonzero Hom (Dynkin modules are directing), the
+AR formula ext(X, Y) = hom(Y, tau X) against the walk's tau, and the top
+of each projective against the vertex its orbit started from.
+Validation failures abort.
 
 Hom(M, N) is the kernel of Ringel's map delta (`hom_system`) and Ext^1
 its cokernel.  The table build proves both dimensions from the parities
@@ -20,7 +23,9 @@ the rank mod 2 bounds the rank over the rationals from below, and the
 size of delta from above, so when it reaches min(rows, columns) it is
 the rank.  Dynkin modules are directing, so Hom and Ext^1 between two
 indecomposables are never both nonzero and delta always has that full
-rank; a pair whose rank mod 2 falls short is eliminated exactly.
+rank; a pair whose rank mod 2 falls short is eliminated exactly.  The
+parities of each module's maps are read once (`_parities`, kept on the
+modules while the build reads its pairs), so a pair only places them.
 
 The Hom bases (``IndecTable.hom_vectors``) and the AR arrows are solved
 on first read: each nonzero pair eliminated once, its basis held to the
@@ -32,8 +37,9 @@ proved, with the gluing arrows of the derived AR quiver ZQ^op
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate, repeat
 from math import lcm
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from .errors import ConsistencyError, ShapeError, UnsupportedError
@@ -60,6 +66,9 @@ class Representation:
     """
 
     __hash__ = None
+    # `_parities`, kept on the modules of a table while its build reads
+    # their n^2 pairs; None on any other module and at any other time
+    parities = None
 
     def __init__(self, quiver, dims, maps):
         self.quiver = quiver
@@ -84,7 +93,7 @@ class Representation:
         return sum(self.dim(v) for v in self.quiver.vertices)
 
     def dimension_vector(self):
-        return tuple(self.dim(v) for v in self.quiver.vertices)
+        return tuple(map(self.dims.get, self.quiver.vertices, repeat(0)))
 
     def is_zero(self):
         return self.total_dim() == 0
@@ -182,7 +191,15 @@ def hom_parities(M, N):
     spread at stride m_u, fill the u-part from column off_u + c; those
     of column c of D_M M_a fill the w-part from column off_w + r m_w.
     Each part is scaled by the other module's D, so it is even
-    throughout when that D is."""
+    throughout when that D is.
+
+    Two modules of one table are read off the `_parities` the build keeps
+    on each (``Representation.parities``) while it reads all n^2 pairs,
+    read once per module; any other pair, such as the oracle's
+    subobjects and quotients against a table module, is read off
+    ``int_maps`` on each call, and nothing is kept on it."""
+    if M.parities and N.parities and M.quiver is N.quiver:
+        return _placed_parities(M.parities, N.parities)
     offsets, total = _coordinates(M, N)
     dm, m_maps = M.int_maps
     dn, n_maps = N.int_maps
@@ -217,6 +234,68 @@ def hom_parities(M, N):
                 part <<= 1
             base += mw
     return masks, total
+
+
+def _parities(R, strides):
+    """What `hom_parities` reads of ``R`` as a module of a table, read
+    once: its dimension vector; per arrow u -> w in quiver order, for
+    each row of its `Representation.int_maps` map, the odd columns k as
+    the bitmask of the bits k s, for each stride s up to ``strides[u]``,
+    the bound on the dimension at u of every module R is paired with;
+    and for each arrow with R_u != 0, (arrow index, indices of u and w,
+    the bitmask of the odd rows of each column).  None when the scale D
+    is even, which makes each part it scales even: R is then read
+    afresh."""
+    den, maps = R.int_maps
+    if not den & 1:
+        return None
+    dims = R.dimension_vector()
+    index = {v: k for k, v in enumerate(R.quiver.vertices)}
+    rows, columns = [], []
+    for k, a in enumerate(R.quiver.arrows):
+        u, w = index[a.source], index[a.target]
+        a_rows, a_columns = maps[a.name]
+        at = range(strides[u] + 1)
+        spread = []
+        for row in a_rows:
+            odd = [i for i, x in row if x & 1]
+            spread.append(tuple(sum(1 << i * s for i in odd) for s in at))
+        rows.append(spread)
+        if dims[u]:
+            columns.append(
+                (k, u, w, [sum(1 << i for i, x in c if x & 1) for c in a_columns])
+            )
+    return dims, rows, columns
+
+
+def _placed_parities(m_parities, n_parities):
+    """`hom_parities` from the `_parities` of M and of N: per arrow with
+    M_u and N_w nonzero, each row's odd columns are already spread at
+    stride m_u, so each mask is two shifts and an or."""
+    mdims, _, m_columns = m_parities
+    ndims, n_rows, _ = n_parities
+    offsets = [0, *accumulate(map(mul, ndims, mdims))]
+    masks = []
+    for k, u, w, m_parts in m_columns:
+        rows = n_rows[k]
+        if not rows:
+            continue
+        mu = mdims[u]
+        ou, base = offsets[u], offsets[w]
+        mw = mdims[w]
+        if mu == 1:  # one column: one mask per row
+            m_part = m_parts[0] << base
+            for spreads in rows:
+                masks.append(spreads[1] << ou | m_part)
+                m_part <<= mw
+            continue
+        for spreads in rows:
+            part = spreads[mu] << ou
+            for m_part in m_parts:
+                masks.append(part | m_part << base)
+                part <<= 1
+            base += mw
+    return masks, offsets[-1]
 
 
 def _euler(M, N):
@@ -376,7 +455,11 @@ def tau_minus_orbits(quiver, cap):
     ``quiver.sink_ordering()`` in reverse order, each a source when its
     turn comes.  C^- must bring the quiver back to itself, and the walk
     raises ConsistencyError once it has met more than ``cap``
-    representations, so no input can make it loop.
+    representations, so no input can make it loop.  Each C^- starts
+    from ``quiver`` itself, so the quivers it passes through and their
+    arrows at each vertex, kept by `Quiver.reversed_at` and
+    `Quiver.arrows_into`, are found in the first round and read in every
+    later one.
     """
     order = quiver.sink_ordering()[::-1]
     orbits = {}
@@ -531,6 +614,12 @@ def enumerate_indecomposables(quiver):
     projective starting each orbit) fails.  Reading ``hom_vectors`` or
     ``ar_arrows`` later raises it when a basis misses its certified
     dimension or the derived mesh rule fails.
+
+    Each module's `_parities` are read once, before the n^2 pairs, and
+    kept on it as ``Representation.parities`` until they are done;
+    `hom_parities` runs once per pair on them.  Ext is formed, and the
+    directing and AR-formula checks compare, a whole row at a time; a
+    failing row is searched for the first pair at fault.
     """
     expected = quiver.positive_root_count()  # raises UnsupportedError
     orbits = tau_minus_orbits(quiver, expected)
@@ -561,7 +650,12 @@ def enumerate_indecomposables(quiver):
 
     # dim Hom = columns - rank of delta, proved by its rank mod 2 when
     # that reaches min(rows, columns); any other pair is eliminated here,
-    # and its kernel kept for `hom_vectors`
+    # and its kernel kept for `hom_vectors`.  Each module's parities are
+    # kept on it for these pairs only, which are their one reader in the
+    # package: the table does not hold them.
+    strides = [max(column) for column in zip(*roots)]
+    for rep in reps:
+        rep.parities = _parities(rep, strides)
     hom = []
     kernels = {}
     for i, M in enumerate(reps):
@@ -576,37 +670,49 @@ def enumerate_indecomposables(quiver):
                 row.append(len(kernels[i, j]))
         hom.append(tuple(row))
     hom = tuple(hom)
+    for rep in reps:
+        del rep.parities
     for i in range(n):
         if hom[i][i] != 1:
             raise ConsistencyError(
                 f"endomorphism ring of {roots[i]} has dimension {hom[i][i]}"
             )
 
-    # ext = hom - <i, j>, the Euler form read off one pushed vector per root
-    ext = [
-        [h - sum(map(mul, p, e)) for h, e in zip(hom_row, roots)]
-        for hom_row, p in zip(hom, (_pushed(quiver, d) for d in roots))
-    ]
+    # ext = hom - <i, j>, the Euler form read off one pushed vector p per
+    # root: row i of hom less p_k times coordinate k of every root, for
+    # each vertex k, a whole row at a time
+    coordinates = list(zip(*roots))
+    ext = []
+    for hom_row, d in zip(hom, roots):
+        row = list(hom_row)
+        for p, coordinate in zip(_pushed(quiver, d), coordinates):
+            if p:
+                row = list(map(sub, row, map(mul, repeat(p), coordinate)))
+        ext.append(row)
     # Dynkin modules are directing: Hom and Ext between indecomposables
-    # are never both nonzero, so the rank of delta is never short
-    for i in range(n):
-        for j in range(n):
-            if hom[i][j] and ext[i][j]:
-                raise ConsistencyError(
-                    f"Hom and Ext from {roots[i]} to {roots[j]} are both "
-                    "nonzero: the modules are not directing"
-                )
+    # are never both nonzero, so the rank of delta is never short.  Each
+    # row is checked whole; a failing one is searched for its first j.
+    for i, (hom_row, ext_row) in enumerate(zip(hom, ext)):
+        if any(map(mul, hom_row, ext_row)):
+            j = next(j for j in range(n) if hom_row[j] and ext_row[j])
+            raise ConsistencyError(
+                f"Hom and Ext from {roots[i]} to {roots[j]} are both "
+                "nonzero: the modules are not directing"
+            )
 
     # AR formula validation: ext(i, j) = hom(j, tau i) for non-projective i,
-    # ext(i, j) = 0 for projective i.
-    for i in range(n):
-        for j in range(n):
-            want = 0 if tau_link[i] is None else hom[j][tau_link[i]]
-            if ext[i][j] != want:
-                raise ConsistencyError(
-                    f"AR formula fails at ({roots[i]}, {roots[j]}): "
-                    f"ext={ext[i][j]}, hom(j, tau i)={want}"
-                )
+    # ext(i, j) = 0 for projective i; row i of ext against the hom column
+    # at tau i, whole, and a failing row searched for its first j
+    columns = list(zip(*hom))
+    zeros = [0] * n
+    for i, ext_row in enumerate(ext):
+        want = zeros if tau_link[i] is None else list(columns[tau_link[i]])
+        if ext_row != want:
+            j = next(j for j in range(n) if ext_row[j] != want[j])
+            raise ConsistencyError(
+                f"AR formula fails at ({roots[i]}, {roots[j]}): "
+                f"ext={ext_row[j]}, hom(j, tau i)={want[j]}"
+            )
 
     # identify P_v / I_v via Hom against simples
     simple_id = {}

@@ -1,9 +1,10 @@
 import pytest
 
 from aisles.derived import Window
-from aisles.kronecker import TameModel, default_model
+from aisles.kronecker import TameModel
 from aisles.quiver import d4_quiver, linear_quiver
 from aisles.repcore import enumerate_indecomposables
+from reference import default_model
 
 
 @pytest.fixture(scope="session")

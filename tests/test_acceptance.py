@@ -12,7 +12,6 @@ import pytest
 from aisles.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, apply_table_patch, main
 from aisles.derived import Window
 from aisles.kronecker import (
-    default_model,
     hom_rule,
     post,
     pre,
@@ -40,7 +39,7 @@ from aisles.tstruct import (
     verify_lemma41,
     verify_lemma42,
 )
-from reference import explicit_representation
+from reference import default_model, explicit_representation
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 WINDOW = Window(-2, 3)

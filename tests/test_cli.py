@@ -10,6 +10,7 @@ from aisles.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from aisles.errors import UnsupportedError
 from aisles.quiver import BUILTIN_QUIVERS
 from aisles.repcore import enumerate_indecomposables
+from reference import default_model
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -193,6 +194,41 @@ def test_classify_a2(capsys):
     payload = json.loads(out)
     assert payload["pass"] is True
     assert any("scan" in case for case in payload["cases"])
+
+
+@pytest.fixture
+def a1_quiver(tmp_path):
+    path = tmp_path / "a1.quiver"
+    path.write_text("vertex 1\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify"], ["verify", "--suite", "all"], ["verify", "--suite", "consistency"]],
+    ids=["classify", "verify-all", "verify-consistency"],
+)
+def test_a1_is_refused_by_the_classification_by_sections(capsys, a1_quiver, argv):
+    """A1 is Dynkin, but ZA1 has no arrows: no successor cone reaches a
+    shift, so classify and verify exit 2 naming that reason before any
+    suite runs, not 1 with every pivot failed."""
+    code, out, err = run(capsys, *argv, "--quiver", a1_quiver)
+    assert code == EXIT_USAGE and out == ""
+    assert f"error: {argv[0]} needs a quiver with an arrow" in err
+    assert "no successor cone reaches a shift" in err
+
+
+def test_a1_still_lifts_traces_enumerates_and_exports(capsys, a1_quiver):
+    code, out, _ = run(capsys, "lift", "--quiver", a1_quiver, "--torsion", "[[1]]")
+    assert code == EXIT_OK
+    assert json.loads(out)["heart"] == ["[1]@0"]
+    code, out, _ = run(capsys, "trace", "--quiver", a1_quiver, "--torsion", "[[1]]")
+    assert code == EXIT_OK and json.loads(out)["roundtrip"] is True
+    code, out, _ = run(capsys, "enumerate", "--quiver", a1_quiver)
+    assert code == EXIT_OK and json.loads(out)["count"] == 2
+    code, out, _ = run(capsys, "export-ar", "--quiver", a1_quiver)
+    assert code == EXIT_OK
+    assert out.count("label=") == 6 and "->" not in out
 
 
 def test_verify_clean_table(capsys):
@@ -565,7 +601,7 @@ def test_kronecker_over_budgets_is_usage_error(capsys, monkeypatch):
     assert (code, out) == (EXIT_USAGE, "")
     assert "MAX_WINDOW_OBJECTS = 137" in err
     with pytest.raises(UnsupportedError):
-        kronecker.default_model()
+        default_model()
 
 
 def test_cor64_suite_computes_ext_projectives_once(a3_table, window, monkeypatch):

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from aisles import repcore
 from aisles.extspace import ExtMachine
+from aisles.errors import ShapeError
 from aisles.linalg import Mat, rank_mod2, scaled_to_ints
 from aisles.quiver import BUILTIN_QUIVERS, d4_quiver, linear_quiver
 from aisles.repcore import (
@@ -28,7 +29,7 @@ from aisles.repcore import (
     euler_form,
     hom_space,
 )
-from reference import odd_masks, orientations, rank_mod2_rows
+from reference import odd_masks, opposite, orientations, rank_mod2_rows
 from test_linalg import reference_nullspace, reference_rref
 
 QUIVERS = [linear_quiver(2), linear_quiver(3), d4_quiver()]
@@ -206,7 +207,7 @@ def assert_table_parities_match_rows(table):
             assert_parities_match_rows(M, N)
 
 
-@pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "d5", "e6", "e7"])
+@pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "d5", "e6", "e7", "e8"])
 def test_parity_masks_match_the_dict_rows_on_every_table_pair(name):
     assert_table_parities_match_rows(enumerate_indecomposables(BUILTIN_QUIVERS[name]()))
 
@@ -217,12 +218,89 @@ def test_parity_masks_match_the_dict_rows_on_orientations(q):
     assert_table_parities_match_rows(enumerate_indecomposables(q))
 
 
+@settings(max_examples=5, deadline=None)
+@given(orientations(shapes=("E7",)))
+def test_parity_masks_match_the_dict_rows_on_e7_orientations(q):
+    """The orientations the `table-e7` benchmark draws: each table is
+    built with all its checks, and its parities, read afresh or off the
+    parities the build keeps while it reads the pairs, are the dict rows
+    mod 2 on all 3,969 pairs."""
+    table = enumerate_indecomposables(q)
+    assert len(table) == 63
+    assert_table_parities_match_rows(table)
+    assert_kept_parities_read_the_same(table)
+
+
+def kept(R, strides):
+    """A copy of ``R`` holding its parities, as a module of a table does
+    while the build reads its pairs (none when its scale is even)."""
+    copy = Representation(R.quiver, R.dims, R.maps)
+    copy.parities = repcore._parities(copy, strides)
+    return copy
+
+
+def assert_kept_parities_read_the_same(table):
+    """On every pair of the table, the parities the build keeps give the
+    masks that reading the integer maps afresh gives."""
+    reps = [e.rep for e in table.entries]
+    assert all(R.parities is None for R in reps)  # the build keeps none
+    strides = list(map(max, *(R.dimension_vector() for R in reps)))
+    copies = [kept(R, strides) for R in reps]
+    assert all(X.parities is not None for X in copies)
+    for M, X in zip(reps, copies):
+        for N, Y in zip(reps, copies):
+            assert repcore.hom_parities(X, Y) == repcore.hom_parities(M, N)
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "d5", "e6", "e7", "e8"])
+def test_kept_parities_read_as_the_maps_on_every_table_pair(name):
+    assert_kept_parities_read_the_same(enumerate_indecomposables(BUILTIN_QUIVERS[name]()))
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["afresh", "kept"])
+def test_parities_over_two_quivers_are_refused(keep):
+    """1 -> 2 and 2 -> 1 have the same vertices and arrow names, so only
+    the quiver check tells their modules apart."""
+    P, Q = linear_quiver(2), opposite(linear_quiver(2))
+    M = Representation(P, {"1": 1, "2": 1}, {"a1": Mat([[1]])})
+    N = Representation(Q, {"1": 1, "2": 1}, {"a1": Mat([[1]])})
+    if keep:
+        M, N = kept(M, [1, 1]), kept(N, [1, 1])
+        assert M.parities and N.parities
+    for X, Y in ((M, N), (N, M)):
+        with pytest.raises(ShapeError, match="over one quiver"):
+            repcore.hom_parities(X, Y)
+
+
+def test_the_build_reads_every_pair_off_the_kept_parities(monkeypatch):
+    placed = []
+    place = repcore._placed_parities
+
+    def counting(m_parities, n_parities):
+        placed.append(None)
+        return place(m_parities, n_parities)
+
+    monkeypatch.setattr(repcore, "_placed_parities", counting)
+    table = enumerate_indecomposables(BUILTIN_QUIVERS["d5"]())
+    assert len(placed) == len(table) ** 2 == 400
+
+
 @settings(max_examples=300, deadline=None)
 @given(pairs())
 def test_parity_masks_match_the_dict_rows_on_scaled_representations(pair):
     # denominators 1-6: either scale D is even about half the time, and
-    # then the part of each row it multiplies has no odd entry
-    assert_parities_match_rows(*pair)
+    # then the part of each row it multiplies has no odd entry; the
+    # parities kept on either module read the same as those read afresh
+    M, N = pair
+    assert_parities_match_rows(M, N)
+    want = repcore.hom_parities(M, N)
+    strides = list(map(max, M.dimension_vector(), N.dimension_vector()))
+    for X, Y in ((kept(M, strides), N), (M, kept(N, strides))):
+        assert repcore.hom_parities(X, Y) == want
+    X, Y = kept(M, strides), kept(N, strides)
+    assert repcore.hom_parities(X, Y) == want
+    assert (X.parities is None) == (M.int_maps[0] % 2 == 0)
+    assert M.parities is None and N.parities is None
 
 
 def test_parity_masks_drop_the_part_an_even_scale_multiplies():

@@ -21,7 +21,6 @@ from aisles.errors import ConsistencyError, ShapeError
 from aisles.kronecker import (
     KroneckerContext,
     TameModel,
-    default_model,
     ext_module,
     hom_rule,
 )
@@ -31,6 +30,7 @@ from aisles.tstruct import ringel_criterion, semipath, successors
 from reference import (
     all_objects,
     arrow_pairs,
+    default_model,
     is_interior,
     orientations,
     reference_arrow_pairs,

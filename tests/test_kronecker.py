@@ -16,7 +16,6 @@ from aisles.kronecker import (
     TameModel,
     _masks,
     build_aisle_63b,
-    default_model,
     ext_module,
     hom_rule,
     layer,
@@ -30,6 +29,7 @@ from aisles.kronecker import (
 )
 from aisles.repcore import hom_space
 from reference import (
+    default_model,
     euler_form_kronecker,
     explicit_representation,
     kronecker_quiver,
@@ -247,7 +247,8 @@ def test_kronecker_quiver_shape():
 
 REPEAT_WITNESS_AND_SCAN = """
 from aisles import kronecker as kr
-model = kr.default_model()
+from aisles.derived import Window
+model = kr.TameModel(("t0", "t1", "t2"), 3, 6, Window(-2, 3))  # default_model()
 base = kr.build_aisle_63b(0, frozenset(), model)
 masks = kr._masks(model)
 broken = base | 1 << masks.index[kr.reg("t0", 1, 0)]

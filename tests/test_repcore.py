@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -433,6 +434,37 @@ def test_coxeter_functor_must_return_to_the_quiver(monkeypatch):
         enumerate_indecomposables(linear_quiver(3))
 
 
+@pytest.mark.parametrize("name", ["d5", "e7"])
+def test_coxeter_walk_plans_each_step_once(monkeypatch, name):
+    """Every C^- starts from the table's quiver, so the quivers it passes
+    through are built in the first round only: one per vertex, whatever
+    the number of `reflect` calls."""
+    quiver = BUILTIN_QUIVERS[name]()
+    built, reflected = [], []
+    init, real_reflect = Quiver.__init__, repcore.reflect
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def counting_reflect(R, v):
+        reflected.append(v)
+        return real_reflect(R, v)
+
+    monkeypatch.setattr(Quiver, "__init__", counting_init)
+    monkeypatch.setattr(repcore, "reflect", counting_reflect)
+    table = enumerate_indecomposables(quiver)
+    assert len(built) == len(quiver.vertices)
+    assert len(reflected) == len(table) * len(quiver.vertices)
+    # the last step of the plan closes the round on a quiver equal to,
+    # and not the same object as, the table's
+    last = quiver
+    for v in quiver.sink_ordering()[::-1]:
+        last = last.reversed_at(v)
+    assert last == quiver and last is not quiver
+    assert len(built) == len(quiver.vertices)
+
+
 # -- the builtin tables, pinned ----------------------------------------------------
 
 # sha256 of the compact JSON of [dimension vectors, hom, ext, ar_arrows,
@@ -571,3 +603,59 @@ def test_a_wrong_hom_kernel_breaks_the_directing_check(monkeypatch, pair):
     with pytest.raises(ConsistencyError, match="both nonzero: the modules are not directing"):
         enumerate_indecomposables(BUILTIN_QUIVERS["a3"]())
     assert len(calls) == len(t) ** 2
+
+
+@pytest.mark.parametrize(
+    "wrong", [{(2, 4), (1, 5)}, {(1, 5), (1, 0)}, {(4, 1), (3, 2), (5, 0)}]
+)
+def test_the_directing_check_names_the_first_wrong_pair(monkeypatch, wrong):
+    """The check reads whole rows; with several pairs wrong, its message
+    still names the first of them in row-major order."""
+    t = enumerate_indecomposables(BUILTIN_QUIVERS["a3"]())
+    n = len(t)
+    rank_mod2, kernel = repcore.rank_mod2, repcore._kernel
+    calls = []
+
+    def long_at_wrong(rows, ncols):
+        i, j = divmod(len(calls), n)
+        calls.append(None)
+        basis = kernel(rows, ncols)
+        return basis + ((0,) * ncols,) if (i, j) in wrong else basis
+
+    monkeypatch.setattr(repcore, "rank_mod2", lambda masks: rank_mod2(masks) - 1)
+    monkeypatch.setattr(repcore, "_kernel", long_at_wrong)
+    i, j = min(wrong)
+    roots = [e.dimvec for e in t.entries]
+    message = f"Hom and Ext from {roots[i]} to {roots[j]} are both nonzero"
+    with pytest.raises(ConsistencyError, match=re.escape(message)):
+        enumerate_indecomposables(BUILTIN_QUIVERS["a3"]())
+
+
+@pytest.mark.parametrize("name", ["a3", "d4", "d5"])
+def test_the_ar_formula_check_names_the_first_failing_pair(monkeypatch, name):
+    """Each orbit walked backwards makes tau the true tau^-: the hom
+    column at tau i no longer matches row i of ext.  The check compares
+    whole rows, and names the first failing pair in row-major order with
+    the values the pair-by-pair check reported."""
+    t = enumerate_indecomposables(BUILTIN_QUIVERS[name]())
+    first = next(
+        (i, j, t.ext[i][j], want)
+        for i, e in enumerate(t.entries)
+        for j in range(len(t))
+        for want in [0 if e.tau_inverse is None else t.hom[j][e.tau_inverse]]
+        if t.ext[i][j] != want
+    )
+    walk = repcore.tau_minus_orbits
+    monkeypatch.setattr(
+        repcore,
+        "tau_minus_orbits",
+        lambda quiver, cap: {v: o[::-1] for v, o in walk(quiver, cap).items()},
+    )
+    i, j, ext, want = first
+    roots = [e.dimvec for e in t.entries]
+    message = (
+        f"AR formula fails at ({roots[i]}, {roots[j]}): "
+        f"ext={ext}, hom(j, tau i)={want}"
+    )
+    with pytest.raises(ConsistencyError, match=re.escape(message) + "$"):
+        enumerate_indecomposables(BUILTIN_QUIVERS[name]())
