@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from itertools import islice
 
@@ -308,17 +309,22 @@ def cmd_transport(args):
     return EXIT_OK if report["pass"] else EXIT_FAIL
 
 
+# one summand: Post(m) or Pre(m) for an integer m, in any case
+_SUMMAND = re.compile(r"(post|pre)\((-?[0-9]+)\)", re.IGNORECASE)
+
+
 def _parse_tilting(text):
+    """The summands of a comma-separated list, each exactly Post(m) or
+    Pre(m) up to case and the spaces around it."""
     kinds = {"post": kr.post, "pre": kr.pre}
     out = []
     for token in text.split(","):
         token = token.strip()
-        kind, _, rest = token.partition("(")
-        value = rest.rstrip(")")
-        try:
-            out.append(kinds[kind.lower()](int(value)))
-        except (KeyError, ValueError):
-            raise AislesError(f"cannot parse tilting summand {token!r}") from None
+        match = _SUMMAND.fullmatch(token)
+        if match is None:
+            raise AislesError(f"cannot parse tilting summand {token!r}")
+        kind, value = match.groups()
+        out.append(kinds[kind.lower()](int(value)))
     return out
 
 

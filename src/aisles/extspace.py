@@ -20,8 +20,6 @@ cross-degree arrows of the derived AR quiver.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ConsistencyError
 from .linalg import echelon_add, eliminate, scaled_to_ints, sparse_row
 from .repcore import hom_system, unflatten
@@ -60,7 +58,7 @@ class ExtMachine:
                 for a in self.quiver.arrows
             ]
             basis = [
-                unflatten([Fraction(k == c) for k in range(len(rows))], shapes)
+                unflatten([int(k == c) for k in range(len(rows))], shapes)
                 for c in free
             ]
             self._coker[i, j] = (image, pivots, free, basis)

@@ -2,9 +2,18 @@
 
 Everything downstream (Hom spaces, Ext cokernels, reflection functors,
 radical series) reduces to kernels and ranks of small systems, so a
-shape-aware matrix of `fractions.Fraction` entries is all the interface
-needs.  Shapes are carried explicitly because zero-dimensional spaces
-are the rule, not the exception (every simple representation has them).
+shape-aware matrix of exact rationals is all the interface needs.
+Shapes are carried explicitly because zero-dimensional spaces are the
+rule, not the exception (every simple representation has them).
+
+Every exact value here has one normal form: a Python `int` when it is
+integral, and a `fractions.Fraction` only otherwise.  An `int` and an
+integral `Fraction` compare and hash alike, so the form changes no
+equality and no dict key; it only keeps integral data, which is all of
+the data of the Dynkin tables, out of `Fraction` arithmetic.  No module
+of the package uses true division, so an `int` never turns into a float.
+`fractions` is imported only where a non-integral value is formed
+(`_exact`, `_ratio`), so a run on integral data never loads it.
 
 Elimination itself never touches a `Fraction`.  Its one row format is the
 sparse integer row, a dict column -> nonzero int, and its one step is
@@ -16,10 +25,11 @@ off the reduced rows as coprime integer vectors.  Scaling a row by a
 nonzero integer changes neither its span nor the reduced row echelon
 form (which is unique), so a caller may clear denominators first
 (`scaled_to_ints`, or once per representation in `repcore`) and gets
-exactly what `Fraction` Gauss-Jordan returns.  `Fraction`s are formed
+exactly what `Fraction` Gauss-Jordan returns.  Quotients are formed
 only for output entries: `kernel` divides each `kernel_ints` vector by
 its last nonzero entry, which sits at its free column (`unit_last`), and
-an entry x of a reduced row with pivot p is x/p.
+an entry x of a reduced row with pivot p is x/p, each in normal form:
+x // p when p divides x.
 
 `rank_mod2` is the one shortcut: the rank over GF(2) of rows given as
 int bitmasks of their odd entries, which a caller can read off its
@@ -29,22 +39,40 @@ when it reaches the smaller of the two it is the rank, without an
 elimination; any lower answer proves nothing, and the caller eliminates.
 
 Every elimination runs on sparse integer rows.  `Mat` is a container of
-`Fraction` entries; its one elimination, `Mat.rref`, goes through
-`eliminate` and returns the reduced rows as `Fraction`s.  Kernels are
+entries in normal form; its one elimination, `Mat.rref`, goes through
+`eliminate` and returns the reduced rows in normal form.  Kernels are
 read with `kernel(*eliminate(rows), ncols)` (or `kernel_ints`) and ranks
 with `echelon_add` (`span_rank`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
-_ZERO = Fraction(0)
+
+def _exact(x):
+    """The number ``x``, not an `int`, in normal form: its `Fraction`, or
+    that fraction's numerator when it is integral."""
+    from fractions import Fraction
+
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _ratio(x, d):
+    """x/d for ints x and d != 0, in normal form."""
+    if not x % d:
+        return x // d
+    from fractions import Fraction
+
+    return Fraction(x, d)
 
 
 def scaled_to_ints(values):
-    """A list of `Fraction`s times the lcm of their denominators, as ints."""
+    """A list of exact numbers times the lcm of their denominators, as
+    ints: ``values`` itself when every entry is an `int`."""
+    if all(type(x) is int for x in values):
+        return values
     den = lcm(*[x.denominator for x in values])
     if den == 1:
         return [x.numerator for x in values]
@@ -142,16 +170,16 @@ def kernel_ints(reduced, pivots, ncols):
 
 
 def unit_last(vec):
-    """The integer vector ``vec`` divided by its last nonzero entry, as
-    `Fraction`s: a `kernel_ints` vector becomes the `kernel` vector, 1 at
-    its free column."""
+    """The integer vector ``vec`` divided by its last nonzero entry, in
+    normal form: a `kernel_ints` vector becomes the `kernel` vector, 1 at
+    its free column, and stays integral when that entry divides it."""
     d = next(x for x in reversed(vec) if x)
-    return [Fraction(x, d) if x else _ZERO for x in vec]
+    return [_ratio(x, d) for x in vec]
 
 
 def kernel(reduced, pivots, ncols):
-    """The `kernel_ints` basis as `Fraction` lists, each vector 1 at its
-    free column: -reduced[k][fc] / reduced[k][pc] at each pivot pc."""
+    """The `kernel_ints` basis in normal form, each vector 1 at its free
+    column: -reduced[k][fc] / reduced[k][pc] at each pivot pc."""
     return [unit_last(vec) for vec in kernel_ints(reduced, pivots, ncols)]
 
 
@@ -194,17 +222,19 @@ def echelon_add(echelon, row):
 class Mat:
     """A dense nrows x ncols matrix over the rationals.
 
-    Entries are `Fraction`s: the constructor converts any other number,
-    and every method returns `Fraction` entries.  Its one elimination,
-    `rref`, runs on sparse integer rows (see the module docstring).
-    Immutable by convention: no method mutates ``self``.
+    Entries are in normal form: an `int` when integral, a `Fraction`
+    only otherwise (see the module docstring).  The constructor brings
+    any other number to it (`Fraction(4, 2)` and `True` become ints,
+    0.5 becomes `Fraction(1, 2)`), and every method returns it.  Its one
+    elimination, `rref`, runs on sparse integer rows.  Immutable by
+    convention: no method mutates ``self``.
     """
 
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, rows, nrows=None, ncols=None):
         rows = [
-            [x if type(x) is Fraction else Fraction(x) for x in row]
+            [x if type(x) is int else _exact(x) for x in row]
             for row in rows
         ]
         if nrows is None:
@@ -219,7 +249,7 @@ class Mat:
 
     @staticmethod
     def zeros(nrows, ncols):
-        return Mat([[_ZERO] * ncols for _ in range(nrows)], nrows, ncols)
+        return Mat([[0] * ncols for _ in range(nrows)], nrows, ncols)
 
     def __eq__(self, other):
         return (
@@ -248,7 +278,7 @@ class Mat:
                 f"shape mismatch in product: {self.nrows}x{self.ncols} times "
                 f"{other.nrows}x{other.ncols}"
             )
-        out = [[Fraction(0)] * other.ncols for _ in range(self.nrows)]
+        out = [[0] * other.ncols for _ in range(self.nrows)]
         for i in range(self.nrows):
             ri = self.rows[i]
             oi = out[i]
@@ -279,18 +309,18 @@ class Mat:
         )
         red = []
         for row, c in zip(reduced, pivots):
-            out = [_ZERO] * self.ncols
+            out = [0] * self.ncols
             p = row[c]
             for k, x in row.items():
-                out[k] = Fraction(x, p)
+                out[k] = _ratio(x, p)
             red.append(out)
-        red += [[_ZERO] * self.ncols for _ in range(self.nrows - len(pivots))]
+        red += [[0] * self.ncols for _ in range(self.nrows - len(pivots))]
         return Mat(red, self.nrows, self.ncols), pivots
 
 
 def span_rank(vectors):
     """Rank of the span of a list of equal-length coordinate vectors of
-    ints or `Fraction`s."""
+    exact numbers."""
     echelon = []
     for v in vectors:
         echelon_add(echelon, sparse_row(scaled_to_ints(v)))

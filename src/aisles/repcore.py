@@ -103,7 +103,8 @@ class Representation:
         """(D, {arrow name: (rows, columns)}), where D is the lcm of the
         denominators of every arrow map and rows[r] (columns[c]) lists
         the (index, entry) pairs of the nonzero entries in row r (column
-        c) of D times the map: integers.  Read from ``maps`` alone, on
+        c) of D times the map: integers.  D is 1 when every entry is
+        integral, as on every builtin table.  Read from ``maps`` alone, on
         first use, and kept on the instance."""
         den = lcm(
             *[x.denominator for m in self.maps.values() for r in m.rows for x in r]
@@ -337,7 +338,9 @@ def hom_space(M, N):
     A morphism is a family of matrices f_v with N_a f_{s(a)} = f_{t(a)} M_a
     for every arrow a; the basis elements are dicts vertex -> Mat.  The
     basis is the `hom_kernel` basis, each vector divided by its last
-    nonzero entry: the nullspace of the `Fraction` system.
+    nonzero entry: the nullspace of the system over the rationals, with
+    `Mat` entries in normal form (an int when integral, which every
+    basis of a Dynkin table is).
     """
     basis = _families(hom_kernel(M, N), M, N)
     return len(basis), basis
@@ -345,7 +348,8 @@ def hom_space(M, N):
 
 def _families(vectors, M, N):
     """The morphisms M -> N with the given `hom_kernel` vectors, each
-    divided by its last nonzero entry, as dicts vertex -> Mat."""
+    divided by its last nonzero entry (`linalg.unit_last`, in normal
+    form), as dicts vertex -> Mat."""
     shapes = [(v, N.dim(v), M.dim(v)) for v in M.quiver.vertices]
     return [unflatten(unit_last(vec), shapes) for vec in vectors]
 
@@ -528,7 +532,9 @@ class IndecTable:
     ``hom_vectors[i][j]`` holds the Hom(i, j) basis as `hom_kernel`
     returns it: coprime integer vectors, flattened vertex by vertex and
     row-major.  ``hom_bases`` is the same basis as morphism families of
-    `Fraction` matrices, formed for the whole table on first read.
+    `Mat`s, each vector divided by its last nonzero entry, formed for the
+    whole table on first read; their entries are ints on every Dynkin
+    table (`Mat`'s normal form).
     ``ar_arrows`` lists the AR arrows as (source id, target id) pairs in
     ascending order, proved with ``gluing_pairs`` by the derived mesh rule
     when first read (`_ar_arrows`)."""
@@ -579,7 +585,10 @@ class IndecTable:
     def hom_bases(self):
         """bases[i][j]: the Hom(i, j) basis as dicts vertex -> Mat, each
         ``hom_vectors`` vector divided by its last nonzero entry, as
-        `hom_space` returns it."""
+        `hom_space` returns it.  The entries are in `Mat`'s normal form:
+        the last nonzero entry divides every coprime kernel vector of a
+        Dynkin table, so each entry is an int and the Yoneda products
+        and the oracle's reductions on them are integer arithmetic."""
         reps = [e.rep for e in self.entries]
         return tuple(
             tuple(

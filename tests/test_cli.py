@@ -349,17 +349,36 @@ def test_transport_kronecker(capsys):
     assert payload["cardinalities"]["heart_pairs"] == 8
 
 
+@pytest.mark.parametrize("tilting", ["post(1),POST(2)", " Post(1) , pOsT(2)\t"])
+def test_transport_summands_ignore_case_and_surrounding_spaces(capsys, tilting):
+    argv = ["transport", "--builtin", "kronecker", "--range", "4", "--tilting"]
+    want = run(capsys, *argv, "Post(1),Post(2)")
+    assert want[0] == EXIT_OK
+    assert run(capsys, *argv, tilting) == want
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["--tilting", "Post(x)"], "cannot parse tilting summand 'Post(x)'"),
+        (
+            ["--tilting", "post(1))),post(2"],
+            "cannot parse tilting summand 'post(1)))'",
+        ),
+        (["--tilting", "Post(1),Post(2"], "cannot parse tilting summand 'Post(2'"),
+        (["--tilting", "Post1),Pre(2)"], "cannot parse tilting summand 'Post1)'"),
+        (["--tilting", "Post(1)x,Pre(2)"], "cannot parse tilting summand 'Post(1)x'"),
+        (["--tilting", "Post(1),"], "cannot parse tilting summand ''"),
         (["--tilting", "Post(1),Post(3)"], "not a tilting set: ext("),
         (
             ["--range", "6", "--tilting", "Post(7),Post(8)"],
             "tilting summand Post(7)@0 is not an object of the model",
         ),
     ],
-    ids=["unparsable", "not-rigid", "outside-model"],
+    ids=[
+        "unparsable", "extra-parens", "unclosed", "unopened", "trailing-text",
+        "empty-summand", "not-rigid", "outside-model",
+    ],
 )
 def test_transport_bad_tilting_is_usage_error(capsys, argv, message):
     code, out, err = run(capsys, "transport", "--builtin", "kronecker", *argv)

@@ -30,7 +30,7 @@ from aisles.repcore import (
     hom_space,
 )
 from reference import odd_masks, opposite, orientations, rank_mod2_rows
-from test_linalg import reference_nullspace, reference_rref
+from test_linalg import in_normal_form, reference_nullspace, reference_rref
 
 QUIVERS = [linear_quiver(2), linear_quiver(3), d4_quiver()]
 
@@ -99,7 +99,7 @@ def test_hom_space_matches_fraction_nullspace(pair):
     for f in basis:
         for v in M.quiver.vertices:
             assert (f[v].nrows, f[v].ncols) == (N.dim(v), M.dim(v))
-            assert all(type(x) is Fraction for x in f[v].flatten())
+            assert in_normal_form(f[v].flatten())
 
 
 @settings(max_examples=300, deadline=None)
@@ -136,14 +136,15 @@ def test_hom_space_scales_each_side_by_its_own_denominators():
 
 
 def assert_table_matches_fraction_nullspace(table):
-    """Each `Fraction` basis is the nullspace of the `Fraction` delta, and
-    each stored integer vector is `scaled_to_ints` of its basis vector."""
+    """Each basis, in `Mat`'s normal form, is the nullspace of the
+    `Fraction` delta, and each stored integer vector is `scaled_to_ints`
+    of its basis vector."""
     for X in table.entries:
         for Y in table.entries:
             want = reference_nullspace(fraction_delta(X.rep, Y.rep))
             got = [flat(f, table.quiver) for f in table.hom_bases[X.id][Y.id]]
             assert got == want
-            assert all(type(x) is Fraction for vec in got for x in vec)
+            assert all(in_normal_form(vec) for vec in got)
             vectors = [list(v) for v in table.hom_vectors[X.id][Y.id]]
             assert vectors == [scaled_to_ints(v) for v in want]
             assert all(type(x) is int for vec in vectors for x in vec)
@@ -361,3 +362,27 @@ def test_positive_euler_form_goes_straight_to_elimination():
     M = Representation(Q, {a.source: 1, a.target: 1}, {a.name: Mat([[1]])})
     assert euler(M, M) == 1
     assert kernel_and_certificate_calls(M, M) == ([[1, 1]], [])
+
+
+# -- the normal form on the builtin tables ---------------------------------------
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "d5", "e6", "e7"])
+def test_table_maps_and_bases_hold_only_ints(name):
+    """Every Dynkin table is integral: each entry of every arrow map, of
+    every ``hom_bases`` family and of every `ExtMachine` basis family is
+    an `int` (`Mat`'s normal form), so no product on them forms a
+    `Fraction`."""
+    table = enumerate_indecomposables(BUILTIN_QUIVERS[name]())
+    machine = ExtMachine(table)
+
+    def ints(family):
+        return all(type(x) is int for m in family.values() for x in m.flatten())
+
+    n = len(table.entries)
+    assert all(ints(e.rep.maps) for e in table.entries)
+    assert all(e.rep.int_maps[0] == 1 for e in table.entries)
+    for i in range(n):
+        for j in range(n):
+            assert all(map(ints, table.hom_bases[i][j]))
+            assert all(map(ints, machine.ext_basis(i, j)))

@@ -1,5 +1,6 @@
 """No module of the package reaches into another one's private names,
-and importing the CLI loads neither `dataclasses` nor `inspect`.
+none uses true division, and importing the CLI loads none of
+`dataclasses`, `inspect` and `fractions`.
 
 A name that starts with an underscore belongs to the module that
 defines it; a module that needs it from elsewhere should get a public
@@ -16,13 +17,14 @@ import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "aisles"
 
-# Prints the modules among `dataclasses` and `inspect` that importing the
-# CLI adds; a site hook that loaded them before the import does not count.
+# Prints the modules among `dataclasses`, `inspect` and `fractions` that
+# importing the CLI adds; a site hook that loaded them before the import
+# does not count.
 NEW_MODULES = """
 import sys
 before = set(sys.modules)
 import aisles.cli
-print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
+print(sorted({"dataclasses", "inspect", "fractions"} & (set(sys.modules) - before)))
 """
 
 
@@ -89,10 +91,38 @@ def test_the_check_sees_both_forms():
     ]
 
 
+def true_divisions(source):
+    """The lines of ``source`` with a true division, ``/`` or ``/=``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, ast.Div)
+    )
+
+
+def test_no_module_uses_true_division():
+    """`linalg.Mat` holds integral entries as ints, and a true division
+    of two ints is a float: exact quotients are `//` or a `Fraction`."""
+    offences = {
+        path.name: true_divisions(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: found for name, found in offences.items() if found} == {}
+
+
+def test_the_division_check_sees_both_forms():
+    source = "a = 1 // 2\nb = a / 2\nb /= 3\nb //= 4\nc = '1 / 2'\n"
+    assert true_divisions(source) == [2, 3]
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """Every run imports the CLI before it checks anything, and
     `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`: the
-    records are NamedTuples and plain classes instead."""
+    records are NamedTuples and plain classes instead.  The same check
+    covers `fractions` (which pulls in `decimal` and `numbers`): it is
+    imported only where a non-integral value is formed (`linalg`), which
+    no builtin table needs."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run(
         [sys.executable, "-c", NEW_MODULES],

@@ -94,6 +94,40 @@ def test_rref_pivots():
     red, pivots = m.rref()
     assert pivots == [0]
     assert red.rows[0] == [Fraction(1), Fraction(2)]
+    assert [type(x) for x in red.flatten()] == [int] * 4
+
+
+def test_entries_take_the_normal_form():
+    """An integral value is held as an int, any other as a `Fraction`;
+    equality and hashing do not see the difference."""
+    m = Mat([[Fraction(4, 2), True, 0.5, Fraction(3, 2), -0.0]])
+    assert [(type(x), x) for x in m.flatten()] == [
+        (int, 2), (int, 1), (Fraction, Fraction(1, 2)),
+        (Fraction, Fraction(3, 2)), (int, 0),
+    ]
+    assert m == Mat([[2, 1, Fraction(1, 2), Fraction(3, 2), 0]])
+    assert hash(m) == hash(Mat([[Fraction(2), 1, 0.5, 1.5, Fraction(0)]]))
+    # a product, a transpose and a reduction keep it
+    half = Mat([[Fraction(1, 2)]])
+    assert type((half * Mat([[2]]))[0, 0]) is int
+    assert type((half * half)[0, 0]) is Fraction
+    assert [type(x) for x in half.transpose().flatten()] == [Fraction]
+    red, _ = Mat([[2, 3], [4, 6]]).rref()
+    assert [(type(x), x) for x in red.flatten()] == [
+        (int, 1), (Fraction, Fraction(3, 2)), (int, 0), (int, 0),
+    ]
+    assert [type(x) for x in Mat.zeros(2, 2).flatten()] == [int] * 4
+
+
+def test_kernel_and_scaling_keep_the_normal_form():
+    reduced, pivots = eliminate([{0: 2, 1: 3}])
+    assert kernel(reduced, pivots, 2) == [[Fraction(-3, 2), 1]]
+    reduced, pivots = eliminate([{0: 1, 1: -2}])
+    (vec,) = kernel(reduced, pivots, 2)
+    assert vec == [2, 1] and [type(x) for x in vec] == [int, int]
+    ints = [3, 0, -4]
+    assert scaled_to_ints(ints) is ints
+    assert scaled_to_ints([Fraction(1, 2), 3]) == [1, 6]
 
 
 def test_span_helpers():
@@ -107,11 +141,13 @@ def test_span_helpers():
 #
 # `Mat.rref` eliminates on ints.  The reference below is the plain
 # `Fraction` Gauss-Jordan it replaced; the reduced row echelon form is
-# unique, so every result must agree entry for entry.
+# unique, so every result must agree entry for entry.  A `Mat` holds
+# integral entries as ints, so the reference coerces each entry to a
+# `Fraction` before it divides.
 
 
 def reference_rref(m):
-    rows = [list(r) for r in m.rows]
+    rows = [[Fraction(x) for x in r] for r in m.rows]
     pivots = []
     r = 0
     for c in range(m.ncols):
@@ -174,8 +210,12 @@ def rational_matrices(draw, max_dim=5):
     return Mat(rows, nrows, ncols)
 
 
-def all_fractions(m):
-    return all(type(x) is Fraction for row in m.rows for x in row)
+def in_normal_form(values):
+    """Every value is an int, or a `Fraction` that is not integral."""
+    return all(
+        type(x) is int or (type(x) is Fraction and x.denominator != 1)
+        for x in values
+    )
 
 
 @settings(max_examples=300)
@@ -186,7 +226,7 @@ def test_rref_matches_fraction_gauss_jordan(m):
     assert pivots == want_pivots
     assert (red.nrows, red.ncols) == (m.nrows, m.ncols)
     assert red.rows == want_rows
-    assert all_fractions(red)
+    assert in_normal_form(red.flatten())
     assert rank(m) == len(want_pivots)
 
 
@@ -195,7 +235,7 @@ def test_rref_matches_fraction_gauss_jordan(m):
 def test_kernels_match_fraction_gauss_jordan(m):
     right = nullspace(m)
     assert right == reference_nullspace(m)
-    assert all(type(x) is Fraction for v in right for x in v)
+    assert all(in_normal_form(v) for v in right)
     left = nullspace(m.transpose())
     assert left == reference_nullspace(m.transpose())
     assert all(len(r) == m.nrows for r in left)

@@ -305,6 +305,87 @@ def test_mesh_rule_catches_every_wrong_gluing(name, monkeypatch):
             build()
 
 
+def translation_closure(table, arrows):
+    """The least arrow set holding ``arrows`` and closed under the mesh
+    translations of the table's tau: a -> b gives tau b -> a when b is
+    not projective, and b -> tau^- a when a is not injective.  Every
+    such set meets the mesh rule at each non-projective module."""
+    entries = table.entries
+    closed = set(arrows)
+    todo = list(arrows)
+    while todo:
+        a, b = todo.pop()
+        for arrow in (
+            (entries[b].tau, a) if entries[b].tau is not None else None,
+            (b, entries[a].tau_inverse) if entries[a].tau_inverse is not None else None,
+        ):
+            if arrow is not None and arrow not in closed:
+                closed.add(arrow)
+                todo.append(arrow)
+    return closed
+
+
+def mesh_clauses(table, arrows, gluing):
+    """(radical, socle, rest): whether, at every P_v, the module arrows
+    into P_v are the gluing targets of I_v (radical half) and the gluing
+    sources of P_v are the module arrows out of I_v (socle half), and
+    whether the mesh rule holds at every non-projective module."""
+    n = len(table.entries)
+    into, out, glued_into, glued_out = ([set() for _ in range(n)] for _ in range(4))
+    for s, t in arrows:
+        out[s].add(t)
+        into[t].add(s)
+    for s, t in gluing:
+        glued_out[s].add(t)
+        glued_into[t].add(s)
+    radical = socle = rest = True
+    for e in table.entries:
+        if e.is_projective:
+            inj = table.injective_by_vertex(e.proj_vertex).id
+            radical &= into[e.id] == glued_out[inj]
+            socle &= glued_into[e.id] == out[inj]
+        else:
+            rest &= into[e.id] == out[e.tau] and not glued_into[e.id] | glued_out[e.tau]
+    return radical, socle, rest
+
+
+@pytest.mark.parametrize("name", ["a3", "d5", "e6"])
+def test_each_half_of_the_mesh_at_a_projective_is_needed(name, monkeypatch):
+    """Joint mutations of module arrows and gluing that only one half of
+    the mesh rule at P_v rejects: a wrong arrow P_u -> P_v (or
+    I_u -> I_v) with all its tau-translates, and the gluing pair
+    (I_v, P_u) that keeps the other half.  The mesh rule holds at every
+    non-projective, so a proof without the radical half, or without the
+    socle half, would accept some of them."""
+    t = builtin_table(name)
+    arrows = set(t.ar_arrows)
+    rule = repcore.gluing_pairs(t)
+    assert mesh_clauses(t, arrows, rule) == (True, True, True)
+    wrong = {(False, True, True): [], (True, False, True): []}
+    for u in t.quiver.vertices:
+        for v in t.quiver.vertices:
+            if u == v:
+                continue
+            p_u, p_v = t.projective_by_vertex(u).id, t.projective_by_vertex(v).id
+            i_u, i_v = t.injective_by_vertex(u).id, t.injective_by_vertex(v).id
+            for seed in ((p_u, p_v), (i_u, i_v)):
+                if seed not in arrows:
+                    mutated = translation_closure(t, arrows | {seed})
+                    gluing = rule | {(i_v, p_u)}
+                    clauses = mesh_clauses(t, mutated, gluing)
+                    if clauses in wrong:
+                        wrong[clauses].append((mutated, gluing))
+    assert all(wrong.values())
+    mutated = gluing = None
+    monkeypatch.setattr(
+        repcore, "irreducible_dim", lambda i, j, table: int((i, j) in mutated)
+    )
+    monkeypatch.setattr(repcore, "gluing_pairs", lambda table: gluing)
+    for mutated, gluing in (m for ms in wrong.values() for m in ms):
+        with pytest.raises(ConsistencyError, match="mesh rule fails at the arrows into"):
+            repcore._ar_arrows(t)
+
+
 def test_non_dynkin_rejected():
     q = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
     with pytest.raises(UnsupportedError):
