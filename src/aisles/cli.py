@@ -35,7 +35,13 @@ from .derived import (
 from .errors import AislesError
 from .quiver import BUILTIN_QUIVERS, load_quiver_file
 from .repcore import enumerate_indecomposables
-from .suites import DYNKIN_SUITES, KRONECKER_SUITES, run_suites, split_pairs
+from .suites import (
+    DYNKIN_SUITES,
+    KRONECKER_SUITES,
+    run_suites,
+    split_pairs,
+    suite_keys,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -277,6 +283,7 @@ def cmd_verify(args):
                 "--table-patch patches a Dynkin Hom table; the Kronecker "
                 "model has none"
             )
+        suite_keys(KRONECKER_SUITES, args.suite)  # before the model is built
         suites, subject = KRONECKER_SUITES, load_model(args)
     else:
         for name in KRONECKER_OPTIONS:
@@ -285,6 +292,7 @@ def cmd_verify(args):
                     f"--{name.replace('_', '-')} shapes the Kronecker model; "
                     "a Dynkin quiver takes none"
                 )
+        suite_keys(DYNKIN_SUITES, args.suite)  # before the table is built
         suites, subject = DYNKIN_SUITES, load_table(args)
         _require_arrows(subject, "verify")
         if args.table_patch:

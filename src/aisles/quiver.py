@@ -104,6 +104,13 @@ class Quiver:
             out[a.source].append(a)
         return {v: (tuple(into[v]), tuple(out[v])) for v in self.vertices}
 
+    @cached_property
+    def arrow_ends(self):
+        """(index of the source, index of the target) of each arrow, in
+        arrow order: the positions of its ends in ``vertices``."""
+        index = {v: k for k, v in enumerate(self.vertices)}
+        return tuple((index[a.source], index[a.target]) for a in self.arrows)
+
     def arrows_from(self, v):
         return self._incident[v][1]
 

@@ -17,15 +17,17 @@ of each projective against the vertex its orbit started from.
 Validation failures abort.
 
 Hom(M, N) is the kernel of Ringel's map delta (`hom_system`) and Ext^1
-its cokernel.  The table build proves both dimensions from the parities
-of delta alone (`hom_parities`, read off the integer maps as bitmasks):
-the rank mod 2 bounds the rank over the rationals from below, and the
-size of delta from above, so when it reaches min(rows, columns) it is
-the rank.  Dynkin modules are directing, so Hom and Ext^1 between two
-indecomposables are never both nonzero and delta always has that full
-rank; a pair whose rank mod 2 falls short is eliminated exactly.  The
-parities of each module's maps are read once (`_parities`, kept on the
-modules while the build reads its pairs), so a pair only places them.
+its cokernel.  One rule (`_solve_hom`) proves a Hom dimension from the
+parities of delta alone (`hom_parities`, bitmasks): the rank mod 2
+bounds the rank over the rationals from below, and the size of delta
+from above, so when it reaches min(rows, columns) it is the rank; a
+pair whose rank mod 2 falls short is eliminated exactly.  Dynkin
+modules are directing, so Hom and Ext^1 between two indecomposables
+are never both nonzero and delta always has that full rank: the table
+build proves every pair this way.  The parities of each module's maps
+are read once, on first use, and kept on it (``parity_layout``), so a
+pair only places them: the modules of a table, the canonical-sequence
+oracle's subobjects and quotients, and any other module alike.
 
 The Hom bases (``IndecTable.hom_vectors``) and the AR arrows are solved
 on first read: each nonzero pair eliminated once, its basis held to the
@@ -62,13 +64,12 @@ class Representation:
 
     ``maps[a]`` has shape dims(target a) x dims(source a).  `int_maps`
     holds the same maps scaled by one integer, the form the Hom system
-    is built from.  Unhashable: it holds dicts.
+    is built from, and ``parity_layout`` their parities, the form
+    `hom_parities` places; both are read on first use and kept.
+    Unhashable: it holds dicts.
     """
 
     __hash__ = None
-    # `_parities`, kept on the modules of a table while its build reads
-    # their n^2 pairs; None on any other module and at any other time
-    parities = None
 
     def __init__(self, quiver, dims, maps):
         self.quiver = quiver
@@ -119,19 +120,38 @@ class Representation:
             out[name] = (rows, columns)
         return den, out
 
+    @cached_property
+    def parity_layout(self):
+        """The `ParityLayout` of `int_maps`, read on first use and kept."""
+        den, maps = self.int_maps
+        dims = self.dimension_vector()
+        Q = self.quiver
+        columns, spreads = [], []
+        for k, (a, (u, w)) in enumerate(zip(Q.arrows, Q.arrow_ends)):
+            a_rows, a_columns = maps[a.name]
+            spreads.append(_Spreads([[i for i, x in row if x & 1] for row in a_rows]))
+            if dims[u]:
+                parts = [sum(1 << i for i, x in c if x & 1) for c in a_columns]
+                columns.append((k, u, w, parts))
+        return ParityLayout(dims, den & 1 == 1, columns, spreads)
+
 
 # ---------------------------------------------------------------------------
 # Hom spaces
 # ---------------------------------------------------------------------------
 
 
-def _coordinates(M, N):
-    """The first column of each vertex's block in the Hom system, and
-    the number of columns: f_v is N_v x M_v, vertex by vertex."""
+def _one_quiver(M, N):
     if M.quiver is not N.quiver and M.quiver != N.quiver:
         raise ShapeError(
             "the Hom system delta needs representations over one quiver"
         )
+
+
+def _coordinates(M, N):
+    """The first column of each vertex's block in the Hom system, and
+    the number of columns: f_v is N_v x M_v, vertex by vertex."""
+    _one_quiver(M, N)
     mdim, ndim = M.dims.get, N.dims.get
     offsets = {}
     total = 0
@@ -187,111 +207,38 @@ def hom_system(M, N):
 def hom_parities(M, N):
     """The rows of `hom_system` mod 2, as (int bitmasks, number of
     columns) for `linalg.rank_mod2`: bit k of row (a, r, c) is set when
-    its entry in column k is odd.  Read off `Representation.int_maps`
-    without forming the rows.  The odd entries of row r of D_N N_a,
+    its entry in column k is odd.  Placed from the `ParityLayout` of
+    each module (``Representation.parity_layout``, read once per module)
+    without forming the rows: the odd entries of row r of D_N N_a,
     spread at stride m_u, fill the u-part from column off_u + c; those
     of column c of D_M M_a fill the w-part from column off_w + r m_w.
     Each part is scaled by the other module's D, so it is even
-    throughout when that D is.
-
-    Two modules of one table are read off the `_parities` the build keeps
-    on each (``Representation.parities``) while it reads all n^2 pairs,
-    read once per module; any other pair, such as the oracle's
-    subobjects and quotients against a table module, is read off
-    ``int_maps`` on each call, and nothing is kept on it."""
-    if M.parities and N.parities and M.quiver is N.quiver:
-        return _placed_parities(M.parities, N.parities)
-    offsets, total = _coordinates(M, N)
-    dm, m_maps = M.int_maps
-    dn, n_maps = N.int_maps
-    masks = []
-    for a in M.quiver.arrows:
-        n_rows = n_maps[a.name][0]  # one per row r < n_w
-        m_columns = m_maps[a.name][1]  # one per column c < m_u
-        if not (n_rows and m_columns):
-            continue
-        mu = len(m_columns)
-        if dn & 1:
-            m_parts = []
-            for column in m_columns:
-                part = 0
-                for k, x in column:
-                    if x & 1:
-                        part |= 1 << k
-                m_parts.append(part)
-        else:
-            m_parts = [0] * mu
-        ou, base = offsets[a.source], offsets[a.target]
-        mw = M.dims.get(a.target, 0)
-        for row in n_rows:
-            part = 0
-            if dm & 1:
-                for k, x in row:
-                    if x & 1:
-                        part |= 1 << k * mu
-                part <<= ou
-            for m_part in m_parts:
-                masks.append(part | m_part << base)
-                part <<= 1
-            base += mw
-    return masks, total
-
-
-def _parities(R, strides):
-    """What `hom_parities` reads of ``R`` as a module of a table, read
-    once: its dimension vector; per arrow u -> w in quiver order, for
-    each row of its `Representation.int_maps` map, the odd columns k as
-    the bitmask of the bits k s, for each stride s up to ``strides[u]``,
-    the bound on the dimension at u of every module R is paired with;
-    and for each arrow with R_u != 0, (arrow index, indices of u and w,
-    the bitmask of the odd rows of each column).  None when the scale D
-    is even, which makes each part it scales even: R is then read
-    afresh."""
-    den, maps = R.int_maps
-    if not den & 1:
-        return None
-    dims = R.dimension_vector()
-    index = {v: k for k, v in enumerate(R.quiver.vertices)}
-    rows, columns = [], []
-    for k, a in enumerate(R.quiver.arrows):
-        u, w = index[a.source], index[a.target]
-        a_rows, a_columns = maps[a.name]
-        at = range(strides[u] + 1)
-        spread = []
-        for row in a_rows:
-            odd = [i for i, x in row if x & 1]
-            spread.append(tuple(sum(1 << i * s for i in odd) for s in at))
-        rows.append(spread)
-        if dims[u]:
-            columns.append(
-                (k, u, w, [sum(1 << i for i, x in c if x & 1) for c in a_columns])
-            )
-    return dims, rows, columns
-
-
-def _placed_parities(m_parities, n_parities):
-    """`hom_parities` from the `_parities` of M and of N: per arrow with
-    M_u and N_w nonzero, each row's odd columns are already spread at
-    stride m_u, so each mask is two shifts and an or."""
-    mdims, _, m_columns = m_parities
-    ndims, n_rows, _ = n_parities
+    throughout when that D is."""
+    if M.quiver is not N.quiver:
+        _one_quiver(M, N)
+    mdims, m_odd, m_columns, _ = M.parity_layout
+    ndims, n_odd, _, spreads = N.parity_layout
+    if not m_odd:  # an even D_M makes N's part of every row even
+        spreads = [_Spreads([()] * len(rows.odd_columns)) for rows in spreads]
+    if not n_odd:  # and an even D_N makes M's part even
+        m_columns = [(k, u, w, [0] * len(parts)) for k, u, w, parts in m_columns]
     offsets = [0, *accumulate(map(mul, ndims, mdims))]
     masks = []
     for k, u, w, m_parts in m_columns:
-        rows = n_rows[k]
-        if not rows:
+        if not ndims[w]:
             continue
         mu = mdims[u]
+        rows = spreads[k][mu]
         ou, base = offsets[u], offsets[w]
         mw = mdims[w]
         if mu == 1:  # one column: one mask per row
             m_part = m_parts[0] << base
-            for spreads in rows:
-                masks.append(spreads[1] << ou | m_part)
+            for spread in rows:
+                masks.append(spread << ou | m_part)
                 m_part <<= mw
             continue
-        for spreads in rows:
-            part = spreads[mu] << ou
+        for spread in rows:
+            part = spread << ou
             for m_part in m_parts:
                 masks.append(part | m_part << base)
                 part <<= 1
@@ -299,37 +246,74 @@ def _placed_parities(m_parities, n_parities):
     return masks, offsets[-1]
 
 
-def _euler(M, N):
-    """<dim M, dim N>: the columns of `hom_system` minus its rows."""
-    mdim, ndim = M.dims.get, N.dims.get
-    val = 0
-    for v in M.quiver.vertices:
-        val += mdim(v, 0) * ndim(v, 0)
-    for a in M.quiver.arrows:
-        val -= mdim(a.source, 0) * ndim(a.target, 0)
-    return val
+class ParityLayout(NamedTuple):
+    """The parities of one module's `Representation.int_maps`, as
+    `hom_parities` places them.
+
+    ``dims`` is the dimension vector, and ``odd`` whether the scale D is
+    odd: an even D makes the partner's part of every row even.
+    ``columns`` lists, per arrow u -> w with a nonzero dimension at u,
+    (arrow index, indices of u and w, the bitmask of the odd rows of
+    each column).  ``spreads[k][s]`` lists, per row of the map of arrow
+    k, the bits i s over its odd columns i: the rows spread at stride s,
+    made the first time a partner asks for them."""
+
+    dims: tuple
+    odd: bool
+    columns: list
+    spreads: list
+
+
+class _Spreads(dict):
+    """stride s -> the rows of one arrow's map, each as the bits i s
+    over its odd columns i; each stride is made on its first lookup."""
+
+    def __init__(self, odd_columns):
+        super().__init__()
+        self.odd_columns = odd_columns
+
+    def __missing__(self, s):
+        spread = self[s] = [
+            sum([1 << i * s for i in odd]) for odd in self.odd_columns
+        ]
+        return spread
+
+
+def _solve_hom(M, N, parities=True):
+    """(dim Hom(M, N), kernel basis or None): the one proof of a Hom
+    dimension.  The rank mod 2 of delta (`linalg.rank_mod2` on
+    `hom_parities`) bounds its rank over the rationals from below, and
+    min(rows, columns) bounds it from above, so when it reaches that
+    bound it is the rank: the dimension is the columns less it, no row
+    of delta is formed, and the basis is None.  Otherwise, or without
+    ``parities``, delta is eliminated, and the basis is its kernel as
+    coprime integer vectors (`linalg.kernel_ints`)."""
+    if parities:
+        masks, ncols = hom_parities(M, N)
+        rank = rank_mod2(masks)
+        if rank == min(len(masks), ncols):
+            return ncols - rank, None
+    rows, ncols = hom_system(M, N)
+    basis = kernel_ints(*eliminate(rows), ncols)
+    return len(basis), basis
 
 
 def hom_kernel(M, N):
     """Hom(M, N) as coprime integer vectors in the coordinates of
-    `hom_system`, the kernel basis read off its reduced rows
-    (`linalg.kernel_ints`), for `hom_space`; the table build certifies
-    its dimensions on its own and solves its bases on first read.
+    `hom_system`, for `hom_space`; the table build certifies its
+    dimensions on its own and solves its bases on first read.
 
-    A system whose rank mod 2 is its number of columns has a zero kernel
-    (`linalg.rank_mod2` on `hom_parities`), and its rows are never
-    formed; any other one is eliminated.  The Euler form routes: dim Hom
-    - dim Ext^1 = <dim M, dim N> is the number of columns minus the
-    number of rows, so when it is positive the rank is short of the
-    columns, Hom is nonzero, and the system is eliminated without trying
-    the parities.
+    The Euler form (`euler_form`, on the dimension vectors the parity
+    layouts keep) routes: dim Hom - dim Ext^1 = <dim M, dim N> is the
+    number of columns of delta minus its number of rows.  When it is
+    positive, Hom is nonzero and delta is eliminated without trying the
+    parities.  Otherwise the rows are at least the columns, so a rank
+    mod 2 that proves anything (`_solve_hom`) proves Hom zero.
     """
-    if _euler(M, N) <= 0:
-        masks, ncols = hom_parities(M, N)
-        if rank_mod2(masks) == ncols:
-            return []
-    rows, ncols = hom_system(M, N)
-    return kernel_ints(*eliminate(rows), ncols)
+    _one_quiver(M, N)
+    euler = euler_form(M.quiver, M.parity_layout.dims, N.parity_layout.dims)
+    _dim, basis = _solve_hom(M, N, parities=euler <= 0)
+    return basis or []
 
 
 def hom_space(M, N):
@@ -392,10 +376,9 @@ def euler_form(quiver, d, e):
 def _pushed(quiver, d):
     """The vector p with <d, e> = p . e for every e: d_w minus d_u over
     the arrows u -> w."""
-    idx = {v: i for i, v in enumerate(quiver.vertices)}
     p = list(d)
-    for a in quiver.arrows:
-        p[idx[a.target]] -= d[idx[a.source]]
+    for u, w in quiver.arrow_ends:
+        p[w] -= d[u]
     return p
 
 
@@ -484,9 +467,10 @@ def tau_minus_orbits(quiver, cap):
                 raise ConsistencyError(
                     f"C^- took {orbit[-1].dimension_vector()} off the quiver"
                 )
-            # over the one quiver object, so that comparing the quivers of
-            # two modules of the table is an identity check
-            rep = Representation(quiver, rep.dims, rep.maps)
+            # moved onto the one quiver object, equal to its own, so that
+            # comparing the quivers of two modules of the table is an
+            # identity check; its maps were validated as `reflect` built it
+            rep.quiver = quiver
     return orbits
 
 
@@ -624,9 +608,8 @@ def enumerate_indecomposables(quiver):
     ``ar_arrows`` later raises it when a basis misses its certified
     dimension or the derived mesh rule fails.
 
-    Each module's `_parities` are read once, before the n^2 pairs, and
-    kept on it as ``Representation.parities`` until they are done;
-    `hom_parities` runs once per pair on them.  Ext is formed, and the
+    Each module's ``parity_layout`` is read once, on its first pair, and
+    `hom_parities` places two of them per pair.  Ext is formed, and the
     directing and AR-formula checks compare, a whole row at a time; a
     failing row is searched for the first pair at fault.
     """
@@ -657,30 +640,19 @@ def enumerate_indecomposables(quiver):
             tau_inv[i] = j
             tau_link[j] = i
 
-    # dim Hom = columns - rank of delta, proved by its rank mod 2 when
-    # that reaches min(rows, columns); any other pair is eliminated here,
-    # and its kernel kept for `hom_vectors`.  Each module's parities are
-    # kept on it for these pairs only, which are their one reader in the
-    # package: the table does not hold them.
-    strides = [max(column) for column in zip(*roots)]
-    for rep in reps:
-        rep.parities = _parities(rep, strides)
+    # dim Hom, proved by `_solve_hom`; a pair its parities do not prove
+    # is eliminated there, and its kernel kept for `hom_vectors`
     hom = []
     kernels = {}
     for i, M in enumerate(reps):
         row = []
         for j, N in enumerate(reps):
-            masks, ncols = hom_parities(M, N)
-            rank = rank_mod2(masks)
-            if rank == min(len(masks), ncols):
-                row.append(ncols - rank)
-            else:
-                kernels[i, j] = _kernel(*hom_system(M, N))
-                row.append(len(kernels[i, j]))
+            dim, basis = _solve_hom(M, N)
+            if basis is not None:
+                kernels[i, j] = basis
+            row.append(dim)
         hom.append(tuple(row))
     hom = tuple(hom)
-    for rep in reps:
-        del rep.parities
     for i in range(n):
         if hom[i][i] != 1:
             raise ConsistencyError(
@@ -771,27 +743,23 @@ def enumerate_indecomposables(quiver):
     )
 
 
-def _kernel(rows, ncols):
-    return tuple(map(tuple, kernel_ints(*eliminate(rows), ncols)))
-
-
 def _hom_vectors(entries, solved):
     """``hom_vectors``: the kernel of each pair the build certified
-    nonzero, eliminated once unless the build kept it, and of the
-    dimension certified; () for the others."""
+    nonzero, eliminated once (`_solve_hom`) unless the build kept it, and
+    of the dimension certified, as tuples; () for the others."""
     vectors = []
     for X, dims in zip(entries, solved.hom):
         row = []
         for Y, dim in zip(entries, dims):
             basis = solved.kernels.get((X.id, Y.id), ())
             if dim and not basis:
-                basis = _kernel(*hom_system(X.rep, Y.rep))
+                _dim, basis = _solve_hom(X.rep, Y.rep, parities=False)
                 if len(basis) != dim:
                     raise ConsistencyError(
                         f"Hom({X.dimvec}, {Y.dimvec}) solves to dimension "
                         f"{len(basis)}, certified {dim}"
                     )
-            row.append(basis)
+            row.append(tuple(map(tuple, basis)))
         vectors.append(tuple(row))
     return tuple(vectors)
 

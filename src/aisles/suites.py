@@ -164,14 +164,22 @@ KRONECKER_SUITES = {
 }
 
 
-def run_suites(suites, subject, window, name):
-    """The checks of every suite in ``suites`` (``name`` "all") or of
-    the one named, each looked up as it runs; a ``ConsistencyError`` or
-    ``PreconditionError`` is a failed ``<suite>_internal`` check."""
-    if name != "all" and name not in suites:
+def suite_keys(suites, name):
+    """The keys of ``suites`` that ``name`` selects: all of them, or the
+    one named; an unknown name raises ``AislesError``."""
+    if name == "all":
+        return list(suites)
+    if name not in suites:
         raise AislesError(f"unknown suite {name!r}: want all, {', '.join(suites)}")
+    return [name]
+
+
+def run_suites(suites, subject, window, name):
+    """The checks of every suite `suite_keys` selects, each looked up as
+    it runs; a ``ConsistencyError`` or ``PreconditionError`` is a failed
+    ``<suite>_internal`` check."""
     checks = []
-    for key in list(suites) if name == "all" else [name]:
+    for key in suite_keys(suites, name):
         try:
             checks.extend(suites[key](subject, window))
         except (ConsistencyError, PreconditionError) as exc:

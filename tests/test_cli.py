@@ -317,11 +317,22 @@ def test_verify_kronecker_suite(capsys):
     assert payload["pass"] is True
 
 
-def test_verify_unknown_suite(capsys):
-    code, _, err = run(
-        capsys, "verify", "--builtin", "a2", "--suite", "nonsense"
-    )
-    assert code == EXIT_USAGE
+def test_verify_unknown_suite(capsys, monkeypatch):
+    """An unknown suite is refused before any table or model is built."""
+
+    def unbuilt(*args):
+        raise AssertionError("built before the suite name was checked")
+
+    monkeypatch.setattr(cli, "enumerate_indecomposables", unbuilt)
+    monkeypatch.setattr(cli, "load_model", unbuilt)
+    for builtin, known in (
+        ("a2", "consistency"), ("e8", "cor64"), ("kronecker", "63b")
+    ):
+        code, out, err = run(
+            capsys, "verify", "--builtin", builtin, "--suite", "nonsense"
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert "unknown suite 'nonsense': want all, " in err and known in err
 
 
 def test_bad_window(capsys):

@@ -29,6 +29,7 @@ from aisles.repcore import (
     euler_form,
     hom_space,
 )
+from aisles.torsion import canonical_sequence_oracle, enumerate_torsion_pairs
 from reference import odd_masks, opposite, orientations, rank_mod2_rows
 from test_linalg import in_normal_form, reference_nullspace, reference_rref
 
@@ -223,67 +224,105 @@ def test_parity_masks_match_the_dict_rows_on_orientations(q):
 @given(orientations(shapes=("E7",)))
 def test_parity_masks_match_the_dict_rows_on_e7_orientations(q):
     """The orientations the `table-e7` benchmark draws: each table is
-    built with all its checks, and its parities, read afresh or off the
-    parities the build keeps while it reads the pairs, are the dict rows
-    mod 2 on all 3,969 pairs."""
+    built with all its checks, the layouts its modules keep hold the odd
+    entries of their maps, and the parities placed from them are the
+    dict rows mod 2 on all 3,969 pairs."""
     table = enumerate_indecomposables(q)
     assert len(table) == 63
+    assert_kept_layouts_read_as_the_maps(table)
     assert_table_parities_match_rows(table)
-    assert_kept_parities_read_the_same(table)
 
 
-def kept(R, strides):
-    """A copy of ``R`` holding its parities, as a module of a table does
-    while the build reads its pairs (none when its scale is even)."""
-    copy = Representation(R.quiver, R.dims, R.maps)
-    copy.parities = repcore._parities(copy, strides)
-    return copy
+@pytest.mark.parametrize("name", ["d4", "d5"])
+def test_parity_masks_match_the_dict_rows_on_oracle_modules(name):
+    """The canonical-sequence oracle's subobjects and quotients, paired
+    both ways with every table module, place their parities as the
+    table's own modules do."""
+    table = enumerate_indecomposables(BUILTIN_QUIVERS[name]())
+    for tp in enumerate_torsion_pairs(table):
+        for y in range(len(table)):
+            canonical_sequence_oracle(y, tp, table)
+    cases = table.memo["oracle_cases"].values()
+    modules = {id(R): R for _trace, sub, quot, *_ in cases for R in (sub, quot)}
+    assert len(modules) > len(table)
+    for X in modules.values():
+        for e in table.entries:
+            assert_parities_match_rows(X, e.rep)
+            assert_parities_match_rows(e.rep, X)
 
 
-def assert_kept_parities_read_the_same(table):
-    """On every pair of the table, the parities the build keeps give the
-    masks that reading the integer maps afresh gives."""
+def assert_kept_layouts_read_as_the_maps(table):
+    """Each module of the table keeps the one `ParityLayout` its pairs
+    were placed from, and it holds the odd entries of the module's
+    integer maps: the odd rows of each column, and each row's odd
+    columns i as the bits i s at every stride s a partner asks for."""
+    Q = table.quiver
+    index = {v: k for k, v in enumerate(Q.vertices)}
     reps = [e.rep for e in table.entries]
-    assert all(R.parities is None for R in reps)  # the build keeps none
-    strides = list(map(max, *(R.dimension_vector() for R in reps)))
-    copies = [kept(R, strides) for R in reps]
-    assert all(X.parities is not None for X in copies)
-    for M, X in zip(reps, copies):
-        for N, Y in zip(reps, copies):
-            assert repcore.hom_parities(X, Y) == repcore.hom_parities(M, N)
+    # the partners M with M_u = 0 at an arrow u -> w place no row of it
+    strides = {R.dim(a.source) for R in reps for a in Q.arrows} - {0}
+    for R in reps:
+        layout = vars(R)["parity_layout"]  # kept by the build
+        den, maps = R.int_maps
+        assert layout.dims == R.dimension_vector() and layout.odd == den % 2
+        assert layout.columns == [
+            (k, index[a.source], index[a.target], odd_masks(
+                [dict(column) for column in maps[a.name][1]]
+            ))
+            for k, a in enumerate(Q.arrows)
+            if R.dim(a.source)
+        ]
+        for s in strides:
+            assert [spreads[s] for spreads in layout.spreads] == [
+                odd_masks([{i * s: x for i, x in row} for row in maps[a.name][0]])
+                for a in Q.arrows
+            ]
 
 
 @pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "d5", "e6", "e7", "e8"])
 def test_kept_parities_read_as_the_maps_on_every_table_pair(name):
-    assert_kept_parities_read_the_same(enumerate_indecomposables(BUILTIN_QUIVERS[name]()))
+    assert_kept_layouts_read_as_the_maps(
+        enumerate_indecomposables(BUILTIN_QUIVERS[name]())
+    )
 
 
 @pytest.mark.parametrize("keep", [False, True], ids=["afresh", "kept"])
 def test_parities_over_two_quivers_are_refused(keep):
     """1 -> 2 and 2 -> 1 have the same vertices and arrow names, so only
-    the quiver check tells their modules apart."""
+    the quiver check tells their modules apart, also once each module
+    keeps its layout."""
     P, Q = linear_quiver(2), opposite(linear_quiver(2))
     M = Representation(P, {"1": 1, "2": 1}, {"a1": Mat([[1]])})
     N = Representation(Q, {"1": 1, "2": 1}, {"a1": Mat([[1]])})
     if keep:
-        M, N = kept(M, [1, 1]), kept(N, [1, 1])
-        assert M.parities and N.parities
+        assert M.parity_layout.dims == N.parity_layout.dims == (1, 1)
     for X, Y in ((M, N), (N, M)):
         with pytest.raises(ShapeError, match="over one quiver"):
             repcore.hom_parities(X, Y)
+        with pytest.raises(ShapeError, match="over one quiver"):
+            hom_space(X, Y)
 
 
 def test_the_build_reads_every_pair_off_the_kept_parities(monkeypatch):
-    placed = []
-    place = repcore._placed_parities
+    """Each module's layout is read once, on its first pair, and every
+    one of the n^2 pairs is placed from two of them."""
+    layouts, placed = [], []
+    layout, place = repcore.ParityLayout, repcore.hom_parities
 
-    def counting(m_parities, n_parities):
+    def counting_layout(*fields):
+        layouts.append(layout(*fields))
+        return layouts[-1]
+
+    def counting_place(M, N):
         placed.append(None)
-        return place(m_parities, n_parities)
+        return place(M, N)
 
-    monkeypatch.setattr(repcore, "_placed_parities", counting)
+    monkeypatch.setattr(repcore, "ParityLayout", counting_layout)
+    monkeypatch.setattr(repcore, "hom_parities", counting_place)
     table = enumerate_indecomposables(BUILTIN_QUIVERS["d5"]())
     assert len(placed) == len(table) ** 2 == 400
+    kept = [vars(e.rep)["parity_layout"] for e in table.entries]
+    assert sorted(map(id, layouts)) == sorted(map(id, kept))
 
 
 @settings(max_examples=300, deadline=None)
@@ -291,17 +330,11 @@ def test_the_build_reads_every_pair_off_the_kept_parities(monkeypatch):
 def test_parity_masks_match_the_dict_rows_on_scaled_representations(pair):
     # denominators 1-6: either scale D is even about half the time, and
     # then the part of each row it multiplies has no odd entry; the
-    # parities kept on either module read the same as those read afresh
+    # second pair places the layouts the first one kept
     M, N = pair
     assert_parities_match_rows(M, N)
-    want = repcore.hom_parities(M, N)
-    strides = list(map(max, M.dimension_vector(), N.dimension_vector()))
-    for X, Y in ((kept(M, strides), N), (M, kept(N, strides))):
-        assert repcore.hom_parities(X, Y) == want
-    X, Y = kept(M, strides), kept(N, strides)
-    assert repcore.hom_parities(X, Y) == want
-    assert (X.parities is None) == (M.int_maps[0] % 2 == 0)
-    assert M.parities is None and N.parities is None
+    assert_parities_match_rows(N, M)
+    assert M.parity_layout.odd == (M.int_maps[0] % 2 == 1)
 
 
 def test_parity_masks_drop_the_part_an_even_scale_multiplies():

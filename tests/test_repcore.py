@@ -671,16 +671,16 @@ def test_a_wrong_hom_kernel_breaks_the_directing_check(monkeypatch, pair):
     Dynkin modules has (they are directing)."""
     t = enumerate_indecomposables(BUILTIN_QUIVERS["a3"]())
     i, j = pair
-    rank_mod2, kernel = repcore.rank_mod2, repcore._kernel
+    rank_mod2, kernel_ints = repcore.rank_mod2, repcore.kernel_ints
     calls = []
 
-    def one_long(rows, ncols):
+    def one_long(reduced, pivots, ncols):
         calls.append(None)
-        basis = kernel(rows, ncols)
-        return basis + ((0,) * ncols,) if len(calls) == i * len(t) + j + 1 else basis
+        basis = kernel_ints(reduced, pivots, ncols)
+        return basis + [[0] * ncols] if len(calls) == i * len(t) + j + 1 else basis
 
     monkeypatch.setattr(repcore, "rank_mod2", lambda masks: rank_mod2(masks) - 1)
-    monkeypatch.setattr(repcore, "_kernel", one_long)
+    monkeypatch.setattr(repcore, "kernel_ints", one_long)
     with pytest.raises(ConsistencyError, match="both nonzero: the modules are not directing"):
         enumerate_indecomposables(BUILTIN_QUIVERS["a3"]())
     assert len(calls) == len(t) ** 2
@@ -694,17 +694,17 @@ def test_the_directing_check_names_the_first_wrong_pair(monkeypatch, wrong):
     still names the first of them in row-major order."""
     t = enumerate_indecomposables(BUILTIN_QUIVERS["a3"]())
     n = len(t)
-    rank_mod2, kernel = repcore.rank_mod2, repcore._kernel
+    rank_mod2, kernel_ints = repcore.rank_mod2, repcore.kernel_ints
     calls = []
 
-    def long_at_wrong(rows, ncols):
+    def long_at_wrong(reduced, pivots, ncols):
         i, j = divmod(len(calls), n)
         calls.append(None)
-        basis = kernel(rows, ncols)
-        return basis + ((0,) * ncols,) if (i, j) in wrong else basis
+        basis = kernel_ints(reduced, pivots, ncols)
+        return basis + [[0] * ncols] if (i, j) in wrong else basis
 
     monkeypatch.setattr(repcore, "rank_mod2", lambda masks: rank_mod2(masks) - 1)
-    monkeypatch.setattr(repcore, "_kernel", long_at_wrong)
+    monkeypatch.setattr(repcore, "kernel_ints", long_at_wrong)
     i, j = min(wrong)
     roots = [e.dimvec for e in t.entries]
     message = f"Hom and Ext from {roots[i]} to {roots[j]} are both nonzero"
