@@ -70,7 +70,7 @@ def load_table(args):
     else:
         raise AislesError("no quiver given: use --quiver or --builtin")
     if args.command == "enumerate":  # the only subcommand without a window
-        torsion_mod.check_class_count(quiver.torsion_class_count())
+        torsion_mod.check_quiver_class_count(quiver)
     else:
         check_window_objects(
             parse_window(args.window), quiver.positive_root_count()

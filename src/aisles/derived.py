@@ -541,7 +541,7 @@ def hom_masks(context, window):
 # ---------------------------------------------------------------------------
 
 
-def export_dot(table, window, coloring=0, name="derived_ar"):
+def export_dot(table, window, coloring=0):
     """GraphViz rendering of the windowed derived AR quiver: its objects,
     then the arrows of its successor rows, both in (indec, degree) order.
 
@@ -551,7 +551,7 @@ def export_dot(table, window, coloring=0, name="derived_ar"):
     succ = ar_adjacency(table, window)
     order = sorted(range(len(objects)), key=lambda k: objects[k])
     node = [f'"n{x.indec}_{x.degree}"' for x in objects]
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    lines = ["digraph derived_ar {", "  rankdir=LR;"]
     for k in order:
         attrs = [f'label="{objects[k].label(table)}"']
         if coloring >> k & 1:

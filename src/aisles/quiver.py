@@ -10,14 +10,17 @@ line::
 Blank lines and ``#`` comments are ignored.  Unrecognized lines,
 duplicate vertices or arrows, unknown arrow ends and loops are rejected
 naming the offending line; directed cycles and disconnected underlying
-graphs, which no single line causes, are rejected naming none.
+graphs, which no single line causes, are rejected naming none, all in
+O((n + m) log n) time for n vertices and m arrows.  ``BUILTIN_QUIVERS``
+builds each builtin from its edge list by `quiver_from_edges`.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from functools import cached_property
+from functools import cached_property, partial
+from heapq import heappop, heappush
 from itertools import repeat
 from math import comb
 from typing import NamedTuple
@@ -86,7 +89,7 @@ class Quiver:
                     )
             if a.source == a.target:
                 raise QuiverLoadError(f"arrow {a.name!r} is a loop", line=line)
-        if len(self._sinks_first()) != len(self.vertices):
+        if len(self.sink_ordering()) != len(self.vertices):
             raise QuiverLoadError("quiver has a directed cycle")
         if self.vertices and not self._is_connected():
             raise QuiverLoadError("underlying graph is not connected")
@@ -155,26 +158,25 @@ class Quiver:
 
     def sink_ordering(self):
         """An admissible ordering v1, v2, ... with v1 a sink of the quiver,
-        v2 a sink after reflecting at v1, and so on (reversed topological
-        order)."""
-        return self._sinks_first()
-
-    def _sinks_first(self):
-        """Kahn's algorithm on the reversed arrows: each step takes the
+        v2 a sink after reflecting at v1, and so on: each step takes the
         first vertex, in vertex order, with no arrow to a vertex not yet
-        taken.  The order misses a vertex exactly when the quiver has a
-        directed cycle."""
-        outdeg = {v: len(self.arrows_from(v)) for v in self.vertices}
+        taken, from a heap of the ready ones.  The order misses a vertex
+        exactly when the quiver has a directed cycle."""
+        outdeg = [0] * len(self.vertices)
+        into = [[] for _ in self.vertices]
+        for s, t in self.arrow_ends:
+            outdeg[s] += 1
+            into[t].append(s)
+        ready = [k for k, d in enumerate(outdeg) if not d]  # sorted: a heap
         order = []
-        remaining = list(self.vertices)
-        while True:
-            v = next((w for w in remaining if outdeg[w] == 0), None)
-            if v is None:
-                return order
-            order.append(v)
-            remaining.remove(v)
-            for a in self.arrows_into(v):
-                outdeg[a.source] -= 1
+        while ready:
+            k = heappop(ready)
+            order.append(self.vertices[k])
+            for s in into[k]:
+                outdeg[s] -= 1
+                if not outdeg[s]:
+                    heappush(ready, s)
+        return order
 
     # -- Dynkin classification ---------------------------------------------
 
@@ -308,37 +310,6 @@ def linear_quiver(n):
     return Quiver(vs, arrows, name=f"A{n}")
 
 
-def d4_quiver():
-    """D_4 with the three outer vertices pointing into the center."""
-    vs = ("1", "2", "3", "c")
-    arrows = tuple(Arrow(f"a{v}", v, "c") for v in ("1", "2", "3"))
-    return Quiver(vs, arrows, name="D4")
-
-
-def d5_quiver():
-    """D_5 with orientation 1 -> 2 -> 3 -> 4 and 3 -> 5."""
-    return quiver_from_edges("D5", [(1, 2), (2, 3), (3, 4), (3, 5)])
-
-
-def e6_quiver():
-    """E_6 with orientation 1 -> 2 -> 3 -> 4 -> 5 and 3 -> 6."""
-    return quiver_from_edges("E6", [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)])
-
-
-def e7_quiver():
-    """E_7 with orientation 1 -> 2 -> ... -> 6 and 3 -> 7."""
-    return quiver_from_edges(
-        "E7", [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)]
-    )
-
-
-def e8_quiver():
-    """E_8 with orientation 1 -> 2 -> ... -> 7 and 3 -> 8."""
-    return quiver_from_edges(
-        "E8", [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)]
-    )
-
-
 def quiver_from_edges(name, edges):
     """The quiver with one arrow s -> t per (s, t) in ``edges``."""
     vs = tuple(sorted({str(v) for edge in edges for v in edge}))
@@ -348,13 +319,21 @@ def quiver_from_edges(name, edges):
     return Quiver(vs, arrows, name=name)
 
 
+# The builtin quivers, each an edge list s -> t; the quiver's name is the
+# builtin's in capitals.  D_4 points its three outer vertices into the
+# centre c; D_5 and E_n are the path 1 -> 2 -> ... with one more arrow 3 -> n.
+_BUILTIN_EDGES = {
+    "a2": [(1, 2)],
+    "a3": [(1, 2), (2, 3)],
+    "a4": [(1, 2), (2, 3), (3, 4)],
+    "d4": [(1, "c"), (2, "c"), (3, "c")],
+    "d5": [(1, 2), (2, 3), (3, 4), (3, 5)],
+    "e6": [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)],
+    "e7": [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)],
+    "e8": [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)],
+}
+
 BUILTIN_QUIVERS = {
-    "a2": lambda: linear_quiver(2),
-    "a3": lambda: linear_quiver(3),
-    "a4": lambda: linear_quiver(4),
-    "d4": d4_quiver,
-    "d5": d5_quiver,
-    "e6": e6_quiver,
-    "e7": e7_quiver,
-    "e8": e8_quiver,
+    name: partial(quiver_from_edges, name.upper(), edges)
+    for name, edges in _BUILTIN_EDGES.items()
 }

@@ -97,6 +97,16 @@ def check_class_count(count):
         )
 
 
+def check_quiver_class_count(quiver):
+    """`check_class_count` on a Dynkin quiver's class count, which rank n
+    bounds below by 2^n (each factor (h + e_i + 1) / (e_i + 1) of the
+    Coxeter-Catalan number is at least 2): from rank b, the cap's bit
+    length, 2^b is checked instead, and no huge count is formed."""
+    _kind, n = quiver.dynkin_type()
+    b = MAX_TORSION_CLASSES.bit_length()  # 2^b > MAX_TORSION_CLASSES
+    check_class_count(quiver.torsion_class_count() if n < b else 1 << b)
+
+
 def torsion_masks(table):
     """Every torsion pair as (torsion bitmask, free bitmask), sorted by
     the torsion bitmask: the closure search.  It raises

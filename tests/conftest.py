@@ -2,7 +2,7 @@ import pytest
 
 from aisles.derived import Window
 from aisles.kronecker import TameModel
-from aisles.quiver import d4_quiver, linear_quiver
+from aisles.quiver import BUILTIN_QUIVERS, linear_quiver
 from aisles.repcore import enumerate_indecomposables
 from reference import default_model
 
@@ -19,7 +19,7 @@ def a3_table():
 
 @pytest.fixture(scope="session")
 def d4_table():
-    return enumerate_indecomposables(d4_quiver())
+    return enumerate_indecomposables(BUILTIN_QUIVERS["d4"]())
 
 
 @pytest.fixture(scope="session")

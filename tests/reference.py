@@ -7,7 +7,8 @@ as stalk-object pairs and the successor cones over them, matrix
 stacking, the set-based transport maps the mask maps are checked
 against, the rank mod 2 of sparse integer rows the parity masks are
 checked against, and the random ADE orientations of the Hypothesis
-tests."""
+tests, and the rescanning sink ordering the heap one is checked
+against."""
 
 from collections import deque
 
@@ -36,6 +37,23 @@ def opposite(quiver):
         f"{quiver.name}^op" if quiver.name else "",
         _checked=True,
     )
+
+
+def rescan_sink_ordering(quiver):
+    """`Quiver.sink_ordering` by a rescan of the vertex list at every step
+    for the first vertex whose arrows all end at vertices already taken:
+    quadratic, and stopping where no such vertex is left."""
+    outdeg = {v: len(quiver.arrows_from(v)) for v in quiver.vertices}
+    order = []
+    remaining = list(quiver.vertices)
+    while True:
+        v = next((w for w in remaining if outdeg[w] == 0), None)
+        if v is None:
+            return order
+        order.append(v)
+        remaining.remove(v)
+        for a in quiver.arrows_into(v):
+            outdeg[a.source] -= 1
 
 
 def kronecker_quiver():

@@ -22,7 +22,7 @@ from aisles import repcore
 from aisles.extspace import ExtMachine
 from aisles.errors import ShapeError
 from aisles.linalg import Mat, rank_mod2, scaled_to_ints
-from aisles.quiver import BUILTIN_QUIVERS, d4_quiver, linear_quiver
+from aisles.quiver import BUILTIN_QUIVERS, linear_quiver
 from aisles.repcore import (
     Representation,
     enumerate_indecomposables,
@@ -33,7 +33,7 @@ from aisles.torsion import canonical_sequence_oracle, enumerate_torsion_pairs
 from reference import odd_masks, opposite, orientations, rank_mod2_rows
 from test_linalg import in_normal_form, reference_nullspace, reference_rref
 
-QUIVERS = [linear_quiver(2), linear_quiver(3), d4_quiver()]
+QUIVERS = [linear_quiver(2), linear_quiver(3), BUILTIN_QUIVERS["d4"]()]
 
 rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
 

@@ -10,12 +10,11 @@ from aisles.quiver import (
     BUILTIN_QUIVERS,
     Arrow,
     Quiver,
-    d4_quiver,
     linear_quiver,
     load_quiver,
     load_quiver_file,
 )
-from reference import opposite, orientations
+from reference import opposite, orientations, rescan_sink_ordering
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -129,10 +128,10 @@ def test_loader_raises_only_quiver_load_errors(lines):
 
 def test_dynkin_classification():
     assert linear_quiver(4).dynkin_type() == ("A", 4)
-    assert d4_quiver().dynkin_type() == ("D", 4)
+    assert BUILTIN_QUIVERS["d4"]().dynkin_type() == ("D", 4)
     assert linear_quiver(2).positive_root_count() == 3
     assert linear_quiver(3).positive_root_count() == 6
-    assert d4_quiver().positive_root_count() == 12
+    assert BUILTIN_QUIVERS["d4"]().positive_root_count() == 12
 
 
 def test_e_builtins():
@@ -174,6 +173,54 @@ def test_sink_ordering_takes_the_first_sink_in_vertex_order(quiver):
         taken.add(v)
         cur = cur.reversed_at(v)
     assert taken == set(quiver.vertices)
+
+
+@st.composite
+def drawn_quivers(draw, acyclic):
+    """Up to 8 vertices listed in a random order, with arrows between
+    random pairs, each drawn up to three times as parallel arrows.  An
+    acyclic quiver orients every arrow down a hidden rank order, so
+    several vertices are often ready at once and vertex order must break
+    the tie; a cyclic one also gets the arrows of a directed cycle.  Not
+    validated: the underlying graph may be disconnected."""
+    n = draw(st.integers(2, 8))
+    vertices = tuple(draw(st.permutations([str(k) for k in range(n)])))
+    rank = draw(st.permutations(range(n)))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    drawn = draw(
+        st.lists(
+            st.tuples(pair.filter(lambda p: p[0] != p[1]), st.integers(1, 3)),
+            max_size=2 * n,
+        )
+    )
+    pairs = [p for p, times in drawn for _ in range(times)]
+    if acyclic:
+        pairs = [sorted(p, key=rank.__getitem__) for p in pairs]
+    else:
+        cycle = draw(
+            st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True)
+        )
+        pairs += zip(cycle, cycle[1:] + cycle[:1])
+    arrows = tuple(
+        Arrow(f"a{k}", vertices[s], vertices[t]) for k, (s, t) in enumerate(pairs)
+    )
+    return Quiver(vertices, arrows, _checked=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn_quivers(acyclic=True))
+def test_sink_ordering_equals_the_rescan_on_acyclic_quivers(quiver):
+    order = quiver.sink_ordering()
+    assert order == rescan_sink_ordering(quiver)
+    assert sorted(order) == sorted(quiver.vertices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn_quivers(acyclic=False))
+def test_sink_ordering_stops_where_the_rescan_does_on_a_cycle(quiver):
+    order = quiver.sink_ordering()
+    assert order == rescan_sink_ordering(quiver)
+    assert len(order) < len(quiver.vertices)
 
 
 def test_opposite_swaps_arrows():

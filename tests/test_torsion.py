@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aisles import torsion
-from aisles.errors import ConsistencyError, PreconditionError
+from aisles.errors import ConsistencyError, PreconditionError, UnsupportedError
 from aisles.linalg import Mat, span_rank
-from aisles.quiver import BUILTIN_QUIVERS, linear_quiver, quiver_from_edges
+from aisles.quiver import BUILTIN_QUIVERS, Quiver, linear_quiver, quiver_from_edges
 from aisles.repcore import enumerate_indecomposables, hom_space
 from aisles.derived import TableContext, bits, module_relation
 from aisles.torsion import (
@@ -477,6 +477,30 @@ def test_quiver_class_count_is_coxeter_catalan():
         assert build().torsion_class_count() == _coxeter_catalan(name), name
     for n in range(1, 13):
         assert linear_quiver(n).torsion_class_count() == _coxeter_catalan(f"A{n}")
+
+
+def test_class_budget_is_decided_without_forming_huge_counts(monkeypatch):
+    """A10's 58,786 classes fit under the cap and A11's 208,012 do not;
+    from rank 16, where 2^16 alone is over the cap, the count is not
+    formed (Cat(100,001) has about 60,000 digits) and the message is the
+    same."""
+    message = (
+        "more than MAX_TORSION_CLASSES = 60000 torsion classes; "
+        "enumeration stopped at the class cap"
+    )
+    torsion.check_quiver_class_count(linear_quiver(10))
+    with pytest.raises(UnsupportedError) as exc:
+        torsion.check_quiver_class_count(linear_quiver(11))
+    assert str(exc.value) == message
+
+    def unformed(quiver):
+        raise AssertionError("the class count was formed")
+
+    monkeypatch.setattr(Quiver, "torsion_class_count", unformed)
+    for n in (16, 100_000):
+        with pytest.raises(UnsupportedError) as exc:
+            torsion.check_quiver_class_count(linear_quiver(n))
+        assert str(exc.value) == message
 
 
 @settings(max_examples=20, deadline=None)
