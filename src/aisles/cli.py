@@ -1,12 +1,13 @@
 """Command-line interface: argument parsing, loading and output.
 
 Subcommands: enumerate, lift, trace, classify, verify, transport,
-export-ar; `verify` runs a model's table of ``aisles.suites``.  All
-machine-readable output is JSON with sorted keys and fixed orderings, so
-identical configurations produce byte-identical output.  Exit codes: 0
-success, 1 verification failure, 2 usage or load error.  Inputs over a
-size budget (``MAX_WINDOW_OBJECTS``, ``MAX_SCAN_CANDIDATES``,
-``MAX_TORSION_CLASSES``) exit 2 before the work starts.
+export-ar, each declared once in `SUBCOMMANDS`; `verify` runs a model's
+table of ``aisles.suites``.  All machine-readable output is JSON with
+sorted keys and fixed orderings, so identical configurations produce
+byte-identical output.  Exit codes: 0 success, 1 verification failure,
+2 usage or load error.  Inputs over a size budget (``MAX_WINDOW_OBJECTS``,
+``MAX_SCAN_CANDIDATES``, ``MAX_TORSION_CLASSES``) exit 2 before the work
+starts.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .repcore import enumerate_indecomposables
 from .suites import (
     DYNKIN_SUITES,
     KRONECKER_SUITES,
+    TILTING_53,
     run_suites,
     split_pairs,
     suite_keys,
@@ -58,10 +60,6 @@ def parse_window(text):
 
 def load_table(args):
     if args.builtin:
-        if args.builtin == "kronecker":
-            raise AislesError(
-                "the Kronecker model has no finite indecomposable table"
-            )
         if args.builtin not in BUILTIN_QUIVERS:
             raise AislesError(f"unknown builtin quiver {args.builtin!r}")
         quiver = BUILTIN_QUIVERS[args.builtin]()
@@ -69,7 +67,7 @@ def load_table(args):
         quiver = load_quiver_file(args.quiver)
     else:
         raise AislesError("no quiver given: use --quiver or --builtin")
-    if args.command == "enumerate":  # the only subcommand without a window
+    if "window" not in args:  # enumerate: the module category has none
         torsion_mod.check_quiver_class_count(quiver)
     else:
         check_window_objects(
@@ -125,33 +123,42 @@ def _int_list(value):
     return isinstance(value, list) and all(type(x) is int for x in value)
 
 
+def read_json(what, want, item, build, text=None, path=None, key=None):
+    """``build`` of the JSON list in ``text``, or in the file at ``path``,
+    or under ``key`` when the JSON is an object with that one key.  An
+    unreadable file, malformed JSON, another shape or an ``item`` that
+    fails (it wants ``want``), and a dimension vector that ``build`` cannot
+    find are each an AislesError worded ``bad <what>: <reason>``."""
+    try:
+        if path is not None:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        value = json.loads(text)
+        if key is not None:  # anything but {key: ...} fails the shape
+            value = value.get(key) if isinstance(value, dict) and len(value) == 1 else 0
+        if not (isinstance(value, list) and all(map(item, value))):
+            raise ValueError(f"want {want}")
+        return build(value)
+    except KeyError as exc:  # from `IndecTable.by_dimvec`
+        reason = exc.args[0]
+    except (OSError, ValueError) as exc:
+        reason = exc
+    raise AislesError(f"bad {what}: {reason}") from None
+
+
 def apply_table_patch(table, path):
     """Overwrite hom-table entries from a JSON fixture ``{"hom": [[i, j,
     value], ...]}``; used to show the verifiers actually detect wrong
     data.  Any other content is an AislesError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            patch = json.load(fh)
-        except ValueError as exc:
-            raise AislesError(f"bad table patch: {exc}") from None
-    if not (
-        isinstance(patch, dict)
-        and patch.keys() == {"hom"}
-        and isinstance(patch["hom"], list)
-    ):
-        raise AislesError(
-            'bad table patch: want {"hom": [[i, j, value], ...]}'
-        )
+    entries = read_json(
+        "table patch", '{"hom": [[i, j, value], ...]}', lambda entry: True, list,
+        path=path, key="hom",
+    )
     n = len(table.entries)
     hom = [list(row) for row in table.hom]
-    for entry in patch["hom"]:
-        if not (
-            _int_list(entry)
-            and len(entry) == 3
-            and 0 <= entry[0] < n
-            and 0 <= entry[1] < n
-            and entry[2] >= 0
-        ):
+    for entry in entries:
+        if not (_int_list(entry) and len(entry) == 3 and min(entry) >= 0
+                and max(entry[:2]) < n):
             raise AislesError(
                 f"bad table patch entry {json.dumps(entry)}: want "
                 f"[i, j, value] with 0 <= i, j < {n} and value >= 0"
@@ -167,12 +174,6 @@ def apply_table_patch(table, path):
 
 
 def cmd_enumerate(args):
-    if args.builtin == "kronecker":
-        sys.stderr.write(
-            "error: torsion-pair enumeration requires a representation-"
-            "finite quiver\n"
-        )
-        return EXIT_USAGE
     table = load_table(args)
     # the search finishes (or stops at the class cap) before a byte is
     # written; each pair is built only as it is written
@@ -190,23 +191,23 @@ def cmd_enumerate(args):
     return EXIT_OK
 
 
-def _parse_torsion(table, text):
-    try:
-        dimvecs = json.loads(text)
-        if not (isinstance(dimvecs, list) and all(map(_int_list, dimvecs))):
-            raise ValueError("want a JSON list of dimension vectors of ints")
-        torsion = 0
-        for d in dimvecs:
-            torsion |= 1 << table.by_dimvec(tuple(d)).id
-    except (ValueError, KeyError) as exc:
-        raise AislesError(f"bad torsion class {text!r}: {exc.args[0]}") from None
+def _lift(args):
+    """The table, the torsion pair of ``--torsion`` and its lift."""
+    table = load_table(args)
+    members = read_json(
+        f"torsion class {args.torsion!r}", "a JSON list of dimension vectors of ints",
+        _int_list, lambda v: {table.by_dimvec(tuple(d)).id for d in v},
+        text=args.torsion,
+    )
+    torsion = sum(1 << i for i in members)
     relation = module_relation(TableContext(table))
     free = relation.right_perp(torsion)  # so only T = lperp(F) can fail
     if relation.left_perp(free) != torsion:
         raise AislesError(
             "the given dimension vectors are not a torsion class"
         )
-    return torsion_mod.pair_of_masks(torsion, free, table)
+    tp = torsion_mod.pair_of_masks(torsion, free, table)
+    return table, tp, tstruct.lift(tp, table, parse_window(args.window))
 
 
 def ts_to_json(ts, table):
@@ -228,19 +229,13 @@ def ts_to_json(ts, table):
 
 
 def cmd_lift(args):
-    table = load_table(args)
-    window = parse_window(args.window)
-    tp = _parse_torsion(table, args.torsion)
-    ts = tstruct.lift(tp, table, window)
+    table, _tp, ts = _lift(args)
     emit(ts_to_json(ts, table))
     return EXIT_OK
 
 
 def cmd_trace(args):
-    table = load_table(args)
-    window = parse_window(args.window)
-    tp = _parse_torsion(table, args.torsion)
-    ts = tstruct.lift(tp, table, window)
+    table, tp, ts = _lift(args)
     back = tstruct.trace(ts, table)
     emit(
         {
@@ -283,15 +278,15 @@ def cmd_verify(args):
                 "--table-patch patches a Dynkin Hom table; the Kronecker "
                 "model has none"
             )
-        suite_keys(KRONECKER_SUITES, args.suite)  # before the model is built
+        keys = suite_keys(KRONECKER_SUITES, args.suite)  # before the model
         suites, subject = KRONECKER_SUITES, load_model(args)
+        reach = max(t.index for t in TILTING_53)  # Post(m) needs range >= m
+        if "53" in keys and subject.range < reach:
+            raise AislesError(
+                f"suite 53 tilts at {', '.join(t.name() for t in sorted(TILTING_53))}: "
+                f"it needs --range {reach} or more"
+            )
     else:
-        for name in KRONECKER_OPTIONS:
-            if getattr(args, name) is not None:
-                raise AislesError(
-                    f"--{name.replace('_', '-')} shapes the Kronecker model; "
-                    "a Dynkin quiver takes none"
-                )
         suite_keys(DYNKIN_SUITES, args.suite)  # before the table is built
         suites, subject = DYNKIN_SUITES, load_table(args)
         _require_arrows(subject, "verify")
@@ -304,14 +299,8 @@ def cmd_verify(args):
 
 
 def cmd_transport(args):
-    if args.builtin != "kronecker":
-        raise AislesError(
-            "transport runs on the Kronecker model only: use --builtin "
-            "kronecker"
-        )
     model = load_model(args)
-    summands = _parse_tilting(args.tilting)
-    T = transport_mod.TiltingSet(frozenset(summands))
+    T = transport_mod.TiltingSet(frozenset(_parse_tilting(args.tilting)))
     report = transport_mod.verify_theorem53(model, T)
     emit(report)
     return EXIT_OK if report["pass"] else EXIT_FAIL
@@ -324,15 +313,13 @@ _SUMMAND = re.compile(r"(post|pre)\((-?[0-9]+)\)", re.IGNORECASE)
 def _parse_tilting(text):
     """The summands of a comma-separated list, each exactly Post(m) or
     Pre(m) up to case and the spaces around it."""
-    kinds = {"post": kr.post, "pre": kr.pre}
     out = []
-    for token in text.split(","):
-        token = token.strip()
+    for token in map(str.strip, text.split(",")):
         match = _SUMMAND.fullmatch(token)
         if match is None:
             raise AislesError(f"cannot parse tilting summand {token!r}")
         kind, value = match.groups()
-        out.append(kinds[kind.lower()](int(value)))
+        out.append((kr.post if kind.lower() == "post" else kr.pre)(int(value)))
     return out
 
 
@@ -341,30 +328,13 @@ def cmd_export_ar(args):
     window = parse_window(args.window)
     coloring = 0
     if args.color_file:
-        try:
-            with open(args.color_file, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if not (
-                isinstance(data, dict)
-                and data.keys() == {"members"}
-                and isinstance(data["members"], list)
-                and all(
-                    isinstance(m, list)
-                    and len(m) == 2
-                    and _int_list(m[0])
-                    and type(m[1]) is int
-                    for m in data["members"]
-                )
-            ):
-                raise AislesError(
-                    'bad coloring file: want an object {"members": '
-                    "[[dimvec, degree], ...]}"
-                )
-            members = [
-                (table.by_dimvec(tuple(d)).id, deg) for (d, deg) in data["members"]
-            ]
-        except (ValueError, KeyError, OSError) as exc:
-            raise AislesError(f"bad coloring file: {exc}")
+        members = read_json(
+            "coloring file", 'an object {"members": [[dimvec, degree], ...]}',
+            lambda m: isinstance(m, list) and len(m) == 2 and _int_list(m[0])
+            and type(m[1]) is int,
+            lambda v: [(table.by_dimvec(tuple(d)).id, deg) for d, deg in v],
+            path=args.color_file, key="members",
+        )
         coloring = coloring_mask(table, window, members)
     sys.stdout.write(export_dot(table, window, coloring))
     return EXIT_OK
@@ -373,6 +343,38 @@ def cmd_export_ar(args):
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+DYNKIN, KRONECKER = "dynkin", "kronecker"
+_ONLY = {  # how a refusal names the one model a subcommand runs on
+    DYNKIN: "a Dynkin quiver only: the Kronecker model has no finite "
+    "indecomposable table",
+    KRONECKER: "the Kronecker model only: use --builtin kronecker",
+}
+_TORSION = ("--torsion", {"required": True, "help": "JSON list of dimvecs"})
+
+# Each subcommand once: (handler, help, the models it runs on, whether it
+# takes --window, its own arguments as (flag, `add_argument` keywords)).
+# The Dynkin model is the table of `load_table`, the Kronecker model that
+# of `load_model`.  Every subcommand takes --quiver or --builtin, and one
+# that runs on the Kronecker model takes the options that shape it.
+SUBCOMMANDS = {
+    "enumerate": (cmd_enumerate, "list all torsion pairs", (DYNKIN,), False,
+                  [("--split-only", {"action": "store_true"})]),
+    "lift": (cmd_lift, "t-structure induced by a torsion class", (DYNKIN,), True,
+             [_TORSION]),
+    "trace": (cmd_trace, "degree-0 trace of a lifted t-structure", (DYNKIN,), True,
+              [_TORSION]),
+    "classify": (cmd_classify, "classify split t-structures", (DYNKIN,), True, []),
+    "verify": (cmd_verify, "run verification suites", (DYNKIN, KRONECKER), True, [
+        ("--suite", {"default": "all"}),
+        ("--table-patch", {"help": "JSON hom-table overrides (falsification probe)"}),
+    ]),
+    "transport": (cmd_transport, "three-way bijection for a tilting set",
+                  (KRONECKER,), True, [("--tilting", {"default": "Post(1),Post(2)",
+                                        "help": "comma-separated symbolic summands"})]),
+    "export-ar": (cmd_export_ar, "DOT export of the derived AR quiver", (DYNKIN,),
+                  True, [("--color-file", {"help": "JSON subcategory to highlight"})]),
+}
 
 
 def build_parser():
@@ -384,72 +386,45 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def model(p):
+    for name, (func, help_, models, window, arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_)
         # a model is read from exactly one place
         group = p.add_mutually_exclusive_group()
         group.add_argument("--quiver", help="path to a quiver file")
         group.add_argument("--builtin", help="builtin quiver name or 'kronecker'")
-
-    def common(p, kronecker_ok=False):
-        model(p)
-        p.add_argument("--window", default="-2..3", help="degree window lo..hi")
-        if kronecker_ok:
-            for name, default in KRONECKER_OPTIONS.items():
-                p.add_argument(
-                    f"--{name.replace('_', '-')}",
-                    type=int,
-                    help=f"Kronecker model only (default {default})",
-                )
-
-    p = sub.add_parser("enumerate", help="list all torsion pairs")
-    model(p)  # the module category has no degree window
-    p.add_argument("--split-only", action="store_true")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("lift", help="t-structure induced by a torsion class")
-    common(p)
-    p.add_argument("--torsion", required=True, help="JSON list of dimvecs")
-    p.set_defaults(func=cmd_lift)
-
-    p = sub.add_parser("trace", help="degree-0 trace of a lifted t-structure")
-    common(p)
-    p.add_argument("--torsion", required=True, help="JSON list of dimvecs")
-    p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser("classify", help="classify split t-structures")
-    common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("verify", help="run verification suites")
-    common(p, kronecker_ok=True)
-    p.add_argument("--suite", default="all")
-    p.add_argument(
-        "--table-patch", help="JSON hom-table overrides (falsification probe)"
-    )
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("transport", help="three-way bijection for a tilting set")
-    common(p, kronecker_ok=True)
-    p.add_argument(
-        "--tilting",
-        default="Post(1),Post(2)",
-        help="comma-separated symbolic summands",
-    )
-    p.set_defaults(func=cmd_transport)
-
-    p = sub.add_parser("export-ar", help="DOT export of the derived AR quiver")
-    common(p)
-    p.add_argument("--color-file", help="JSON subcategory to highlight")
-    p.set_defaults(func=cmd_export_ar)
-
+        if window:
+            p.add_argument("--window", default="-2..3", help="degree window lo..hi")
+        for option, default in KRONECKER_OPTIONS.items() if KRONECKER in models else ():
+            p.add_argument(
+                f"--{option.replace('_', '-')}",
+                type=int,
+                help=f"Kronecker model only (default {default})",
+            )
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func, models=models)
     return parser
+
+
+def check_model(args):
+    """Refuse, before anything is built, a model that the subcommand does
+    not run on, and the Kronecker options with a Dynkin quiver."""
+    model = KRONECKER if args.builtin == "kronecker" else DYNKIN
+    if model not in args.models:
+        raise AislesError(f"{args.command} runs on {_ONLY[args.models[0]]}")
+    given = [n for n in KRONECKER_OPTIONS if getattr(args, n, None) is not None]
+    if model == DYNKIN and given:
+        raise AislesError(
+            f"--{given[0].replace('_', '-')} shapes the Kronecker model; a "
+            "Dynkin quiver takes none"
+        )
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_model(args)
         return args.func(args)
     except (AislesError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

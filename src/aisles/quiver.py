@@ -45,8 +45,8 @@ class Quiver:
     for callers that validate themselves or derive from a valid quiver.
     Equal and hashed by value; the arrows at each vertex and the quivers
     reversed at a vertex are kept on first use, the plan a Coxeter walk
-    reads in every round, so ``vertices`` and ``arrows`` are not to be
-    reassigned.
+    reads in every round, and so are the underlying graph and the Dynkin
+    type, so ``vertices`` and ``arrows`` are not to be reassigned.
     """
 
     def __init__(self, vertices, arrows, name="", _checked=False):
@@ -126,8 +126,10 @@ class Quiver:
     def is_source(self, v):
         return not self._incident[v][0]
 
+    @cached_property
     def _neighbours(self):
-        """The underlying undirected graph, as neighbour lists."""
+        """The underlying undirected graph, as neighbour lists: read by
+        `validate` and `dynkin_type`, so it is built once."""
         adj = {v: [] for v in self.vertices}
         for a in self.arrows:
             adj[a.source].append(a.target)
@@ -135,7 +137,7 @@ class Quiver:
         return adj
 
     def _is_connected(self):
-        reached = breadth_first(self._neighbours(), self.vertices[:1], {})
+        reached = breadth_first(self._neighbours, self.vertices[:1], {})
         return sum(1 for _ in reached) == len(self.vertices)
 
     # -- derived quivers ---------------------------------------------------
@@ -185,8 +187,13 @@ class Quiver:
 
         A connected loop-free graph without multiple edges is Dynkin exactly
         when its Tits form is positive definite; the type is then read off
-        the degree sequence.
+        the degree sequence.  The type is kept once found (a raise is not),
+        as the budget checks and the table build each read it.
         """
+        return self._dynkin_type
+
+    @cached_property
+    def _dynkin_type(self):
         n = len(self.vertices)
         pairs = {frozenset((a.source, a.target)) for a in self.arrows}
         if len(pairs) != len(self.arrows):
@@ -194,7 +201,7 @@ class Quiver:
                 "multiple arrows between two vertices: not Dynkin "
                 "(the Kronecker quiver is handled by the tame model)"
             )
-        adj = self._neighbours()
+        adj = self._neighbours
         deg = {v: len(adj[v]) for v in self.vertices}
         degs = sorted(deg.values(), reverse=True)
         if len(self.arrows) != n - 1:

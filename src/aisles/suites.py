@@ -150,9 +150,12 @@ def _kronecker_check(name, report):
     return [check(name, len(report["cases"]), witness)]
 
 
+# the tilting set suite 53 transports through
+TILTING_53 = frozenset({kr.post(1), kr.post(2)})
+
+
 def suite_53(model, window):
-    T = transport_mod.TiltingSet(frozenset({kr.post(1), kr.post(2)}))
-    report = transport_mod.verify_theorem53(model, T)
+    report = transport_mod.verify_theorem53(model, transport_mod.TiltingSet(TILTING_53))
     return _kronecker_check("three_way_bijection", report)
 
 

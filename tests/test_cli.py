@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import pathlib
@@ -19,6 +20,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_parser_declares_what_subcommands_declare():
+    """Each subcommand takes --quiver or --builtin, --window where its
+    entry says so, the Kronecker options exactly when it runs on the
+    Kronecker model, and its own arguments, in that order."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(cli.SUBCOMMANDS)
+    for name, (func, _help, models, window, arguments) in cli.SUBCOMMANDS.items():
+        flags = [a.option_strings[-1] for a in sub.choices[name]._actions]
+        assert flags == [
+            "--help", "--quiver", "--builtin", *["--window"] * window,
+            *["--tubes", "--tube-depth", "--range"] * (cli.KRONECKER in models),
+            *(flag for flag, _ in arguments),
+        ], name
+        assert sub.choices[name].get_default("func") is func
 
 
 def test_enumerate_a2(capsys):
@@ -94,7 +112,30 @@ def test_emit_list_writes_what_emit_writes(capsys, items):
 def test_enumerate_kronecker_is_usage_error(capsys):
     code, _, err = run(capsys, "enumerate", "--builtin", "kronecker")
     assert code == EXIT_USAGE
-    assert "error" in err
+    assert err == (
+        "error: enumerate runs on a Dynkin quiver only: the Kronecker model "
+        "has no finite indecomposable table\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["lift", "trace", "classify", "export-ar"])
+def test_dynkin_subcommands_refuse_kronecker_unbuilt(capsys, monkeypatch, command):
+    """The gate reads the models each subcommand declares in
+    `cli.SUBCOMMANDS` before a table or model is built."""
+
+    def unbuilt(*args):
+        raise AssertionError("built before the model was checked")
+
+    monkeypatch.setattr(cli, "load_table", unbuilt)
+    monkeypatch.setattr(cli, "load_model", unbuilt)
+    assert cli.SUBCOMMANDS[command][2] == (cli.DYNKIN,)
+    extra = ["--torsion", "[]"] if command in ("lift", "trace") else []
+    code, out, err = run(capsys, command, "--builtin", "kronecker", *extra)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        f"error: {command} runs on a Dynkin quiver only: the Kronecker "
+        "model has no finite indecomposable table\n"
+    )
 
 
 def test_enumerate_from_quiver_file(capsys):
@@ -315,6 +356,38 @@ def test_verify_kronecker_suite(capsys):
     payload = json.loads(out)
     assert payload["checks"][0]["name"] == "three_way_bijection"
     assert payload["pass"] is True
+
+
+@pytest.mark.parametrize("suite", ["all", "53"])
+def test_verify_kronecker_too_small_for_suite_53_is_usage_error(
+    capsys, monkeypatch, suite
+):
+    """Suite 53 tilts at Post(1) and Post(2), and a model of range 1 holds
+    Post(0) and Post(1) only: refused before any suite runs."""
+
+    def unrun(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "run_suites", unrun)
+    code, out, err = run(
+        capsys, "verify", "--builtin", "kronecker", "--suite", suite, "--range", "1"
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "error: suite 53 tilts at Post(1)@0, Post(2)@0: it needs --range 2 "
+        "or more\n"
+    )
+
+
+def test_verify_kronecker_63b_runs_at_range_1(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--builtin", "kronecker", "--suite", "63b", "--range", "1"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out) == {
+        "checks": [{"name": "tame_split_classification", "pass": True, "cases": 32}],
+        "pass": True,
+    }
 
 
 def test_verify_unknown_suite(capsys, monkeypatch):
@@ -810,6 +883,52 @@ def test_table_patch_copy_reads_the_same_ar_arrows(tmp_path, arrow_patch):
     arrows = patched.ar_arrows
     assert table.ar_arrows is arrows
     assert arrows == enumerate_indecomposables(table.quiver).ar_arrows
+
+
+JSON_INPUTS = {
+    "--torsion": "lift", "--table-patch": "verify", "--color-file": "export-ar"
+}
+
+
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--torsion", "[[1,", "bad torsion class '[[1,': Expecting value"),
+        ("--torsion", "{}", "bad torsion class '{}': want a JSON list"),
+        ("--table-patch", "[[1,", "bad table patch: Expecting value"),
+        ("--table-patch", "{}", 'bad table patch: want {"hom"'),
+        ("--table-patch", None, "bad table patch: [Errno 2] No such file"),
+        ("--color-file", "[[1,", "bad coloring file: Expecting value"),
+        ("--color-file", "{}", 'bad coloring file: want an object {"members"'),
+        ("--color-file", None, "bad coloring file: [Errno 2] No such file"),
+    ],
+)
+def test_json_inputs_report_their_faults_in_one_wording(
+    capsys, tmp_path, flag, text, message
+):
+    """Malformed JSON, a wrong shape and a missing file each read
+    ``bad <input>: <reason>``."""
+    value = text
+    if flag != "--torsion":
+        value = str(tmp_path / "input.json")
+        if text is not None:
+            (tmp_path / "input.json").write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, JSON_INPUTS[flag], "--builtin", "a2", flag, value)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"error: {message}"), err
+
+
+def test_color_file_unknown_dimvec_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "color.json"
+    path.write_text('{"members": [[[2, 2], 0]]}', encoding="utf-8")
+    code, out, err = run(
+        capsys, "export-ar", "--builtin", "a2", "--color-file", str(path)
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "error: bad coloring file: no indecomposable with dimension vector "
+        "(2, 2)\n"
+    )
 
 
 def test_quiver_file_not_utf8_is_usage_error(capsys, tmp_path):

@@ -1,9 +1,12 @@
 import pathlib
+from collections import Counter
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aisles.cli import EXIT_OK, main
 from aisles.derived import DEFAULT_WINDOW, check_window_objects
 from aisles.errors import QuiverLoadError, UnsupportedError
 from aisles.quiver import (
@@ -142,6 +145,41 @@ def test_e_builtins():
     # the default window -2..3 holds 6 * 120 = 720 objects, under the budget
     assert len(DEFAULT_WINDOW.degrees()) * 120 == 720
     check_window_objects(DEFAULT_WINDOW, 120)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate"], ["lift", "--torsion", "[]"], ["verify", "--suite", "consistency"]],
+    ids=["enumerate", "lift", "verify"],
+)
+def test_a_quiver_file_builds_its_graph_and_type_once(capsys, monkeypatch, argv):
+    """`validate`, the budget checks and the table build each read the
+    underlying graph or the Dynkin type of the loaded quiver; each is
+    found once per quiver."""
+    calls = []  # holds each quiver, so no id is reused
+    for name in ("_neighbours", "_dynkin_type"):
+
+        def counting(self, name=name, inner=Quiver.__dict__[name].func):
+            calls.append((name, self))
+            return inner(self)
+
+        prop = cached_property(counting)
+        prop.__set_name__(Quiver, name)
+        monkeypatch.setattr(Quiver, name, prop)
+    path = str(FIXTURES / "d4.quiver")
+    assert main([argv[0], "--quiver", path, *argv[1:]]) == EXIT_OK
+    capsys.readouterr()
+    builds = Counter((name, id(q)) for name, q in calls)
+    assert {name for name, _ in builds} == {"_neighbours", "_dynkin_type"}
+    assert set(builds.values()) == {1}
+
+
+def test_a_failed_classification_is_not_kept():
+    q = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
+    for _ in range(2):
+        with pytest.raises(UnsupportedError, match="multiple arrows"):
+            q.dynkin_type()
+    assert "_dynkin_type" not in vars(q)
 
 
 def test_multi_edge_not_dynkin():
