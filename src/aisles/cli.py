@@ -5,9 +5,14 @@ export-ar, each declared once in `SUBCOMMANDS`; `verify` runs a model's
 table of ``aisles.suites``.  All machine-readable output is JSON with
 sorted keys and fixed orderings, so identical configurations produce
 byte-identical output.  Exit codes: 0 success, 1 verification failure,
-2 usage or load error.  Inputs over a size budget (``MAX_WINDOW_OBJECTS``,
-``MAX_SCAN_CANDIDATES``, ``MAX_TORSION_CLASSES``) exit 2 before the work
-starts.
+2 usage or load error.  Inputs over a size budget exit 2 before the work
+starts: ``MAX_WINDOW_OBJECTS``; ``MAX_SCAN_CANDIDATES``, for the
+Kronecker scan and for the converse scan that `classify` and `verify`'s
+classify suite run on a table of at most three indecomposables (A2 over
+a window wider than hi - lo = 100); and ``MAX_TORSION_CLASSES``, read
+from the Dynkin type before the table is built (`enumerate`) or before
+the closure search starts (`classify` and the `verify` suites that
+enumerate torsion pairs).
 """
 
 from __future__ import annotations
@@ -287,9 +292,11 @@ def cmd_verify(args):
                 f"it needs --range {reach} or more"
             )
     else:
-        suite_keys(DYNKIN_SUITES, args.suite)  # before the table is built
+        keys = suite_keys(DYNKIN_SUITES, args.suite)  # before the table
         suites, subject = DYNKIN_SUITES, load_table(args)
         _require_arrows(subject, "verify")
+        if "classify" in keys:  # before any suite runs
+            tstruct.check_scan_budget(subject, window)
         if args.table_patch:
             subject = apply_table_patch(subject, args.table_patch)
     checks = run_suites(suites, subject, window, args.suite)

@@ -42,6 +42,11 @@ from .repcore import gluing_pairs
 # every verifier walks them.  E8 over the default window has 720 objects,
 # the 4-tube Kronecker benchmark model 228.
 MAX_WINDOW_OBJECTS = 2_000
+# A split-aisle scan tries every choice of one entry degree per layer or
+# module: the Kronecker scan (hi - lo - 1) * (hi - lo)**tubes, 500 on the
+# default model and 2,500 on the 4-tube benchmark model, and the Dynkin
+# converse scan (hi - lo)**modules, 1,000,000 on A2 over 101 degrees.
+MAX_SCAN_CANDIDATES = 1_000_000
 
 
 class DerivedObject(NamedTuple):
@@ -90,6 +95,22 @@ def check_window_objects(window, per_degree):
         raise UnsupportedError(
             f"{count} window objects exceed MAX_WINDOW_OBJECTS = "
             f"{MAX_WINDOW_OBJECTS}; use a narrower window or a smaller model"
+        )
+
+
+def check_scan_candidates(width, power, what, remedy, factor=1):
+    """Refuse a split-aisle scan of ``factor * width**power`` candidates
+    past ``MAX_SCAN_CANDIDATES``.  ``width`` is a window's hi - lo, at
+    least 2, and ``factor`` at least 1, so a power past the budget's bit
+    length is over it alone and is never formed.  ``what`` names the
+    scanned layers or modules, ``remedy`` a way under the budget."""
+    if (
+        power > MAX_SCAN_CANDIDATES.bit_length()
+        or factor * width**power > MAX_SCAN_CANDIDATES
+    ):
+        raise UnsupportedError(
+            f"{what} over {width + 1} degrees exceed MAX_SCAN_CANDIDATES = "
+            f"{MAX_SCAN_CANDIDATES} split-aisle scan candidates; {remedy}"
         )
 
 

@@ -25,21 +25,19 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple
 
-from .derived import Components, bits, check_window_objects, hom_masks, lowest
-from .errors import (
-    PreconditionError,
-    ShapeError,
-    TruncationError,
-    UnsupportedError,
+from .derived import (
+    Components,
+    bits,
+    check_scan_candidates,
+    check_window_objects,
+    hom_masks,
+    lowest,
 )
+from .errors import PreconditionError, ShapeError, TruncationError
 
 POST = "post"
 PRE = "pre"
 REG = "reg"
-
-# scan_split_aisles tries (hi - lo - 1) * (hi - lo)**tubes threshold
-# choices: 500 on the default model, 2,500 on the 4-tube benchmark model.
-MAX_SCAN_CANDIDATES = 1_000_000
 
 
 class _KroneckerFields(NamedTuple):
@@ -128,16 +126,11 @@ def check_budgets(tubes, tube_depth, range_, window):
     ``MAX_WINDOW_OBJECTS`` or ``MAX_SCAN_CANDIDATES``, from the
     parameters alone."""
     check_window_objects(window, 2 * (range_ + 1) + tubes * tube_depth)
-    width = window.hi - window.lo  # at least 2, so tubes bound the power
-    if (
-        tubes > MAX_SCAN_CANDIDATES.bit_length()
-        or (width - 1) * width**tubes > MAX_SCAN_CANDIDATES
-    ):
-        raise UnsupportedError(
-            f"{tubes} tubes over {width + 1} degrees exceed "
-            f"MAX_SCAN_CANDIDATES = {MAX_SCAN_CANDIDATES} split-aisle "
-            "scan candidates; use fewer tubes or a narrower window"
-        )
+    width = window.hi - window.lo
+    check_scan_candidates(
+        width, tubes, f"{tubes} tubes", "use fewer tubes or a narrower window",
+        factor=width - 1,
+    )
 
 
 class KroneckerContext(NamedTuple):

@@ -1,13 +1,18 @@
 """Torsion pairs in the module category of a Dynkin quiver.
 
+A torsion class, like its torsion-free partner, is held as its module
+mask, bit i for indecomposable id i: a `Subcategory` is that int, with a
+set view, and a `TorsionPair` is the two masks and the split flag.
+
 Enumeration is a closure search over the lattice of torsion classes with
 bit-parallel Hom-vanishing masks.  It starts from the smallest class and
 steps from each class T it has reached, for every indecomposable x not in
 T, to the smallest torsion class containing T and x, the double
 orthogonal of T + x.  Every torsion class is reached, because it is the
-closure of its members added one at a time, and the search stops with
-``UnsupportedError`` once it has seen more than ``MAX_TORSION_CLASSES``
-classes.  The search, the fixed-point test and the split rule all read
+closure of its members added one at a time.  A quiver whose Dynkin type
+has more than ``MAX_TORSION_CLASSES`` classes is refused with
+``UnsupportedError`` before the search starts, and the search stops once
+it has seen more than that many.  The search, the fixed-point test and the split rule all read
 the table's module relation (``derived.module_relation``, built once per
 table), whose ``right_perp`` and ``left_perp`` are the orthogonals.
 
@@ -29,7 +34,6 @@ pair.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 from .derived import TableContext, bits, module_relation, split_gap, union
@@ -42,38 +46,25 @@ from .repcore import Representation, hom_space
 MAX_TORSION_CLASSES = 60_000
 
 
-class Subcategory:
-    """A set of indecomposable ids inside one IndecTable as a bitmask, bit
-    i for id i; iteration is in ascending id order.  Equal and hashed by
-    its mask."""
+class Subcategory(int):
+    """A set of indecomposable ids inside one IndecTable: the int of its
+    bitmask, bit i for id i, so it equals and hashes as that int, with
+    the set view its readers use; iteration is in ascending id order."""
 
-    def __init__(self, mask):
-        self.mask = mask
-
-    def __eq__(self, other):
-        if type(other) is not Subcategory:
-            return NotImplemented
-        return self.mask == other.mask
-
-    def __hash__(self):
-        return hash(self.mask)
+    __slots__ = ()
 
     def __contains__(self, i):
-        return self.mask >> i & 1 == 1
-
-    @cached_property
-    def _ordered(self):
-        return tuple(bits(self.mask))
+        return self >> i & 1 == 1
 
     def __iter__(self):
-        return iter(self._ordered)
+        return iter(bits(self))
 
     @property
     def members(self):
-        return frozenset(self._ordered)
+        return frozenset(bits(self))
 
     def __len__(self):
-        return self.mask.bit_count()
+        return self.bit_count()
 
 
 class TorsionPair(NamedTuple):
@@ -110,8 +101,10 @@ def check_quiver_class_count(quiver):
 def torsion_masks(table):
     """Every torsion pair as (torsion bitmask, free bitmask), sorted by
     the torsion bitmask: the closure search.  It raises
-    ``UnsupportedError`` past ``MAX_TORSION_CLASSES`` classes, before any
-    pair is returned."""
+    ``UnsupportedError`` before it starts when the table's quiver has
+    more than ``MAX_TORSION_CLASSES`` classes, and past that many classes
+    found, which a patched table may have."""
+    check_quiver_class_count(table.quiver)
     relation = _relation(table)
     full, hom, into = relation.full, relation.hom, relation.into
     # torsion mask -> free mask.  The search starts from the closure of
@@ -156,8 +149,8 @@ def is_torsion_pair(tp, table):
     """The defining fixed-point conditions, checked directly."""
     relation = _relation(table)
     return (
-        tp.free.mask == relation.right_perp(tp.torsion.mask)
-        and tp.torsion.mask == relation.left_perp(tp.free.mask)
+        tp.free == relation.right_perp(tp.torsion)
+        and tp.torsion == relation.left_perp(tp.free)
     )
 
 
@@ -326,19 +319,18 @@ def canonical_sequence_oracle(y, tp, table):
     the memo.
     """
     checked = table.memo.setdefault("oracle_pairs", set())
-    tmask = tp.torsion.mask
-    if (tmask, tp.free.mask) not in checked:
+    if (tp.torsion, tp.free) not in checked:
         if not is_torsion_pair(tp, table):
             raise PreconditionError(
                 "input does not satisfy the torsion-pair axioms"
             )
-        checked.add((tmask, tp.free.mask))
-    _trace, sub, quot, sub_into, into_quot = _canonical_case(y, tmask, table)
+        checked.add((tp.torsion, tp.free))
+    _trace, sub, quot, sub_into, into_quot = _canonical_case(y, tp.torsion, table)
     entries = table.entries
     for members, certificate, solve, space in (
-        (tp.free.mask, sub_into, lambda f: hom_space(sub, entries[f].rep),
+        (tp.free, sub_into, lambda f: hom_space(sub, entries[f].rep),
          "Hom(trace({1}), {0})"),
-        (tmask, into_quot, lambda t: hom_space(entries[t].rep, quot),
+        (tp.torsion, into_quot, lambda t: hom_space(entries[t].rep, quot),
          "Hom({0}, {1}/trace)"),
     ):
         # solve the members in neither mask, up to the first nonzero one;

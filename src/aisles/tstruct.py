@@ -27,6 +27,7 @@ from .derived import (
     Window,
     ar_adjacency,
     bits,
+    check_scan_candidates,
     hom_masks,
     union,
 )
@@ -66,7 +67,7 @@ def lift(tp, table, window, pivot=0):
     degree ``pivot`` plus everything in higher degrees, by
     ``HomMasks.lift``.  Pivot 0 is the lift proper; other pivots are its
     shifts."""
-    lifted = _masks(table, window).lift(tp.torsion.mask, tp.free.mask, pivot)
+    lifted = _masks(table, window).lift(tp.torsion, tp.free, pivot)
     aisle, coaisle, heart = lifted
     return TStructure(window, aisle, coaisle, tp.split, heart)
 
@@ -228,14 +229,32 @@ def enumerate_split_tstructures(table, window, split_pairs):
     return out
 
 
+# classify_split scans every split aisle of a table with at most this many
+# indecomposables (A1 and A2)
+SCAN_MODULES = 3
+
+
+def check_scan_budget(table, window):
+    """Refuse a window whose exhaustive scan in `classify_split`, one
+    entry degree from lo + 1 to hi per indecomposable, would try more
+    than ``MAX_SCAN_CANDIDATES`` candidates."""
+    n = len(table.entries)
+    if n <= SCAN_MODULES:
+        check_scan_candidates(
+            window.hi - window.lo, n, f"{n} modules", "use a narrower window"
+        )
+
+
 def classify_split(table, window, split_pairs):
     """Classification report for every enumerated split t-structure.
 
     For each structure the Ext-projective count must be 0 or the number
     of vertices; nonzero sets must form a section whose successor cone
-    reproduces the aisle interior.  At small scale an exhaustive scan
-    over all shift-closed subsets confirms the enumeration misses no
-    split aisle."""
+    reproduces the aisle interior.  On a table of at most
+    ``SCAN_MODULES`` indecomposables an exhaustive scan over all
+    shift-closed subsets confirms the enumeration misses no split aisle;
+    its budget is checked first (`check_scan_budget`)."""
+    check_scan_budget(table, window)
     n_vertices = len(table.quiver.vertices)
     masks = _masks(table, window)
     report = []
@@ -266,7 +285,7 @@ def classify_split(table, window, split_pairs):
                 "pass": all(checks.values()),
             }
         )
-    if len(table.entries) <= 3:
+    if len(table.entries) <= SCAN_MODULES:
         # every shift-closed window subset that contains the top degree
         # and misses the bottom one, by per-indecomposable entry degree;
         # the Hom-orthogonal ones are the split aisles

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from aisles import cli, derived, kronecker, repcore, suites, torsion, tstruct
+from aisles import cli, derived, repcore, suites, torsion, tstruct
 from aisles.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from aisles.errors import UnsupportedError
 from aisles.quiver import BUILTIN_QUIVERS
@@ -622,15 +622,27 @@ def test_enumerate_over_class_cap_is_usage_error(capsys, monkeypatch, a3_table):
     assert "MAX_TORSION_CLASSES = 13" in err
 
 
+CLASS_CAP_ERROR = (
+    "error: more than MAX_TORSION_CLASSES = 60000 torsion classes; "
+    "enumeration stopped at the class cap\n"
+)
+
+
+def _linear_quiver(tmp_path, n):
+    """The file of the linear quiver 1 -> 2 -> ... -> n."""
+    path = tmp_path / f"a{n}.quiver"
+    path.write_text(
+        "".join(f"vertex {v}\n" for v in range(1, n + 1))
+        + "".join(f"arrow a{v}: {v} -> {v + 1}\n" for v in range(1, n))
+    )
+    return path
+
+
 def test_enumerate_refuses_a_quiver_over_the_class_cap_unbuilt(
     capsys, monkeypatch, tmp_path
 ):
     # linear A11 has Cat(12) = 208,012 torsion classes
-    path = tmp_path / "a11.quiver"
-    path.write_text(
-        "".join(f"vertex {v}\n" for v in range(1, 12))
-        + "".join(f"arrow a{v}: {v} -> {v + 1}\n" for v in range(1, 11))
-    )
+    path = _linear_quiver(tmp_path, 11)
 
     def no_table(quiver):
         raise AssertionError("a table was built")
@@ -638,10 +650,58 @@ def test_enumerate_refuses_a_quiver_over_the_class_cap_unbuilt(
     monkeypatch.setattr(cli, "enumerate_indecomposables", no_table)
     code, out, err = run(capsys, "enumerate", "--quiver", str(path))
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == (
-        "error: more than MAX_TORSION_CLASSES = 60000 torsion classes; "
-        "enumeration stopped at the class cap\n"
+    assert err == CLASS_CAP_ERROR
+
+
+@pytest.mark.parametrize(
+    "n, argv", [(11, ["verify", "--suite", "classify"]), (13, ["classify"])],
+    ids=["verify-a11", "classify-a13"],
+)
+def test_classify_refuses_a_quiver_over_the_class_cap_unsearched(
+    capsys, monkeypatch, tmp_path, n, argv
+):
+    """The closure search reads the class count of the quiver before it
+    starts; `lift`, `trace`, `export-ar` and the consistency suite,
+    which enumerate no torsion class, still run on A11."""
+    path = str(_linear_quiver(tmp_path, n))
+
+    def no_search(table):
+        raise AssertionError("the closure search started")
+
+    monkeypatch.setattr(torsion, "_relation", no_search)
+    code, out, err = run(capsys, *argv, "--quiver", path)
+    assert (code, out, err) == (EXIT_USAGE, "", CLASS_CAP_ERROR)
+    monkeypatch.undo()
+    if n == 11:
+        for other in (["lift", "--torsion", "[]"], ["trace", "--torsion", "[]"],
+                      ["export-ar"], ["verify", "--suite", "consistency"]):
+            assert run(capsys, *other, "--quiver", path)[0] == EXIT_OK, other
+
+
+def test_a2_converse_scan_over_budget_is_usage_error(capsys, monkeypatch):
+    """A2's three modules over a window of width hi - lo take width**3
+    scan candidates: width 100 is exactly MAX_SCAN_CANDIDATES and runs,
+    width 101 is refused before any suite runs."""
+    assert run(capsys, "classify", "--builtin", "a2", "--window=-50..50")[0] == EXIT_OK
+
+    def no_suites(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "run_suites", no_suites)
+    message = (
+        "error: 3 modules over 102 degrees exceed MAX_SCAN_CANDIDATES = "
+        "1000000 split-aisle scan candidates; use a narrower window\n"
     )
+    for argv in (["classify", "--window=-50..51"],
+                 ["verify", "--window=-51..50"],
+                 ["verify", "--window=-51..50", "--suite", "classify"]):
+        code, out, err = run(capsys, *argv, "--builtin", "a2")
+        assert (code, out, err) == (EXIT_USAGE, "", message), argv
+    monkeypatch.undo()
+    code, _, _ = run(
+        capsys, "verify", "--builtin", "a2", "--window=-51..50", "--suite", "cor64"
+    )
+    assert code == EXIT_OK
 
 
 @pytest.mark.parametrize("flag", [[], ["--split-only"]], ids=["all", "split-only"])
@@ -692,13 +752,13 @@ def test_window_at_object_budget_runs(capsys, monkeypatch):
 def test_kronecker_over_budgets_is_usage_error(capsys, monkeypatch):
     # the default model: 4 pivot layers x 5**3 tube thresholds = 500 scan
     # candidates, and 23 module objects in 6 degrees = 138 window objects
-    monkeypatch.setattr(kronecker, "MAX_SCAN_CANDIDATES", 500)
+    monkeypatch.setattr(derived, "MAX_SCAN_CANDIDATES", 500)
     assert run(capsys, "verify", "--builtin", "kronecker")[0] == EXIT_OK
-    monkeypatch.setattr(kronecker, "MAX_SCAN_CANDIDATES", 499)
+    monkeypatch.setattr(derived, "MAX_SCAN_CANDIDATES", 499)
     code, out, err = run(capsys, "verify", "--builtin", "kronecker")
     assert (code, out) == (EXIT_USAGE, "")
     assert "MAX_SCAN_CANDIDATES = 499" in err
-    monkeypatch.setattr(kronecker, "MAX_SCAN_CANDIDATES", 500)
+    monkeypatch.setattr(derived, "MAX_SCAN_CANDIDATES", 500)
     monkeypatch.setattr(derived, "MAX_WINDOW_OBJECTS", 137)
     code, out, err = run(capsys, "transport", "--builtin", "kronecker")
     assert (code, out) == (EXIT_USAGE, "")

@@ -1,58 +1,86 @@
-"""What the verifiers catch: every single-entry Hom flip of the A3 table.
+"""What the verifiers catch: every single-entry Hom flip of the A3 and D4
+tables.
 
-Each of the 36 entries of A3's Hom table (each 0 or 1) is flipped
-(0 <-> 1) through ``verify --table-patch``, and ``verify --suite all``
-runs on the patched table.  Every flip must fail some check.  The test
-pins how many flips each check fails, ``*_internal`` included (a suite
-that stops on inconsistent data before its own checks run), so a change
-that makes a check catch more or fewer flips shows up here as a diff.
+Each entry of the Hom table is flipped, a nonzero one to 0 and a zero
+one to 1 (A3's 36 entries are each 0 or 1; D4's 144 hold 0, 1 and 2),
+through ``verify --table-patch``, and ``verify --suite all`` runs on the
+patched table.  Every flip must fail some check.  The test pins how many
+flips each check fails, ``*_internal`` included (a suite that stops on
+inconsistent data before its own checks run), so a change that makes a
+check catch more or fewer flips shows up here as a diff.
 
-Five checks catch no flip today and read 0 below:
+Five checks catch no flip on either table today and read 0 below:
 ``lift_trace_roundtrip``, ``triangulated_iff_zero_heart``,
 ``ringel_witnesses_nonempty``, ``split_classification`` and
 ``tilting_complex_checks``.  The patch rewrites ``hom`` only, never
-``ext``, the Hom bases or the AR arrows; on 19 flips the classify and
-cor64 suites stop as ``*_internal`` before their own checks run.
+``ext``, the Hom bases or the AR arrows; on 19 flips of A3 and 40 of D4
+the classify and cor64 suites stop as ``*_internal`` before their own
+checks run.
 """
 
 import io
 import json
 from collections import Counter
 
+import pytest
+
 from aisles import cli
 from aisles.cli import EXIT_FAIL
 from aisles.quiver import BUILTIN_QUIVERS
 from aisles.repcore import enumerate_indecomposables
 
-FLIPS_FAILED = {
-    "euler_identity": 28,
-    "ar_formula": 8,
-    "lift_trace_roundtrip": 0,
-    "canonical_sequence_oracle": 21,
-    "no_aisle_to_orthogonal_semipath": 6,
-    "triangulated_iff_zero_heart": 0,
-    "ringel_witnesses_nonempty": 0,
-    "classify_internal": 19,
-    "split_classification": 0,
-    "cor64_internal": 19,
-    "tilting_complex_checks": 0,
+CATCH_NONE = dict.fromkeys(
+    [
+        "lift_trace_roundtrip",
+        "triangulated_iff_zero_heart",
+        "ringel_witnesses_nonempty",
+        "split_classification",
+        "tilting_complex_checks",
+    ],
+    0,
+)
+
+# per builtin: its indecomposables, the values of its Hom table, and how
+# many flips each check fails
+FLIPS = {
+    "a3": (6, {0, 1}, {
+        **CATCH_NONE,
+        "euler_identity": 28,
+        "ar_formula": 8,
+        "canonical_sequence_oracle": 21,
+        "no_aisle_to_orthogonal_semipath": 6,
+        "classify_internal": 19,
+        "cor64_internal": 19,
+    }),
+    "d4": (12, {0, 1, 2}, {
+        **CATCH_NONE,
+        "euler_identity": 103,
+        "ar_formula": 41,
+        "canonical_sequence_oracle": 93,
+        "no_aisle_to_orthogonal_semipath": 12,
+        "classify_internal": 40,
+        "cor64_internal": 40,
+    }),
 }
 
 
-def test_every_a3_hom_flip_fails_a_pinned_set_of_checks(tmp_path, monkeypatch):
-    table = enumerate_indecomposables(BUILTIN_QUIVERS["a3"]())
+@pytest.mark.parametrize("builtin", sorted(FLIPS))
+def test_every_hom_flip_fails_a_pinned_set_of_checks(builtin, tmp_path, monkeypatch):
+    count, values, flips_failed = FLIPS[builtin]
+    table = enumerate_indecomposables(BUILTIN_QUIVERS[builtin]())
     n = len(table.entries)
-    assert n == 6 and {v for row in table.hom for v in row} == {0, 1}
+    assert n == count and {v for row in table.hom for v in row} == values
     failed = Counter()
     ran = set()
     path = tmp_path / "flip.json"
     for i in range(n):
         for j in range(n):
-            path.write_text(json.dumps({"hom": [[i, j, 1 - table.hom[i][j]]]}))
+            flipped = 0 if table.hom[i][j] else 1
+            path.write_text(json.dumps({"hom": [[i, j, flipped]]}))
             out = io.StringIO()
             monkeypatch.setattr(cli.sys, "stdout", out)
             code = cli.main(
-                ["verify", "--builtin", "a3", "--suite", "all",
+                ["verify", "--builtin", builtin, "--suite", "all",
                  "--table-patch", str(path)]
             )
             checks = json.loads(out.getvalue())["checks"]
@@ -60,4 +88,4 @@ def test_every_a3_hom_flip_fails_a_pinned_set_of_checks(tmp_path, monkeypatch):
             assert code == EXIT_FAIL and caught, (i, j)
             failed.update(caught)
             ran.update(c["name"] for c in checks)
-    assert {name: failed[name] for name in ran} == FLIPS_FAILED
+    assert {name: failed[name] for name in ran} == flips_failed

@@ -151,6 +151,17 @@ def test_oracle_trivial_cases(a2_table):
     assert sub.is_zero() and quot.dimension_vector() == (0, 1)
 
 
+def test_subcategory_is_its_mask():
+    """A torsion class is the int of its module mask, with a set view:
+    ascending iteration, membership, size and the members' frozenset."""
+    s = Subcategory(0b101001)
+    assert isinstance(s, int) and s == 0b101001 and hash(s) == hash(0b101001)
+    assert list(s) == [0, 3, 5] and s.members == frozenset({0, 3, 5})
+    assert 3 in s and 4 not in s and len(s) == 3
+    assert len(Subcategory(0)) == 0 and list(Subcategory(0)) == []
+    assert not {"__init__", "__eq__", "__hash__"} & set(vars(Subcategory))
+
+
 def test_oracle_rejects_non_pair(a2_table):
     t = a2_table
     bogus = TorsionPair(
