@@ -10,9 +10,9 @@ starts: ``MAX_WINDOW_OBJECTS``; ``MAX_SCAN_CANDIDATES``, for the
 Kronecker scan and for the converse scan that `classify` and `verify`'s
 classify suite run on a table of at most three indecomposables (A2 over
 a window wider than hi - lo = 100); and ``MAX_TORSION_CLASSES``, read
-from the Dynkin type before the table is built (`enumerate`) or before
-the closure search starts (`classify` and the `verify` suites that
-enumerate torsion pairs).
+from the Dynkin type before the table is built by every run that
+enumerates torsion pairs (`enumerate`, `classify`, and `verify` with a
+suite of ``TORSION_SUITES``).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .suites import (
     DYNKIN_SUITES,
     KRONECKER_SUITES,
     TILTING_53,
+    TORSION_SUITES,
     run_suites,
     split_pairs,
     suite_keys,
@@ -63,7 +64,18 @@ def parse_window(text):
         raise AislesError(f"bad window {text!r}: {exc}")
 
 
+def enumerates_classes(args):
+    """Whether the run enumerates torsion pairs: `enumerate`, `classify`,
+    and `verify` with a suite of ``TORSION_SUITES``."""
+    if args.command == "verify":
+        return not TORSION_SUITES.isdisjoint(suite_keys(DYNKIN_SUITES, args.suite))
+    return args.command in ("enumerate", "classify")
+
+
 def load_table(args):
+    """The table of --builtin or --quiver.  Refused from the quiver alone,
+    before the build: a window past ``MAX_WINDOW_OBJECTS``, and a quiver
+    past ``MAX_TORSION_CLASSES`` when the run enumerates torsion pairs."""
     if args.builtin:
         if args.builtin not in BUILTIN_QUIVERS:
             raise AislesError(f"unknown builtin quiver {args.builtin!r}")
@@ -72,12 +84,12 @@ def load_table(args):
         quiver = load_quiver_file(args.quiver)
     else:
         raise AislesError("no quiver given: use --quiver or --builtin")
-    if "window" not in args:  # enumerate: the module category has none
-        torsion_mod.check_quiver_class_count(quiver)
-    else:
+    if "window" in args:  # all but enumerate, whose module category has none
         check_window_objects(
             parse_window(args.window), quiver.positive_root_count()
         )
+    if enumerates_classes(args):
+        torsion_mod.check_quiver_class_count(quiver)
     return enumerate_indecomposables(quiver)
 
 
@@ -128,20 +140,23 @@ def _int_list(value):
     return isinstance(value, list) and all(type(x) is int for x in value)
 
 
-def read_json(what, want, item, build, text=None, path=None, key=None):
-    """``build`` of the JSON list in ``text``, or in the file at ``path``,
-    or under ``key`` when the JSON is an object with that one key.  An
-    unreadable file, malformed JSON, another shape or an ``item`` that
-    fails (it wants ``want``), and a dimension vector that ``build`` cannot
-    find are each an AislesError worded ``bad <what>: <reason>``."""
+def read_json(what, want, item, build, text=None, path=None, keys=()):
+    """``build`` of the JSON list in ``text``, or in the file at ``path``;
+    with ``keys``, of the JSON object of one or more of ``keys``, each
+    holding such a list.  An unreadable file, malformed JSON, another
+    shape or an ``item`` that fails (it wants ``want``), and a dimension
+    vector that ``build`` cannot find are each an AislesError worded
+    ``bad <what>: <reason>``."""
     try:
         if path is not None:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         value = json.loads(text)
-        if key is not None:  # anything but {key: ...} fails the shape
-            value = value.get(key) if isinstance(value, dict) and len(value) == 1 else 0
-        if not (isinstance(value, list) and all(map(item, value))):
+        lists = [value]
+        if keys:  # anything but {key: ..., ...} over ``keys`` fails the shape
+            shaped = isinstance(value, dict) and value and value.keys() <= set(keys)
+            lists = list(value.values()) if shaped else [0]
+        if not all(isinstance(v, list) and all(map(item, v)) for v in lists):
             raise ValueError(f"want {want}")
         return build(value)
     except KeyError as exc:  # from `IndecTable.by_dimvec`
@@ -152,25 +167,29 @@ def read_json(what, want, item, build, text=None, path=None, key=None):
 
 
 def apply_table_patch(table, path):
-    """Overwrite hom-table entries from a JSON fixture ``{"hom": [[i, j,
-    value], ...]}``; used to show the verifiers actually detect wrong
-    data.  Any other content is an AislesError."""
-    entries = read_json(
-        "table patch", '{"hom": [[i, j, value], ...]}', lambda entry: True, list,
-        path=path, key="hom",
+    """Overwrite Hom- and Ext-table entries from a JSON fixture ``{"hom":
+    [[i, j, value], ...], "ext": [...]}`` with either key or both; used to
+    show the verifiers actually detect wrong data.  The Hom bases and the
+    AR arrows stay as built.  Any other content is an AislesError."""
+    patch = read_json(
+        "table patch", '{"hom": [[i, j, value], ...]}, "ext" alike, or both',
+        lambda entry: True, dict, path=path, keys=("hom", "ext"),
     )
     n = len(table.entries)
-    hom = [list(row) for row in table.hom]
-    for entry in entries:
-        if not (_int_list(entry) and len(entry) == 3 and min(entry) >= 0
-                and max(entry[:2]) < n):
-            raise AislesError(
-                f"bad table patch entry {json.dumps(entry)}: want "
-                f"[i, j, value] with 0 <= i, j < {n} and value >= 0"
-            )
-        i, j, value = entry
-        hom[i][j] = value
-    return table.copy(hom=tuple(tuple(r) for r in hom))
+    fields = {}
+    for key, entries in patch.items():
+        rows = [list(row) for row in getattr(table, key)]
+        for entry in entries:
+            if not (_int_list(entry) and len(entry) == 3 and min(entry) >= 0
+                    and max(entry[:2]) < n):
+                raise AislesError(
+                    f"bad table patch entry {json.dumps(entry)}: want "
+                    f"[i, j, value] with 0 <= i, j < {n} and value >= 0"
+                )
+            i, j, value = entry
+            rows[i][j] = value
+        fields[key] = tuple(tuple(r) for r in rows)
+    return table.copy(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +358,10 @@ def cmd_export_ar(args):
             "coloring file", 'an object {"members": [[dimvec, degree], ...]}',
             lambda m: isinstance(m, list) and len(m) == 2 and _int_list(m[0])
             and type(m[1]) is int,
-            lambda v: [(table.by_dimvec(tuple(d)).id, deg) for d, deg in v],
-            path=args.color_file, key="members",
+            lambda v: [
+                (table.by_dimvec(tuple(d)).id, deg) for d, deg in v["members"]
+            ],
+            path=args.color_file, keys=("members",),
         )
         coloring = coloring_mask(table, window, members)
     sys.stdout.write(export_dot(table, window, coloring))
@@ -374,7 +395,7 @@ SUBCOMMANDS = {
     "classify": (cmd_classify, "classify split t-structures", (DYNKIN,), True, []),
     "verify": (cmd_verify, "run verification suites", (DYNKIN, KRONECKER), True, [
         ("--suite", {"default": "all"}),
-        ("--table-patch", {"help": "JSON hom-table overrides (falsification probe)"}),
+        ("--table-patch", {"help": "JSON Hom/Ext table overrides (falsification probe)"}),
     ]),
     "transport": (cmd_transport, "three-way bijection for a tilting set",
                   (KRONECKER,), True, [("--tilting", {"default": "Post(1),Post(2)",

@@ -2,14 +2,14 @@
 
 Every object is a stalk: an indecomposable module placed in a single
 degree.  Hom spaces live only in degree gaps 0 (module Hom) and 1 (module
-Ext), the AR translate becomes a total bijection, and the derived AR
-quiver ZQ^op is the module AR quiver in each degree glued by the
-arrows I_w[d] -> P_v[d+1] of ``repcore.gluing_pairs``, kept as successor
-rows over the window objects like the Hom masks.  Both kinds of arrow
-are proved once per table by the derived mesh rule (``ar_arrows`` of
-the table); the gluing is also validated against rad/rad^2 of explicit
-extension classes (``aisles.extspace``: Ext^1 as the cokernel of the Hom
-system).
+Ext), as ``gap_rule`` states for both derived models; the AR translate
+becomes a total bijection, and the derived AR quiver ZQ^op is the module
+AR quiver in each degree glued by the arrows I_w[d] -> P_v[d+1] of
+``repcore.gluing_pairs``, kept as successor rows over the window objects
+like the Hom masks.  Both kinds of arrow are proved once per table by
+the derived mesh rule (``ar_arrows`` of the table); the gluing is also
+validated against rad/rad^2 of explicit extension classes
+(``aisles.extspace``: Ext^1 as the cokernel of the Hom system).
 
 ``module_relation`` says once per model which module pairs have a
 nonzero Hom or Ext, as bitmasks; it is the only reader of a context's
@@ -130,18 +130,22 @@ def coloring_mask(table, window, members):
     return mask
 
 
-def hom_derived(X, Y, table):
-    """Morphism-space dimension between stalk objects.
+def gap_rule(X, Y, hom, ext):
+    """Morphism-space dimension between stalk objects of a hereditary
+    derived category: the module rule ``hom(X, Y)`` in degree gap 0,
+    ``ext(X, Y)`` in gap 1, zero otherwise (no higher Ext groups)."""
+    rule = {0: hom, 1: ext}.get(Y.degree - X.degree)
+    return rule(X, Y) if rule else 0
 
-    Module Hom in degree gap 0, module Ext in gap 1, zero otherwise
-    (hereditary: no higher Ext groups).  The reference rule: verifiers
-    ask ``HomMasks``, and the tests check the masks against this."""
-    gap = Y.degree - X.degree
-    if gap == 0:
-        return table.hom[X.indec][Y.indec]
-    if gap == 1:
-        return table.ext[X.indec][Y.indec]
-    return 0
+
+def hom_derived(X, Y, table):
+    """``gap_rule`` over the table's Hom and Ext; the tests check
+    ``HomMasks``, which verifiers ask, against it."""
+    return gap_rule(
+        X, Y,
+        lambda x, y: table.hom[x.indec][y.indec],
+        lambda x, y: table.ext[x.indec][y.indec],
+    )
 
 
 def shift(X, s):
@@ -369,10 +373,10 @@ class HomMasks:
     k % n in degree lo + k // n, the order of ``TameModel.objects()``.
     Bit l of ``out[k]`` is set when object k has a nonzero morphism to
     object l, read off the model's ``module_relation``: module Hom in
-    degree gap 0, module Ext in gap 1, nothing otherwise.  This is the
-    only place where a verifier applies that gap rule.  ``tau[k]`` is the
-    window index of the translate of object k, or None when it lies
-    outside the window or is not represented.
+    degree gap 0, module Ext in gap 1, nothing otherwise: ``gap_rule``
+    as bitmasks, the only form of it that a verifier reads.  ``tau[k]``
+    is the window index of the translate of object k, or None when it
+    lies outside the window or is not represented.
     """
 
     def __init__(self, context, window):

@@ -30,6 +30,7 @@ from .derived import (
     bits,
     check_scan_candidates,
     check_window_objects,
+    gap_rule,
     hom_masks,
     lowest,
 )
@@ -259,38 +260,23 @@ def _tau0(X):
 def ext_module(X, Y):
     """Module-level Ext^1 via the AR formula."""
     tX = _tau0(X)
-    if tX is None:
-        return 0
-    return _hom0(Y.at(0), tX)
+    return 0 if tX is None else _hom0(Y, tX)
 
 
 def hom_rule(X, Y):
-    """Morphism-space dimension between symbolic derived objects.  The
-    reference rule: the checks ask the Hom masks, and the tests check the
-    masks against this."""
-    gap = Y.degree - X.degree
-    if gap == 0:
-        return _hom0(X, Y)
-    if gap == 1:
-        return ext_module(X, Y)
-    return 0
+    """``gap_rule`` over ``_hom0`` and ``ext_module``; the tests check
+    the Hom masks, which the checks ask, against it."""
+    return gap_rule(X, Y, _hom0, ext_module)
 
 
 def tau_rule(X, model):
-    """Derived AR translate; projectives wrap to preinjectives one
-    degree down.  Overflow past the transjective truncation is an error,
-    never a silent clamp."""
-    if X.kind == POST:
-        if X.index >= 2:
-            return post(X.index - 2, X.degree)
-        return pre(1 - X.index, X.degree - 1)
-    if X.kind == PRE:
-        if X.index + 2 > model.range:
-            raise TruncationError(
-                f"tau of {X.name()} exceeds the transjective range"
-            )
-        return pre(X.index + 2, X.degree)
-    return X
+    """Derived AR translate: ``_tau0`` in X's degree; the projectives
+    Post(0), Post(1) wrap to Pre(1), Pre(0) one degree down.  Overflow
+    past the transjective truncation is an error, never a silent clamp."""
+    if X.kind == PRE and X.index + 2 > model.range:
+        raise TruncationError(f"tau of {X.name()} exceeds the transjective range")
+    tX = _tau0(X)
+    return pre(1 - X.index, X.degree - 1) if tX is None else tX.at(X.degree)
 
 
 def layer(X):

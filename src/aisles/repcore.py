@@ -544,12 +544,14 @@ class IndecTable:
         # re-validated.
         self.memo = {}
 
-    def copy(self, hom=None):
-        """This table with ``hom`` in place of its own, when given.  The
-        copy shares ``solved``, which reads no patchable field, and starts
-        with an empty ``memo`` and no ``hom_bases``."""
-        hom = self.hom if hom is None else hom
-        return IndecTable(self.quiver, self.entries, hom, self.ext, self.solved)
+    def copy(self, hom=None, ext=None):
+        """This table with ``hom`` and ``ext`` in place of its own, when
+        given.  The copy shares ``solved``, which reads no patchable
+        field, and starts with an empty ``memo`` and no ``hom_bases``."""
+        return IndecTable(
+            self.quiver, self.entries, self.hom if hom is None else hom,
+            self.ext if ext is None else ext, self.solved,
+        )
 
     @property
     def hom_vectors(self):

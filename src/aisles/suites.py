@@ -140,6 +140,9 @@ DYNKIN_SUITES = {
     "classify": suite_classify,
     "cor64": suite_cor64,
 }
+# the Dynkin suites that enumerate torsion pairs, whose quiver `verify`
+# refuses over ``MAX_TORSION_CLASSES`` before building its table
+TORSION_SUITES = frozenset({"roundtrip", "semipath", "classify", "cor64"})
 
 
 def _kronecker_check(name, report):

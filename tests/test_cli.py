@@ -8,9 +8,11 @@ import pytest
 
 from aisles import cli, derived, repcore, suites, torsion, tstruct
 from aisles.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from aisles.derived import DEFAULT_WINDOW
 from aisles.errors import UnsupportedError
 from aisles.quiver import BUILTIN_QUIVERS
 from aisles.repcore import enumerate_indecomposables
+from aisles.suites import DYNKIN_SUITES, TORSION_SUITES
 from reference import default_model
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -320,6 +322,10 @@ def test_verify_falsified_table_fails(capsys):
         ('{"hom": [[0, 0, "x"]]}', 'entry [0, 0, "x"]'),
         ('{"hom": [[-1, 0, 1]]}', "entry [-1, 0, 1]"),
         ('[[0, 0, "x"]]', 'want {"hom": [[i, j, value], ...]}'),
+        ('{"ext": [[0, 6, 1]]}', "entry [0, 6, 1]"),
+        ('{"hom": [], "ext": [[0, 0, -1]]}', "entry [0, 0, -1]"),
+        ('{"ext": {"0": 1}}', 'want {"hom": [[i, j, value], ...]}, "ext" alike'),
+        ('{"hom": [], "tau": []}', 'want {"hom": [[i, j, value], ...]}, "ext" alike'),
     ],
     ids=[
         "index-out-of-range",
@@ -327,6 +333,10 @@ def test_verify_falsified_table_fails(capsys):
         "value-not-int",
         "negative-index",
         "not-an-object",
+        "ext-index-out-of-range",
+        "ext-negative-value",
+        "ext-not-a-list",
+        "unknown-key",
     ],
 )
 def test_verify_malformed_table_patch_is_usage_error(
@@ -678,6 +688,54 @@ def test_classify_refuses_a_quiver_over_the_class_cap_unsearched(
             assert run(capsys, *other, "--quiver", path)[0] == EXIT_OK, other
 
 
+class _Built(Exception):
+    """Raised in place of building a table."""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify"], ["verify"]]
+    + [["verify", "--suite", key] for key in sorted(TORSION_SUITES)],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
+)
+def test_a_run_that_enumerates_refuses_a_quiver_over_the_class_cap_unbuilt(
+    capsys, monkeypatch, tmp_path, argv
+):
+    """Linear A30 at -1..2 (1,860 window objects, within
+    MAX_WINDOW_OBJECTS) is refused from its Dynkin type before the table
+    is built by every run that enumerates torsion pairs; the consistency
+    suite, which enumerates none, goes on to build it."""
+    path = str(_linear_quiver(tmp_path, 30))
+
+    def no_table(quiver):
+        raise _Built
+
+    monkeypatch.setattr(cli, "enumerate_indecomposables", no_table)
+    code, out, err = run(capsys, *argv, "--quiver", path, "--window=-1..2")
+    assert (code, out, err) == (EXIT_USAGE, "", CLASS_CAP_ERROR)
+    with pytest.raises(_Built):
+        cli.main(["verify", "--suite", "consistency", "--quiver", path,
+                  "--window=-1..2"])
+
+
+def test_torsion_suites_are_those_that_enumerate(monkeypatch, a3_table):
+    """`TORSION_SUITES` names exactly the Dynkin suites that run the
+    closure search, so `verify` refuses a quiver over the class cap for
+    those selections and only those."""
+    searched = []
+    masks = torsion.torsion_masks
+
+    def recording(table):
+        searched.append(table)
+        return masks(table)
+
+    monkeypatch.setattr(torsion, "torsion_masks", recording)
+    for key, suite in DYNKIN_SUITES.items():
+        searched.clear()
+        suite(a3_table.copy(), DEFAULT_WINDOW)
+        assert bool(searched) == (key in TORSION_SUITES), key
+
+
 def test_a2_converse_scan_over_budget_is_usage_error(capsys, monkeypatch):
     """A2's three modules over a window of width hi - lo take width**3
     scan candidates: width 100 is exactly MAX_SCAN_CANDIDATES and runs,
@@ -916,6 +974,27 @@ def test_lift_leaves_the_fraction_hom_bases_unformed(capsys, monkeypatch):
         assert "hom_bases" not in vars(table)
         assert table.solved.vectors is None and table.solved.arrows is None
     assert systems == []
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [{"ext": [[0, 0, 1]]}, {"hom": [[0, 1, 5]], "ext": [[0, 0, 1], [5, 0, 2]]}],
+    ids=["ext", "hom-and-ext"],
+)
+def test_table_patch_takes_ext_alone_or_beside_hom(a3_table, tmp_path, patch):
+    """Each listed entry is overwritten in its own table, the other
+    entries and the unpatched table stay as built."""
+    path = tmp_path / "patch.json"
+    path.write_text(json.dumps(patch))
+    patched = cli.apply_table_patch(a3_table, str(path))
+    for key in ("hom", "ext"):
+        want = [list(row) for row in getattr(a3_table, key)]
+        for i, j, value in patch.get(key, []):
+            want[i][j] = value
+        assert [list(row) for row in getattr(patched, key)] == want, key
+    assert patched.ext != a3_table.ext
+    assert patched.copy().ext == patched.ext
+    assert patched.hom_vectors is a3_table.hom_vectors
 
 
 def test_table_patch_copy_forms_the_same_hom_bases(a3_table):
